@@ -122,6 +122,7 @@ def test_jit_throughput(benchmark):
         report.render(),
         data={
             "schema": BENCH_SCHEMA,
+            "backend": "reference+jit",
             "sweep_benchmarks": list(SWEEP),
             "results": rows,
             "aggregate_speedup": aggregate,

@@ -55,8 +55,9 @@ def emit(
         from repro.exec import current_backend_name
         from repro.prof.metrics import write_metrics
 
-        # provenance stamp; results themselves are backend-invariant
-        data = {**data, "backend": current_backend_name()}
+        # provenance stamp; results themselves are backend-invariant.
+        # A document comparing backends names them itself.
+        data = {**data, "backend": data.get("backend", current_backend_name())}
         write_metrics(RESULTS_DIR / f"{tag}.json", data)
         if root_name is not None:
             write_metrics(REPO_ROOT / root_name, data)

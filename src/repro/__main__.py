@@ -4,7 +4,7 @@ Usage examples::
 
     python -m repro list
     python -m repro table1
-    python -m repro table1 --jobs 4 --backend fast
+    python -m repro table1 --jobs 4 --backend jit
     python -m repro table1 --jobs 4 --run-id nightly --out table1.json
     python -m repro table1 --resume nightly --out table1.json
     python -m repro run CoMem --system carina -p n=4194304
@@ -37,7 +37,7 @@ beyond its threshold (or a ``--claims`` claim fails), ``check`` exits 1
 when any conformance check fails; every command exits 2 on a runtime
 error and 0 otherwise.  Supervised runs (``run``/``sweep``/``table1``/
 ``check`` with ``--jobs`` or any resilience flag) add two more: 3 when
-the run completed only through a degradation fallback (fast backend
+the run completed only through a degradation fallback (jit backend
 re-run on the reference oracle, or the worker pool dropping to serial),
 and 4 when the run was interrupted (SIGINT/SIGTERM) with the completed
 work checkpointed to the run journal — finish it with ``--resume``.
@@ -55,6 +55,7 @@ from repro.common.errors import ReproError
 from repro.common.tables import render_table
 from repro.core.registry import ALL_BENCHMARKS, get_benchmark, list_benchmarks
 from repro.core.suite import run_suite
+from repro.exec import BACKENDS
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Any]:
@@ -277,7 +278,7 @@ def _print_resume_noop(args: argparse.Namespace, resilience) -> None:
 def _sched_status(status: int, resilience) -> int:
     """Map a command's natural exit through the degradation ladder.
 
-    A run that finished only via a fallback (fast backend re-run on the
+    A run that finished only via a fallback (jit backend re-run on the
     reference oracle, pool dropped to serial) exits 3 instead of 0 —
     results are valid but the configuration asked for did not hold.
     """
@@ -1358,7 +1359,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend_flag(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--backend",
-            choices=("reference", "fast", "jit"),
+            choices=BACKENDS,
             help="memory-analysis execution backend (default: reference, "
             "or the REPRO_BACKEND environment variable)",
         )
@@ -1734,9 +1735,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument(
         "--backend",
-        choices=("reference", "fast", "jit", "both", "all"),
-        help="execution backend(s) to check under: one name, 'both' "
-        "(reference+fast, the default), or 'all' (all three)",
+        choices=(*BACKENDS, "both"),
+        help="execution backend(s) to check under: one name or 'both' "
+        "(reference+jit, the default)",
     )
     check_p.add_argument(
         "--quick",

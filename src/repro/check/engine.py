@@ -7,7 +7,7 @@ figure sweeps the trend claims need, and audit the exported metrics
 document against the physical-invariant registry.  ``check_all`` adds
 the metamorphic relations and repeats the whole pass per execution
 backend, which is how CI asserts both the reference oracle and the
-fast path still reproduce the paper.
+jit backend still reproduce the paper.
 """
 
 from __future__ import annotations
@@ -26,25 +26,17 @@ from repro.check.metamorphic import run_relations
 from repro.check.report import CheckOutcome, ConformanceReport
 from repro.common.errors import ReproError
 from repro.core.registry import get_benchmark
-from repro.exec import use_backend
+from repro.exec import BACKENDS, use_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import ResilienceConfig
 
-__all__ = ["check_benchmark", "check_all", "DEFAULT_BACKENDS"]
-
-DEFAULT_BACKENDS = ("reference", "fast")
-
-#: ``--backend all``: every registered backend, jit included
-ALL_BACKENDS = ("reference", "fast", "jit")
+__all__ = ["check_benchmark", "check_all"]
 
 
 def _resolve_backends(backend: str | None) -> tuple[str, ...]:
-    if backend in (None, "both"):
-        return DEFAULT_BACKENDS
-    if backend == "all":
-        return ALL_BACKENDS
-    return (backend,)
+    """``both`` (the default) means every registered backend."""
+    return BACKENDS if backend in (None, "both") else (backend,)
 
 
 def check_benchmark(
@@ -281,7 +273,7 @@ def check_all(
 
     ``benchmarks`` restricts the pass to named Table I entries (all
     entries with claim files otherwise); ``backend`` is ``reference``,
-    ``fast``, or ``None``/``both`` for the two-backend matrix.
+    ``jit``, or ``None``/``both`` for the two-backend matrix.
     ``resilience`` supervises the per-(backend × claim file) units:
     retries with backoff, per-unit wall-clock timeouts, and journal
     checkpoints so an interrupted pass resumes without re-running

@@ -7,9 +7,9 @@ their chunks changes nothing, and changing the warp width moves
 divergence in a direction the kernel's branch structure predicts.  The
 relations execute real kernel launches through
 :class:`~repro.host.runtime.CudaLite` under each execution backend
-(``reference`` and ``fast``), so a fast-path shortcut that breaks a
-physical proportionality is caught even when the differential suite's
-fixed cases still agree.
+(``reference`` and ``jit``), so an accelerated-path shortcut that
+breaks a physical proportionality is caught even when the differential
+suite's fixed cases still agree.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from repro.arch.presets import CARINA
 from repro.check.report import CheckOutcome
 from repro.common.errors import ReproError
-from repro.exec import use_backend
+from repro.exec import BACKENDS, use_backend
 from repro.host.runtime import CudaLite
 from repro.simt.kernel import kernel
 from repro.simt.stats import KernelStats
@@ -74,7 +74,7 @@ def list_relations() -> list[str]:
 def run_relations(
     names: Sequence[str] | None = None,
     *,
-    backends: Sequence[str] = ("reference", "fast"),
+    backends: Sequence[str] = BACKENDS,
 ) -> list[CheckOutcome]:
     """Execute relations (all by default) under each backend."""
     outcomes: list[CheckOutcome] = []

@@ -1,5 +1,6 @@
-"""Execution backends: reference oracle, residue-class fast path, and
-the trace-JIT tier of :mod:`repro.jit` (selected as ``"jit"``)."""
+"""Execution backends: the reference oracle and the trace-JIT backend of
+:mod:`repro.jit` (selected as ``"jit"``), which analyzes on the
+residue-class fast path."""
 
 from repro.common.errors import BackendDivergenceError
 from repro.exec.dispatch import (

@@ -4,15 +4,15 @@ A *backend* decides how each warp-wide access is analyzed:
 
 * ``reference`` — always the per-lane sort-based analyzers of
   :mod:`repro.mem` (the executable oracle);
-* ``fast`` — try the residue-class fast path of
-  :mod:`repro.exec.fastpath` first, falling back to the reference
-  analyzers for accesses that are not affine;
-* ``jit`` — the trace-JIT tier of :mod:`repro.jit`: record a launch
-  once per trace key, compile the access summaries into generated
-  Python, and replay later launches behind linear-time guards, bailing
-  back to reference per kernel on any mismatch.
+* ``jit`` — the trace-JIT backend of :mod:`repro.jit`: record a launch
+  once per trace key on the residue-class fast path of
+  :mod:`repro.exec.fastpath` (:class:`FastDispatch`, which falls back to
+  the reference analyzers for accesses that are not affine), store the
+  access summaries as data, and replay later launches behind
+  linear-time guards, bailing back to analysis per kernel on any
+  mismatch.
 
-All three produce identical summaries (the differential suite in
+Both produce identical summaries (the differential suite in
 ``tests/differential/`` enforces this for every registered benchmark),
 so the choice is purely a performance knob.  Selection follows the
 session-ambient pattern used elsewhere in the runtime: an explicit
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.common.errors import LaunchConfigError
 from repro.exec.fastpath import analyze_access_fast, analyze_shared_access_fast
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 #: recognised backend names, in documentation order
-BACKENDS = ("reference", "fast", "jit")
+BACKENDS = ("reference", "jit")
 
 _ENV_VAR = "REPRO_BACKEND"
 _ambient: list[str] = []
@@ -101,14 +101,8 @@ class ExecCounters:
     shared_reference: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "global_fast": self.global_fast,
-            "global_fallback": self.global_fallback,
-            "global_reference": self.global_reference,
-            "shared_fast": self.shared_fast,
-            "shared_fallback": self.shared_fallback,
-            "shared_reference": self.shared_reference,
-        }
+        """Every counter by field name, subclass fields included."""
+        return asdict(self)
 
 
 @dataclass
@@ -159,7 +153,8 @@ class ReferenceDispatch:
 
 @dataclass
 class FastDispatch(ReferenceDispatch):
-    """Residue-class fast path with per-access reference fallback."""
+    """Residue-class fast path with per-access reference fallback: the
+    analysis ``JitDispatch`` records on (not a selectable backend)."""
 
     name = "fast"
 
@@ -225,10 +220,9 @@ class FastDispatch(ReferenceDispatch):
 
 def make_dispatcher(name: str | None = None) -> ReferenceDispatch:
     """Build a dispatcher for the resolved backend name."""
-    resolved = current_backend_name(name)
-    if resolved == "jit":
-        # deferred import: repro.jit subclasses ReferenceDispatch
+    if current_backend_name(name) == "jit":
+        # deferred import: repro.jit subclasses FastDispatch
         from repro.jit.dispatch import JitDispatch
 
         return JitDispatch()
-    return FastDispatch() if resolved == "fast" else ReferenceDispatch()
+    return ReferenceDispatch()

@@ -147,9 +147,9 @@ class FaultPlan:
         completed (journaled) jobs — the deterministic SIGINT analog
         used by the interrupt-and-resume tests.
     divergence_jobs:
-        0-based job ordinals whose fast-backend execution raises
-        :class:`~repro.common.errors.BackendDivergenceError`, driving
-        the automatic re-run on the reference backend.
+        0-based job ordinals whose execution on a non-reference
+        backend raises :class:`~repro.common.errors.BackendDivergenceError`,
+        driving the automatic re-run on the reference backend.
     fleet_kill_prob:
         Fleet-layer chaos: per-claim probability that the worker
         process holding a job's lease hard-exits mid-lease (``SIGKILL``
@@ -359,7 +359,7 @@ class FaultPlan:
         return self._keyed("cache", ordinal, 0) < self.cache_corrupt_prob
 
     def job_diverges(self, ordinal: int) -> bool:
-        """Does the fast-backend execution of this job diverge?"""
+        """Does the non-reference execution of this job diverge?"""
         return ordinal in self.divergence_jobs
 
     def interrupts_after(self, completed_jobs: int) -> bool:

@@ -1,29 +1,16 @@
-"""Trace-JIT execution tier: compile the analysis hot loop per launch.
+"""Trace-JIT execution backend: record analysis answers once, replay them.
 
-The simulator's cost is dominated by per-access memory analysis — for
-every warp-wide load/store the reference backend sorts lane addresses
-and deduplicates segments at three granularities.  For sweeps the same
-kernel is launched over and over with identical shapes and addresses,
-so the analysis answers never change.  This package exploits that:
+The first launch of a trace key (:mod:`repro.jit.tracekey`) analyzes on
+the residue-class fast path while recording each access's lane
+fingerprint and summary.  The trace is stored as validated JSON data,
+never code (:mod:`repro.jit.codegen`, :mod:`repro.jit.store`), and
+later launches with the same key replay it behind linear-time guards
+(:mod:`repro.jit.guards`), bailing back to analysis on any mismatch
+(:mod:`repro.jit.dispatch`).
 
-* the first launch of a ``(kernel, params, system, arch)`` *trace key*
-  runs through the reference analyzers while recording every access's
-  input fingerprint and output summary;
-* the recorded trace is specialized into generated Python source — one
-  guard-then-return function per access — compiled with
-  ``compile()``/``exec`` and memoized (in process and on disk through
-  the content-addressed :class:`~repro.sched.cache.ResultCache`);
-* later launches with the same key *replay* the artifact: each access
-  is verified by a linear-time lane fingerprint and the precomputed
-  summary is returned without sorting anything;
-* any guard miss (data-dependent addressing, changed iteration counts)
-  bails the launch back to the reference path, poisons the key, and is
-  recorded in the dispatch counters and the activity hub.
-
-Select it like any other backend: ``use_backend("jit")``,
-``REPRO_BACKEND=jit``, or ``--backend jit`` on the CLI.  The
-differential suite locks jit results byte-identical to reference for
-every registered benchmark.
+Select it with ``use_backend("jit")``, ``REPRO_BACKEND=jit``, or
+``--backend jit``; the differential suite locks it byte-identical to the
+reference backend for every registered benchmark.
 """
 
 from repro.jit.codegen import JitArtifact, compile_artifact, generate_source

@@ -1,170 +1,145 @@
-"""Specialize a recorded launch trace into compiled Python source.
+"""The JIT artifact format: a recorded launch trace as validated JSON.
 
-The generated module is the JIT "machine code" of this simulator: one
-replay function per recorded access, each embedding its guard
-fingerprint and the reference-computed summary as literals, plus a
-``REPLAY`` tuple the dispatcher walks in program order.  Source is kept
-(and persisted) alongside the compiled object so artifacts are
-inspectable and survive process boundaries through the artifact store.
+An artifact is data, never code.  :func:`generate_source` renders a
+trace as one canonical JSON document — per access its kind, guard
+parameters, lane fingerprint, and analyzer summary — and
+:func:`compile_artifact` is the only way back: it parses the text and
+checks every field's type before building frozen events, so a tampered
+or stale artifact from a shared cache directory can at worst carry
+wrong summaries for matching fingerprints; it can never run anything.
 
-Float fields are embedded via ``repr``, which round-trips doubles
-exactly — a replayed :class:`~repro.mem.coalesce.AccessSummary` is
-bit-identical to the one the trace recorded.
+Floats are written with ``repr`` (the ``json`` encoder's float format),
+which round-trips doubles exactly, so a replayed
+:class:`~repro.mem.coalesce.AccessSummary` is bit-identical to the one
+the trace recorded.  Non-finite values are rejected in both directions.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Sequence
 
+from repro.jit.guards import lane_fingerprint
 from repro.mem.banks import BankConflictSummary
 from repro.mem.coalesce import AccessSummary
 
 __all__ = [
-    "GlobalEvent",
-    "SharedEvent",
+    "TraceEvent",
     "JitArtifact",
     "generate_source",
     "compile_artifact",
 ]
 
 Fingerprint = tuple[int, int, int, int]
+Summary = AccessSummary | BankConflictSummary
+
+#: per access kind: the summary type and the number of guard params
+#: (global: itemsize, warp_size, transaction_bytes, sector_bytes;
+#: shared: warp_size, nbanks, bank_bytes)
+_KINDS: dict[str, tuple[type, int]] = {
+    "global": (AccessSummary, 4),
+    "shared": (BankConflictSummary, 3),
+}
+
+#: the exact type of every summary field, from the dataclass annotations
+_FIELD_TYPES = {
+    cls: {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
+    for cls, _ in _KINDS.values()
+}
 
 
 @dataclass(frozen=True)
-class GlobalEvent:
-    """One recorded global-memory access: guard inputs + its answer."""
+class TraceEvent:
+    """One recorded access: its guard inputs and the analyzer's answer."""
 
+    kind: str
+    params: tuple[int, ...]
     fp: Fingerprint
-    itemsize: int
-    warp_size: int
-    transaction_bytes: int
-    sector_bytes: int
-    summary: AccessSummary
+    summary: Summary
 
-
-@dataclass(frozen=True)
-class SharedEvent:
-    """One recorded shared-memory access: guard inputs + its answer."""
-
-    fp: Fingerprint
-    warp_size: int
-    nbanks: int
-    bank_bytes: int
-    summary: BankConflictSummary
+    def replay(self, params: tuple[int, ...], values, mask) -> Summary | None:
+        """The recorded summary if this access matches the recorded one."""
+        if params != self.params or lane_fingerprint(values, mask) != self.fp:
+            return None
+        return self.summary
 
 
 @dataclass(frozen=True)
 class JitArtifact:
-    """A compiled trace: generated source plus its executable form."""
+    """A recorded trace: its JSON text plus the parsed events."""
 
     key: str
     kernel: str
     source: str
-    replay: tuple[tuple[str, Callable[..., Any]], ...]
-
-    @property
-    def n_events(self) -> int:
-        return len(self.replay)
+    events: tuple[TraceEvent, ...]
 
 
-def _check_finite(value: float, field: str) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite summary field {field}={value!r}")
-    return value
+def generate_source(key: str, kernel: str, events: Sequence[TraceEvent]) -> str:
+    """Render a recorded trace as canonical JSON text."""
+    doc = {
+        "key": key,
+        "kernel": kernel,
+        "events": [
+            {
+                "kind": ev.kind,
+                "params": list(ev.params),
+                "fp": list(ev.fp),
+                "summary": vars(ev.summary),
+            }
+            for ev in events
+        ],
+    }
+    # allow_nan=False: a non-finite summary field raises ValueError
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _global_fn(i: int, ev: GlobalEvent) -> list[str]:
-    s = ev.summary
-    params = (ev.itemsize, ev.warp_size, ev.transaction_bytes, ev.sector_bytes)
-    for name in ("transactions", "sectors", "bursts", "unique_sectors",
-                 "unique_bursts", "sample_fraction"):
-        _check_finite(getattr(s, name), name)
-    return [
-        f"def _replay_{i}(addrs, mask, itemsize, warp_size, "
-        "transaction_bytes, sector_bytes):",
-        "    if (itemsize, warp_size, transaction_bytes, sector_bytes) "
-        f"!= {params!r}:",
-        "        return None",
-        f"    if lane_fingerprint(addrs, mask) != {ev.fp!r}:",
-        "        return None",
-        "    return AccessSummary(",
-        f"        n_warps={s.n_warps!r},",
-        f"        n_active_lanes={s.n_active_lanes!r},",
-        f"        transactions={s.transactions!r},",
-        f"        sectors={s.sectors!r},",
-        f"        bursts={s.bursts!r},",
-        f"        unique_sectors={s.unique_sectors!r},",
-        f"        unique_bursts={s.unique_bursts!r},",
-        f"        bytes_requested={s.bytes_requested!r},",
-        f"        sample_fraction={s.sample_fraction!r},",
-        "    )",
-        "",
-    ]
+def _ints(value: Any, n: int, what: str) -> tuple[int, ...]:
+    if (
+        not isinstance(value, list)
+        or len(value) != n
+        or any(type(v) is not int for v in value)
+    ):
+        raise ValueError(f"{what} must be a list of {n} ints, got {value!r}")
+    return tuple(value)
 
 
-def _shared_fn(i: int, ev: SharedEvent) -> list[str]:
-    s = ev.summary
-    params = (ev.warp_size, ev.nbanks, ev.bank_bytes)
-    return [
-        f"def _replay_{i}(byte_offsets, mask, warp_size, nbanks, bank_bytes):",
-        f"    if (warp_size, nbanks, bank_bytes) != {params!r}:",
-        "        return None",
-        f"    if lane_fingerprint(byte_offsets, mask) != {ev.fp!r}:",
-        "        return None",
-        "    return BankConflictSummary(",
-        f"        n_warps={s.n_warps!r},",
-        f"        n_active_lanes={s.n_active_lanes!r},",
-        f"        passes={s.passes!r},",
-        f"        conflict_extra={s.conflict_extra!r},",
-        f"        max_degree={s.max_degree!r},",
-        "    )",
-        "",
-    ]
+def _summary(cls: type, doc: Any) -> Summary:
+    spec = _FIELD_TYPES[cls]
+    if not isinstance(doc, dict) or set(doc) != set(spec):
+        raise ValueError(f"{cls.__name__} fields mismatch: {doc!r}")
+    for name, typ in spec.items():
+        value = doc[name]
+        if type(value) is not typ or (typ is float and not math.isfinite(value)):
+            raise ValueError(f"{cls.__name__}.{name} is not {typ.__name__}")
+    return cls(**doc)
 
 
-def generate_source(
-    key: str, kernel: str, events: Sequence[GlobalEvent | SharedEvent]
-) -> str:
-    """Render a recorded trace as a standalone replay module."""
-    lines = [
-        f'"""JIT replay artifact for kernel {kernel!r} ({len(events)} '
-        'accesses)."""',
-        "# machine-generated by repro.jit.codegen -- do not edit",
-        f"KEY = {key!r}",
-        f"KERNEL = {kernel!r}",
-        "",
-        "from repro.jit.guards import lane_fingerprint",
-        "from repro.mem.banks import BankConflictSummary",
-        "from repro.mem.coalesce import AccessSummary",
-        "",
-    ]
-    kinds: list[str] = []
-    for i, ev in enumerate(events):
-        if isinstance(ev, GlobalEvent):
-            lines += _global_fn(i, ev)
-            kinds.append("global")
-        elif isinstance(ev, SharedEvent):
-            lines += _shared_fn(i, ev)
-            kinds.append("shared")
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown trace event {type(ev).__name__}")
-    lines.append("REPLAY = (")
-    for i, kind in enumerate(kinds):
-        lines.append(f"    ({kind!r}, _replay_{i}),")
-    lines.append(")")
-    lines.append("")
-    return "\n".join(lines)
+def _event(doc: Any) -> TraceEvent:
+    if not isinstance(doc, dict) or set(doc) != {"kind", "params", "fp", "summary"}:
+        raise ValueError(f"malformed trace event {doc!r}")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown trace event kind {kind!r}")
+    cls, n_params = _KINDS[kind]
+    return TraceEvent(
+        kind=kind,
+        params=_ints(doc["params"], n_params, "params"),
+        fp=_ints(doc["fp"], 4, "fp"),  # type: ignore[arg-type]
+        summary=_summary(cls, doc["summary"]),
+    )
 
 
 def compile_artifact(key: str, kernel: str, source: str) -> JitArtifact:
-    """Compile generated (or persisted) replay source into an artifact."""
-    code = compile(source, f"<jit:{kernel}:{key[:12]}>", "exec")
-    namespace: dict[str, Any] = {}
-    exec(code, namespace)  # noqa: S102 - our own generated source
-    replay = tuple(namespace["REPLAY"])
-    for kind, fn in replay:
-        if kind not in ("global", "shared") or not callable(fn):
-            raise ValueError(f"malformed REPLAY entry ({kind!r}, {fn!r})")
-    return JitArtifact(key=key, kernel=kernel, source=source, replay=replay)
+    """Parse and validate artifact text; raises ``ValueError`` if bad."""
+    doc = json.loads(source)
+    if (
+        not isinstance(doc, dict)
+        or doc.get("key") != key
+        or doc.get("kernel") != kernel
+        or not isinstance(doc.get("events"), list)
+    ):
+        raise ValueError(f"malformed artifact for {kernel!r} ({key[:12]})")
+    events = tuple(_event(ev) for ev in doc["events"])
+    return JitArtifact(key=key, kernel=kernel, source=source, events=events)

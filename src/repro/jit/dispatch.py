@@ -1,26 +1,28 @@
-"""The jit dispatcher: record, compile, replay, bail.
+"""The jit dispatcher: record, replay, bail.
 
-:class:`JitDispatch` is the third backend beside
-:class:`~repro.exec.dispatch.ReferenceDispatch` and
-:class:`~repro.exec.dispatch.FastDispatch`.  The executor brackets each
-launch with :meth:`begin_launch` / :meth:`end_launch`; in between every
+:class:`JitDispatch` is the accelerated backend beside the
+:class:`~repro.exec.dispatch.ReferenceDispatch` oracle.  It extends
+:class:`~repro.exec.dispatch.FastDispatch`, so every access it does not
+replay is analyzed by the residue-class fast analyzers, which are
+bit-identical to the reference ones.  The executor brackets each launch
+with :meth:`begin_launch` / :meth:`end_launch`; in between every
 ``analyze_global`` / ``analyze_shared`` call is served according to the
 launch's mode:
 
-* **record** — first sighting of a trace key: delegate to the reference
-  analyzers while recording each access's guard fingerprint and summary;
-  a completed launch is compiled and published to the artifact store.
-* **replay** — a compiled artifact exists: walk its ``REPLAY`` tuple,
-  verify each access with the linear-time fingerprint, and return the
-  embedded summary without any sorting.
-* **reference** — untraceable launches, poisoned keys, and everything
+* **record** — first sighting of a trace key: analyze each access while
+  recording its guard fingerprint and summary; a completed launch is
+  published to the artifact store.
+* **replay** — an artifact exists: take its next event, check the guard
+  parameters and the linear-time lane fingerprint, and return the
+  stored summary without any analysis.
+* **analyze** — untraceable launches, poisoned keys, and everything
   after a *bailout* (guard mismatch, event-kind mismatch, trace
-  exhaustion): plain reference analysis, always correct.
+  exhaustion): plain analysis, always correct.
 
 A bailout is per launch and per key: the current launch degrades to
-reference mid-flight (every summary already returned passed its guard,
+analysis mid-flight (every summary already returned passed its guard,
 so the launch stays correct), the key is poisoned so later launches
-skip straight to reference, and the event is counted in
+skip straight to analysis, and the event is counted in
 :class:`JitCounters` and emitted to the activity hub when one is
 attached — the same visibility contract as the scheduler's
 divergence-fallback telemetry.
@@ -28,17 +30,10 @@ divergence-fallback telemetry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from repro.exec.dispatch import ExecCounters, ReferenceDispatch
-from repro.jit.codegen import (
-    GlobalEvent,
-    JitArtifact,
-    SharedEvent,
-    compile_artifact,
-    generate_source,
-)
+from repro.exec.dispatch import ExecCounters, FastDispatch
+from repro.jit.codegen import JitArtifact, TraceEvent, generate_source
 from repro.jit.guards import lane_fingerprint
 from repro.jit.store import ArtifactStore, default_store
 from repro.jit.tracekey import Untraceable, launch_key
@@ -49,71 +44,47 @@ __all__ = ["MAX_TRACE_EVENTS", "JitCounters", "JitDispatch"]
 #: dominated by unique (likely data-dependent) access sites and would
 #: produce a huge artifact with no replay win — poison it instead
 MAX_TRACE_EVENTS = 4096
-_ENV_MAX = "REPRO_JIT_MAX_EVENTS"
 
 
 @dataclass
 class JitCounters(ExecCounters):
     """Execution counters extended with the jit life-cycle.
 
-    ``global_jit``/``shared_jit`` count accesses answered from a
-    compiled artifact; the reference fields inherited from
+    ``global_jit``/``shared_jit`` count accesses answered from an
+    artifact; the fast/fallback fields inherited from
     :class:`ExecCounters` count record-mode and post-bailout analyses.
     """
 
     global_jit: int = 0
     shared_jit: int = 0
     jit_traced: int = 0      #: launches recorded (cold keys)
-    jit_compiled: int = 0    #: traces compiled into artifacts
+    jit_compiled: int = 0    #: recorded traces published as artifacts
     jit_replayed: int = 0    #: launches started from an artifact
-    jit_bailouts: int = 0    #: replays degraded to reference mid-launch
+    jit_bailouts: int = 0    #: replays degraded to analysis mid-launch
     jit_untraceable: int = 0  #: launches with un-keyable arguments
-
-    def as_dict(self) -> dict[str, int]:
-        out = super().as_dict()
-        out.update(
-            global_jit=self.global_jit,
-            shared_jit=self.shared_jit,
-            jit_traced=self.jit_traced,
-            jit_compiled=self.jit_compiled,
-            jit_replayed=self.jit_replayed,
-            jit_bailouts=self.jit_bailouts,
-            jit_untraceable=self.jit_untraceable,
-        )
-        return out
 
 
 @dataclass
 class _LaunchState:
     """Per-launch mode; lives on a stack for dynamic parallelism."""
 
-    mode: str  # "record" | "replay" | "reference"
+    mode: str  # "record" | "replay" | "analyze"
     kernel: str
     key: str | None = None
     events: list = field(default_factory=list)
     artifact: JitArtifact | None = None
     cursor: int = 0
-    overflowed: bool = False
 
 
-class JitDispatch(ReferenceDispatch):
+class JitDispatch(FastDispatch):
     """Trace-JIT memory-analysis backend (see module docstring)."""
 
     name = "jit"
 
-    def __init__(
-        self,
-        store: ArtifactStore | None = None,
-        *,
-        max_trace_events: int | None = None,
-    ) -> None:
+    def __init__(self, store: ArtifactStore | None = None) -> None:
         self.counters = JitCounters()
         self.store = store if store is not None else default_store()
         self.hub = None
-        if max_trace_events is None:
-            env = os.environ.get(_ENV_MAX)
-            max_trace_events = int(env) if env else MAX_TRACE_EVENTS
-        self.max_trace_events = max_trace_events
         self._stack: list[_LaunchState] = []
 
     # ------------------------------------------------------------------
@@ -125,28 +96,21 @@ class JitDispatch(ReferenceDispatch):
             key = launch_key(kdef, grid, block, gpu, args)
         except Untraceable:
             self.counters.jit_untraceable += 1
-            self._stack.append(_LaunchState(mode="reference", kernel=kdef.name))
+            self._stack.append(_LaunchState(mode="analyze", kernel=kdef.name))
             return
         artifact = self.store.lookup(key)
         if artifact is not None:
             self.counters.jit_replayed += 1
-            self._stack.append(
-                _LaunchState(
-                    mode="replay", kernel=kdef.name, key=key, artifact=artifact
-                )
-            )
+            mode = "replay"
         elif self.store.is_poisoned(key):
-            self._stack.append(
-                _LaunchState(mode="reference", kernel=kdef.name, key=key)
-            )
+            mode = "analyze"
         else:
             self.counters.jit_traced += 1
-            self._stack.append(
-                _LaunchState(mode="record", kernel=kdef.name, key=key)
-            )
+            mode = "record"
+        self._stack.append(_LaunchState(mode, kdef.name, key, artifact=artifact))
 
     def end_launch(self, completed: bool) -> None:
-        """Close the launch; a completed recording is compiled + stored.
+        """Close the launch; a completed recording is published.
 
         A launch that raised (sanitizer abort, injected fault, watchdog)
         discards its partial trace without poisoning: the next attempt
@@ -156,22 +120,20 @@ class JitDispatch(ReferenceDispatch):
         if state.mode != "record" or not completed:
             return
         assert state.key is not None
-        if state.overflowed:
-            self.store.poison(state.key)
-            self._emit("overflow", state)
-            return
         try:
             source = generate_source(state.key, state.kernel, state.events)
-            artifact = compile_artifact(state.key, state.kernel, source)
-        except Exception:
-            # non-finite summary field or malformed codegen: never let
-            # the JIT fail a run — ban the key and stay on reference
+        except ValueError:
+            # a non-finite summary field: never let the JIT fail a run —
+            # ban the key and keep analyzing
             self.store.poison(state.key)
             self.counters.jit_bailouts += 1
             self._emit("codegen-failed", state)
             return
         self.counters.jit_compiled += 1
-        self.store.put(state.key, artifact)
+        self.store.put(
+            state.key,
+            JitArtifact(state.key, state.kernel, source, tuple(state.events)),
+        )
 
     # ------------------------------------------------------------------
     # per-access analysis
@@ -186,19 +148,11 @@ class JitDispatch(ReferenceDispatch):
         transaction_bytes: int,
         sector_bytes: int,
     ):
-        state = self._stack[-1] if self._stack else None
-        if state is not None and state.mode == "replay":
-            fn = self._next_replay(state, "global")
-            if fn is not None:
-                summary = fn(
-                    addrs, mask, itemsize, warp_size, transaction_bytes,
-                    sector_bytes,
-                )
-                if summary is not None:
-                    self.counters.global_jit += 1
-                    return summary
-                self._bail(state, "global-guard")
-            # fall through to reference (state.mode is now "reference")
+        params = (itemsize, warp_size, transaction_bytes, sector_bytes)
+        summary = self._replay("global", params, addrs, mask)
+        if summary is not None:
+            self.counters.global_jit += 1
+            return summary
         summary = super().analyze_global(
             addrs,
             mask,
@@ -207,20 +161,7 @@ class JitDispatch(ReferenceDispatch):
             transaction_bytes=transaction_bytes,
             sector_bytes=sector_bytes,
         )
-        if state is not None and state.mode == "record":
-            if len(state.events) >= self.max_trace_events:
-                state.overflowed = True
-            else:
-                state.events.append(
-                    GlobalEvent(
-                        fp=lane_fingerprint(addrs, mask),
-                        itemsize=itemsize,
-                        warp_size=warp_size,
-                        transaction_bytes=transaction_bytes,
-                        sector_bytes=sector_bytes,
-                        summary=summary,
-                    )
-                )
+        self._record("global", params, addrs, mask, summary)
         return summary
 
     def analyze_shared(
@@ -232,15 +173,11 @@ class JitDispatch(ReferenceDispatch):
         nbanks: int,
         bank_bytes: int,
     ):
-        state = self._stack[-1] if self._stack else None
-        if state is not None and state.mode == "replay":
-            fn = self._next_replay(state, "shared")
-            if fn is not None:
-                summary = fn(byte_offsets, mask, warp_size, nbanks, bank_bytes)
-                if summary is not None:
-                    self.counters.shared_jit += 1
-                    return summary
-                self._bail(state, "shared-guard")
+        params = (warp_size, nbanks, bank_bytes)
+        summary = self._replay("shared", params, byte_offsets, mask)
+        if summary is not None:
+            self.counters.shared_jit += 1
+            return summary
         summary = super().analyze_shared(
             byte_offsets,
             mask,
@@ -248,44 +185,51 @@ class JitDispatch(ReferenceDispatch):
             nbanks=nbanks,
             bank_bytes=bank_bytes,
         )
-        if state is not None and state.mode == "record":
-            if len(state.events) >= self.max_trace_events:
-                state.overflowed = True
-            else:
-                state.events.append(
-                    SharedEvent(
-                        fp=lane_fingerprint(byte_offsets, mask),
-                        warp_size=warp_size,
-                        nbanks=nbanks,
-                        bank_bytes=bank_bytes,
-                        summary=summary,
-                    )
-                )
+        self._record("shared", params, byte_offsets, mask, summary)
         return summary
 
     # ------------------------------------------------------------------
-    def _next_replay(self, state: _LaunchState, kind: str):
-        """The next replay function if it matches ``kind``, else bail.
+    def _replay(self, kind: str, params: tuple, values, mask):
+        """The stored summary of this access when replaying, else None.
 
         An exhausted trace (the launch issues *more* accesses than were
-        recorded — a data-dependent loop ran longer) and a kind mismatch
-        (control flow reordered access sites) both invalidate the
-        artifact for this key.
+        recorded — a data-dependent loop ran longer), a kind mismatch
+        (control flow reordered access sites) and a guard mismatch all
+        invalidate the artifact for this key.
         """
-        artifact = state.artifact
-        assert artifact is not None
-        if state.cursor >= len(artifact.replay):
+        state = self._stack[-1] if self._stack else None
+        if state is None or state.mode != "replay":
+            return None
+        assert state.artifact is not None
+        events = state.artifact.events
+        if state.cursor >= len(events):
             self._bail(state, f"{kind}-trace-exhausted")
             return None
-        ev_kind, fn = artifact.replay[state.cursor]
-        if ev_kind != kind:
+        event = events[state.cursor]
+        if event.kind != kind:
             self._bail(state, f"{kind}-kind-mismatch")
             return None
         state.cursor += 1
-        return fn
+        summary = event.replay(params, values, mask)
+        if summary is None:
+            self._bail(state, f"{kind}-guard")
+        return summary
+
+    def _record(self, kind: str, params: tuple, values, mask, summary) -> None:
+        state = self._stack[-1] if self._stack else None
+        if state is None or state.mode != "record":
+            return
+        if len(state.events) >= MAX_TRACE_EVENTS:
+            state.mode = "analyze"
+            self.store.poison(state.key)
+            self._emit("overflow", state)
+            return
+        state.events.append(
+            TraceEvent(kind, params, lane_fingerprint(values, mask), summary)
+        )
 
     def _bail(self, state: _LaunchState, reason: str) -> None:
-        state.mode = "reference"
+        state.mode = "analyze"
         self.counters.jit_bailouts += 1
         if state.key is not None:
             self.store.poison(state.key)

@@ -1,6 +1,6 @@
 """Replay guards: linear-time fingerprints of per-access lane vectors.
 
-A compiled artifact may only answer for an access whose inputs match
+An artifact may only answer for an access whose inputs match
 what the trace recorded, and the whole point of the JIT is that this
 check must be much cheaper than the reference analysis it skips.  The
 reference analyzers sort lane addresses per warp and deduplicate
@@ -57,8 +57,10 @@ def lane_fingerprint(
         work = values.view(np.uint64)
     else:
         mask = np.asarray(mask, dtype=bool)
-        active = int(mask.sum())
+        active = int(np.count_nonzero(mask))
         work = np.where(mask, values, -1).view(np.uint64)
     lin = int(work.sum(dtype=np.uint64))
-    weighted = int((work * _weights(n)).sum(dtype=np.uint64))
+    # an unsigned dot product wraps mod 2**64 like the sum, without
+    # materializing the products
+    weighted = int(work.dot(_weights(n)))
     return (n, active, lin, weighted)

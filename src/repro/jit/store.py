@@ -1,24 +1,30 @@
-"""Artifact store: memoized + persisted compiled traces.
+"""Artifact store: memoized + persisted trace artifacts.
 
 Two tiers, both keyed by the launch's trace key:
 
-* an in-process memo of compiled :class:`JitArtifact` objects — warm
+* an in-process memo of parsed :class:`JitArtifact` objects — warm
   launches inside one process (sweep x-values, repeated rounds) pay a
   dict lookup;
 * an on-disk tier reusing the content-addressed
   :class:`~repro.sched.cache.ResultCache` (atomic tmp+fsync+rename
   writes, payload checksums, quarantine of torn entries), so a second
   *process* — a fresh CLI run, a pool worker, a fleet worker on the
-  same directory — skips tracing too and only pays one ``compile()``.
+  same directory — skips tracing too and only parses the artifact's
+  JSON.
+
+Disk entries are data, validated by
+:func:`~repro.jit.codegen.compile_artifact`: one of another schema
+version or failing validation reads as a miss, and is retraced and
+overwritten.
 
 Poisoned keys (launches whose replay guards failed: data-dependent
 addressing) are remembered in both tiers so every later launch with
-that key goes straight to the reference path instead of thrashing
-between retrace and bailout.
+that key goes straight to analysis instead of thrashing between
+retrace and bailout.
 
 The store defaults to ``.repro-cache/jit`` next to the scheduler's
 result cache; ``REPRO_JIT_CACHE_DIR`` overrides the directory and the
-value ``off`` disables persistence entirely.  A process-global default
+value ``off`` keeps the store in memory only.  A process-global default
 store backs every :class:`~repro.jit.dispatch.JitDispatch` unless one
 is injected, and :func:`jit_stats` snapshots it for the ``--stats``
 sidecar.
@@ -43,13 +49,13 @@ __all__ = [
     "jit_stats",
 ]
 
-JIT_SCHEMA = "repro-jit-artifact/1"
+JIT_SCHEMA = "repro-jit-artifact/2"
 DEFAULT_JIT_CACHE_DIR = str(Path(DEFAULT_CACHE_DIR) / "jit")
 _ENV_DIR = "REPRO_JIT_CACHE_DIR"
 
 
 class ArtifactStore:
-    """Compiled-trace cache with hit/miss/poison accounting."""
+    """Trace-artifact cache with hit/miss/poison accounting."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         if root is None:
@@ -69,11 +75,11 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> JitArtifact | None:
-        """Find a compiled artifact; promotes disk entries to the memo.
+        """Find an artifact; promotes valid disk entries to the memo.
 
         Returns ``None`` both for a genuine miss and for a poisoned key
         — callers distinguish via :meth:`is_poisoned` (a poisoned key
-        must run on the reference path, a miss should be traced).
+        must not replay, a miss should be traced).
         """
         if key in self._poisoned:
             return None
@@ -83,20 +89,18 @@ class ArtifactStore:
             return art
         if self._disk is not None:
             payload = self._disk.get(key)
-            if payload is not None and payload.get("schema") == JIT_SCHEMA:
+            if isinstance(payload, dict) and payload.get("schema") == JIT_SCHEMA:
                 if payload.get("poisoned"):
                     self._poisoned.add(key)
                     return None
                 try:
                     art = compile_artifact(
-                        key, str(payload.get("kernel", "?")),
-                        str(payload["source"]),
+                        key, str(payload.get("kernel")),
+                        str(payload.get("source")),
                     )
-                except Exception:
-                    # an artifact from a different code version (or a
-                    # hand-edited file): recompute rather than crash
-                    art = None
-                if art is not None:
+                except (ValueError, RecursionError):
+                    pass  # malformed or hand-edited: retrace and overwrite
+                else:
                     self.disk_hits += 1
                     self._memo[key] = art
                     return art
@@ -107,7 +111,7 @@ class ArtifactStore:
         return key in self._poisoned
 
     def put(self, key: str, artifact: JitArtifact) -> None:
-        """Publish a freshly compiled artifact to both tiers."""
+        """Publish a freshly recorded artifact to both tiers."""
         self._memo[key] = artifact
         self.stores += 1
         self._disk_put(
@@ -116,7 +120,6 @@ class ArtifactStore:
                 "schema": JIT_SCHEMA,
                 "key": key,
                 "kernel": artifact.kernel,
-                "events": artifact.n_events,
                 "source": artifact.source,
             },
         )

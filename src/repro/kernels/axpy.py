@@ -41,11 +41,13 @@ def axpy_block(ctx, x, y, n, a):
     """Block distribution of loop iterations (paper Fig. 8, second kernel).
 
     Each thread owns a contiguous chunk, so a warp's lanes are
-    ``n/total_threads`` elements apart: uncoalesced.
+    ``ceil(n/total_threads)`` elements apart: uncoalesced.  Rounding the
+    chunk up covers every element when ``n`` is not a multiple of the
+    thread count; the ``j < n`` guard masks the overhang.
     """
     i = ctx.global_thread_id()
     total = ctx.total_threads()
-    block_size = n // total
+    block_size = -(-n // total)
     start = i * block_size
     stop = start + block_size
     for j in ctx.strided_range(start, stop, 1):

@@ -64,7 +64,7 @@ def shared_pass_degrees(
 
     A conflict-free active warp costs one pass; an *n*-way conflict costs
     ``n``; inactive rows cost zero.  Shared by the reference analyzer and
-    the fast-path backend, which runs it on residue-class representatives.
+    the fast path, which runs it on residue-class representatives.
     """
     # Dead lanes are pushed to a sentinel so they sort to the row end and
     # can never break up a run of identical live words.

@@ -392,12 +392,13 @@ def _execute_with_retries(
         try:
             if chaos is not None:
                 if (
-                    job_spec.backend == "fast"
+                    job_spec.backend != "reference"
                     and not fell_back
                     and chaos.job_diverges(ordinal)
                 ):
                     raise BackendDivergenceError(
-                        f"injected fast-backend divergence ({spec.benchmark})"
+                        f"injected {job_spec.backend}-backend divergence "
+                        f"({spec.benchmark})"
                     )
                 outcome = chaos.worker_outcome(ordinal, attempts)
                 if outcome == "crash":
@@ -420,7 +421,7 @@ def _execute_with_retries(
         except ReproError as exc:
             if (
                 isinstance(exc, BackendDivergenceError)
-                and job_spec.backend == "fast"
+                and job_spec.backend != "reference"
                 and not fell_back
             ):
                 fell_back = True

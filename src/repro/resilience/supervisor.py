@@ -19,7 +19,8 @@ job scheduler treats as table stakes:
   considered, so an interrupt loses nothing that finished.
 * **a graceful-degradation ladder** — pool creation failure or
   repeated worker death drops the run to serial in-process execution;
-  a fast-backend divergence re-runs that job on the reference backend.
+  a divergence on a non-reference backend re-runs that job on the
+  reference backend.
   Both degradations are recorded in the telemetry (and surface as CLI
   exit code 3).
 
@@ -216,7 +217,7 @@ def _worker_main(conn, spec: "JobSpec", action: str) -> None:
     try:
         if action == "diverge":
             raise BackendDivergenceError(
-                f"injected fast-backend divergence ({spec.benchmark})"
+                f"injected {spec.backend}-backend divergence ({spec.benchmark})"
             )
         payload = execute_job(spec)
     except BaseException as exc:  # noqa: BLE001 - report across the pipe
@@ -433,7 +434,7 @@ def run_supervised(
         if chaos is None:
             return "run"
         if (
-            task.spec.backend == "fast"
+            task.spec.backend != "reference"
             and not task.fell_back
             and chaos.job_diverges(task.ordinal)
         ):
@@ -446,14 +447,15 @@ def run_supervised(
         what = dict(benchmark=task.spec.benchmark, job=task.ordinal)
         if (
             isinstance(exc, BackendDivergenceError)
-            and task.spec.backend == "fast"
+            and task.spec.backend != "reference"
             and not task.fell_back
         ):
             task.fell_back = True
-            task.spec = replace(task.spec, backend="reference")
             tele.fallbacks.append(
-                {**what, "from": "fast", "to": "reference", "reason": str(exc)}
+                {**what, "from": task.spec.backend, "to": "reference",
+                 "reason": str(exc)}
             )
+            task.spec = replace(task.spec, backend="reference")
             _emit(hub, "fallback-reference", **what, reason=str(exc))
             return "fallback"
         if isinstance(exc, JobTimeout):
@@ -497,7 +499,7 @@ def run_supervised(
                     )
                 if action == "diverge":
                     raise BackendDivergenceError(
-                        f"injected fast-backend divergence "
+                        f"injected {task.spec.backend}-backend divergence "
                         f"({task.spec.benchmark})"
                     )
                 payload = execute_job(task.spec)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import ReproError
+from repro.exec.dispatch import BACKENDS
 
 __all__ = [
     "REQUEST_SCHEMA",
@@ -52,8 +53,7 @@ KINDS = ("run", "sweep", "profile", "check")
 #: request lifecycle; ``queued`` → ``running`` → one terminal state
 STATES = ("queued", "running", "done", "failed", "expired")
 
-_BACKENDS = ("reference", "fast", "jit")
-_CHECK_BACKENDS = _BACKENDS + ("both", "all")
+_CHECK_BACKENDS = BACKENDS + ("both",)
 _IDEM_KEY_RE = re.compile(r"^[A-Za-z0-9_.:-]{1,128}$")
 _CLIENT_RE = re.compile(r"^[A-Za-z0-9_.:-]{1,64}$")
 
@@ -189,7 +189,7 @@ def parse_request(
     req.params = _check_params(doc.get("params"))
 
     backend = doc.get("backend")
-    allowed = _CHECK_BACKENDS if kind == "check" else _BACKENDS
+    allowed = _CHECK_BACKENDS if kind == "check" else BACKENDS
     if backend is not None and backend not in allowed:
         raise BadRequest(
             f"unknown backend {backend!r}; one of {', '.join(allowed)}"

@@ -66,8 +66,8 @@ class TestCheckBenchmark:
         assert check_benchmark(spec_from(tmp_path, slow), quick=True) == []
 
     def test_backend_recorded_on_outcomes(self, tmp_path):
-        outcomes = check_benchmark(spec_from(tmp_path, FAST_SPEC), backend="fast")
-        assert outcomes and all(o.backend == "fast" for o in outcomes)
+        outcomes = check_benchmark(spec_from(tmp_path, FAST_SPEC), backend="jit")
+        assert outcomes and all(o.backend == "jit" for o in outcomes)
 
 
 class TestCheckAll:
@@ -91,4 +91,4 @@ class TestCheckAll:
     def test_both_backends_by_default(self, tmp_path):
         (tmp_path / "m.toml").write_text(FAST_SPEC)
         report = check_all(claims_dir=str(tmp_path), relations=False)
-        assert {o.backend for o in report.outcomes} == {"reference", "fast"}
+        assert {o.backend for o in report.outcomes} == {"reference", "jit"}

@@ -21,7 +21,7 @@ class TestRegistry:
 class TestRelationsHold:
     def test_scaling_relation_passes_on_both_backends(self):
         outcomes = run_relations(["scale-n-scales-transactions"])
-        assert {o.backend for o in outcomes} == {"reference", "fast"}
+        assert {o.backend for o in outcomes} == {"reference", "jit"}
         assert all(o.passed for o in outcomes), [
             str(o) for o in outcomes if not o.passed
         ]
@@ -36,7 +36,7 @@ class TestRelationsHold:
 
     def test_warp_size_relation_passes(self):
         outcomes = run_relations(
-            ["warp-size-shifts-divergence"], backends=("fast",)
+            ["warp-size-shifts-divergence"], backends=("jit",)
         )
         # one outcome per width, all attributing the divergence shift
         assert {o.subject for o in outcomes} == {"warp16", "warp32", "warp64"}

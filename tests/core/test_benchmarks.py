@@ -132,6 +132,12 @@ class TestCoMem:
         assert result.metrics["block_transactions_per_request"] > 8
         assert result.metrics["cyclic_transactions_per_request"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [1000, 1 << 16, 3 << 17])
+    def test_n_not_a_multiple_of_the_thread_count(self, n):
+        # 1024 x 256 threads: below that the block kernel issued no
+        # requests at all, and above it a remainder was never written
+        assert CoMem().run(n=n).verified
+
 
 class TestMemAlign:
     @pytest.fixture(scope="class")

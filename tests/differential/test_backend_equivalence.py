@@ -1,14 +1,22 @@
-"""Differential suite: every backend must be bit-identical to reference.
+"""Differential suite: the jit backend must be bit-identical to reference.
 
-Every registered microbenchmark runs once per backend at test scale and
-the :class:`BenchResult` documents are compared field-for-field — the
-14x3 matrix (reference, the residue-class fast path, and the trace-JIT
-tier).  Representative kernels are additionally launched through
-per-backend runtimes to assert equality of the *raw microarchitectural
-counters* (the quantities the non-reference paths recompute or replay),
-to check sanitizer findings are untouched by the backend, and to prove
-each accelerated path actually engages rather than silently falling
-back everywhere.
+Every registered microbenchmark runs at test scale on the reference
+oracle and in three columns, and the :class:`BenchResult` documents are
+compared field-for-field — the 14x3 matrix:
+
+* ``fast`` — the bare residue-class fast analyzers that jit records on
+  (:class:`FastDispatch`, not a selectable backend), applied to every
+  launch with nothing stored;
+* ``jit`` — jit over an empty private artifact store (each new launch
+  key records on the fast analyzers, repeats replay);
+* ``jit-warm`` — the same store primed by one run, then reopened as a
+  fresh process would (launches replay).
+
+Representative kernels are additionally launched per column to assert
+equality of the *raw microarchitectural counters* (the quantities jit
+recomputes or replays), to check sanitizer findings are untouched by
+the backend, and to prove the fast path and the replay actually engage
+rather than silently falling back everywhere.
 """
 
 import numpy as np
@@ -16,13 +24,17 @@ import pytest
 
 from repro.arch.presets import CARINA
 from repro.core.registry import ALL_BENCHMARKS, get_benchmark
-from repro.exec import use_backend
+from repro.exec import FastDispatch, use_backend
+from repro.host import runtime
 from repro.host.runtime import CudaLite
+from repro.jit import default_store, reset_jit_store
 from repro.sanitize.core import Sanitizer
 from repro.simt.kernel import kernel
 
-#: non-reference backends; the matrix compares each against reference
-ALT_BACKENDS = ("fast", "jit")
+#: the matrix columns, each with how many runs it takes over one private
+#: store: the bare fast analyzers (no store), jit over an empty store,
+#: and jit over the same store primed by one run
+COLUMNS = {"fast": 1, "jit": 1, "jit-warm": 2}
 
 #: small parameters so the 14x3 differential run stays in test time
 #: (mirrors tests/core/test_suite.py FAST_OVERRIDES)
@@ -57,15 +69,39 @@ def _reference_result(name: str) -> dict:
     return cached
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.fixture
+def private_store(tmp_path, monkeypatch):
+    """An empty jit store over a private directory, for one test."""
+    monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "jit"))
+    reset_jit_store()
+    yield
+    reset_jit_store()
+
+
+def _enter_column(column, monkeypatch) -> str:
+    """Set up one matrix column and return the backend to select: the
+    ``fast`` column builds every later runtime on a bare
+    :class:`FastDispatch`, so each launch is analyzed and none is stored."""
+    if column == "fast":
+        monkeypatch.setattr(
+            runtime, "make_dispatcher", lambda name=None: FastDispatch()
+        )
+        return "reference"
+    return "jit"
+
+
+@pytest.mark.parametrize("column", COLUMNS)
 @pytest.mark.parametrize("cls", ALL_BENCHMARKS, ids=lambda c: c.name)
-def test_benchmark_identical_across_backends(cls, backend):
+def test_benchmark_identical_across_backends(cls, column, private_store, monkeypatch):
     ref = _reference_result(cls.name)
-    with use_backend(backend):
-        alt = get_benchmark(cls.name).run(**SCALED.get(cls.name, {}))
-    assert ref == alt.as_dict(), (
-        f"{cls.name}: {backend} backend diverged from reference"
-    )
+    backend = _enter_column(column, monkeypatch)
+    for _ in range(COLUMNS[column]):
+        reset_jit_store()  # a fresh process over the same directory
+        with use_backend(backend):
+            alt = get_benchmark(cls.name).run(**SCALED.get(cls.name, {}))
+    assert ref == alt.as_dict(), f"{cls.name}: {column} diverged from reference"
+    misses = default_store().stats()["misses"]
+    assert column != "jit-warm" or misses == 0, f"{cls.name}: primed store missed"
 
 
 # ---------------------------------------------------------------------------
@@ -107,28 +143,24 @@ def _launch_all(backend, *, repeat=1):
 
 
 class TestKernelCounters:
-    @pytest.mark.parametrize("backend", ALT_BACKENDS)
-    def test_counters_identical(self, backend):
-        _, ref = _launch_all("reference")
-        _, alt = _launch_all(backend)
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_counters_identical(self, private_store, monkeypatch, column):
+        repeat = COLUMNS[column]
+        _, ref = _launch_all("reference", repeat=repeat)
+        rt, alt = _launch_all(_enter_column(column, monkeypatch), repeat=repeat)
         assert ref == alt
+        assert column != "fast" or rt.dispatch.counters.global_fast > 0
 
-    def test_fast_path_engages(self):
-        rt, _ = _launch_all("fast")
+    def test_fast_path_engages(self, private_store):
+        rt, _ = _launch_all("jit")  # empty store: every launch records
         c = rt.dispatch.counters
+        assert c.jit_traced == 3 and c.jit_replayed == 0
         assert c.global_fast > 0, "affine global accesses never hit the fast path"
         assert c.shared_fast > 0, "affine shared accesses never hit the fast path"
 
-    def test_jit_replay_engages(self, monkeypatch):
-        # fresh memory-only store: round 1 records, round 2 replays
-        from repro.jit import reset_jit_store
-
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", "off")
-        reset_jit_store()
-        try:
-            rt, counters = _launch_all("jit", repeat=2)
-        finally:
-            reset_jit_store()
+    def test_jit_replay_engages(self, private_store):
+        # round 1 records, round 2 replays
+        rt, counters = _launch_all("jit", repeat=2)
         c = rt.dispatch.counters
         assert c.jit_traced == 3 and c.jit_compiled == 3
         assert c.jit_replayed == 3
@@ -167,6 +199,5 @@ def _findings(backend):
 
 
 class TestSanitizeFindingsEquivalence:
-    @pytest.mark.parametrize("backend", ALT_BACKENDS)
-    def test_findings_identical(self, backend):
-        assert _findings("reference") == _findings(backend)
+    def test_findings_identical(self, private_store):
+        assert _findings("reference") == _findings("jit")

@@ -38,17 +38,17 @@ class TestSweepEquivalence:
 
     def test_backends_cache_separately(self, cache):
         spec_ref = JobSpec(benchmark="CoMem", kind="sweep", values=(1 << 19,))
-        spec_fast = JobSpec(
-            benchmark="CoMem", kind="sweep", values=(1 << 19,), backend="fast"
+        spec_jit = JobSpec(
+            benchmark="CoMem", kind="sweep", values=(1 << 19,), backend="jit"
         )
         run_jobs([spec_ref], cache=cache)
-        run_jobs([spec_fast], cache=cache)
+        run_jobs([spec_jit], cache=cache)
         assert cache.hits == 0 and cache.stores == 2
 
 
 class TestSuiteEquivalence:
     # two representative benchmarks through the run-job path is enough
-    # here; the full 14x2 matrix lives in test_backend_equivalence.py
+    # here; the full 14x3 matrix lives in test_backend_equivalence.py
     def test_run_jobs_match_direct_runs(self):
         specs = [
             JobSpec(benchmark="Shmem", params=dict(n=64)),

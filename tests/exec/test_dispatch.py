@@ -19,29 +19,31 @@ class TestSelection:
         assert current_backend_name() == "reference"
 
     def test_explicit_wins(self):
-        with use_backend("fast"):
+        with use_backend("jit"):
             assert current_backend_name("reference") == "reference"
 
     def test_context_nesting(self):
-        with use_backend("fast"):
-            assert current_backend_name() == "fast"
+        with use_backend("jit"):
+            assert current_backend_name() == "jit"
             with use_backend("reference"):
                 assert current_backend_name() == "reference"
-            assert current_backend_name() == "fast"
+            assert current_backend_name() == "jit"
         assert current_backend_name() == "reference"
 
     def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fast")
-        assert current_backend_name() == "fast"
+        monkeypatch.setenv("REPRO_BACKEND", "jit")
+        assert current_backend_name() == "jit"
 
     def test_context_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fast")
+        monkeypatch.setenv("REPRO_BACKEND", "jit")
         with use_backend("reference"):
             assert current_backend_name() == "reference"
 
     def test_unknown_name_raises(self):
         with pytest.raises(LaunchConfigError):
             current_backend_name("vectorized")
+        with pytest.raises(LaunchConfigError):
+            current_backend_name("fast")  # retired: jit analyzes on it
         with pytest.raises(LaunchConfigError):
             with use_backend("nope"):
                 pass  # pragma: no cover
@@ -54,15 +56,15 @@ class TestSelection:
     def test_make_dispatcher(self):
         from repro.jit.dispatch import JitDispatch
 
-        assert isinstance(make_dispatcher("fast"), FastDispatch)
         d = make_dispatcher("reference")
         assert isinstance(d, ReferenceDispatch) and not isinstance(d, FastDispatch)
         assert isinstance(make_dispatcher("jit"), JitDispatch)
-        with use_backend("fast"):
-            assert isinstance(make_dispatcher(), FastDispatch)
+        assert issubclass(JitDispatch, FastDispatch)
+        with use_backend("jit"):
+            assert isinstance(make_dispatcher(), JitDispatch)
 
     def test_backend_names(self):
-        assert BACKENDS == ("reference", "fast", "jit")
+        assert BACKENDS == ("reference", "jit")
 
 
 AFFINE = np.arange(32, dtype=np.int64) * 4

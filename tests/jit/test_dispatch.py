@@ -1,11 +1,16 @@
 """JitDispatch life-cycle: record, replay, bail out, degrade safely."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.jit.dispatch as jit_dispatch
 from repro.arch.presets import CARINA
 from repro.host.runtime import CudaLite
 from repro.jit import default_store, reset_jit_store
+from repro.sched.cache import ResultCache
 from repro.simt.kernel import kernel
 
 
@@ -183,9 +188,8 @@ class TestDegradation:
         assert np.all(x.to_host() == 1.0)
 
     def test_overflow_poisons_instead_of_compiling(self, jit_env, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_MAX_EVENTS", "2")
+        monkeypatch.setattr(jit_dispatch, "MAX_TRACE_EVENTS", 2)
         rt, x, y, n = _saxpy_rt()  # saxpy issues 3 accesses per launch
-        assert rt.dispatch.max_trace_events == 2
         rt.launch(saxpy, n // 256, 256, x, y, 2.0, n)
         assert rt.dispatch.counters.jit_compiled == 0
         assert default_store().stats()["poisoned"] == 1
@@ -205,3 +209,51 @@ class TestDegradation:
         assert rt.dispatch.counters.jit_compiled == 0
         # the launch stack must be balanced after the fault
         assert rt.dispatch._stack == []
+
+
+def _edit_events(payload, edit):
+    doc = json.loads(payload["source"])
+    edit(doc["events"][0])
+    return {**payload, "source": json.dumps(doc)}
+
+
+def _v1_python_source(payload, marker):
+    # what the parent format stored: Python source the loader exec'd
+    source = f"open({str(marker)!r}, 'w').close()\nREPLAY = ()\n"
+    return {**payload, "schema": "repro-jit-artifact/1", "source": source}
+
+
+#: stored entries a fresh process must treat as a miss, never run
+UNUSABLE = {
+    "v1-python-source": _v1_python_source,
+    "invalid-json": lambda p, _: {**p, "source": '{"key": '},
+    "wrong-type": lambda p, _: _edit_events(
+        p, lambda ev: ev["summary"].update(transactions="4.0")
+    ),
+    "wrong-kind": lambda p, _: _edit_events(
+        p, lambda ev: ev.update(kind="texture")
+    ),
+}
+
+
+class TestStoredArtifacts:
+    @pytest.mark.parametrize("name", sorted(UNUSABLE))
+    def test_unusable_entry_is_retraced_and_overwritten(
+        self, jit_env, tmp_path, name
+    ):
+        rt, x, y, n = _saxpy_rt()
+        rt.launch(saxpy, n // 256, 256, x, y, 2.0, n)  # publishes the entry
+        root = Path(default_store().root)
+        (path,) = root.glob("??/*.json")
+        cache = ResultCache(root)
+        good = cache.get(path.stem)
+        marker = tmp_path / "executed"
+        cache.put(path.stem, UNUSABLE[name](good, marker))
+
+        reset_jit_store()  # a fresh process over the same directory
+        rt, x, y, n = _saxpy_rt()
+        rt.launch(saxpy, n // 256, 256, x, y, 2.0, n)
+        assert not marker.exists(), "stored artifact text was executed"
+        c = rt.dispatch.counters
+        assert (c.jit_replayed, c.jit_traced, c.jit_compiled) == (0, 1, 1)
+        assert cache.get(path.stem) == good

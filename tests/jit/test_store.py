@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.jit import JIT_SCHEMA, ArtifactStore, default_store, jit_stats, reset_jit_store
-from repro.jit.codegen import GlobalEvent, compile_artifact, generate_source
+from repro.jit.codegen import TraceEvent, compile_artifact, generate_source
 from repro.jit.guards import lane_fingerprint
 from repro.mem.coalesce import AccessSummary
 
@@ -16,14 +16,11 @@ KEY = "cd" * 32
 
 
 def _artifact(key=KEY):
-    addrs = np.arange(64) * 4
-    ev = GlobalEvent(
-        fp=lane_fingerprint(addrs, None),
-        itemsize=4,
-        warp_size=32,
-        transaction_bytes=128,
-        sector_bytes=32,
-        summary=AccessSummary(
+    ev = TraceEvent(
+        "global",
+        (4, 32, 128, 32),
+        lane_fingerprint(np.arange(64) * 4, None),
+        AccessSummary(
             n_warps=2, n_active_lanes=64, transactions=4.0, sectors=8.0,
             bursts=4.0, unique_sectors=8.0, unique_bursts=4.0,
             bytes_requested=256, sample_fraction=1.0,
@@ -53,7 +50,7 @@ class TestMemoTier:
 
 class TestDiskTier:
     def test_cross_store_reuse(self, tmp_path):
-        """A second store on the same directory compiles from disk."""
+        """A second store on the same directory loads from disk."""
         root = tmp_path / "jit"
         ArtifactStore(root).put(KEY, _artifact())
         fresh = ArtifactStore(root)
@@ -65,7 +62,7 @@ class TestDiskTier:
         assert fresh.stats()["memo_hits"] == 1
 
     def test_corrupt_source_recomputes(self, tmp_path):
-        """A persisted artifact that no longer compiles is a miss."""
+        """A persisted artifact that no longer parses is a miss."""
         root = tmp_path / "jit"
         store = ArtifactStore(root)
         store.put(KEY, _artifact())

@@ -75,7 +75,7 @@ class TestJitGoldenDocument:
 
     ``benchmarks/results/jit_memalign_metrics.json`` was produced by
     ``repro profile MemAlign --backend jit --json ...`` and pins the
-    third backend's export format: the backend stamp, the jit life-cycle
+    jit backend's export format: the backend stamp, the jit life-cycle
     counters, and compatibility with the offline conformance audit.
     """
 
@@ -103,3 +103,14 @@ class TestJitGoldenDocument:
         from repro.__main__ import main
 
         assert main(["check", "--doc", str(self.PATH)]) == 0
+
+
+@pytest.mark.parametrize(
+    "path",
+    [REPO_ROOT / "BENCH_jit_throughput.json",
+     REPO_ROOT / "benchmarks" / "results" / "jit_throughput.json"],
+    ids=lambda p: p.name,
+)
+def test_jit_throughput_names_both_backends(path):
+    # it times reference against jit, so neither backend alone made it
+    assert load_metrics(path)["backend"] == "reference+jit"

@@ -1,26 +1,33 @@
-"""Properties of the trace-JIT tier: equivalence is not negotiable.
+"""Properties of the trace-JIT backend: equivalence is not negotiable.
 
-Three laws, each over randomized parameters:
+Four laws, each over randomized parameters:
 
 * jit ≡ reference for any benchmark run (the backend changes wall
   clock, never results);
 * a warm artifact cache replays to exactly what the cold trace
   produced (sweep determinism across store states);
 * a two-worker fleet running jit jobs merges to the serial jit run
-  byte-for-byte (the PR 6 fleet law, lifted to the third backend).
+  byte-for-byte (the fleet law, lifted to the jit backend);
+* an artifact parsed back from its JSON text reproduces every recorded
+  summary bit for bit.
 """
 
 import functools
 import json
 import os
+import struct
+from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.registry import get_benchmark
 from repro.exec import use_backend
 from repro.jit import reset_jit_store
+from repro.jit.codegen import TraceEvent, compile_artifact, generate_source
+from repro.mem.banks import BankConflictSummary
+from repro.mem.coalesce import AccessSummary
 from repro.resilience.fleet import FleetConfig, run_fleet
 from repro.sched import JobSpec, run_jobs
 
@@ -124,3 +131,66 @@ class TestFleetJitByteIdentity:
         payloads = run_fleet(JIT_SPECS, cfg)
         assert json.dumps(payloads) == serial_jit_bytes()
         assert cfg.telemetry.completed == len(JIT_SPECS)
+
+
+# ----------------------------------------------------------------------
+# artifact format: JSON text round-trips every summary bit
+
+#: every finite double, -0.0 and subnormals included
+doubles = st.floats(allow_nan=False, allow_infinity=False)
+#: integers well past 2**53, where a float detour would round
+wide_ints = st.integers(min_value=-(2**70), max_value=2**70)
+fingerprints = st.tuples(*[st.integers(0, 2**64 - 1)] * 4)
+
+
+@st.composite
+def trace_events(draw):
+    if draw(st.booleans()):
+        return TraceEvent(
+            "global",
+            draw(st.tuples(*[st.integers(1, 1 << 12)] * 4)),
+            draw(fingerprints),
+            AccessSummary(
+                draw(wide_ints), draw(wide_ints), draw(doubles), draw(doubles),
+                draw(doubles), draw(doubles), draw(doubles), draw(wide_ints),
+                draw(st.floats(0.0, 1.0, exclude_min=True)),
+            ),
+        )
+    return TraceEvent(
+        "shared",
+        draw(st.tuples(*[st.integers(1, 1 << 12)] * 3)),
+        draw(fingerprints),
+        BankConflictSummary(*[draw(wide_ints) for _ in range(5)]),
+    )
+
+
+def _bits(event):
+    """Kind, guards and every summary field as (type, exact bits)."""
+    fields = tuple(
+        (type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+        for v in astuple(event.summary)
+    )
+    return event.kind, event.params, event.fp, type(event.summary), fields
+
+
+EDGE_CASES = [
+    TraceEvent(
+        "global", (4, 32, 128, 32), (2**64 - 1, 0, 2**63, 1),
+        AccessSummary(
+            2**53 + 1, 2**64 + 7, -0.0, 5e-324, 2.225073858507201e-308,
+            9007199254740993.0, 1.7976931348623157e308, 2**63 - 1, 1 / 3,
+        ),
+    ),
+    TraceEvent("shared", (32, 32, 4), (0, 0, 0, 0),
+               BankConflictSummary(2**53 + 1, -(2**60), 0, 1, 2**64)),
+]
+
+
+class TestArtifactRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(events=st.lists(trace_events(), max_size=8))
+    @example(events=EDGE_CASES)
+    def test_summaries_round_trip_bit_for_bit(self, events):
+        key = "ef" * 32
+        art = compile_artifact(key, "k", generate_source(key, "k", events))
+        assert [_bits(ev) for ev in art.events] == [_bits(ev) for ev in events]

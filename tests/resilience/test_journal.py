@@ -103,7 +103,7 @@ class TestFingerprint:
 
     def test_backend_changes_fingerprint(self):
         a = JobSpec(benchmark="Shmem", params={"n": 64})
-        b = JobSpec(benchmark="Shmem", params={"n": 64}, backend="fast")
+        b = JobSpec(benchmark="Shmem", params={"n": 64}, backend="jit")
         assert job_fingerprint(a) != job_fingerprint(b)
 
     def test_differs_from_cache_key(self, tmp_path):

@@ -148,16 +148,16 @@ class TestQuarantine:
 class TestDivergenceFallback:
     def test_fast_divergence_reruns_on_reference(self, clean):
         specs = [
-            JobSpec(benchmark="MemAlign", params={"n": 16384}, backend="fast")
+            JobSpec(benchmark="MemAlign", params={"n": 16384}, backend="jit")
         ]
         payloads, config = supervised(specs, chaos=parse_chaos("diverge=0"))
         assert payloads == clean[:1]
         assert config.telemetry.degraded
         fb = config.telemetry.fallbacks[0]
-        assert fb["from"] == "fast" and fb["to"] == "reference"
+        assert fb["from"] == "jit" and fb["to"] == "reference"
 
     def test_reference_divergence_is_a_plain_failure(self, monkeypatch):
-        # only the fast backend has an oracle to fall back to: the same
+        # only a non-reference backend has an oracle to fall back to: the same
         # error from a reference job retries and quarantines instead
         import repro.sched.runner as runner
 

@@ -38,7 +38,7 @@ class TestKeying:
         assert key(cache) != key(cache, values=[1 << 20])
 
     def test_backend_changes_key(self, cache):
-        assert key(cache) != key(cache, backend="fast")
+        assert key(cache) != key(cache, backend="jit")
 
     def test_system_changes_key(self, cache):
         assert key(cache) != key(cache, system=FORNAX)

@@ -41,10 +41,10 @@ class TestExecuteJob:
 
     def test_backend_applied(self):
         ref = execute_job(JobSpec(benchmark="Shmem", params=dict(n=64)))
-        fast = execute_job(
-            JobSpec(benchmark="Shmem", params=dict(n=64), backend="fast")
+        jit = execute_job(
+            JobSpec(benchmark="Shmem", params=dict(n=64), backend="jit")
         )
-        assert ref["result"] == fast["result"]
+        assert ref["result"] == jit["result"]
 
 
 class TestRunJobs:

@@ -60,6 +60,10 @@ class TestValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(BadRequest, match="unknown backend"):
             parse_request(sweep_doc(backend="magic"))
+        with pytest.raises(BadRequest, match="unknown backend"):
+            parse_request(sweep_doc(backend="fast"))  # retired
+        with pytest.raises(BadRequest, match="unknown backend"):
+            parse_request({"kind": "check", "backend": "all"})  # retired
 
     def test_check_allows_both_backend(self):
         req = parse_request({"kind": "check", "backend": "both"})

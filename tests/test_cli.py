@@ -254,11 +254,11 @@ class TestSanitizeCommand:
 
 class TestBackendFlag:
     def test_run_backend_fast_matches_reference(self, capsys):
-        assert main(["run", "MemAlign", "--backend", "fast", "-p", "n=65536"]) == 0
-        fast_out = capsys.readouterr().out
+        assert main(["run", "MemAlign", "--backend", "jit", "-p", "n=65536"]) == 0
+        jit_out = capsys.readouterr().out
         assert main(["run", "MemAlign", "--backend", "reference", "-p", "n=65536"]) == 0
         ref_out = capsys.readouterr().out
-        assert fast_out == ref_out
+        assert jit_out == ref_out
 
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -373,7 +373,7 @@ class TestResilienceFlags:
 
     def test_degraded_fallback_exits_three(self, capsys, tmp_path):
         rc = main([
-            "run", "MemAlign", "-p", "n=16384", "--backend", "fast",
+            "run", "MemAlign", "-p", "n=16384", "--backend", "jit",
             "--chaos", "diverge=0", "--no-journal",
         ])
         out = capsys.readouterr().out
@@ -412,6 +412,8 @@ class TestCliErrorPaths:
         for argv in (
             ["run", "MemAlign", "--backend", "turbo"],
             ["check", "--all", "--backend", "turbo"],
+            ["run", "MemAlign", "--backend", "fast"],  # retired
+            ["check", "--all", "--backend", "all"],  # retired
         ):
             with pytest.raises(SystemExit):
                 main(argv)

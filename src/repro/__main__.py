@@ -1216,7 +1216,7 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         trace_id_for_run,
     )
     from repro.resilience import list_runs
-    from repro.resilience.fleet import fleet_dir
+    from repro.resilience.fleet import fleet_dir, read_manifest
 
     root = Path(args.journal_dir)
     entry = next(
@@ -1278,9 +1278,7 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         show_flight_dumps(root / "flightrec" / args.run_id)
         return 0
     run_dir = fleet_dir(root, args.run_id)
-    import json as _json
-
-    manifest = _json.loads((run_dir / "manifest.json").read_text())
+    manifest = read_manifest(run_dir)
     total = len(manifest.get("jobs", []))
     print(
         f"fleet run {args.run_id}: command={manifest.get('command', '-')} "

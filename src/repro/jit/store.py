@@ -6,8 +6,9 @@ Two tiers, both keyed by the launch's trace key:
   launches inside one process (sweep x-values, repeated rounds) pay a
   dict lookup;
 * an on-disk tier reusing the content-addressed
-  :class:`~repro.sched.cache.ResultCache` (atomic tmp+fsync+rename
-  writes, payload checksums, quarantine of torn entries), so a second
+  :class:`~repro.sched.cache.ResultCache` (atomic publishes, see the
+  "Durability" section of ``docs/resilience.md``; payload checksums;
+  quarantine of torn entries), so a second
   *process* — a fresh CLI run, a pool worker, a fleet worker on the
   same directory — skips tracing too and only parses the artifact's
   JSON.

@@ -5,9 +5,11 @@ last ``capacity`` :class:`~repro.prof.activity.ActivityRecord` s it saw
 in a fixed-size ring (a deque — O(1) per record, bounded memory no
 matter how long the run), and when the worker crashes, a job is
 quarantined, or the process exits nonzero, the ring is **dumped
-atomically** (tmp + fsync + rename) as a ``repro-flight/1`` JSON
-document.  The dump answers the question post-mortems always start
-with: *what was this worker doing in its last moments?*
+atomically** (:func:`~repro.common.durable.atomic_write`; see the
+"Durability" section of ``docs/resilience.md``) as a
+``repro-flight/1`` JSON document.  The dump answers the question
+post-mortems always start with: *what was this worker doing in its last
+moments?*
 
 Dump locations
 --------------
@@ -36,11 +38,11 @@ Document format (``repro-flight/1``)::
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from pathlib import Path
 from typing import Any
 
+from repro.common.durable import atomic_write
 from repro.prof.activity import ActivityRecord
 from repro.prof.ndjson import record_to_json
 
@@ -113,20 +115,11 @@ class FlightRecorder:
     def dump(self, dump_dir: str | Path, *, reason: str) -> Path:
         """Atomically write the ring as ``<worker>-<reason>.json``.
 
-        tmp + fsync + rename, so a dump racing the process's death is
-        either complete or absent — never a torn JSON document.
+        A dump racing the process's death is either complete or absent —
+        never a torn JSON document.
         """
-        dump_dir = Path(dump_dir)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        stem = f"{self.worker or 'worker'}-{reason}"
-        final = dump_dir / f"{stem}.json"
-        tmp = dump_dir / f".{stem}.tmp"
-        payload = json.dumps(self.as_document(reason), sort_keys=False)
-        with tmp.open("w") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
+        final = Path(dump_dir) / f"{self.worker or 'worker'}-{reason}.json"
+        atomic_write(final, json.dumps(self.as_document(reason)))
         return final
 
 

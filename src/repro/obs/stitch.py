@@ -35,10 +35,10 @@ byte-identical to an uninterrupted one under the same run id.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
 
+from repro.common.durable import Appender, read_records
 from repro.common.errors import ReproError
 from repro.obs.trace import TraceContext
 from repro.prof.activity import ActivityRecord
@@ -83,15 +83,14 @@ class ActivitySink:
         sink.commit()            # after journaling the success
 
     Lines are the standard NDJSON record projection prefixed with
-    ``worker`` and ``job`` keys.  The publish is append + flush +
-    fsync, matching the journal's crash-durability.
+    ``worker`` and ``job`` keys.  Each commit is one fsync'd
+    :class:`~repro.common.durable.Appender` append, and reopening the
+    file (a re-joined worker) heals a torn tail first.
     """
 
     def __init__(self, path: str | Path, *, worker: str) -> None:
         self.worker = worker
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = path.open("a")
+        self._out = Appender(path)
         self._job: int | None = None
         self._buf: list[ActivityRecord] = []
 
@@ -110,12 +109,10 @@ class ActivitySink:
         """Publish the buffered records; clears the buffer."""
         if self._job is None:
             return
-        for rec in self._buf:
-            line = {"worker": self.worker, "job": self._job}
-            line.update(record_to_json(rec))
-            self._fh.write(json.dumps(line, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._out.append(*(
+            {"worker": self.worker, "job": self._job, **record_to_json(rec)}
+            for rec in self._buf
+        ))
         self._job = None
         self._buf = []
 
@@ -125,35 +122,20 @@ class ActivitySink:
         self._buf = []
 
     def close(self) -> None:
-        self._fh.close()
+        self._out.close()
 
 
 def read_worker_activity(run_dir: str | Path) -> dict[str, list[dict[str, Any]]]:
     """worker -> its published activity lines, in append order.
 
-    Tolerates a torn tail (a worker killed mid-publish) the same way
-    the journal loader does: unparsable lines are skipped.
+    Tolerates a torn tail (a worker killed mid-publish): unparsable
+    lines are skipped (:func:`~repro.common.durable.read_records`).
     """
-    out: dict[str, list[dict[str, Any]]] = {}
     adir = Path(run_dir) / "activity"
-    if not adir.is_dir():
-        return out
-    for path in sorted(adir.glob("*.ndjson")):
-        lines: list[dict[str, Any]] = []
-        try:
-            text = path.read_text()
-        except OSError:
-            continue
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                lines.append(json.loads(raw))
-            except json.JSONDecodeError:
-                continue
-        out[path.stem] = lines
-    return out
+    return {
+        path.stem: read_records(path)
+        for path in sorted(adir.glob("*.ndjson"))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +371,8 @@ def read_journal_entries(
     scheduler replays — this preserves each entry's full record (``job``
     fingerprint, ``payload``, ``meta`` with benchmark/ordinal/span
     identity), which is what ``repro journal show`` and the trace
-    stitcher render.  Duplicate fingerprints keep the first record (the
+    stitcher render.  The header is the first record carrying
+    ``schema``; duplicate fingerprints keep the first record (the
     merge's first-write-wins pick); torn lines are skipped.
     """
     journal_path = Path(journal_path)
@@ -398,20 +381,12 @@ def read_journal_entries(
     header: dict[str, Any] = {}
     entries: list[dict[str, Any]] = []
     seen: set[str] = set()
-    with journal_path.open() as fh:
-        for i, raw in enumerate(fh):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if (i == 0 or "schema" in obj) and not header:
-                header = obj
-            elif "job" in obj and obj["job"] not in seen:
-                seen.add(obj["job"])
-                entries.append(obj)
+    for obj in read_records(journal_path):
+        if "schema" in obj and not header:
+            header = obj
+        elif "job" in obj and obj["job"] not in seen:
+            seen.add(obj["job"])
+            entries.append(obj)
     return header, entries
 
 

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.common.durable import read_records
 from repro.common.errors import ReproError
 
 __all__ = ["fleet_status", "render_fleet_status"]
@@ -91,15 +92,7 @@ def fleet_status(
     if edir.is_dir():
         for path in sorted(edir.glob("*.ndjson")):
             row = workers.setdefault(path.stem, _worker_row(path.stem))
-            try:
-                text = path.read_text()
-            except OSError:
-                continue
-            for raw in text.splitlines():
-                try:
-                    ev = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue
+            for ev in read_records(path):
                 name = ev.get("event", "")
                 if name in _COUNTED:
                     row[_COUNTED[name]] += 1

@@ -13,15 +13,19 @@ Nothing coordinates the workers except the filesystem:
   typed different sweeps into the same run id fail loudly instead of
   merging garbage;
 * each job is claimed through an atomic **lease**
-  (:mod:`~repro.resilience.lease`): ``O_EXCL`` create, fsync'd
+  (:mod:`~repro.resilience.lease`): ``O_EXCL`` create, atomic
   heartbeats, rename-based stealing once a lease outlives its TTL;
 * each worker appends completed payloads to its **own**
   ``repro-journal/1`` NDJSON journal under ``journals/`` — append-only,
-  fsync'd per record, torn-tail tolerant, never contended;
+  never contended;
 * health events (lease acquires, steals, heartbeats, stalls, kills,
   completions) stream to per-worker NDJSON **event logs** under
   ``events/``, which the merging process folds into telemetry and
   re-emits as ``sched`` activity records.
+
+Every file here is published or appended through
+:mod:`repro.common.durable` (the "Durability" section of
+``docs/resilience.md``).
 
 The **merge** is deterministic and idempotent: payloads are collected
 per fingerprint across all worker journals in sorted worker order,
@@ -55,6 +59,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.common.durable import Appender, atomic_write, read_records
 from repro.common.errors import BackendDivergenceError, ReproError
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.resilience.journal import (
@@ -84,6 +89,7 @@ __all__ = [
     "FleetMergeError",
     "fleet_dir",
     "ensure_manifest",
+    "read_manifest",
     "fleet_worker",
     "run_fleet",
     "join_fleet",
@@ -168,10 +174,10 @@ def ensure_manifest(
 ) -> dict[str, Any]:
     """Create (first arrival) or validate (everyone else) the manifest.
 
-    Publication is atomic: the document is written to a temp file,
-    fsync'd, then hard-linked to ``manifest.json`` — link fails with
-    ``EEXIST`` for every worker but one, and no reader ever observes a
-    partial manifest.  A joining worker whose own spec list hashes
+    Publication is an exclusive
+    :func:`~repro.common.durable.atomic_write` (a hard link): it fails
+    for every worker but one, and no reader ever observes a partial
+    manifest.  A joining worker whose own spec list hashes
     differently fails loudly: half a fleet computing a different sweep
     must not share journals with this one.
     """
@@ -186,30 +192,9 @@ def ensure_manifest(
     }
     for sub in ("journals", "leases", "events", "quarantine"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    if not path.exists():
-        tmp = run_dir / f"manifest.{uuid.uuid4().hex[:8]}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            try:
-                os.write(fd, json.dumps(doc, indent=1).encode())
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            try:
-                os.link(tmp, path)
-            except FileExistsError:
-                pass     # a peer published first; validate below
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-    try:
-        published = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(
-            f"fleet manifest {path} is unreadable: {exc}"
-        ) from None
+    # False when a peer published first; validated below either way
+    atomic_write(path, json.dumps(doc, indent=1), exclusive=True)
+    published = read_manifest(run_dir)
     if published.get("schema") != FLEET_SCHEMA:
         raise ReproError(
             f"fleet manifest {path} has schema "
@@ -223,6 +208,18 @@ def ensure_manifest(
             "arguments, or pick a fresh --run-id"
         )
     return published
+
+
+def read_manifest(run_dir: Path) -> dict[str, Any]:
+    """The published manifest; a :class:`ReproError` naming it when it
+    is missing (a crash before publication) or unreadable."""
+    path = run_dir / "manifest.json"
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ReproError(
+            f"fleet manifest {path} is unreadable: {exc}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +276,7 @@ class _EventLog:
 
     def __init__(self, path: Path, worker_id: str) -> None:
         self.worker_id = worker_id
-        self._fh = path.open("a")
+        self._out = Appender(path)
 
     def emit(self, event: str, **args: Any) -> None:
         # "t" (wall clock) feeds the read-only monitor's last-seen /
@@ -288,26 +285,18 @@ class _EventLog:
             "event": event, "worker": self.worker_id,
             "t": time.time(), **args,
         }
-        self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        self._fh.flush()
+        self._out.append(rec)
 
     def close(self) -> None:
-        self._fh.close()
+        self._out.close()
 
 
 def _read_events(run_dir: Path) -> list[dict[str, Any]]:
-    events: list[dict[str, Any]] = []
-    for path in sorted((run_dir / "events").glob("*.ndjson")):
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            continue
-        for line in lines:
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue       # torn tail of a killed worker
-    return events
+    return [
+        ev
+        for path in sorted((run_dir / "events").glob("*.ndjson"))
+        for ev in read_records(path)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -353,16 +342,14 @@ class _Heartbeat:
 
 def _quarantine_job(run_dir: Path, fp: str, info: dict[str, Any]) -> None:
     """Publish a poisoned-job marker (atomic, first writer wins)."""
-    tmp = run_dir / "quarantine" / f".{fp}.{uuid.uuid4().hex[:8]}.tmp"
-    path = run_dir / "quarantine" / f"{fp}.json"
     try:
-        tmp.write_text(json.dumps(info, separators=(",", ":")))
-        os.replace(tmp, path)
+        atomic_write(
+            run_dir / "quarantine" / f"{fp}.json",
+            json.dumps(info, separators=(",", ":")),
+            exclusive=True,
+        )
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        pass
 
 
 def _execute_with_retries(
@@ -595,6 +582,7 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                     "job-complete", job=ordinal, epoch=lease.epoch,
                     duplicate=not released,
                 )
+                break  # ``done`` is a job's run time old: rescan first
             if not progress:
                 time.sleep(cfg.poll_s)
         events.emit("worker-exit", completed=completed_here)

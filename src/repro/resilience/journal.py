@@ -15,9 +15,11 @@ line is one completed job::
     {"schema": "repro-journal/1", "run_id": "...", "command": "sweep", ...}
     {"job": "<fingerprint>", "payload": {...}, "meta": {...}}
 
-The reader tolerates a torn final line (the process died mid-append)
-and skips unparsable lines instead of refusing the whole journal, so a
-SIGKILL'd run still resumes from its last complete checkpoint.
+Appends and reads go through :mod:`repro.common.durable` (see the
+"Durability" section of ``docs/resilience.md``): a torn final line (the
+process died mid-append) and unparsable lines are skipped instead of
+refusing the whole journal, so a SIGKILL'd run still resumes from its
+last complete checkpoint.
 
 A job's *fingerprint* hashes the same dependency closure the result
 cache keys on — benchmark sources, resolved system spec, parameters,
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import uuid
 from pathlib import Path
 from typing import Any
 
+from repro.common.durable import Appender, read_records
 from repro.common.errors import ReproError
 
 __all__ = [
@@ -104,7 +106,7 @@ class RunJournal:
         self.meta = dict(meta or {})
         #: fingerprint -> payload for every job already checkpointed
         self.completed: dict[str, Any] = dict(completed or {})
-        self._fh = None
+        self._out: Appender | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -126,8 +128,7 @@ class RunJournal:
             )
         journal = cls(path, run_id, meta=meta)
         try:
-            root.mkdir(parents=True, exist_ok=True)
-            journal._fh = path.open("a")
+            journal._out = Appender(path)
         except OSError as exc:
             raise ReproError(
                 f"journal directory {root} is not writable: {exc}; "
@@ -162,8 +163,7 @@ class RunJournal:
             meta={k: v for k, v in header.items() if k not in ("schema", "run_id")},
         )
         try:
-            cls._heal_torn_tail(path)
-            journal._fh = path.open("a")
+            journal._out = Appender(path)
         except OSError as exc:
             raise ReproError(f"journal {path} is not writable: {exc}") from None
         return journal
@@ -187,37 +187,20 @@ class RunJournal:
         return cls.create(root, run_id=run_id, meta=meta)
 
     @staticmethod
-    def _heal_torn_tail(path: Path) -> None:
-        """Terminate a torn final line so new appends start on a fresh
-        line; the loader already skips the unparsable remnant."""
-        with path.open("r+b") as fh:
-            fh.seek(0, os.SEEK_END)
-            if fh.tell() == 0:
-                return
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
-
-    @staticmethod
     def _load(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Parse a journal file, tolerating torn or garbage lines."""
+        """Parse a journal file, tolerating torn or garbage lines.
+
+        The header is the first record carrying ``schema`` (so a torn
+        header never promotes a job to header); a duplicated job keeps
+        its last payload.
+        """
         header: dict[str, Any] = {}
         completed: dict[str, Any] = {}
-        with path.open() as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    # torn append (crash mid-write) — skip, keep reading:
-                    # later complete lines are still valid checkpoints
-                    continue
-                if i == 0 or ("schema" in obj and not header):
-                    header = obj
-                elif "job" in obj:
-                    completed[obj["job"]] = obj.get("payload")
+        for obj in read_records(path):
+            if "schema" in obj and not header:
+                header = obj
+            elif "job" in obj:
+                completed[obj["job"]] = obj.get("payload")
         return header, completed
 
     # ------------------------------------------------------------------
@@ -236,16 +219,14 @@ class RunJournal:
         self.completed[fingerprint] = payload
 
     def _append(self, obj: dict[str, Any]) -> None:
-        if self._fh is None:  # pragma: no cover - defensive
+        if self._out is None:  # pragma: no cover - defensive
             raise ReproError(f"journal {self.path} is not open for writing")
-        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._out.append(obj)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._out is not None:
+            self._out.close()
+            self._out = None
 
     def __enter__(self) -> "RunJournal":
         return self

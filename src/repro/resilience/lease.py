@@ -10,8 +10,9 @@ job has been claimed), and two wall-clock timestamps::
     {"schema": "repro-lease/1", "job": "<fingerprint>", "owner": "w1",
      "epoch": 0, "acquired_at": 1723180000.0, "heartbeat_at": 1723180003.2}
 
-While the owner works, a heartbeat rewrites the file atomically (temp
-file + ``os.replace``, fsync'd) with a fresh ``heartbeat_at``.  A peer
+While the owner works, a heartbeat republishes the file with a fresh
+``heartbeat_at`` through :func:`~repro.common.durable.atomic_write`
+(the "Durability" section of ``docs/resilience.md``).  A peer
 that finds a lease whose heartbeat is older than the TTL — the owner
 was SIGKILL'd, wedged, or unplugged — *steals* it: it renames the
 stale file into ``stolen/`` (rename is atomic, so exactly one stealer
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.common.durable import atomic_write
 from repro.common.errors import ReproError
 
 __all__ = [
@@ -110,8 +112,12 @@ class LeaseDir:
     def path(self, job: str) -> Path:
         return self.root / f"{job}.lease"
 
+    @staticmethod
+    def _body(lease: Lease) -> bytes:
+        return json.dumps(lease.as_dict(), separators=(",", ":")).encode()
+
     def _write_body(self, fd: int, lease: Lease, *, torn: bool = False) -> None:
-        body = json.dumps(lease.as_dict(), separators=(",", ":")).encode()
+        body = self._body(lease)
         if torn:
             # chaos: a crash mid-write leaves half a lease on disk
             body = body[: max(1, len(body) // 2)]
@@ -224,12 +230,12 @@ class LeaseDir:
     def heartbeat(self, lease: Lease) -> bool:
         """Refresh the lease's heartbeat; False when the lease was lost.
 
-        The rewrite is atomic (temp + ``os.replace``); before writing,
-        the current owner is checked so a stalled worker whose lease
-        was stolen does not clobber the thief's claim.  The check-then-
-        replace window is unavoidable without fcntl locks (which NFS
-        breaks) — a loss in that window costs one duplicate
-        completion, which the merge tolerates by design.
+        The rewrite is an atomic publish; before writing, the current
+        owner is checked so a stalled worker whose lease was stolen does
+        not clobber the thief's claim.  The check-then-replace window is
+        unavoidable without fcntl locks (which NFS breaks) — a loss in
+        that window costs one duplicate completion, which the merge
+        tolerates by design.
         """
         try:
             current = self.read(lease.job)
@@ -239,21 +245,9 @@ class LeaseDir:
                 or current.epoch != lease.epoch:
             return False
         lease.heartbeat_at = self.now()
-        tmp = self.path(lease.job).with_suffix(
-            f".hb.{uuid.uuid4().hex[:8]}.tmp"
-        )
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            try:
-                self._write_body(fd, lease)
-            finally:
-                os.close(fd)
-            os.replace(tmp, self.path(lease.job))
+            atomic_write(self.path(lease.job), self._body(lease))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         return True
 

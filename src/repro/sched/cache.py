@@ -11,8 +11,9 @@ the stored JSON payload — which round-trips floats exactly, so a warm
 run is byte-identical to a cold one.
 
 Entries live under ``.repro-cache/`` (git-ignored) as one JSON file per
-key, written atomically so concurrent sweep workers never observe a
-torn entry.  Each entry additionally carries a SHA-256 checksum of its
+key, published with :func:`~repro.common.durable.atomic_write` (the
+"Durability" section of ``docs/resilience.md``) so concurrent sweep
+workers never observe a torn entry.  Each entry additionally carries a SHA-256 checksum of its
 payload; a read that finds an unparsable entry or a checksum mismatch
 (a torn write that survived, bit rot, a partial copy) *quarantines* the
 file — moves it to ``quarantine/`` under the cache root and counts it
@@ -27,12 +28,12 @@ import inspect
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.arch.spec import SystemSpec
+from repro.common.durable import atomic_write
 from repro.common.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -214,14 +215,13 @@ class ResultCache:
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Store a payload atomically (rename over any concurrent writer).
 
-        Write to a private temp file, fsync it, then ``os.replace`` into
-        place: concurrent writers (fleet workers, parallel sweeps on a
-        shared cache) each publish a complete entry and the last rename
-        wins — a reader can never observe a half-written file, and a
-        crash between fsync and rename leaves only a ``*.tmp`` that
-        ``repro journal gc`` removes.  Entries are content-addressed so
-        racing writers always carry identical payloads; ``get``
-        cross-checks the stored checksum regardless.
+        An :func:`~repro.common.durable.atomic_write`: concurrent
+        writers (fleet workers, parallel sweeps on a shared cache) each
+        publish a complete entry and the last rename wins; a crash
+        leaves at most a ``*.tmp`` that ``repro cache gc`` removes.
+        Entries are content-addressed so racing writers always carry
+        identical payloads; ``get`` cross-checks the stored checksum
+        regardless.
 
         An unwritable cache directory surfaces as a :class:`ReproError`
         (CLI exit 2 with the path in the message) instead of a raw
@@ -229,33 +229,19 @@ class ResultCache:
         """
         if not self.enabled:
             return
-        path = self._path(key)
+        entry = {
+            "schema": CACHE_SCHEMA,
+            "key": key,
+            "sha256": _payload_checksum(payload),
+            "payload": payload,
+        }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            entry = {
-                "schema": CACHE_SCHEMA,
-                "key": key,
-                "sha256": _payload_checksum(payload),
-                "payload": payload,
-            }
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            atomic_write(self._path(key), json.dumps(entry))
         except OSError as exc:
             raise ReproError(
                 f"result cache at {self._root_path} is not writable: {exc}; "
                 "pick another --cache-dir or pass --no-cache"
             ) from None
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(entry, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.stores += 1
 
     # ------------------------------------------------------------------

@@ -2,23 +2,25 @@
 
 The durability contract of ``repro serve`` is **accepted means
 persisted**: a request is written — appended to the intake journal and
-given a per-request state file, both flushed to disk — *before* the
-202 goes back to the client, so a ``kill -9`` at any later instant
-loses nothing that was acknowledged.  Layout under the data dir::
+given a per-request state file, both made durable through
+:mod:`repro.common.durable` (the "Durability" section of
+``docs/resilience.md``) — *before* the 202 goes back to the client, so
+a ``kill -9`` or a power cut at any later instant loses nothing that
+was acknowledged.  Layout under the data dir::
 
     intake.ndjson            append-only accept log (fsync per line)
-    requests/<id>.json       per-request state, atomic tmp+fsync+rename
+    requests/<id>.json       per-request state, atomic publish
     leases/<id>.lease        execution leases (repro.resilience.lease)
     journals/<id>.ndjson     per-request run journal (checkpoint/resume)
     results/<fp>.json        finished result documents, content-addressed
 
-The intake journal is the recovery spine: torn-tail tolerant like the
-run journal (a crash mid-append leaves an unparsable last line that is
-skipped — the client never got its 202, so nothing acknowledged is
-lost), and sufficient on its own to rebuild a request whose state-file
-write never landed.  State files carry the full request plus its
-lifecycle state; they are rewritten atomically on every transition, so
-a reader sees either the old state or the new one, never a torn file.
+The intake journal is the recovery spine: a crash mid-append leaves an
+unparsable last line that is skipped (the client never got its 202, so
+nothing acknowledged is lost) and terminated before the next append,
+and the journal alone can rebuild a request whose state-file write
+never landed.  State files carry the full request plus its lifecycle
+state; they are republished on every transition, so a reader sees
+either the old state or the new one, never a torn file.
 
 Execution claims go through the same :class:`~repro.resilience.lease.
 LeaseDir` the distributed fleet uses: a worker thread (or, after a
@@ -37,14 +39,13 @@ expired duplicate re-arms the original request for another attempt.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.common.durable import Appender, atomic_write, read_records
 from repro.common.errors import ReproError
 from repro.resilience.journal import new_run_id
 from repro.resilience.lease import Lease, LeaseDir
@@ -57,25 +58,6 @@ STATE_SCHEMA = "repro-serve-state/1"
 
 #: terminal request states (no further transitions)
 _TERMINAL = ("done", "failed", "expired")
-
-
-def _atomic_write_json(path: Path, doc: dict[str, Any]) -> None:
-    """tmp + fsync + rename, the same publish discipline as the cache."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class QueueEntry:
@@ -176,44 +158,23 @@ class DurableQueue:
         self._pending: deque[str] = deque()
         self._seq = 0
         self._intake_path = self.data_dir / "intake.ndjson"
-        self._intake_fh = None
+        self._intake: Appender | None = None
 
     # -- intake journal -------------------------------------------------
-    def _open_intake(self):
-        if self._intake_fh is None:
+    def _intake_append(self, obj: dict[str, Any]) -> None:
+        if self._intake is None:
             fresh = not self._intake_path.exists()
-            self._intake_fh = self._intake_path.open("a")
+            self._intake = Appender(self._intake_path)
             if fresh:
-                self._intake_append(
+                self._intake.append(
                     {"schema": INTAKE_SCHEMA, "created_at": self.now()}
                 )
-        return self._intake_fh
-
-    def _intake_append(self, obj: dict[str, Any]) -> None:
-        fh = self._open_intake()
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+        self._intake.append(obj)
 
     @staticmethod
     def _read_intake(path: Path) -> list[dict[str, Any]]:
-        """Parse the intake journal, skipping a torn tail."""
-        entries: list[dict[str, Any]] = []
-        if not path.exists():
-            return entries
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    # crash mid-append: the client never got its 202
-                    continue
-                if "id" in obj:
-                    entries.append(obj)
-        return entries
+        """The request lines of the intake journal, skipping a torn tail."""
+        return [obj for obj in read_records(path) if "id" in obj]
 
     # -- state files ----------------------------------------------------
     def _state_path(self, request_id: str) -> Path:
@@ -224,7 +185,9 @@ class DurableQueue:
         doc.pop("result", None)
         if entry.result_fingerprint is not None:
             doc["result_fingerprint"] = entry.result_fingerprint
-        _atomic_write_json(self._state_path(entry.id), doc)
+        atomic_write(
+            self._state_path(entry.id), json.dumps(doc, indent=2) + "\n"
+        )
 
     def _load_state(self, path: Path) -> QueueEntry | None:
         try:
@@ -444,19 +407,7 @@ class DurableQueue:
         identical bytes, so last-rename-wins is safe.
         """
         path = self.result_path(fingerprint)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, text)
         return path
 
     def get_result(self, fingerprint: str) -> bytes | None:
@@ -466,6 +417,6 @@ class DurableQueue:
             return None
 
     def close(self) -> None:
-        if self._intake_fh is not None:
-            self._intake_fh.close()
-            self._intake_fh = None
+        if self._intake is not None:
+            self._intake.close()
+            self._intake = None

@@ -113,6 +113,26 @@ class TestReadWorkerActivity:
         lines = read_worker_activity(tmp_path)["w0"]
         assert [l["name"] for l in lines] == ["k"]
 
+    def test_rejoined_sink_heals_torn_tail(self, tmp_path):
+        # a re-joined worker with a stable --worker-id reopens the file
+        # its killed predecessor tore mid-publish
+        path = tmp_path / "activity" / "w0.ndjson"
+        for job, name in ((0, "first"), (2, "after-rejoin")):
+            hub = ActivityHub()
+            sink = ActivitySink(path, worker="w0")
+            hub.subscribe(sink)
+            sink.begin(job)
+            hub.emit("kernel", name)
+            sink.commit()
+            sink.close()
+            if job == 0:
+                with path.open("a") as fh:
+                    fh.write('{"worker": "w0", "job": 1, "na')
+        lines = read_worker_activity(tmp_path)["w0"]
+        assert [(l["job"], l["name"]) for l in lines] == [
+            (0, "first"), (2, "after-rejoin"),
+        ]
+
 
 class TestReadJournalEntries:
     def test_header_and_meta_preserved(self, tmp_path):

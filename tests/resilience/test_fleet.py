@@ -16,6 +16,8 @@ from repro.resilience import QuarantineError, RunJournal
 from repro.resilience.fleet import (
     FleetConfig,
     FleetMergeError,
+    _EventLog,
+    _read_events,
     ensure_manifest,
     fleet_dir,
     join_fleet,
@@ -195,6 +197,48 @@ class TestManifest:
         first = ensure_manifest(run_dir, SPECS, run_id="ftest", command="t")
         second = ensure_manifest(run_dir, SPECS, run_id="ftest", command="t")
         assert first["jobs"] == second["jobs"]
+
+
+class TestStaleSnapshot:
+    def test_rescans_before_claiming_after_a_job(self, tmp_path, monkeypatch):
+        import repro.resilience.fleet as fleet
+
+        specs = SPECS[:2]
+        cfg = make_cfg(tmp_path, worker_id="w0")
+        journals = fleet_dir(tmp_path, cfg.run_id) / "journals"
+        execute = fleet._execute_with_retries
+
+        def peer_finishes_job_1(spec, ordinal, *args, **kwargs):
+            payload = execute(spec, ordinal, *args, **kwargs)
+            if ordinal == 0:
+                # a peer journals job 1 (and drops its lease) meanwhile
+                with RunJournal.attach(journals, run_id="peer") as peer:
+                    peer.record(job_fingerprint(specs[1]), {"kind": "run"})
+            return payload
+
+        monkeypatch.setattr(
+            fleet, "_execute_with_retries", peer_finishes_job_1
+        )
+        assert fleet.fleet_worker(specs, cfg) == 1
+
+
+class TestEventLog:
+    def test_rejoined_worker_heals_torn_tail(self, tmp_path):
+        # a re-joined worker with a stable --worker-id reopens the event
+        # log its killed predecessor tore mid-append
+        path = tmp_path / "events" / "w0.ndjson"
+        path.parent.mkdir()
+        log = _EventLog(path, "w0")
+        log.emit("lease-acquire", job=0)
+        log.close()
+        with path.open("a") as fh:
+            fh.write('{"event": "heartbeat", "wor')
+        log = _EventLog(path, "w0")
+        log.emit("job-complete", job=0)
+        log.close()
+        assert [ev["event"] for ev in _read_events(tmp_path)] == [
+            "lease-acquire", "job-complete",
+        ]
 
 
 class TestConfigValidation:

@@ -118,6 +118,31 @@ class TestDurability:
         lines = DurableQueue._read_intake(path)
         assert [line["id"] for line in lines] == [entry.id]
 
+    def test_torn_intake_tail_healed_before_next_accept(self, queue):
+        from repro.serve.recovery import recover
+
+        queue.submit(sweep_request())
+        queue.close()
+        path = queue.data_dir / "intake.ndjson"
+        with path.open("a") as fh:
+            fh.write('{"id": "torn-req", "seq"')  # crash mid-append
+        restarted = DurableQueue(queue.data_dir)
+        recover(restarted)
+        entry, _ = restarted.submit(sweep_request(values=(16384,)))
+        restarted.close()
+        # the acknowledged request is journaled on its own line, not
+        # glued onto the torn fragment
+        ids = [line["id"] for line in DurableQueue._read_intake(path)]
+        assert entry.id in ids
+        # so the intake backstop can still rebuild it
+        restarted._state_path(entry.id).unlink()
+        again = DurableQueue(queue.data_dir)
+        try:
+            assert recover(again).rebuilt_from_intake == 1
+            assert again.get(entry.id) is not None
+        finally:
+            again.close()
+
     def test_result_roundtrip(self, queue):
         text = '{"schema": "repro-prof-bench/1"}\n'
         queue.put_result("abc123", text)

@@ -758,6 +758,21 @@ class TestJournalCLI:
         out = capsys.readouterr().out
         assert "fleet run f1" in out and "completed 1/1" in out
 
+    def test_show_fleet_run_with_unreadable_manifest_exits_two(
+        self, capsys, tmp_path
+    ):
+        run_dir = tmp_path / "jd" / "f2.fleet"
+        (run_dir / "journals").mkdir(parents=True)
+        manifest = run_dir / "manifest.json"
+        # a crash before the manifest was published, then a torn one
+        for body in (None, '{"schema": "repro-fleet/1", "jo'):
+            if body is not None:
+                manifest.write_text(body)
+            assert main([
+                "journal", "show", "f2", "--journal-dir", str(tmp_path / "jd")
+            ]) == 2
+            assert str(manifest) in capsys.readouterr().err
+
     def test_show_unknown_run_exits_two(self, capsys, tmp_path):
         assert main([
             "journal", "show", "ghost", "--journal-dir", str(tmp_path / "jd")

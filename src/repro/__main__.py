@@ -41,21 +41,31 @@ the run completed only through a degradation fallback (jit backend
 re-run on the reference oracle, or the worker pool dropping to serial),
 and 4 when the run was interrupted (SIGINT/SIGTERM) with the completed
 work checkpointed to the run journal — finish it with ``--resume``.
+
+The parser is built from one command table (:data:`_COMMANDS`) whose
+shared option groups are each defined once (:func:`_option_groups`);
+``table1``, ``sweep``, ``run`` and ``check`` share one lifecycle, the
+:class:`_RunSession`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import signal
 import sys
+import threading
+from contextlib import ExitStack, contextmanager, nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.arch.presets import get_system, list_gpus
 from repro.common.errors import ReproError
 from repro.common.tables import render_table
-from repro.core.registry import ALL_BENCHMARKS, get_benchmark, list_benchmarks
+from repro.core.registry import ALL_BENCHMARKS, get_benchmark
 from repro.core.suite import run_suite
-from repro.exec import BACKENDS
+from repro.exec import BACKENDS, current_backend_name, use_backend
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Any]:
@@ -79,14 +89,8 @@ def _parse_params(pairs: list[str]) -> dict[str, Any]:
 
 def _backend_scope(args: argparse.Namespace):
     """Context manager applying ``--backend`` to runtimes created inside."""
-    from contextlib import nullcontext
-
     backend = getattr(args, "backend", None)
-    if backend:
-        from repro.exec import use_backend
-
-        return use_backend(backend)
-    return nullcontext()
+    return use_backend(backend) if backend else nullcontext()
 
 
 def _make_cache(args: argparse.Namespace):
@@ -95,35 +99,19 @@ def _make_cache(args: argparse.Namespace):
     return ResultCache(args.cache_dir, enabled=not args.no_cache)
 
 
-def _resilience_requested(args: argparse.Namespace) -> bool:
-    """Did any flag explicitly ask for the supervised scheduler?"""
-    return any(
-        getattr(args, name, None) is not None
-        for name in ("max_retries", "job_timeout", "resume", "run_id", "chaos")
-    )
-
-
-def _fleet_requested(args: argparse.Namespace) -> bool:
-    """Did ``--fleet`` or ``--join`` ask for the work-stealing fleet?"""
-    return (
-        getattr(args, "fleet", None) is not None
-        or getattr(args, "join", None) is not None
-    )
-
-
 def _make_fleet(args: argparse.Namespace, *, command: str):
     """Build the fleet configuration from ``--fleet``/``--join`` flags."""
+    if getattr(args, "fleet", None) is None and getattr(args, "join", None) is None:
+        return None
     from repro.resilience import FleetConfig, new_run_id, parse_chaos
 
-    if not _fleet_requested(args):
-        return None
-    if getattr(args, "fleet", None) is not None and getattr(args, "join", None):
+    if args.fleet is not None and args.join:
         raise ReproError(
             "--fleet and --join are mutually exclusive: --fleet spawns "
             "local workers for a new run, --join adds this process to an "
             "existing one"
         )
-    if getattr(args, "resume", None):
+    if args.resume:
         raise ReproError(
             "--resume does not apply to fleet runs; re-join an "
             "interrupted fleet with --join <run-id> instead"
@@ -135,57 +123,46 @@ def _make_fleet(args: argparse.Namespace, *, command: str):
             raise ReproError(
                 f"--fleet needs a positive worker count, got {args.fleet}"
             )
-        run_id, workers = (getattr(args, "run_id", None) or new_run_id()), args.fleet
+        run_id, workers = args.run_id or new_run_id(), args.fleet
     ttl = args.lease_ttl if args.lease_ttl is not None else 5.0
     heartbeat = (
         args.heartbeat if args.heartbeat is not None else max(ttl / 3.0, 1e-3)
     )
     kwargs: dict[str, Any] = {}
-    if getattr(args, "max_retries", None) is not None:
+    if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
     return FleetConfig(
         run_id=run_id,
-        worker_id=getattr(args, "worker_id", None) or "",
+        worker_id=args.worker_id or "",
         workers=workers,
         journal_root=args.journal_dir,
         command=command,
         heartbeat_s=heartbeat,
         lease_ttl_s=ttl,
-        chaos=parse_chaos(args.chaos) if getattr(args, "chaos", None) else None,
+        chaos=parse_chaos(args.chaos) if args.chaos else None,
         **kwargs,
     )
-
-
-def _fleet_resilience(fleet):
-    """A resilience shim sharing the fleet's telemetry, so the stats
-    sidecar, degradation exit code, and execution section all read the
-    fleet run without a parallel code path."""
-    from repro.resilience import ResilienceConfig
-
-    shim = ResilienceConfig()
-    shim.telemetry = fleet.telemetry
-    return shim
 
 
 def _make_resilience(args: argparse.Namespace, *, command: str):
     """Build the supervision policy (and run journal) from CLI flags."""
     from repro.resilience import ResilienceConfig, RunJournal, parse_chaos
 
-    chaos = parse_chaos(args.chaos) if getattr(args, "chaos", None) else None
+    chaos = parse_chaos(args.chaos) if args.chaos else None
     journal = None
-    if not getattr(args, "no_journal", False):
-        if getattr(args, "resume", None):
+    if not args.no_journal:
+        if args.resume:
             journal = RunJournal.resume(args.journal_dir, args.resume)
         else:
             journal = RunJournal.create(
                 args.journal_dir,
-                run_id=getattr(args, "run_id", None),
+                run_id=args.run_id,
                 meta={"command": command},
             )
     kwargs: dict[str, Any] = {}
-    if getattr(args, "max_retries", None) is not None:
+    if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
-    if getattr(args, "job_timeout", None) is not None:
+    if args.job_timeout is not None:
         kwargs["job_timeout_s"] = args.job_timeout
     # a hub gives the supervisor somewhere to hang its flight recorder,
     # so a quarantine dumps the run's last sched events post-mortem
@@ -196,283 +173,324 @@ def _make_resilience(args: argparse.Namespace, *, command: str):
     )
 
 
-def _sigterm_as_interrupt():
-    """Translate SIGTERM into KeyboardInterrupt around a scheduler run,
-    so a polite kill flushes the journal and exits 4 just like Ctrl-C."""
-    import signal
-    import threading
-    from contextlib import contextmanager, nullcontext
+def _raise_interrupt(signum, frame):
+    raise KeyboardInterrupt
 
-    if (
-        not hasattr(signal, "SIGTERM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        return nullcontext()
+
+class _Interrupted(Exception):
+    """A scheduled run was interrupted and has said how to finish it;
+    :func:`main` exits 4."""
+
+
+class _RunSession:
+    """The lifecycle that ``table1``, ``sweep``, ``run`` and ``check`` share.
+
+    Built once from the parsed arguments, the session picks the mode:
+    in-process; the supervised pool (``--jobs > 1`` or any resilience
+    flag); or the fleet (``--fleet``/``--join``).  Building it only
+    validates arguments.  :meth:`scope` opens the cache and the run
+    journal and runs the command's work inside ``--backend``, SIGTERM
+    handled as Ctrl-C, the ``--metrics-port`` endpoint, and the profiler
+    when an in-process run asked for an export; an interrupted scheduled
+    run says how to finish it and exits 4.  :meth:`finish` then renders
+    the result and writes every artifact, once.
+    """
+
+    def __init__(
+        self,
+        args: argparse.Namespace,
+        command: str,
+        *,
+        benchmark: str | None = None,
+        params: dict[str, Any] | None = None,
+        jobs_total: int | None = None,
+        scope_runtimes: bool = True,
+    ) -> None:
+        self.args = args
+        self.command = command
+        #: the run's name in the ``--stats`` sidecar and ``--json`` metrics
+        self.benchmark = benchmark or command
+        self.params = params
+        self.jobs_total = jobs_total
+        #: wrap the work in ``--backend`` and, in-process, the profiler;
+        #: ``check_all`` sets up both per backend itself (``--backend
+        #: both``), and ``check``'s ``--json`` is its report
+        self.scope_runtimes = scope_runtimes
+        self.fleet = _make_fleet(args, command=command)
+        # any resilience flag asks for the supervised pool, even at --jobs 1
+        self.supervised = (
+            self.fleet is not None
+            or getattr(args, "jobs", 1) > 1
+            or any(
+                getattr(args, name, None) is not None
+                for name in (
+                    "max_retries", "job_timeout", "resume", "run_id", "chaos"
+                )
+            )
+        )
+        self.cache = self.resilience = self.telemetry = self.prof = None
+
+    @property
+    def scheduler(self) -> dict[str, Any]:
+        """The scheduler keyword arguments of this run."""
+        return {
+            "cache": self.cache, "resilience": self.resilience,
+            "fleet": self.fleet,
+        }
 
     @contextmanager
-    def _scope():
-        def _raise(signum, frame):
-            raise KeyboardInterrupt
+    def scope(self) -> Iterator[None]:
+        """Open the run's resources around the command's work."""
+        args = self.args
+        with ExitStack() as stack:
+            if self.scope_runtimes:
+                stack.enter_context(_backend_scope(args))
+            if not self.supervised:
+                if getattr(args, "metrics_port", None) is not None:
+                    print(
+                        "note: --metrics-port needs the scheduler; add "
+                        "--jobs, --fleet, or a resilience flag",
+                        file=sys.stderr,
+                    )
+                if self.scope_runtimes and any(
+                    getattr(args, name, None)
+                    for name in ("trace", "json", "ndjson")
+                ):
+                    from repro.prof import profile_session
 
-        old = signal.signal(signal.SIGTERM, _raise)
-        try:
-            yield
-        finally:
-            signal.signal(signal.SIGTERM, old)
+                    self.prof = stack.enter_context(profile_session())
+                yield
+                return
+            if self.scope_runtimes and (
+                getattr(args, "json", None) or getattr(args, "ndjson", None)
+            ):
+                print(
+                    "note: --json/--ndjson are not collected when a run is "
+                    "supervised; rerun without --jobs, --fleet or resilience "
+                    "flags to profile (--trace is stitched from the run "
+                    "journal instead)",
+                    file=sys.stderr,
+                )
+            if hasattr(args, "cache_dir"):  # the commands with the cache group
+                self.cache = _make_cache(args)
+            if self.fleet is None:
+                self.resilience = _make_resilience(args, command=self.command)
+            owner = self.fleet if self.fleet is not None else self.resilience
+            self.telemetry = owner.telemetry
+            journal = self.resilience.journal if self.resilience else None
+            if journal is not None:
+                stack.callback(journal.close)
+            if threading.current_thread() is threading.main_thread():
+                # a polite kill flushes the journal and exits 4, like Ctrl-C
+                old = signal.signal(signal.SIGTERM, _raise_interrupt)
+                stack.callback(signal.signal, signal.SIGTERM, old)
+            if getattr(args, "metrics_port", None) is not None:
+                from repro.obs import MetricsServer
 
-    return _scope()
+                server = stack.enter_context(
+                    MetricsServer(self._samples, port=args.metrics_port)
+                )
+                print(f"metrics: serving on {server.url}", file=sys.stderr)
+            try:
+                yield
+            except KeyboardInterrupt:
+                if self.fleet is not None:
+                    run_id = self.fleet.run_id
+                    message = (
+                        f"interrupted: fleet run {run_id} keeps each worker's "
+                        f"completed jobs in its own journal; finish with "
+                        f"--join {run_id}"
+                    )
+                elif journal is not None:
+                    message = (
+                        f"interrupted: {self.telemetry.completed} completed "
+                        f"job(s) saved to journal run {journal.run_id}; "
+                        f"finish with --resume {journal.run_id}"
+                    )
+                else:
+                    message = (
+                        "interrupted: journaling disabled (--no-journal), "
+                        "partial results discarded"
+                    )
+                print(message, file=sys.stderr)
+                raise _Interrupted from None
 
+    def finish(
+        self,
+        status: int,
+        text: str,
+        *,
+        document: Callable[[], dict[str, Any]] | None = None,
+        written: str = "",
+    ) -> int:
+        """Print the result, write every artifact, and return the exit code.
 
-def _interrupted(resilience, fleet=None) -> int:
-    """Exit code 4: interrupted, journal flushed, partial results saved."""
-    tele = resilience.telemetry
-    if fleet is not None:
-        print(
-            f"interrupted: fleet run {fleet.run_id} keeps each worker's "
-            f"completed jobs in its own journal; finish with "
-            f"--join {fleet.run_id}",
-            file=sys.stderr,
+        ``document`` builds the ``--out`` result document, which
+        ``written`` names in the line confirming it.  For a command with
+        a document, a ``--resume`` of a run its journal already completes
+        prints a summary instead of ``text`` and writes the document only
+        if it is missing.  A natural exit of 0 becomes 3 when the run
+        degraded.
+        """
+        args = self.args
+        tele = self.telemetry
+        noop = (
+            document is not None
+            and args.resume is not None
+            and tele.completed == 0
+            and tele.resume_skips > 0
+            and not tele.quarantined
         )
-    elif resilience.journal is not None:
-        run_id = resilience.journal.run_id
-        resilience.journal.close()
-        print(
-            f"interrupted: {tele.completed} completed job(s) saved to "
-            f"journal run {run_id}; finish with --resume {run_id}",
-            file=sys.stderr,
-        )
-    else:
-        print(
-            "interrupted: journaling disabled (--no-journal), partial "
-            "results discarded",
-            file=sys.stderr,
-        )
-    return 4
+        if noop:
+            print(
+                f"nothing to do: run {args.resume} already complete "
+                f"({tele.resume_skips} job(s) journaled); artifacts unchanged"
+            )
+        else:
+            print(text)
+        out = getattr(args, "out", None)
+        if out and not (noop and Path(out).exists()):
+            from repro.prof import write_metrics
 
-
-def _resume_noop(args: argparse.Namespace, resilience) -> bool:
-    """Was ``--resume`` pointed at an already-complete run?
-
-    Nothing executed, nothing quarantined, every job replayed from the
-    journal — so the run's artifacts were already written by the run
-    that completed it and must not be re-written here.
-    """
-    if getattr(args, "resume", None) is None or resilience is None:
-        return False
-    tele = resilience.telemetry
-    return (
-        tele.completed == 0
-        and tele.resume_skips > 0
-        and not tele.quarantined
-    )
-
-
-def _print_resume_noop(args: argparse.Namespace, resilience) -> None:
-    tele = resilience.telemetry
-    print(
-        f"nothing to do: run {args.resume} already complete "
-        f"({tele.resume_skips} job(s) journaled); artifacts unchanged"
-    )
-
-
-def _sched_status(status: int, resilience) -> int:
-    """Map a command's natural exit through the degradation ladder.
-
-    A run that finished only via a fallback (jit backend re-run on the
-    reference oracle, pool dropped to serial) exits 3 instead of 0 —
-    results are valid but the configuration asked for did not hold.
-    """
-    if resilience is not None:
-        if resilience.journal is not None:
-            resilience.journal.close()
-        if status == 0 and resilience.telemetry.degraded:
+            print(f"{written} written to {write_metrics(out, document())}")
+        self._write_stats()
+        self._write_metrics()
+        self._write_exports()
+        if status == 0 and tele is not None and tele.degraded:
             return 3
-    return status
+        return status
 
+    def _write_stats(self) -> None:
+        """Write the ``--stats`` sidecar: backend, cache, and supervision
+        counters.
 
-def _execution_section(resilience) -> dict[str, Any]:
-    """The result document's ``execution`` section.
+        Kept separate from ``--out`` so result documents stay
+        byte-identical across cold/warm and serial/parallel runs while
+        the scheduler's behaviour remains observable.
+        """
+        if not getattr(self.args, "stats", None):
+            return
+        backend = current_backend_name(getattr(self.args, "backend", None))
+        doc = {
+            "schema": "repro-prof-sched/1",
+            "benchmark": self.benchmark,
+            "backend": backend,
+            "jobs": self.args.jobs,
+            "cache": self.cache.stats() if self.cache is not None else None,
+        }
+        if backend == "jit":
+            from repro.jit import jit_stats
 
-    Present only when the run degraded, so clean documents stay
-    byte-identical across serial/parallel/cold/warm/resumed runs while
-    a fallback (the one case where the configuration asked for was not
-    what actually ran) is recorded next to the results it produced.
-    """
-    if resilience is None or not resilience.telemetry.fallbacks:
-        return {}
-    tele = resilience.telemetry
-    return {
-        "execution": {"mode": tele.mode, "fallbacks": list(tele.fallbacks)}
-    }
+            # artifact-store counters (trace reuse), next to the result cache
+            doc["jit"] = jit_stats()
+        if self.telemetry is not None:
+            doc["execution"] = self.telemetry.as_dict()
+        path = Path(self.args.stats)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"scheduler stats written to {path}")
 
+    def _write_metrics(self) -> None:
+        """Write the ``--metrics`` exposition sidecar."""
+        if not getattr(self.args, "metrics", None):
+            return
+        if not self.supervised:
+            print(
+                "note: --metrics needs the scheduler; add --jobs, --fleet, "
+                "or a resilience flag",
+                file=sys.stderr,
+            )
+            return
+        from repro.obs import write_metrics_text
 
-def _write_sched_stats(
-    args: argparse.Namespace, cache, *, benchmark: str, jobs: int,
-    resilience=None,
-) -> None:
-    """Write the ``--stats`` sidecar: backend, cache, and supervision
-    counters.
+        path = write_metrics_text(self.args.metrics, self._samples())
+        print(f"metrics written to {path}")
 
-    Kept separate from ``--out`` so result documents stay byte-identical
-    across cold/warm and serial/parallel runs while the scheduler's
-    behaviour remains observable.
-    """
-    if not getattr(args, "stats", None):
-        return
-    import json
+    def _samples(self):
+        """The sample set behind ``--metrics`` and ``--metrics-port``.
 
-    from repro.exec import current_backend_name
+        Fleet runs scan the shared coordination directory read-only —
+        safe to call from any process at any time, and incapable of
+        perturbing the run's byte-identical merge.  Pool runs read the
+        in-process scheduler telemetry, which the parent updates as
+        results arrive.
+        """
+        from repro.obs import fleet_samples, telemetry_samples
 
-    backend = current_backend_name(getattr(args, "backend", None))
-    doc = {
-        "schema": "repro-prof-sched/1",
-        "benchmark": benchmark,
-        "backend": backend,
-        "jobs": jobs,
-        "cache": cache.stats() if cache is not None else None,
-    }
-    if backend == "jit":
-        from repro.jit import jit_stats
+        args = self.args
+        if self.fleet is not None:
+            from repro.resilience.fleet import fleet_dir
 
-        # artifact-store counters (trace reuse), next to the result cache
-        doc["jit"] = jit_stats()
-    if resilience is not None:
-        doc["execution"] = resilience.telemetry.as_dict()
-    path = Path(args.stats)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"scheduler stats written to {path}")
-
-
-def _pool_flight_dumps(args: argparse.Namespace, resilience) -> int | None:
-    """How many flight-recorder dumps this journaled pool run left."""
-    if resilience is None or resilience.journal is None:
-        return None
-    from repro.obs import list_flight_dumps
-
-    return len(list_flight_dumps(
-        Path(args.journal_dir) / "flightrec" / resilience.journal.run_id
-    ))
-
-
-def _metrics_snapshot(
-    args: argparse.Namespace, *, command: str, fleet=None, resilience=None,
-    cache=None, jobs_total: int | None = None,
-):
-    """The sample-set callable behind ``--metrics``/``--metrics-port``.
-
-    Fleet runs scan the shared coordination directory read-only — safe
-    to call from any process at any time, and incapable of perturbing
-    the run's byte-identical merge.  Pool runs read the in-process
-    scheduler telemetry, which the parent updates as results arrive.
-    """
-    from repro.obs import fleet_samples, telemetry_samples
-
-    if fleet is not None:
-        from repro.resilience.fleet import fleet_dir
-
-        run_dir = fleet_dir(args.journal_dir, fleet.run_id)
-
-        def snap():
+            run_id = self.fleet.run_id
             try:
                 return fleet_samples(
-                    run_dir, run_id=fleet.run_id, command=command
+                    fleet_dir(args.journal_dir, run_id),
+                    run_id=run_id, command=self.command,
                 )
             except ReproError:
                 # scraped before the workers created the run directory:
                 # serve the still-zero telemetry instead of a 500
                 return telemetry_samples(
-                    fleet.telemetry, run_id=fleet.run_id, command=command
+                    self.telemetry, run_id=run_id, command=self.command
                 )
+        journal = self.resilience.journal
+        flight_dumps = None
+        if journal is not None:
+            from repro.obs import list_flight_dumps
 
-        return snap
-    tele = resilience.telemetry
-    run_id = resilience.journal.run_id if resilience.journal else None
-
-    def snap():
+            flight_dumps = len(list_flight_dumps(
+                Path(args.journal_dir) / "flightrec" / journal.run_id
+            ))
         return telemetry_samples(
-            tele,
-            cache_stats=cache.stats() if cache is not None else None,
-            run_id=run_id,
-            command=command,
-            jobs_total=jobs_total,
-            flight_dumps=_pool_flight_dumps(args, resilience),
+            self.telemetry,
+            cache_stats=self.cache.stats() if self.cache is not None else None,
+            run_id=journal.run_id if journal is not None else None,
+            command=self.command,
+            jobs_total=self.jobs_total,
+            flight_dumps=flight_dumps,
         )
 
-    return snap
+    def _write_exports(self) -> None:
+        """``--trace``, ``--ndjson`` and ``--json``: the profiler's for an
+        in-process run; under supervision ``--trace`` is stitched from
+        the run's journal(s) — per-worker lanes for fleet runs, a
+        synthetic span tree for journaled pool runs."""
+        args = self.args
+        prof = self.prof
+        if prof is not None:
+            if getattr(args, "trace", None):
+                path = prof.write_chrome_trace(args.trace)
+                print(f"chrome trace written to {path}")
+            if getattr(args, "ndjson", None):
+                path = prof.write_ndjson(args.ndjson)
+                print(f"ndjson log written to {path}")
+            if getattr(args, "json", None):
+                from repro.prof import write_metrics
 
+                doc = prof.metrics(benchmark=self.benchmark, params=self.params)
+                print(f"metrics written to {write_metrics(args.json, doc)}")
+            return
+        if not getattr(args, "trace", None):
+            return
+        if self.fleet is not None:
+            from repro.obs import write_fleet_trace
+            from repro.resilience.fleet import fleet_dir
 
-def _metrics_server(
-    args: argparse.Namespace, *, command: str, fleet=None, resilience=None,
-    cache=None, jobs_total: int | None = None,
-):
-    """``--metrics-port``: a scrape endpoint alive for the run's span,
-    or a no-op context manager when the flag is absent."""
-    from contextlib import nullcontext
+            path = write_fleet_trace(
+                fleet_dir(args.journal_dir, self.fleet.run_id), args.trace
+            )
+            print(f"stitched fleet trace written to {path}")
+        elif self.resilience is not None and self.resilience.journal is not None:
+            from repro.obs import write_journal_trace
 
-    if getattr(args, "metrics_port", None) is None:
-        return nullcontext(None)
-    from repro.obs import MetricsServer
-
-    return MetricsServer(
-        _metrics_snapshot(
-            args, command=command, fleet=fleet, resilience=resilience,
-            cache=cache, jobs_total=jobs_total,
-        ),
-        port=args.metrics_port,
-    )
-
-
-def _write_metrics_sidecar(
-    args: argparse.Namespace, *, command: str, fleet=None, resilience=None,
-    cache=None, jobs_total: int | None = None,
-) -> None:
-    """Write the ``--metrics`` exposition sidecar at the end of a run."""
-    if not getattr(args, "metrics", None):
-        return
-    if fleet is None and resilience is None:
-        print(
-            "note: --metrics needs the scheduler; add --jobs, --fleet, "
-            "or a resilience flag",
-            file=sys.stderr,
-        )
-        return
-    from repro.obs import write_metrics_text
-
-    samples = _metrics_snapshot(
-        args, command=command, fleet=fleet, resilience=resilience,
-        cache=cache, jobs_total=jobs_total,
-    )()
-    print(f"metrics written to {write_metrics_text(args.metrics, samples)}")
-
-
-def _write_run_trace(
-    args: argparse.Namespace, *, resilience=None, fleet=None
-) -> None:
-    """``--trace`` under supervision: stitch the trace from the run's
-    journal(s) — per-worker lanes for fleet runs, a synthetic span tree
-    for journaled pool runs — instead of an in-process profiler."""
-    if not getattr(args, "trace", None):
-        return
-    if fleet is not None:
-        from repro.obs import write_fleet_trace
-        from repro.resilience.fleet import fleet_dir
-
-        path = write_fleet_trace(
-            fleet_dir(args.journal_dir, fleet.run_id), args.trace
-        )
-        print(f"stitched fleet trace written to {path}")
-    elif resilience is not None and resilience.journal is not None:
-        from repro.obs import write_journal_trace
-
-        path = write_journal_trace(resilience.journal.path, args.trace)
-        print(f"journal trace written to {path}")
-    else:
-        print(
-            "note: --trace under supervision needs a run journal; "
-            "drop --no-journal",
-            file=sys.stderr,
-        )
+            path = write_journal_trace(self.resilience.journal.path, args.trace)
+            print(f"journal trace written to {path}")
+        else:
+            print(
+                "note: --trace under supervision needs a run journal; "
+                "drop --no-journal",
+                file=sys.stderr,
+            )
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -491,152 +509,54 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    cache = None
-    resilience = None
-    fleet = _make_fleet(args, command="table1")
-    with _backend_scope(args):
-        if args.jobs > 1 or fleet is not None or _resilience_requested(args):
+    session = _RunSession(args, "table1", jobs_total=len(ALL_BENCHMARKS))
+    with session.scope():
+        if session.supervised:
             from repro.sched import parallel_suite
 
-            cache = _make_cache(args)
-            if fleet is not None:
-                resilience = _fleet_resilience(fleet)
-            else:
-                resilience = _make_resilience(args, command="table1")
-            try:
-                with _sigterm_as_interrupt(), _metrics_server(
-                    args, command="table1", fleet=fleet,
-                    resilience=resilience, cache=cache,
-                    jobs_total=len(ALL_BENCHMARKS),
-                ) as metrics_srv:
-                    if metrics_srv is not None:
-                        print(
-                            f"metrics: serving on {metrics_srv.url}",
-                            file=sys.stderr,
-                        )
-                    report = parallel_suite(
-                        jobs=args.jobs, cache=cache,
-                        resilience=None if fleet is not None else resilience,
-                        fleet=fleet,
-                    )
-            except KeyboardInterrupt:
-                return _interrupted(resilience, fleet)
+            report = parallel_suite(jobs=args.jobs, **session.scheduler)
         else:
-            if getattr(args, "metrics_port", None) is not None:
-                print(
-                    "note: --metrics-port needs the scheduler; add "
-                    "--jobs, --fleet, or a resilience flag",
-                    file=sys.stderr,
-                )
+            # the module global, read at call time: the perf benchmark's
+            # launcher rebinds it to run Table I at its problem sizes
             report = run_suite()
-    if _resume_noop(args, resilience):
-        _print_resume_noop(args, resilience)
-        _write_sched_stats(
-            args, cache, benchmark="table1", jobs=args.jobs,
-            resilience=resilience,
-        )
-        _write_metrics_sidecar(
-            args, command="table1", fleet=fleet, resilience=resilience,
-            cache=cache, jobs_total=len(ALL_BENCHMARKS),
-        )
-        _write_run_trace(args, resilience=resilience, fleet=fleet)
-        return _sched_status(0 if report.all_verified else 1, resilience)
-    print(report.render())
-    if args.out:
-        from repro.prof import write_metrics
 
-        doc = report.as_dict()
-        doc.update(_execution_section(resilience))
-        print(f"table written to {write_metrics(args.out, doc)}")
-    _write_sched_stats(
-        args, cache, benchmark="table1", jobs=args.jobs, resilience=resilience
+    def document() -> dict[str, Any]:
+        from repro.prof.metrics import execution_section
+
+        return {**report.as_dict(), **execution_section(session.telemetry)}
+
+    return session.finish(
+        0 if report.all_verified else 1, report.render(),
+        document=document, written="table",
     )
-    _write_metrics_sidecar(
-        args, command="table1", fleet=fleet, resilience=resilience,
-        cache=cache, jobs_total=len(ALL_BENCHMARKS),
-    )
-    _write_run_trace(args, resilience=resilience, fleet=fleet)
-    return _sched_status(0 if report.all_verified else 1, resilience)
-
-
-def _profiled(args: argparse.Namespace):
-    """Context manager for commands with ``--trace``/``--json``/``--ndjson``:
-    a profiling session when any export was requested, a no-op otherwise."""
-    from contextlib import nullcontext
-
-    if getattr(args, "trace", None) or getattr(args, "json", None) or getattr(
-        args, "ndjson", None
-    ):
-        from repro.prof import profile_session
-
-        return profile_session()
-    return nullcontext(None)
-
-
-def _export_profile(prof, args: argparse.Namespace, benchmark: str, params) -> None:
-    """Write whichever of --trace/--json/--ndjson were requested."""
-    if prof is None:
-        return
-    if getattr(args, "trace", None):
-        path = prof.write_chrome_trace(args.trace)
-        print(f"chrome trace written to {path}")
-    if getattr(args, "ndjson", None):
-        path = prof.write_ndjson(args.ndjson)
-        print(f"ndjson log written to {path}")
-    if getattr(args, "json", None):
-        from repro.prof import write_metrics
-
-        doc = prof.metrics(benchmark=benchmark, params=params)
-        path = write_metrics(args.json, doc)
-        print(f"metrics written to {path}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
-    resilience = None
-    if _resilience_requested(args):
-        if args.json or args.ndjson:
-            print(
-                "note: --json/--ndjson are not collected when a run is "
-                "supervised; rerun without resilience flags to profile "
-                "(--trace is stitched from the run journal instead)",
-                file=sys.stderr,
-            )
-        from repro.core.base import BenchResult
-        from repro.exec import current_backend_name
-        from repro.sched import JobSpec, run_jobs
+    session = _RunSession(args, "run", benchmark=args.benchmark, params=params)
+    with session.scope():
+        if session.supervised:
+            from repro.core.base import BenchResult
+            from repro.sched import JobSpec, run_jobs
 
-        resilience = _make_resilience(args, command="run")
-        spec = JobSpec(
-            benchmark=args.benchmark,
-            params=params,
-            system=args.system,
-            backend=current_backend_name(getattr(args, "backend", None)),
-        )
-        try:
-            with _sigterm_as_interrupt():
-                payloads = run_jobs([spec], resilience=resilience)
-        except KeyboardInterrupt:
-            return _interrupted(resilience)
-        result = BenchResult.from_dict(payloads[0]["result"])
-        prof = None
-    else:
-        system = get_system(args.system) if args.system else None
-        with _backend_scope(args):
-            bench = get_benchmark(args.benchmark, system)
-            with _profiled(args) as prof:
-                result = bench.run(**params)
-    print(result)
+            spec = JobSpec(
+                benchmark=args.benchmark,
+                params=params,
+                system=args.system,
+                backend=current_backend_name(),
+            )
+            payloads = run_jobs([spec], **session.scheduler)
+            result = BenchResult.from_dict(payloads[0]["result"])
+        else:
+            system = get_system(args.system) if args.system else None
+            result = get_benchmark(args.benchmark, system).run(**params)
+    lines = [str(result)]
     if result.metrics:
-        print("metrics:")
-        for k, v in result.metrics.items():
-            print(f"  {k}: {v:.6g}")
+        lines.append("metrics:")
+        lines.extend(f"  {k}: {v:.6g}" for k, v in result.metrics.items())
     if result.notes:
-        print(result.notes)
-    _export_profile(prof, args, args.benchmark, params)
-    if resilience is not None:
-        _write_run_trace(args, resilience=resilience)
-    return _sched_status(0 if result.verified else 1, resilience)
+        lines.append(result.notes)
+    return session.finish(0 if result.verified else 1, "\n".join(lines))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -644,101 +564,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [int(v, 0) for v in args.values.split(",")] if args.values else None
     )
     params = _parse_params(args.param)
-    cache = None
-    resilience = None
-    fleet = _make_fleet(args, command="sweep")
-    if args.jobs > 1 or fleet is not None or _resilience_requested(args):
-        if values is None:
-            raise SystemExit(
-                "--jobs, --fleet/--join, and the resilience flags need "
-                "explicit --values to decompose the sweep into jobs"
-            )
-        if args.json or args.ndjson:
-            print(
-                "note: --json/--ndjson only observe the parent process; "
-                "worker activity is not profiled under --jobs (--trace "
-                "is stitched from the run journal instead)",
-                file=sys.stderr,
-            )
-        from repro.sched import parallel_sweep
+    session = _RunSession(
+        args, "sweep", benchmark=args.benchmark, params=params,
+        jobs_total=len(values) if values else None,
+    )
+    if session.supervised and values is None:
+        raise SystemExit(
+            "--jobs, --fleet/--join, and the resilience flags need "
+            "explicit --values to decompose the sweep into jobs"
+        )
+    with session.scope():
+        if session.supervised:
+            from repro.sched import parallel_sweep
 
-        cache = _make_cache(args)
-        if fleet is not None:
-            resilience = _fleet_resilience(fleet)
+            sweep = parallel_sweep(
+                args.benchmark,
+                values,
+                params=params,
+                system=args.system,
+                jobs=args.jobs,
+                **session.scheduler,
+            )
         else:
-            resilience = _make_resilience(args, command="sweep")
-        try:
-            with _sigterm_as_interrupt(), _metrics_server(
-                args, command="sweep", fleet=fleet, resilience=resilience,
-                cache=cache, jobs_total=len(values),
-            ) as metrics_srv:
-                if metrics_srv is not None:
-                    print(
-                        f"metrics: serving on {metrics_srv.url}",
-                        file=sys.stderr,
-                    )
-                sweep = parallel_sweep(
-                    args.benchmark,
-                    values,
-                    params=params,
-                    system=args.system,
-                    backend=getattr(args, "backend", None),
-                    jobs=args.jobs,
-                    cache=cache,
-                    resilience=None if fleet is not None else resilience,
-                    fleet=fleet,
-                )
-        except KeyboardInterrupt:
-            return _interrupted(resilience, fleet)
-        prof = None
-    else:
-        if getattr(args, "metrics_port", None) is not None:
-            print(
-                "note: --metrics-port needs the scheduler; add --jobs, "
-                "--fleet, or a resilience flag",
-                file=sys.stderr,
-            )
-        system = get_system(args.system) if args.system else None
-        with _backend_scope(args):
-            bench = get_benchmark(args.benchmark, system)
-            with _profiled(args) as prof:
-                sweep = bench.sweep(values, **params)
-    if _resume_noop(args, resilience):
-        _print_resume_noop(args, resilience)
-        _write_sched_stats(
-            args, cache, benchmark=args.benchmark, jobs=args.jobs,
-            resilience=resilience,
-        )
-        _write_metrics_sidecar(
-            args, command="sweep", fleet=fleet, resilience=resilience,
-            cache=cache, jobs_total=len(values) if values else None,
-        )
-        _write_run_trace(args, resilience=resilience, fleet=fleet)
-        return _sched_status(0, resilience)
-    print(sweep.render())
-    if args.out:
-        from repro.prof import write_metrics
+            system = get_system(args.system) if args.system else None
+            sweep = get_benchmark(args.benchmark, system).sweep(values, **params)
 
-        doc = {
-            "schema": "repro-prof-bench/1",
-            "benchmark": args.benchmark,
-            "params": params,
-            "sweep": sweep.as_dict(),
-        }
-        doc.update(_execution_section(resilience))
-        print(f"sweep results written to {write_metrics(args.out, doc)}")
-    _write_sched_stats(
-        args, cache, benchmark=args.benchmark, jobs=args.jobs,
-        resilience=resilience,
+    def document() -> dict[str, Any]:
+        from repro.prof.metrics import sweep_document
+
+        return sweep_document(args.benchmark, params, sweep, session.telemetry)
+
+    return session.finish(
+        0, sweep.render(), document=document, written="sweep results"
     )
-    _write_metrics_sidecar(
-        args, command="sweep", fleet=fleet, resilience=resilience,
-        cache=cache, jobs_total=len(values) if values else None,
-    )
-    _export_profile(prof, args, args.benchmark, params)
-    if prof is None and (fleet is not None or resilience is not None):
-        _write_run_trace(args, resilience=resilience, fleet=fleet)
-    return _sched_status(0, resilience)
 
 
 def cmd_specs(_args: argparse.Namespace) -> int:
@@ -901,7 +759,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         load_claims_dir,
     )
 
-    resilience = None
     if args.doc:
         from repro.prof import load_metrics
 
@@ -916,34 +773,29 @@ def cmd_check(args: argparse.Namespace) -> int:
                     specs.values(), doc, quick=args.quick
                 )
             )
+        print(report.render())
+        status = 0 if report.ok else 1
     else:
         if not args.benchmarks and not args.all:
             raise ReproError(
                 "nothing to check: name benchmarks, or pass --all / --doc"
             )
-        resilience = (
-            _make_resilience(args, command="check")
-            if _resilience_requested(args)
-            else None
-        )
-        try:
-            with _sigterm_as_interrupt():
-                report = check_all(
-                    benchmarks=args.benchmarks or None,
-                    claims_dir=args.claims_dir,
-                    backend=args.backend,
-                    quick=args.quick,
-                    relations=not args.no_relations,
-                    system=args.system,
-                    resilience=resilience,
-                )
-        except KeyboardInterrupt:
-            return _interrupted(resilience)
-    print(report.render())
+        session = _RunSession(args, "check", scope_runtimes=False)
+        with session.scope():
+            report = check_all(
+                benchmarks=args.benchmarks or None,
+                claims_dir=args.claims_dir,
+                backend=args.backend,
+                quick=args.quick,
+                relations=not args.no_relations,
+                system=args.system,
+                resilience=session.resilience,
+            )
+        status = session.finish(0 if report.ok else 1, report.render())
     if args.json:
         path = report.write_json(args.json)
         print(f"conformance report written to {path}")
-    return _sched_status(0 if report.ok else 1, resilience)
+    return status
 
 
 def cmd_prof_roofline(args: argparse.Namespace) -> int:
@@ -1347,474 +1199,492 @@ def cmd_journal_gc(args: argparse.Namespace) -> int:
     return 0
 
 
+_Option = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _opt(*flags: str, **kwargs: Any) -> _Option:
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+def _option_groups() -> dict[str, tuple[_Option, ...]]:
+    """The shared option groups, by name; each option is defined once.
+
+    A command takes a group by naming it in its :data:`_COMMANDS` row,
+    so an option added to a group reaches every command in the group.
+    Built when the parser is, because two defaults live in modules the
+    CLI imports lazily.
+    """
+    from repro.resilience import DEFAULT_JOURNAL_DIR
+    from repro.sched import DEFAULT_CACHE_DIR
+
+    cache_dir = _opt(
+        "--cache-dir",
+        default=DEFAULT_CACHE_DIR,
+        help=f"result-cache directory (default {DEFAULT_CACHE_DIR})",
+    )
+    no_cache = _opt(
+        "--no-cache",
+        action="store_true",
+        help="disable the content-addressed result cache",
+    )
+    journal_dir = _opt(
+        "--journal-dir", default=DEFAULT_JOURNAL_DIR,
+        help=f"run-journal directory (default {DEFAULT_JOURNAL_DIR})",
+    )
+    return {
+        "system": (_opt("--system", help="carina | fornax | rtx3080"),),
+        "param": (
+            _opt(
+                "-p", "--param", action="append", default=[],
+                help="key=value run parameter",
+            ),
+        ),
+        "dry-run": (
+            _opt(
+                "--dry-run", action="store_true",
+                help="report what would be removed without touching anything",
+            ),
+        ),
+        "backend": (
+            _opt(
+                "--backend",
+                choices=BACKENDS,
+                help="memory-analysis execution backend (default: reference, "
+                "or the REPRO_BACKEND environment variable)",
+            ),
+        ),
+        "scheduler": (
+            _opt(
+                "--jobs",
+                type=int,
+                default=1,
+                help="worker processes for the sweep scheduler (default 1 = serial)",
+            ),
+            _opt("--stats", help="write scheduler/cache statistics JSON here"),
+        ),
+        "cache": (no_cache, cache_dir),
+        "cache dir": (cache_dir,),
+        "journal dir": (journal_dir,),
+        "resilience": (
+            _opt(
+                "--max-retries", type=int, default=None, metavar="N",
+                help="retries per failing job before it is quarantined "
+                "(default 2)",
+            ),
+            _opt(
+                "--job-timeout", type=float, default=None, metavar="SECONDS",
+                help="wall-clock budget per job; a job past it is killed and "
+                "retried",
+            ),
+            _opt(
+                "--resume", metavar="RUN_ID",
+                help="resume an interrupted run from its journal, skipping "
+                "already-completed jobs",
+            ),
+            _opt(
+                "--run-id", metavar="RUN_ID",
+                help="journal id for this run (default: random)",
+            ),
+            journal_dir,
+            _opt(
+                "--no-journal", action="store_true",
+                help="disable checkpointing (an interrupted run saves nothing)",
+            ),
+            _opt(
+                "--chaos", metavar="SPEC",
+                help="deterministic scheduler fault injection, e.g. "
+                "'seed=7,crash=0.4,hang=0.2,payload=0.3,max-fault-attempts=2'",
+            ),
+        ),
+        "fleet": (
+            _opt(
+                "--fleet", type=int, default=None, metavar="N",
+                help="run via the work-stealing fleet: spawn N worker "
+                "processes cooperating through a shared journal directory",
+            ),
+            _opt(
+                "--join", default=None, metavar="RUN_ID",
+                help="become one worker of an existing fleet run (started "
+                "elsewhere with --fleet or another --join) and merge when "
+                "the run completes",
+            ),
+            _opt(
+                "--worker-id", default=None, metavar="ID",
+                help="stable worker identity for fleet journals and leases "
+                "(default: derived from pid)",
+            ),
+            _opt(
+                "--lease-ttl", type=float, default=None, metavar="SECONDS",
+                help="missed-heartbeat window before another worker may "
+                "steal a job lease (default 5)",
+            ),
+            _opt(
+                "--heartbeat", type=float, default=None, metavar="SECONDS",
+                help="lease heartbeat interval (default: lease TTL / 3)",
+            ),
+        ),
+        "obs": (
+            _opt(
+                "--metrics", metavar="PATH",
+                help="write a Prometheus text-format metrics sidecar here "
+                "when the run finishes (scheduled runs only)",
+            ),
+            _opt(
+                "--metrics-port", type=int, default=None, metavar="PORT",
+                help="serve GET /metrics live during the run on this port "
+                "(0 = ephemeral; the resolved URL is printed on stderr)",
+            ),
+        ),
+        "export": (
+            _opt("--trace", help="write a Chrome trace-event JSON here"),
+            _opt("--json", help="write the metrics document here"),
+            _opt("--ndjson", help="write an NDJSON activity log here"),
+        ),
+    }
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One row of the command table.
+
+    ``path`` is the command as typed (``"journal show"``); a row without
+    a handler is a command group, whose subcommands' rows follow it.
+    ``groups`` names shared option groups (:func:`_option_groups`);
+    ``options`` are the command's own arguments, added first.
+    """
+
+    path: str
+    help: str
+    fn: Callable[[argparse.Namespace], int] | None = None
+    groups: tuple[str, ...] = ()
+    options: tuple[_Option, ...] = ()
+
+
+_COMMANDS: tuple[_Command, ...] = (
+    _Command("list", "list the fourteen microbenchmarks", cmd_list),
+    _Command(
+        "table1", "run the full suite and print Table I", cmd_table1,
+        groups=("backend", "scheduler", "cache", "resilience", "fleet", "obs"),
+        options=(
+            _opt("--out", help="write the Table I result document here"),
+            _opt(
+                "--trace",
+                help="write a Chrome trace here: the profiler's when the "
+                "suite runs in-process, stitched from the run journal "
+                "when it runs under the scheduler (journaled and fleet "
+                "runs)",
+            ),
+        ),
+    ),
+    _Command("specs", "show the preset GPU architectures", cmd_specs),
+    _Command(
+        "run", "run one microbenchmark", cmd_run,
+        groups=("system", "param", "backend", "export", "resilience"),
+        options=(_opt("benchmark", help="Table I name, e.g. CoMem"),),
+    ),
+    _Command(
+        "sweep", "regenerate a benchmark's figure sweep", cmd_sweep,
+        groups=(
+            "system", "param", "backend", "scheduler", "cache", "resilience",
+            "fleet", "export", "obs",
+        ),
+        options=(
+            _opt("benchmark"),
+            _opt("--values", help="comma-separated sweep values"),
+            _opt("--out", help="write the sweep result document here"),
+        ),
+    ),
+    _Command("journal", "inspect and prune the run-journal directory"),
+    _Command(
+        "journal ls", "list journaled runs, newest first", cmd_journal_ls,
+        groups=("journal dir",),
+    ),
+    _Command(
+        "journal show", "show one run's journaled jobs", cmd_journal_show,
+        groups=("journal dir",),
+        options=(
+            _opt("run_id", help="run id as printed by journal ls"),
+            _opt(
+                "--trace", metavar="TRACE_ID",
+                help="only show jobs whose trace id starts with this prefix",
+            ),
+            _opt(
+                "--span", metavar="SPAN_ID",
+                help="only show jobs whose span id starts with this prefix",
+            ),
+        ),
+    ),
+    _Command(
+        "journal gc", "prune old runs and always sweep stale fleet leases",
+        cmd_journal_gc,
+        groups=("dry-run", "journal dir"),
+        options=(
+            _opt(
+                "--older-than", type=float, default=None, metavar="DAYS",
+                help="remove runs whose newest record is older than this many "
+                "days (default: keep all runs, only sweep stale leases)",
+            ),
+        ),
+    ),
+    _Command(
+        "serve", "run the crash-tolerant benchmark-as-a-service daemon",
+        cmd_serve,
+        groups=("cache",),
+        options=(
+            _opt(
+                "--host", default="127.0.0.1",
+                help="bind address (default 127.0.0.1)",
+            ),
+            _opt(
+                "--port", type=int, default=8321,
+                help="listen port; 0 = ephemeral (default 8321)",
+            ),
+            _opt(
+                "--data-dir", default=".repro-serve",
+                help="durable queue directory: intake journal, request state, "
+                "results, per-request run journals (default .repro-serve)",
+            ),
+            _opt(
+                "--workers", type=int, default=2,
+                help="request worker threads (default 2)",
+            ),
+            _opt(
+                "--jobs", type=int, default=1,
+                help="scheduler worker processes per request (default 1)",
+            ),
+            _opt(
+                "--max-queue", type=int, default=None, metavar="N",
+                help="accepted-but-unclaimed bound; past it submissions get "
+                "429 + Retry-After (default 64)",
+            ),
+            _opt(
+                "--max-per-client", type=int, default=None, metavar="N",
+                help="queued+running cap per X-Client-Id (default 8)",
+            ),
+            _opt(
+                "--breaker-threshold", type=int, default=None, metavar="N",
+                help="consecutive failures before a benchmark's circuit opens "
+                "(default 3)",
+            ),
+            _opt(
+                "--breaker-cooldown", type=float, default=None, metavar="SECONDS",
+                help="open-circuit cool-down before a half-open probe "
+                "(default 30)",
+            ),
+            _opt(
+                "--lease-ttl", type=float, default=None, metavar="SECONDS",
+                help="execution-lease staleness bound (default 30)",
+            ),
+            _opt(
+                "--drain-grace", type=float, default=30.0, metavar="SECONDS",
+                help="how long a SIGTERM drain waits for in-flight requests "
+                "before leaving them for restart recovery (default 30)",
+            ),
+        ),
+    ),
+    _Command("cache", "inspect and prune the result cache"),
+    _Command(
+        "cache gc",
+        "bound the cache by age and/or total size "
+        "(content-addressed entries: eviction only costs a recompute)",
+        cmd_cache_gc,
+        groups=("dry-run", "cache dir"),
+        options=(
+            _opt(
+                "--older-than", type=float, default=None, metavar="DAYS",
+                help="remove entries not (re)stored within this many days",
+            ),
+            _opt(
+                "--max-bytes", default=None, metavar="SIZE",
+                help="then evict oldest-first until the total fits (bytes, or "
+                "K/M/G suffixes)",
+            ),
+        ),
+    ),
+    _Command(
+        "top", "live read-only view of a running fleet", cmd_top,
+        groups=("journal dir",),
+        options=(
+            _opt("run_id", help="fleet run id (see 'journal ls')"),
+            _opt(
+                "--interval", type=float, default=2.0, metavar="SECONDS",
+                help="refresh interval (default 2)",
+            ),
+            _opt(
+                "--once", action="store_true",
+                help="print one snapshot and exit instead of refreshing",
+            ),
+            _opt(
+                "--lease-ttl", type=float, default=None, metavar="SECONDS",
+                help="staleness threshold for worker health (default 5)",
+            ),
+        ),
+    ),
+    _Command(
+        "profile", "run one microbenchmark under the profiler", cmd_profile,
+        groups=("system", "param", "backend", "export"),
+        options=(_opt("benchmark", help="Table I name, e.g. WarpDivRedux"),),
+    ),
+    _Command("prof", "analyze saved metrics documents"),
+    _Command(
+        "prof diff", "compare two metrics JSONs; exit 1 on regression",
+        cmd_prof_diff,
+        options=(
+            _opt("before", help="baseline metrics JSON"),
+            _opt("after", help="candidate metrics JSON"),
+            _opt(
+                "--time-tolerance",
+                type=float,
+                default=0.10,
+                help="relative time-growth threshold (default 0.10 = +10%%)",
+            ),
+            _opt(
+                "--metric-tolerance",
+                type=float,
+                default=0.05,
+                help="absolute efficiency-drop threshold (default 0.05)",
+            ),
+            _opt(
+                "--claims",
+                help="claim file or directory; claims failing on the after "
+                "document count as regressions",
+            ),
+            _opt(
+                "--allow-backend-mismatch",
+                action="store_true",
+                help="diff documents produced by different execution backends "
+                "anyway (refused by default: a backend change is not a "
+                "performance delta)",
+            ),
+        ),
+    ),
+    _Command(
+        "prof roofline", "print the roofline table of a metrics JSON",
+        cmd_prof_roofline,
+        options=(_opt("metrics", help="metrics JSON from `repro profile`"),),
+    ),
+    _Command(
+        "check",
+        "verify the paper's claims: Table I ranges, figure trends, "
+        "metric invariants, metamorphic relations",
+        cmd_check,
+        groups=("system", "resilience"),
+        options=(
+            _opt(
+                "benchmarks",
+                nargs="*",
+                help="Table I names to check (default: none; use --all)",
+            ),
+            _opt(
+                "--all", action="store_true",
+                help="check every benchmark with a claim file",
+            ),
+            _opt(
+                "--backend",
+                choices=(*BACKENDS, "both"),
+                help="execution backend(s) to check under: one name or 'both' "
+                "(reference+jit, the default)",
+            ),
+            _opt(
+                "--quick",
+                action="store_true",
+                help="skip claims tagged slow = true in their claim file",
+            ),
+            _opt(
+                "--claims-dir",
+                help="claim-file directory (default benchmarks/claims)",
+            ),
+            _opt(
+                "--doc",
+                action="append",
+                default=[],
+                help="audit a saved metrics/results JSON instead of running live "
+                "(repeatable)",
+            ),
+            _opt(
+                "--no-relations",
+                action="store_true",
+                help="skip the metamorphic-relation runner",
+            ),
+            _opt("--json", help="write the conformance report JSON here"),
+        ),
+    ),
+    _Command(
+        "doctor", "diagnose a benchmark's kernels for performance bugs",
+        cmd_doctor,
+        groups=("system", "param"),
+        options=(_opt("benchmark", help="Table I name, e.g. CoMem"),),
+    ),
+    _Command(
+        "sanitize",
+        "run under the compute-sanitizer analog, with optional fault injection",
+        cmd_sanitize,
+        groups=("system", "param"),
+        options=(
+            _opt(
+                "target", help="benchmark (e.g. MemAlign) or demo (e.g. oob-write)"
+            ),
+            _opt(
+                "--tool",
+                default="all",
+                choices=("all", "memcheck", "racecheck", "synccheck", "leakcheck"),
+                help="sanitizer tool to enable (default: all)",
+            ),
+            _opt(
+                "--fault-seed", type=int, default=None,
+                help="seed for the fault plan",
+            ),
+            _opt("--h2d-fail-prob", type=float, default=0.0),
+            _opt("--d2h-fail-prob", type=float, default=0.0),
+            _opt("--corrupt-prob", type=float, default=0.0),
+            _opt(
+                "--abort-at", type=int, default=None,
+                help="0-based launch ordinal to abort",
+            ),
+            _opt(
+                "--alloc-fail-after", type=int, default=None,
+                help="allocation byte budget",
+            ),
+            _opt(
+                "--max-transfer-failures",
+                type=int,
+                default=None,
+                help="cap on injected transfer failures (1 = fail once, then recover)",
+            ),
+            _opt(
+                "--stall-every", type=int, default=None,
+                help="stall every N-th stream op",
+            ),
+            _opt(
+                "--watchdog", type=float, default=None,
+                help="issue-cycle budget per kernel",
+            ),
+        ),
+    ),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built by walking the command table."""
     p = argparse.ArgumentParser(
         prog="python -m repro",
         description="CUDAMicroBench reproduction: simulated GPU microbenchmarks",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_backend_flag(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--backend",
-            choices=BACKENDS,
-            help="memory-analysis execution backend (default: reference, "
-            "or the REPRO_BACKEND environment variable)",
-        )
-
-    def add_sched_flags(sp: argparse.ArgumentParser) -> None:
-        from repro.sched import DEFAULT_CACHE_DIR
-
-        sp.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for the sweep scheduler (default 1 = serial)",
-        )
-        sp.add_argument(
-            "--no-cache",
-            action="store_true",
-            help="disable the content-addressed result cache",
-        )
-        sp.add_argument(
-            "--cache-dir",
-            default=DEFAULT_CACHE_DIR,
-            help=f"result-cache directory (default {DEFAULT_CACHE_DIR})",
-        )
-        sp.add_argument(
-            "--stats", help="write scheduler/cache statistics JSON here"
-        )
-
-    def add_resilience_flags(sp: argparse.ArgumentParser) -> None:
-        from repro.resilience import DEFAULT_JOURNAL_DIR
-
-        sp.add_argument(
-            "--max-retries", type=int, default=None, metavar="N",
-            help="retries per failing job before it is quarantined "
-            "(default 2)",
-        )
-        sp.add_argument(
-            "--job-timeout", type=float, default=None, metavar="SECONDS",
-            help="wall-clock budget per job; a job past it is killed and "
-            "retried",
-        )
-        sp.add_argument(
-            "--resume", metavar="RUN_ID",
-            help="resume an interrupted run from its journal, skipping "
-            "already-completed jobs",
-        )
-        sp.add_argument(
-            "--run-id", metavar="RUN_ID",
-            help="journal id for this run (default: random)",
-        )
-        sp.add_argument(
-            "--journal-dir", default=DEFAULT_JOURNAL_DIR,
-            help=f"run-journal directory (default {DEFAULT_JOURNAL_DIR})",
-        )
-        sp.add_argument(
-            "--no-journal", action="store_true",
-            help="disable checkpointing (an interrupted run saves nothing)",
-        )
-        sp.add_argument(
-            "--chaos", metavar="SPEC",
-            help="deterministic scheduler fault injection, e.g. "
-            "'seed=7,crash=0.4,hang=0.2,payload=0.3,max-fault-attempts=2'",
-        )
-
-    def add_fleet_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--fleet", type=int, default=None, metavar="N",
-            help="run via the work-stealing fleet: spawn N worker "
-            "processes cooperating through a shared journal directory",
-        )
-        sp.add_argument(
-            "--join", default=None, metavar="RUN_ID",
-            help="become one worker of an existing fleet run (started "
-            "elsewhere with --fleet or another --join) and merge when "
-            "the run completes",
-        )
-        sp.add_argument(
-            "--worker-id", default=None, metavar="ID",
-            help="stable worker identity for fleet journals and leases "
-            "(default: derived from pid)",
-        )
-        sp.add_argument(
-            "--lease-ttl", type=float, default=None, metavar="SECONDS",
-            help="missed-heartbeat window before another worker may "
-            "steal a job lease (default 5)",
-        )
-        sp.add_argument(
-            "--heartbeat", type=float, default=None, metavar="SECONDS",
-            help="lease heartbeat interval (default: lease TTL / 3)",
-        )
-
-    def add_obs_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--metrics", metavar="PATH",
-            help="write a Prometheus text-format metrics sidecar here "
-            "when the run finishes (scheduled runs only)",
-        )
-        sp.add_argument(
-            "--metrics-port", type=int, default=None, metavar="PORT",
-            help="serve GET /metrics live during the run on this port "
-            "(0 = ephemeral; the resolved URL is printed on stderr)",
-        )
-
-    sub.add_parser("list", help="list the fourteen microbenchmarks").set_defaults(
-        fn=cmd_list
-    )
-    table1_p = sub.add_parser("table1", help="run the full suite and print Table I")
-    table1_p.add_argument("--out", help="write the Table I result document here")
-    table1_p.add_argument(
-        "--trace",
-        help="write a Chrome trace stitched from the run journal here "
-        "(journaled and fleet runs)",
-    )
-    add_backend_flag(table1_p)
-    add_sched_flags(table1_p)
-    add_resilience_flags(table1_p)
-    add_fleet_flags(table1_p)
-    add_obs_flags(table1_p)
-    table1_p.set_defaults(fn=cmd_table1)
-    sub.add_parser("specs", help="show the preset GPU architectures").set_defaults(
-        fn=cmd_specs
-    )
-
-    def add_export_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--trace", help="write a Chrome trace-event JSON here")
-        sp.add_argument("--json", help="write the metrics document here")
-        sp.add_argument("--ndjson", help="write an NDJSON activity log here")
-
-    run_p = sub.add_parser("run", help="run one microbenchmark")
-    run_p.add_argument("benchmark", help="Table I name, e.g. CoMem")
-    run_p.add_argument("--system", help="carina | fornax | rtx3080")
-    run_p.add_argument(
-        "-p", "--param", action="append", default=[], help="key=value run parameter"
-    )
-    add_backend_flag(run_p)
-    add_export_flags(run_p)
-    add_resilience_flags(run_p)
-    run_p.set_defaults(fn=cmd_run)
-
-    sweep_p = sub.add_parser("sweep", help="regenerate a benchmark's figure sweep")
-    sweep_p.add_argument("benchmark")
-    sweep_p.add_argument("--system", help="carina | fornax | rtx3080")
-    sweep_p.add_argument("--values", help="comma-separated sweep values")
-    sweep_p.add_argument(
-        "-p", "--param", action="append", default=[], help="key=value run parameter"
-    )
-    sweep_p.add_argument("--out", help="write the sweep result document here")
-    add_backend_flag(sweep_p)
-    add_sched_flags(sweep_p)
-    add_resilience_flags(sweep_p)
-    add_fleet_flags(sweep_p)
-    add_export_flags(sweep_p)
-    add_obs_flags(sweep_p)
-    sweep_p.set_defaults(fn=cmd_sweep)
-
-    journal_p = sub.add_parser(
-        "journal", help="inspect and prune the run-journal directory"
-    )
-    jsub = journal_p.add_subparsers(dest="journal_command", required=True)
-
-    def add_journal_dir(sp: argparse.ArgumentParser) -> None:
-        from repro.resilience import DEFAULT_JOURNAL_DIR
-
-        sp.add_argument(
-            "--journal-dir", default=DEFAULT_JOURNAL_DIR,
-            help=f"run-journal directory (default {DEFAULT_JOURNAL_DIR})",
-        )
-
-    jls_p = jsub.add_parser("ls", help="list journaled runs, newest first")
-    add_journal_dir(jls_p)
-    jls_p.set_defaults(fn=cmd_journal_ls)
-    jshow_p = jsub.add_parser("show", help="show one run's journaled jobs")
-    jshow_p.add_argument("run_id", help="run id as printed by journal ls")
-    jshow_p.add_argument(
-        "--trace", metavar="TRACE_ID",
-        help="only show jobs whose trace id starts with this prefix",
-    )
-    jshow_p.add_argument(
-        "--span", metavar="SPAN_ID",
-        help="only show jobs whose span id starts with this prefix",
-    )
-    add_journal_dir(jshow_p)
-    jshow_p.set_defaults(fn=cmd_journal_show)
-    jgc_p = jsub.add_parser(
-        "gc",
-        help="prune old runs and always sweep stale fleet leases",
-    )
-    jgc_p.add_argument(
-        "--older-than", type=float, default=None, metavar="DAYS",
-        help="remove runs whose newest record is older than this many "
-        "days (default: keep all runs, only sweep stale leases)",
-    )
-    jgc_p.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be removed without touching anything",
-    )
-    add_journal_dir(jgc_p)
-    jgc_p.set_defaults(fn=cmd_journal_gc)
-
-    from repro.sched import DEFAULT_CACHE_DIR as _DEFAULT_CACHE
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the crash-tolerant benchmark-as-a-service daemon",
-    )
-    serve_p.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    serve_p.add_argument(
-        "--port", type=int, default=8321,
-        help="listen port; 0 = ephemeral (default 8321)",
-    )
-    serve_p.add_argument(
-        "--data-dir", default=".repro-serve",
-        help="durable queue directory: intake journal, request state, "
-        "results, per-request run journals (default .repro-serve)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=2,
-        help="request worker threads (default 2)",
-    )
-    serve_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="scheduler worker processes per request (default 1)",
-    )
-    serve_p.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
-        help="accepted-but-unclaimed bound; past it submissions get "
-        "429 + Retry-After (default 64)",
-    )
-    serve_p.add_argument(
-        "--max-per-client", type=int, default=None, metavar="N",
-        help="queued+running cap per X-Client-Id (default 8)",
-    )
-    serve_p.add_argument(
-        "--breaker-threshold", type=int, default=None, metavar="N",
-        help="consecutive failures before a benchmark's circuit opens "
-        "(default 3)",
-    )
-    serve_p.add_argument(
-        "--breaker-cooldown", type=float, default=None, metavar="SECONDS",
-        help="open-circuit cool-down before a half-open probe "
-        "(default 30)",
-    )
-    serve_p.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="execution-lease staleness bound (default 30)",
-    )
-    serve_p.add_argument(
-        "--drain-grace", type=float, default=30.0, metavar="SECONDS",
-        help="how long a SIGTERM drain waits for in-flight requests "
-        "before leaving them for restart recovery (default 30)",
-    )
-    serve_p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-addressed result cache",
-    )
-    serve_p.add_argument(
-        "--cache-dir", default=_DEFAULT_CACHE,
-        help=f"result-cache directory (default {_DEFAULT_CACHE})",
-    )
-    serve_p.set_defaults(fn=cmd_serve)
-
-    cache_p = sub.add_parser(
-        "cache", help="inspect and prune the result cache"
-    )
-    csub = cache_p.add_subparsers(dest="cache_command", required=True)
-    cgc_p = csub.add_parser(
-        "gc",
-        help="bound the cache by age and/or total size "
-        "(content-addressed entries: eviction only costs a recompute)",
-    )
-    cgc_p.add_argument(
-        "--older-than", type=float, default=None, metavar="DAYS",
-        help="remove entries not (re)stored within this many days",
-    )
-    cgc_p.add_argument(
-        "--max-bytes", default=None, metavar="SIZE",
-        help="then evict oldest-first until the total fits (bytes, or "
-        "K/M/G suffixes)",
-    )
-    cgc_p.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be removed without touching anything",
-    )
-    cgc_p.add_argument(
-        "--cache-dir", default=_DEFAULT_CACHE,
-        help=f"result-cache directory (default {_DEFAULT_CACHE})",
-    )
-    cgc_p.set_defaults(fn=cmd_cache_gc)
-
-    top_p = sub.add_parser(
-        "top", help="live read-only view of a running fleet"
-    )
-    top_p.add_argument("run_id", help="fleet run id (see 'journal ls')")
-    top_p.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="refresh interval (default 2)",
-    )
-    top_p.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit instead of refreshing",
-    )
-    top_p.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="staleness threshold for worker health (default 5)",
-    )
-    add_journal_dir(top_p)
-    top_p.set_defaults(fn=cmd_top)
-
-    profile_p = sub.add_parser(
-        "profile", help="run one microbenchmark under the profiler"
-    )
-    profile_p.add_argument("benchmark", help="Table I name, e.g. WarpDivRedux")
-    profile_p.add_argument("--system", help="carina | fornax | rtx3080")
-    profile_p.add_argument(
-        "-p", "--param", action="append", default=[], help="key=value run parameter"
-    )
-    add_backend_flag(profile_p)
-    add_export_flags(profile_p)
-    profile_p.set_defaults(fn=cmd_profile)
-
-    prof_p = sub.add_parser("prof", help="analyze saved metrics documents")
-    prof_sub = prof_p.add_subparsers(dest="prof_command", required=True)
-    diff_p = prof_sub.add_parser(
-        "diff", help="compare two metrics JSONs; exit 1 on regression"
-    )
-    diff_p.add_argument("before", help="baseline metrics JSON")
-    diff_p.add_argument("after", help="candidate metrics JSON")
-    diff_p.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=0.10,
-        help="relative time-growth threshold (default 0.10 = +10%%)",
-    )
-    diff_p.add_argument(
-        "--metric-tolerance",
-        type=float,
-        default=0.05,
-        help="absolute efficiency-drop threshold (default 0.05)",
-    )
-    diff_p.add_argument(
-        "--claims",
-        help="claim file or directory; claims failing on the after "
-        "document count as regressions",
-    )
-    diff_p.add_argument(
-        "--allow-backend-mismatch",
-        action="store_true",
-        help="diff documents produced by different execution backends "
-        "anyway (refused by default: a backend change is not a "
-        "performance delta)",
-    )
-    diff_p.set_defaults(fn=cmd_prof_diff)
-    roof_p = prof_sub.add_parser(
-        "roofline", help="print the roofline table of a metrics JSON"
-    )
-    roof_p.add_argument("metrics", help="metrics JSON from `repro profile`")
-    roof_p.set_defaults(fn=cmd_prof_roofline)
-
-    check_p = sub.add_parser(
-        "check",
-        help="verify the paper's claims: Table I ranges, figure trends, "
-        "metric invariants, metamorphic relations",
-    )
-    check_p.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="Table I names to check (default: none; use --all)",
-    )
-    check_p.add_argument(
-        "--all", action="store_true", help="check every benchmark with a claim file"
-    )
-    check_p.add_argument(
-        "--backend",
-        choices=(*BACKENDS, "both"),
-        help="execution backend(s) to check under: one name or 'both' "
-        "(reference+jit, the default)",
-    )
-    check_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip claims tagged slow = true in their claim file",
-    )
-    check_p.add_argument(
-        "--claims-dir",
-        help="claim-file directory (default benchmarks/claims)",
-    )
-    check_p.add_argument(
-        "--doc",
-        action="append",
-        default=[],
-        help="audit a saved metrics/results JSON instead of running live "
-        "(repeatable)",
-    )
-    check_p.add_argument(
-        "--no-relations",
-        action="store_true",
-        help="skip the metamorphic-relation runner",
-    )
-    check_p.add_argument("--system", help="carina | fornax | rtx3080")
-    check_p.add_argument("--json", help="write the conformance report JSON here")
-    add_resilience_flags(check_p)
-    check_p.set_defaults(fn=cmd_check)
-
-    doc_p = sub.add_parser(
-        "doctor", help="diagnose a benchmark's kernels for performance bugs"
-    )
-    doc_p.add_argument("benchmark", help="Table I name, e.g. CoMem")
-    doc_p.add_argument("--system", help="carina | fornax | rtx3080")
-    doc_p.add_argument(
-        "-p", "--param", action="append", default=[], help="key=value run parameter"
-    )
-    doc_p.set_defaults(fn=cmd_doctor)
-
-    san_p = sub.add_parser(
-        "sanitize",
-        help="run under the compute-sanitizer analog, with optional fault injection",
-    )
-    san_p.add_argument(
-        "target", help="benchmark (e.g. MemAlign) or demo (e.g. oob-write)"
-    )
-    san_p.add_argument(
-        "--tool",
-        default="all",
-        choices=("all", "memcheck", "racecheck", "synccheck", "leakcheck"),
-        help="sanitizer tool to enable (default: all)",
-    )
-    san_p.add_argument("--system", help="carina | fornax | rtx3080")
-    san_p.add_argument(
-        "--fault-seed", type=int, default=None, help="seed for the fault plan"
-    )
-    san_p.add_argument("--h2d-fail-prob", type=float, default=0.0)
-    san_p.add_argument("--d2h-fail-prob", type=float, default=0.0)
-    san_p.add_argument("--corrupt-prob", type=float, default=0.0)
-    san_p.add_argument(
-        "--abort-at", type=int, default=None, help="0-based launch ordinal to abort"
-    )
-    san_p.add_argument(
-        "--alloc-fail-after", type=int, default=None, help="allocation byte budget"
-    )
-    san_p.add_argument(
-        "--max-transfer-failures",
-        type=int,
-        default=None,
-        help="cap on injected transfer failures (1 = fail once, then recover)",
-    )
-    san_p.add_argument(
-        "--stall-every", type=int, default=None, help="stall every N-th stream op"
-    )
-    san_p.add_argument(
-        "--watchdog", type=float, default=None, help="issue-cycle budget per kernel"
-    )
-    san_p.add_argument(
-        "-p", "--param", action="append", default=[], help="key=value run parameter"
-    )
-    san_p.set_defaults(fn=cmd_sanitize)
+    groups = _option_groups()
+    subparsers = {"": p.add_subparsers(dest="command", required=True)}
+    for cmd in _COMMANDS:
+        parent, _, name = cmd.path.rpartition(" ")
+        sp = subparsers[parent].add_parser(name, help=cmd.help)
+        if cmd.fn is None:
+            subparsers[cmd.path] = sp.add_subparsers(
+                dest=f"{name}_command", required=True
+            )
+            continue
+        shared = (opt for group in cmd.groups for opt in groups[group])
+        for flags, kwargs in (*cmd.options, *shared):
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(fn=cmd.fn)
     return p
 
 
@@ -1825,6 +1695,8 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _Interrupted:
+        return 4
 
 
 if __name__ == "__main__":

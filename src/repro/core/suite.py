@@ -7,6 +7,7 @@ the measured speedup beside the paper's reported figure.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,6 +65,13 @@ def run_suite(
     ``system=None`` keeps each benchmark's paper-faithful default
     (Carina/V100 for most, Fornax/K80 for ReadOnlyMem, RTX 3080 for
     DynParallel and GSOverlap).
+
+    A runtime and its streams and launch closures refer to each other,
+    so the device buffers of a finished row are freed only by the cyclic
+    collector.  Collecting after every row frees them before the next
+    row allocates; left to the collector's own schedule, the suite's
+    peak memory would depend on how many objects the caller allocated
+    before the first row.
     """
     overrides = overrides or {}
     report = SuiteReport()
@@ -71,6 +79,7 @@ def run_suite(
         bench = cls(system)
         kwargs = overrides.get(cls.name, {})
         report.results.append(bench.run(**kwargs))
+        gc.collect()
     return report
 
 

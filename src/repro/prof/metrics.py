@@ -29,7 +29,9 @@ from repro.timing.model import estimate_kernel_time
 from repro.timing.occupancy import compute_occupancy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.base import SweepResult
     from repro.host.runtime import CudaLite
+    from repro.resilience.supervisor import SchedTelemetry
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -38,6 +40,8 @@ __all__ = [
     "kernel_entry",
     "collect_metrics",
     "merge_metrics",
+    "execution_section",
+    "sweep_document",
     "render_metrics",
     "write_metrics",
     "load_metrics",
@@ -197,6 +201,44 @@ def merge_metrics(docs: Sequence[dict[str, Any]]) -> dict[str, Any]:
     if execution:
         merged["execution"] = execution
     return merged
+
+
+def execution_section(telemetry: SchedTelemetry | None) -> dict[str, Any]:
+    """A result document's ``execution`` section, as a dict to merge in.
+
+    Present only when the run degraded, so clean documents stay
+    byte-identical across serial/parallel/cold/warm/resumed runs while
+    a fallback (the one case where the configuration asked for was not
+    what actually ran) is recorded next to the results it produced.
+    ``telemetry`` is None for a run outside the scheduler.
+    """
+    if telemetry is None or not telemetry.fallbacks:
+        return {}
+    return {
+        "execution": {
+            "mode": telemetry.mode, "fallbacks": list(telemetry.fallbacks),
+        }
+    }
+
+
+def sweep_document(
+    benchmark: str,
+    params: dict[str, Any],
+    sweep: SweepResult,
+    telemetry: SchedTelemetry | None,
+) -> dict[str, Any]:
+    """The result document of a figure sweep.
+
+    ``repro sweep --out`` and a sweep served by ``repro serve`` are both
+    built here, which keeps the two ``cmp``-identical.
+    """
+    return {
+        "schema": BENCH_SCHEMA,
+        "benchmark": benchmark,
+        "params": params,
+        "sweep": sweep.as_dict(),
+        **execution_section(telemetry),
+    }
 
 
 def render_metrics(doc: dict[str, Any]) -> str:

@@ -6,11 +6,12 @@ the same work — ``run``/``sweep`` through
 :func:`~repro.sched.runner.run_jobs` / ``parallel_sweep`` under a
 :class:`~repro.resilience.supervisor.ResilienceConfig`, ``profile``
 through :func:`~repro.prof.profile_session`, ``check`` through
-:func:`~repro.check.check_all` — and renders the result document with
-the same :func:`~repro.prof.render_metrics` serializer the CLI's
-``--out`` uses.  Same decomposition + same serializer = a served
-result that ``cmp``-compares byte-identical to the serial command
-line, which is the recovery story's acceptance test.
+:func:`~repro.check.check_all` — builds a sweep's result document with
+the CLI's :func:`~repro.prof.metrics.sweep_document`, and renders it
+with the same :func:`~repro.prof.render_metrics` serializer the CLI's
+``--out`` uses.  Same decomposition + same document + same serializer
+= a served result that ``cmp``-compares byte-identical to the serial
+command line, which is the recovery story's acceptance test.
 
 Durability plumbing per request:
 
@@ -173,7 +174,12 @@ def _execute_pooled(
     entry: QueueEntry, *, data_dir, cache, jobs, on_event, now
 ) -> ExecutionOutcome:
     from repro.core.base import BenchResult
-    from repro.prof.metrics import BENCH_SCHEMA, render_metrics
+    from repro.prof.metrics import (
+        BENCH_SCHEMA,
+        execution_section,
+        render_metrics,
+        sweep_document,
+    )
     from repro.sched.runner import parallel_sweep, run_jobs
 
     req = entry.request
@@ -192,12 +198,9 @@ def _execute_pooled(
                 cache=cache,
                 resilience=resilience,
             )
-            doc = {
-                "schema": BENCH_SCHEMA,
-                "benchmark": req.benchmark,
-                "params": req.params,
-                "sweep": sweep.as_dict(),
-            }
+            doc = sweep_document(
+                req.benchmark, req.params, sweep, resilience.telemetry
+            )
         else:
             payloads = run_jobs(
                 req.job_specs(), jobs=jobs, cache=cache,
@@ -209,12 +212,7 @@ def _execute_pooled(
                 "benchmark": req.benchmark,
                 "params": req.params,
                 "results": [result.as_dict()],
-            }
-        # mirror the CLI: a degraded run records how it actually ran
-        tele = resilience.telemetry
-        if tele.fallbacks:
-            doc["execution"] = {
-                "mode": tele.mode, "fallbacks": list(tele.fallbacks),
+                **execution_section(resilience.telemetry),
             }
         return ExecutionOutcome(state="done", text=render_metrics(doc))
     finally:

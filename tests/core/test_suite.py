@@ -1,7 +1,11 @@
 """Suite runner and Table I rendering (scaled-down end-to-end run)."""
 
+import gc
+import weakref
+
 import pytest
 
+import repro.core.suite as suite_module
 from repro.core.registry import ALL_BENCHMARKS
 from repro.core.suite import SuiteReport, run_suite
 
@@ -61,3 +65,45 @@ class TestRender:
         assert "paper speedup" in out
         assert "measured" in out
         assert "x" in out
+
+
+class TestRowMemory:
+    def test_a_finished_row_is_freed_before_the_next_starts(self, monkeypatch):
+        """A row's runtime sits in reference cycles; the suite collects
+        them after the row instead of leaving them to the collector's
+        own schedule, which would make the peak depend on the caller."""
+        rows = []
+
+        class Node:
+            pass
+
+        class Cyclic:
+            name = "Cyclic"
+
+            def __init__(self, system):
+                pass
+
+            def run(self):
+                node = Node()
+                node.self = node  # like a runtime and its streams
+                rows.append(weakref.ref(node))
+                return "cyclic"
+
+        class Probe:
+            name = "Probe"
+
+            def __init__(self, system):
+                pass
+
+            def run(self):
+                return rows[0]() is None
+
+        monkeypatch.setattr(suite_module, "ALL_BENCHMARKS", [Cyclic, Probe])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = run_suite()
+        finally:
+            if enabled:
+                gc.enable()
+        assert report.results == ["cyclic", True]

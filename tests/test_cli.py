@@ -509,7 +509,8 @@ class TestCheckCommand:
         assert report["schema"] == "repro-conformance/1"
         assert report["ok"] is True
 
-    def test_live_check_one_benchmark(self, capsys, tmp_path):
+    @pytest.mark.parametrize("backend", ["reference", "both"])
+    def test_live_check_one_benchmark(self, capsys, tmp_path, backend):
         spec = tmp_path / "memalign.toml"
         spec.write_text(
             'schema = "repro-claims/1"\nbenchmark = "MemAlign"\n'
@@ -519,7 +520,7 @@ class TestCheckCommand:
         )
         rc = main([
             "check", "MemAlign", "--claims-dir", str(tmp_path),
-            "--backend", "reference", "--no-relations",
+            "--backend", backend, "--no-relations",
         ])
         assert rc == 0
         assert "conformance: OK" in capsys.readouterr().out
@@ -696,6 +697,24 @@ class TestResumeNothingToDo:
         assert "r1 already complete" in printed
         assert out.read_text() == "sentinel: must not be re-written"
         assert first_bytes  # sanity: the first run did write the doc
+
+    def test_complete_resume_writes_missing_out(self, capsys, tmp_path):
+        # a run killed after its last journal record but before --out
+        # was written, or run without --out: the resume writes it
+        serial = tmp_path / "serial.json"
+        resumed = tmp_path / "resumed.json"
+        assert main([
+            "sweep", "MemAlign", "--values", "8192,16384",
+            "--out", str(serial),
+        ]) == 0
+        assert self._sweep(tmp_path, "--run-id", "r1") == 0
+        capsys.readouterr()
+        assert self._sweep(
+            tmp_path, "--resume", "r1", "--out", str(resumed),
+            "--stats", str(tmp_path / "stats.json"),
+        ) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        assert resumed.read_bytes() == serial.read_bytes()
 
     def test_partial_resume_still_runs_and_writes(self, capsys, tmp_path):
         assert self._sweep(tmp_path, "--run-id", "r1") == 0
@@ -969,6 +988,36 @@ class TestObsCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "pool-quarantine.json" in out and "reason=quarantine" in out
+
+
+class TestTable1Trace:
+    def test_in_process_trace_comes_from_the_profiler(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        import repro.__main__ as cli
+        from repro.core.registry import get_benchmark
+        from repro.core.suite import SuiteReport
+
+        calls = []
+
+        def one_benchmark_suite():
+            calls.append("MemAlign")
+            report = SuiteReport()
+            report.results.append(get_benchmark("MemAlign").run(n=16384))
+            return report
+
+        # the perf benchmark's launcher rebinds the same global to run
+        # Table I at its problem sizes
+        monkeypatch.setattr(cli, "run_suite", one_benchmark_suite)
+        trace = tmp_path / "trace.json"
+        assert main(["table1", "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert calls == ["MemAlign"]
+        assert "--no-journal" not in captured.err
+        assert "chrome trace written to" in captured.out
+        assert json.loads(trace.read_text())["traceEvents"]
 
 
 class TestCacheGCCommand:

@@ -131,6 +131,8 @@ def _make_fleet(args: argparse.Namespace, *, command: str):
     kwargs: dict[str, Any] = {}
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
+    if args.job_timeout is not None:
+        kwargs["job_timeout_s"] = args.job_timeout
     return FleetConfig(
         run_id=run_id,
         worker_id=args.worker_id or "",

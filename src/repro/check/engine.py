@@ -144,28 +144,22 @@ def _check_supervised(
     """Run the (backend × claim file) units under the resilience policy.
 
     Conformance outcomes are built in-process, so the worker pool cannot
-    isolate them; supervision here is serial-grade — the shared retry/
-    backoff policy, :func:`wall_clock_limit` for the per-unit timeout,
-    journal checkpoints (one outcome list per unit) for ``--resume``,
-    and simulated chaos keyed on the unit ordinal.
+    isolate them: each unit climbs the supervision
+    :class:`~repro.resilience.supervisor.Ladder` in-process, with
+    :func:`~repro.resilience.supervisor.wall_clock_limit` for the
+    per-unit timeout, journal checkpoints (one outcome list per unit)
+    for ``--resume``, and simulated chaos keyed on the unit ordinal.  A
+    unit has no backend to fall back from: it verifies its backend.
     """
-    import time
+    from functools import partial
 
     from repro.check.report import CheckOutcome
-    from repro.resilience.supervisor import (
-        _MAX_REAL_BACKOFF_S,
-        JobTimeout,
-        QuarantineError,
-        WorkerCrash,
-        _emit,
-        wall_clock_limit,
-    )
+    from repro.resilience.supervisor import Ladder
 
     tele = config.telemetry
     tele.mode = "serial"
     chaos = config.chaos
     journal = config.journal
-    hub = config.hub
     if journal is not None:
         tele.journal_run_id = journal.run_id
 
@@ -177,61 +171,18 @@ def _check_supervised(
             else None
         )
         if fp is not None and fp in journal.completed:
-            tele.resume_skips += 1
-            _emit(hub, "resume-skip", benchmark=spec.benchmark, job=ordinal)
+            config.report("resume-skip", benchmark=spec.benchmark, job=ordinal)
             report.extend(
                 CheckOutcome.from_dict(d) for d in journal.completed[fp]
             )
             continue
-        subject = f"check {spec.benchmark} [{be}]"
-        outcomes: list[CheckOutcome] | None = None
-        attempts = 0
-        while True:
-            try:
-                action = (
-                    chaos.worker_outcome(ordinal, attempts)
-                    if chaos is not None
-                    else "ok"
-                )
-                if action == "crash":
-                    raise WorkerCrash(
-                        f"injected crash (check unit {ordinal})"
-                    )
-                if action == "hang":
-                    raise JobTimeout(f"injected hang (check unit {ordinal})")
-                with wall_clock_limit(config.job_timeout_s, subject):
-                    outcomes = check_benchmark(
-                        spec, backend=be, quick=quick, system=system
-                    )
-                break
-            except ReproError as exc:
-                what = dict(benchmark=spec.benchmark, job=ordinal)
-                if isinstance(exc, JobTimeout):
-                    tele.timeouts += 1
-                    _emit(hub, "timeout", **what, error=str(exc))
-                elif isinstance(exc, WorkerCrash):
-                    tele.crashes += 1
-                    _emit(hub, "worker-crash", **what, error=str(exc))
-                else:
-                    tele.job_errors += 1
-                    _emit(hub, "job-error", **what, error=str(exc))
-                attempts += 1
-                if attempts > config.max_retries:
-                    tele.quarantined.append(
-                        {**what, "attempts": attempts, "error": str(exc)}
-                    )
-                    _emit(hub, "quarantine", **what, attempts=attempts)
-                    break
-                retry = attempts - 1
-                u = (
-                    chaos.retry_jitter(ordinal, retry)
-                    if chaos is not None
-                    else 0.0
-                )
-                delay = config.retry_policy.backoff(retry, u)
-                tele.retries += 1
-                _emit(hub, "retry", **what, attempt=attempts, backoff_s=delay)
-                time.sleep(min(delay, _MAX_REAL_BACKOFF_S))
+        ladder = Ladder(ordinal, spec.benchmark, None, config, config.report)
+        outcomes = ladder.run(
+            partial(
+                check_benchmark, spec, backend=be, quick=quick, system=system
+            ),
+            config.job_timeout_s,
+        )
         if outcomes is None:
             continue
         report.extend(outcomes)
@@ -244,19 +195,7 @@ def _check_supervised(
         tele.completed += 1
         if chaos is not None and chaos.interrupts_after(tele.completed):
             raise KeyboardInterrupt
-    if tele.quarantined:
-        names = ", ".join(
-            f"{q['benchmark']}#{q['job']}" for q in tele.quarantined
-        )
-        hint = (
-            f"; completed units are journaled as run {journal.run_id}"
-            if journal is not None
-            else ""
-        )
-        raise QuarantineError(
-            f"{len(tele.quarantined)} check unit(s) quarantined after "
-            f"retry exhaustion: {names}{hint}"
-        )
+    config.raise_quarantined("check unit(s)")
 
 
 def check_all(

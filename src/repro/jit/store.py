@@ -37,9 +37,8 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.common.errors import ReproError
 from repro.jit.codegen import JitArtifact, compile_artifact
-from repro.sched.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.sched.cache import DEFAULT_CACHE_DIR, CacheWriteError, ResultCache
 
 __all__ = [
     "JIT_SCHEMA",
@@ -138,12 +137,13 @@ class ArtifactStore:
 
     def _disk_put(self, key: str, payload: dict[str, Any]) -> None:
         """Best-effort persistence: an unwritable store must never fail
-        a run, so the disk tier is dropped on the first error."""
+        a run, so the disk tier is dropped on the first write error.
+        Any other error (a job timeout's alarm, say) propagates."""
         if self._disk is None:
             return
         try:
             self._disk.put(key, payload)
-        except ReproError:
+        except CacheWriteError:
             self._disk = None
             self.disk_errors += 1
 

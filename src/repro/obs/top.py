@@ -31,16 +31,6 @@ from repro.common.errors import ReproError
 
 __all__ = ["fleet_status", "render_fleet_status"]
 
-#: event names folded into per-worker counters
-_COUNTED = {
-    "lease-acquire": "leases",
-    "lease-steal": "stolen",
-    "heartbeat": "heartbeats",
-    "retry": "retries",
-    "job-error": "errors",
-    "quarantine": "quarantined",
-}
-
 
 def _worker_row(worker: str) -> dict[str, Any]:
     return {
@@ -66,6 +56,7 @@ def fleet_status(
     """One read-only snapshot of a fleet run's shared directory."""
     from repro.resilience.journal import RunJournal
     from repro.resilience.lease import LeaseDir
+    from repro.resilience.supervisor import SchedTelemetry
 
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -92,10 +83,10 @@ def fleet_status(
     if edir.is_dir():
         for path in sorted(edir.glob("*.ndjson")):
             row = workers.setdefault(path.stem, _worker_row(path.stem))
+            tele = SchedTelemetry()
             for ev in read_records(path):
-                name = ev.get("event", "")
-                if name in _COUNTED:
-                    row[_COUNTED[name]] += 1
+                name = ev.pop("event", "")
+                tele.observe(name, **ev)
                 t = ev.get("t")
                 if isinstance(t, (int, float)):
                     row["last_seen"] = (
@@ -107,6 +98,12 @@ def fleet_status(
                     )
                 if name == "worker-exit":
                     row["state"] = "done"
+            row.update(
+                leases=tele.leases_acquired, stolen=tele.leases_stolen,
+                heartbeats=tele.heartbeats, retries=tele.retries,
+                errors=tele.timeouts + tele.crashes + tele.payload_faults
+                + tele.job_errors, quarantined=len(tele.quarantined),
+            )
     for row in workers.values():
         if row["state"] == "done":
             continue

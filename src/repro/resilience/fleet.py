@@ -19,8 +19,10 @@ Nothing coordinates the workers except the filesystem:
   ``repro-journal/1`` NDJSON journal under ``journals/`` — append-only,
   never contended;
 * health events (lease acquires, steals, heartbeats, stalls, kills,
-  completions) stream to per-worker NDJSON **event logs** under
-  ``events/``, which the merging process folds into telemetry and
+  completions, and the supervision ladder's failures, retries,
+  fallbacks and quarantines) stream to per-worker NDJSON **event
+  logs** under ``events/``, which the merging process replays through
+  :meth:`~repro.resilience.supervisor.SchedTelemetry.observe` and
   re-emits as ``sched`` activity records.
 
 Every file here is published or appended through
@@ -60,8 +62,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.common.durable import Appender, atomic_write, read_records
-from repro.common.errors import BackendDivergenceError, ReproError
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.common.errors import ReproError
+from repro.faults.plan import FaultPlan
 from repro.resilience.journal import (
     DEFAULT_JOURNAL_DIR,
     RunJournal,
@@ -69,14 +71,7 @@ from repro.resilience.journal import (
     new_run_id,
 )
 from repro.resilience.lease import LeaseDir
-from repro.resilience.supervisor import (
-    JobTimeout,
-    PayloadCorruption,
-    QuarantineError,
-    SchedTelemetry,
-    WorkerCrash,
-    _MAX_REAL_BACKOFF_S,
-)
+from repro.resilience.supervisor import Ladder, QuarantineError, SchedTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.prof.activity import ActivityHub
@@ -111,7 +106,9 @@ class FleetConfig:
     :func:`join_fleet` ignores it (one invocation is one worker).
     ``lethal`` gates the chaos faults that really terminate the worker
     process — the coordinator's in-process fallback runs with it off
-    so an injected kill cannot take down the merge.
+    so an injected kill cannot take down the merge.  ``max_retries``,
+    ``job_timeout_s`` and ``chaos`` drive each job's
+    :class:`~repro.resilience.supervisor.Ladder`, as in the pool.
     """
 
     run_id: str = field(default_factory=new_run_id)
@@ -124,9 +121,7 @@ class FleetConfig:
     poll_s: float = 0.05
     join_timeout_s: float = 120.0
     max_retries: int = 2
-    retry_policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(jitter_frac=0.25)
-    )
+    job_timeout_s: float | None = None
     chaos: FaultPlan | None = None
     lethal: bool = True
     hub: "ActivityHub | None" = field(default=None, repr=False, compare=False)
@@ -352,101 +347,24 @@ def _quarantine_job(run_dir: Path, fp: str, info: dict[str, Any]) -> None:
         pass
 
 
-def _execute_with_retries(
-    spec: "JobSpec", ordinal: int, cfg: FleetConfig, events: _EventLog,
-    sink=None,
-) -> dict[str, Any] | None:
-    """One claimed job through the retry ladder; None when poisoned.
-
-    Chaos crash/hang/payload decisions reuse the scheduler-layer keys
-    ``(ordinal, attempt)``, so a fleet run injects exactly the faults a
-    supervised-pool run of the same plan would — which is what keeps
-    the byte-identity property assertable across execution modes.
-
-    ``sink`` is the worker's :class:`~repro.obs.stitch.ActivitySink`:
-    each attempt restarts its buffer, so only the successful attempt's
-    activity is ever published (the caller commits after journaling).
-    """
-    from repro.sched.runner import execute_job
-
-    chaos = cfg.chaos
-    job_spec = spec
-    attempts = 0
-    fell_back = False
-    while True:
-        if sink is not None:
-            sink.begin(ordinal)
-        try:
-            if chaos is not None:
-                if (
-                    job_spec.backend != "reference"
-                    and not fell_back
-                    and chaos.job_diverges(ordinal)
-                ):
-                    raise BackendDivergenceError(
-                        f"injected {job_spec.backend}-backend divergence "
-                        f"({spec.benchmark})"
-                    )
-                outcome = chaos.worker_outcome(ordinal, attempts)
-                if outcome == "crash":
-                    raise WorkerCrash(
-                        f"injected worker crash (job {ordinal})"
-                    )
-                if outcome == "hang":
-                    raise JobTimeout(
-                        f"injected worker hang (job {ordinal})"
-                    )
-            payload = execute_job(job_spec)
-            if chaos is not None:
-                kind = chaos.payload_outcome(ordinal, attempts)
-                if kind != "ok":
-                    raise PayloadCorruption(
-                        f"{kind}d result payload (job {ordinal}, "
-                        f"attempt {attempts})"
-                    )
-            return payload
-        except ReproError as exc:
-            if (
-                isinstance(exc, BackendDivergenceError)
-                and job_spec.backend != "reference"
-                and not fell_back
-            ):
-                fell_back = True
-                job_spec = replace(job_spec, backend="reference")
-                events.emit(
-                    "fallback-reference", job=ordinal, reason=str(exc)
-                )
-                continue
-            attempts += 1
-            events.emit(
-                "job-error", job=ordinal, attempt=attempts, error=str(exc)
-            )
-            if attempts > cfg.max_retries:
-                return None
-            u = (
-                chaos.retry_jitter(ordinal, attempts - 1)
-                if chaos is not None else 0.0
-            )
-            delay = cfg.retry_policy.backoff(attempts - 1, u)
-            events.emit(
-                "retry", job=ordinal, attempt=attempts, backoff_s=delay
-            )
-            time.sleep(min(delay, _MAX_REAL_BACKOFF_S))
-
-
 def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
     """Run one worker until every manifest job is resolved.
 
-    Claims jobs lease-by-lease in ordinal order, executes them with the
-    retry ladder, journals completions to this worker's own NDJSON
-    file, and steals from dead or stalled peers.  Returns the number
-    of jobs this worker completed.
+    Claims jobs lease-by-lease in ordinal order, executes them in-process
+    on the pool's supervision :class:`~repro.resilience.supervisor.Ladder`
+    (so a plan injects the same faults as in the pool, and its events go
+    to this worker's event log), journals completions to this worker's
+    own NDJSON file, and steals from dead or stalled peers.  Each attempt
+    restarts the activity sink's buffer, so only the successful
+    attempt's activity is published.  Returns the number of jobs this
+    worker completed.
     """
     from repro.obs.flight import FlightRecorder
     from repro.obs.stitch import ActivitySink
     from repro.obs.trace import TraceContext
     from repro.prof.activity import ActivityHub
     from repro.sanitize.session import sanitize_session
+    from repro.sched.runner import execute_job
 
     chaos = cfg.chaos
     run_dir = fleet_dir(cfg.journal_root, cfg.run_id)
@@ -534,6 +452,15 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                     except OSError:
                         pass
                 job_ctx = root_ctx.job(ordinal)
+                spec = spec_by_fp[fp]
+                ladder = Ladder(
+                    ordinal, spec.benchmark, spec.backend, cfg, events.emit
+                )
+
+                def attempt():
+                    sink.begin(ordinal)
+                    return execute_job(replace(spec, backend=ladder.backend))
+
                 if action == "stall" and cfg.lethal:
                     # miss every heartbeat and outlive the TTL: a peer
                     # steals the lease mid-run and our completion below
@@ -543,9 +470,7 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                     )
                     time.sleep(cfg.lease_ttl_s + 2 * cfg.heartbeat_s)
                     with hub.span(job_ctx), sanitize_session(hub=hub):
-                        payload = _execute_with_retries(
-                            spec_by_fp[fp], ordinal, cfg, events, sink
-                        )
+                        payload = ladder.run(attempt, cfg.job_timeout_s)
                 else:
                     with _Heartbeat(
                         leases, lease, cfg.heartbeat_s, events, ordinal
@@ -553,23 +478,20 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                         if corrupt:
                             hb._stop.set()
                         with hub.span(job_ctx), sanitize_session(hub=hub):
-                            payload = _execute_with_retries(
-                                spec_by_fp[fp], ordinal, cfg, events, sink
-                            )
+                            payload = ladder.run(attempt, cfg.job_timeout_s)
                 if payload is None:
                     sink.abort()
                     _quarantine_job(run_dir, fp, {
-                        "benchmark": spec_by_fp[fp].benchmark,
+                        "benchmark": spec.benchmark,
                         "job": ordinal,
                         "worker": cfg.worker_id,
-                        "attempts": cfg.max_retries + 1,
+                        "attempts": ladder.attempts,
                     })
-                    events.emit("quarantine", job=ordinal)
                     flight_dump(f"quarantine-{ordinal}")
                     leases.release(lease)
                     continue
                 journal.record(fp, payload, meta={
-                    "benchmark": spec_by_fp[fp].benchmark,
+                    "benchmark": spec.benchmark,
                     "worker": cfg.worker_id,
                     "job": ordinal,
                     "epoch": lease.epoch,
@@ -632,8 +554,9 @@ def merge_fleet(
     winner, and every payload against any existing result-cache entry;
     a mismatch raises :class:`FleetMergeError` (deterministic jobs
     cannot legitimately disagree, so a conflict means corruption or a
-    code-version split across the fleet).  Folds worker health events
-    into the run's telemetry and re-emits them as ``sched`` records.
+    code-version split across the fleet).  Replays the workers' event
+    logs through :meth:`SchedTelemetry.observe` and re-emits each event
+    as a ``fleet-<name>`` ``sched`` record.
     """
     from repro.sched.cache import _payload_checksum
     from repro.sched.runner import _cache_key
@@ -668,7 +591,7 @@ def merge_fleet(
         winners.append((ordinal, winner_worker))
         checksum = _payload_checksum(winner)
         for other_worker, other in records[1:]:
-            tele.duplicate_completions += 1
+            tele.observe("duplicate-completion")
             _emit(
                 hub, "duplicate-completion", job=ordinal,
                 winner=winner_worker, duplicate=other_worker,
@@ -721,12 +644,7 @@ def merge_fleet(
                 ))
     for ev in _read_events(run_dir):
         name = ev.pop("event", "event")
-        if name == "lease-acquire":
-            tele.leases_acquired += 1
-        elif name == "lease-steal":
-            tele.leases_stolen += 1
-        elif name == "heartbeat":
-            tele.heartbeats += 1
+        tele.observe(name, **ev)
         _emit(hub, f"fleet-{name}", **ev)
     tele.completed = len(payloads)
     # the run is merged: expired leases and steal remnants are garbage

@@ -13,7 +13,9 @@ job scheduler treats as table stakes:
   backoff + deterministic jitter of
   :class:`~repro.faults.plan.RetryPolicy`; after ``max_retries``
   retries the job is *quarantined* (the run finishes everything else,
-  journals it, then raises :class:`QuarantineError`).
+  journals it, then raises :class:`QuarantineError`).  One
+  :class:`Ladder` per job makes these decisions for every supervised
+  path: this pool, the fleet's workers, and ``repro check`` units.
 * **checkpointing** — every completed payload is appended to the run's
   :class:`~repro.resilience.journal.RunJournal` before the next job is
   considered, so an interrupt loses nothing that finished.
@@ -25,17 +27,18 @@ job scheduler treats as table stakes:
   exit code 3).
 
 Every supervision action (retry, timeout, crash, fallback, resume
-skip, quarantine) is emitted as a ``sched`` activity record through
-the configured :class:`~repro.prof.activity.ActivityHub`, so health
-events appear in Chrome traces and NDJSON exports next to the device
-timeline.
+skip, quarantine) is folded into :class:`SchedTelemetry` by
+:meth:`SchedTelemetry.observe` and emitted as a ``sched`` activity
+record through the configured :class:`~repro.prof.activity.ActivityHub`,
+so health events appear in Chrome traces and NDJSON exports next to the
+device timeline.
 
 Chaos faults come from the scheduler-layer extensions of
 :class:`~repro.faults.plan.FaultPlan`; decisions are keyed on the job
 ordinal, so the injected schedule is identical across pool widths,
 serial fallback, and resumes.  In pool mode crash and hang faults are
-*real* (the worker hard-exits / sleeps past the timeout); in serial
-mode they are simulated by raising the equivalent error.
+*real* (the worker hard-exits / sleeps past the timeout); in-process
+attempts simulate them by raising the equivalent error.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import BackendDivergenceError, ReproError
 from repro.faults.plan import FaultPlan, RetryPolicy
@@ -66,6 +69,7 @@ __all__ = [
     "QuarantineError",
     "SchedTelemetry",
     "ResilienceConfig",
+    "Ladder",
     "run_supervised",
     "wall_clock_limit",
     "HANG_SLEEP_S",
@@ -82,6 +86,9 @@ _IMPLICIT_CHAOS_TIMEOUT_S = 5.0
 #: upper bound on the *real* time spent sleeping out one backoff —
 #: the policy's schedule is recorded verbatim in the retry event
 _MAX_REAL_BACKOFF_S = 0.05
+
+#: the backoff schedule of every supervised retry
+_RETRY_POLICY = RetryPolicy(jitter_frac=0.25)
 
 
 class WorkerCrash(ReproError):
@@ -106,6 +113,26 @@ class QuarantineError(ReproError):
 
 
 # ----------------------------------------------------------------------
+#: supervision events that bump one :class:`SchedTelemetry` counter
+_COUNTERS = {
+    "retry": "retries",
+    "timeout": "timeouts",
+    "worker-crash": "crashes",
+    "payload-fault": "payload_faults",
+    "job-error": "job_errors",
+    "resume-skip": "resume_skips",
+    "lease-acquire": "leases_acquired",
+    "lease-steal": "leases_stolen",
+    "heartbeat": "heartbeats",
+    "duplicate-completion": "duplicate_completions",
+}
+
+
+def _job_order(entry: dict[str, Any]) -> int:
+    job = entry.get("job")
+    return job if isinstance(job, int) else -1
+
+
 @dataclass
 class SchedTelemetry:
     """What the supervisor did during one scheduler run.
@@ -133,6 +160,23 @@ class SchedTelemetry:
     leases_stolen: int = 0
     heartbeats: int = 0
     duplicate_completions: int = 0
+
+    def observe(self, name: str, /, **args: Any) -> None:
+        """Fold one supervision event (pool, ``check`` unit, or replayed
+        fleet event log) into the telemetry.  A fleet may run a job
+        twice, and pool and fleet jobs finish in any order, so
+        ``fallbacks`` keeps one entry per job, in job order."""
+        if name == "fallback-reference":
+            if all(f.get("job") != args.get("job") for f in self.fallbacks):
+                keys = ("benchmark", "job", "from", "to", "reason")
+                self.fallbacks.append({k: args.get(k) for k in keys})
+                self.fallbacks.sort(key=_job_order)
+        elif name == "quarantine":
+            keys = ("benchmark", "job", "attempts", "error")
+            self.quarantined.append({k: args.get(k) for k in keys})
+        elif name in _COUNTERS:
+            counter = _COUNTERS[name]
+            setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def degraded(self) -> bool:
@@ -179,15 +223,35 @@ class ResilienceConfig:
 
     max_retries: int = 2
     job_timeout_s: float | None = None
-    retry_policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(jitter_frac=0.25)
-    )
     chaos: FaultPlan | None = None
     journal: "RunJournal | None" = None
     hub: "ActivityHub | None" = None
     #: worker deaths (crashes + timeouts) before degrading to serial
     serial_fallback_after: int = 16
     telemetry: SchedTelemetry = field(default_factory=SchedTelemetry)
+
+    def report(self, name: str, /, **args: Any) -> None:
+        """Fold one supervision event into the telemetry, then emit it
+        as a ``sched`` record on the hub's ``scheduler`` track."""
+        self.telemetry.observe(name, **args)
+        if self.hub is not None and self.hub.wants("sched"):
+            self.hub.emit("sched", name, track="scheduler", **args)
+
+    def raise_quarantined(self, units: str = "job(s)") -> None:
+        """Raise :class:`QuarantineError` if the ladder quarantined any
+        of the run's ``units``; called once everything else finished."""
+        quarantined = self.telemetry.quarantined
+        if not quarantined:
+            return
+        names = ", ".join(f"{q['benchmark']}#{q['job']}" for q in quarantined)
+        hint = (
+            f"; completed work is journaled as run {self.journal.run_id}"
+            if self.journal is not None else ""
+        )
+        raise QuarantineError(
+            f"{len(quarantined)} {units} quarantined after retry "
+            f"exhaustion: {names}{hint}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +260,9 @@ def _worker_main(conn, spec: "JobSpec", action: str) -> None:
 
     ``action`` carries the chaos decision made in the parent so crashes
     and hangs are *real* process behaviour, not simulations.  Errors
-    are reported through the pipe and exit cleanly — a nonzero exit
-    with no message is what the parent counts as a crash.
+    are relayed through the pipe as :class:`ReproError` instances and
+    exit cleanly — a nonzero exit with no message is what the parent
+    counts as a crash.
     """
     # the parent's SIGTERM/SIGINT handlers were inherited across fork:
     # terminate() must kill us silently, and a terminal Ctrl-C must be
@@ -221,15 +286,10 @@ def _worker_main(conn, spec: "JobSpec", action: str) -> None:
             )
         payload = execute_job(spec)
     except BaseException as exc:  # noqa: BLE001 - report across the pipe
+        if not isinstance(exc, ReproError):
+            exc = ReproError(f"{type(exc).__name__}: {exc}")
         try:
-            conn.send(
-                (
-                    "error",
-                    type(exc).__name__,
-                    str(exc),
-                    isinstance(exc, BackendDivergenceError),
-                )
-            )
+            conn.send(("error", exc))
         except Exception:
             pass
         os._exit(0)
@@ -241,20 +301,138 @@ def _worker_main(conn, spec: "JobSpec", action: str) -> None:
     os._exit(0)
 
 
-class _Task:
-    """Mutable per-job supervision state."""
+class Ladder:
+    """One job on the supervision ladder: its chaos decisions, and the
+    fallback, retry or quarantine of each failed attempt.
 
-    __slots__ = ("index", "spec", "key", "fingerprint", "ordinal",
-                 "attempts", "fell_back")
+    ``ordinal`` keys every chaos and jitter decision.  ``backend`` is
+    None for work with no oracle to fall back to, and ``reference``
+    once the job fell back.  ``config`` (a :class:`ResilienceConfig` or
+    a fleet's config) supplies ``max_retries`` and ``chaos``, and every
+    event goes through ``report(name, **args)``.
+    """
 
-    def __init__(self, index, spec, key, fingerprint):
-        self.index = index
+    __slots__ = ("ordinal", "benchmark", "backend", "attempts",
+                 "max_retries", "chaos", "report")
+
+    def __init__(self, ordinal: int, benchmark: str, backend: str | None,
+                 config: Any, report: Callable[..., None]) -> None:
+        self.ordinal = ordinal
+        self.benchmark = benchmark
+        self.backend = backend
+        self.attempts = 0             #: failed attempts so far
+        self.max_retries = config.max_retries
+        self.chaos = config.chaos
+        self.report = report
+
+    def action(self) -> str:
+        """This attempt's chaos decision: "run" | "crash" | "hang" |
+        "diverge"."""
+        chaos = self.chaos
+        if chaos is None:
+            return "run"
+        if (
+            self.backend not in (None, "reference")
+            and chaos.job_diverges(self.ordinal)
+        ):
+            return "diverge"
+        outcome = chaos.worker_outcome(self.ordinal, self.attempts)
+        return outcome if outcome != "ok" else "run"
+
+    def check_payload(self) -> None:
+        """Raise :class:`PayloadCorruption` when chaos tears this
+        attempt's result."""
+        if self.chaos is None:
+            return
+        kind = self.chaos.payload_outcome(self.ordinal, self.attempts)
+        if kind != "ok":
+            raise PayloadCorruption(
+                f"{kind}d result payload (job {self.ordinal}, "
+                f"attempt {self.attempts})"
+            )
+
+    def failed(self, exc: BaseException) -> bool:
+        """Route one failed attempt: False once the job is quarantined,
+        True (after sleeping out any backoff) to attempt it again."""
+        what = dict(benchmark=self.benchmark, job=self.ordinal)
+        if (
+            isinstance(exc, BackendDivergenceError)
+            and self.backend not in (None, "reference")
+        ):
+            self.report(
+                "fallback-reference", **what,
+                **{"from": self.backend}, to="reference", reason=str(exc),
+            )
+            self.backend = "reference"
+            return True
+        if isinstance(exc, JobTimeout):
+            name = "timeout"
+        elif isinstance(exc, WorkerCrash):
+            name = "worker-crash"
+        elif isinstance(exc, PayloadCorruption):
+            name = "payload-fault"
+        else:
+            name = "job-error"
+        self.report(name, **what, error=str(exc))
+        self.attempts += 1
+        if self.attempts > self.max_retries:
+            self.report(
+                "quarantine", **what, attempts=self.attempts, error=str(exc)
+            )
+            return False
+        retry = self.attempts - 1
+        u = (
+            self.chaos.retry_jitter(self.ordinal, retry)
+            if self.chaos is not None else 0.0
+        )
+        delay = _RETRY_POLICY.backoff(retry, u)
+        self.report("retry", **what, attempt=self.attempts, backoff_s=delay)
+        time.sleep(min(delay, _MAX_REAL_BACKOFF_S))
+        return True
+
+    def run(self, work: Callable[[], Any], timeout: float | None) -> Any:
+        """Attempt ``work()`` in-process, each attempt under
+        :func:`wall_clock_limit`, until it succeeds (its result) or the
+        job is quarantined (None).  Injected faults raise the typed
+        errors a pool worker would have produced."""
+        subject = f"job {self.ordinal} ({self.benchmark})"
+        while True:
+            try:
+                action = self.action()
+                if action == "crash":
+                    raise WorkerCrash(
+                        f"injected worker crash (job {self.ordinal})"
+                    )
+                if action == "hang":
+                    raise JobTimeout(
+                        f"injected worker hang (job {self.ordinal})"
+                    )
+                if action == "diverge":
+                    raise BackendDivergenceError(
+                        f"injected {self.backend}-backend divergence "
+                        f"({self.benchmark})"
+                    )
+                with wall_clock_limit(timeout, subject):
+                    result = work()
+                self.check_payload()
+                return result
+            except ReproError as exc:
+                if not self.failed(exc):
+                    return None
+
+
+class _Task(Ladder):
+    """One queued pool job: its ladder, and what completing it needs."""
+
+    __slots__ = ("spec", "key", "fingerprint")
+
+    def __init__(self, ordinal, spec, key, fingerprint, config):
+        super().__init__(
+            ordinal, spec.benchmark, spec.backend, config, config.report
+        )
         self.spec = spec
         self.key = key
         self.fingerprint = fingerprint
-        self.ordinal = index          #: chaos/jitter decision key
-        self.attempts = 0             #: failed attempts so far
-        self.fell_back = False        #: already degraded to reference?
 
 
 class _Active:
@@ -269,18 +447,13 @@ class _Active:
         self.deadline = deadline
 
 
-def _emit(hub, name: str, **args: Any) -> None:
-    if hub is not None and hub.wants("sched"):
-        hub.emit("sched", name, track="scheduler", **args)
-
-
 @contextmanager
 def wall_clock_limit(seconds: float | None, subject: str = ""):
     """Raise :class:`JobTimeout` if the block runs past ``seconds``.
 
     Signal-based (``SIGALRM``), so it only arms in the main thread on
-    POSIX; elsewhere it is a no-op.  Used for in-process units the pool
-    cannot isolate (the ``repro check`` live runs).
+    POSIX; elsewhere it is a no-op.  Used for in-process attempts,
+    which the pool cannot isolate (:meth:`Ladder.run`).
     """
     if (
         not seconds
@@ -365,8 +538,7 @@ def run_supervised(
         fingerprint = job_fingerprint(spec) if journal is not None else None
         if fingerprint is not None and fingerprint in journal.completed:
             payloads[i] = journal.completed[fingerprint]
-            tele.resume_skips += 1
-            _emit(hub, "resume-skip", benchmark=spec.benchmark, job=i)
+            config.report("resume-skip", benchmark=spec.benchmark, job=i)
             continue
         key = _cache_key(cache, spec) if cache is not None else None
         hit = cache.get(key) if cache is not None else None
@@ -378,7 +550,7 @@ def run_supervised(
                     meta=job_meta(spec, i, source="cache"),
                 )
             continue
-        queue.append(_Task(i, spec, key, fingerprint))
+        queue.append(_Task(i, spec, key, fingerprint, config))
 
     pool_enabled = jobs > 1 and len(queue) > 1
     tele.mode = "pool" if pool_enabled else "serial"
@@ -400,18 +572,18 @@ def run_supervised(
         if root_ctx is not None:
             hub.trace = root_ctx
 
-    # -- shared completion / failure handling --------------------------
+    # -- completion and failure routing ------------------------------
     def complete(task: _Task, payload: dict[str, Any]) -> None:
-        payloads[task.index] = payload
+        payloads[task.ordinal] = payload
         if cache is not None and task.key is not None:
             cache.put(task.key, payload)
         if journal is not None:
             journal.record(
                 task.fingerprint, payload,
                 meta=job_meta(
-                    task.spec, task.index,
+                    task.spec, task.ordinal,
                     kind=task.spec.kind,
-                    backend=task.spec.backend,
+                    backend=task.backend,
                     attempts=task.attempts + 1,
                 ),
             )
@@ -420,96 +592,19 @@ def run_supervised(
             # deterministic SIGINT analog for interrupt-and-resume tests
             raise KeyboardInterrupt
 
-    def check_payload(task: _Task, payload: dict[str, Any]) -> None:
-        if chaos is None:
-            return
-        kind = chaos.payload_outcome(task.ordinal, task.attempts)
-        if kind != "ok":
-            raise PayloadCorruption(
-                f"{kind}d result payload (job {task.ordinal}, "
-                f"attempt {task.attempts})"
-            )
-
-    def chaos_action(task: _Task) -> str:
-        if chaos is None:
-            return "run"
-        if (
-            task.spec.backend != "reference"
-            and not task.fell_back
-            and chaos.job_diverges(task.ordinal)
-        ):
-            return "diverge"
-        outcome = chaos.worker_outcome(task.ordinal, task.attempts)
-        return outcome if outcome != "ok" else "run"
-
-    def handle_failure(task: _Task, exc: BaseException) -> str:
-        """Route one failed attempt: "fallback" | "retry" | "quarantine"."""
-        what = dict(benchmark=task.spec.benchmark, job=task.ordinal)
-        if (
-            isinstance(exc, BackendDivergenceError)
-            and task.spec.backend != "reference"
-            and not task.fell_back
-        ):
-            task.fell_back = True
-            tele.fallbacks.append(
-                {**what, "from": task.spec.backend, "to": "reference",
-                 "reason": str(exc)}
-            )
-            task.spec = replace(task.spec, backend="reference")
-            _emit(hub, "fallback-reference", **what, reason=str(exc))
-            return "fallback"
-        if isinstance(exc, JobTimeout):
-            tele.timeouts += 1
-            _emit(hub, "timeout", **what, error=str(exc))
-        elif isinstance(exc, WorkerCrash):
-            tele.crashes += 1
-            _emit(hub, "worker-crash", **what, error=str(exc))
-        elif isinstance(exc, PayloadCorruption):
-            tele.payload_faults += 1
-            _emit(hub, "payload-fault", **what, error=str(exc))
-        else:
-            tele.job_errors += 1
-            _emit(hub, "job-error", **what, error=str(exc))
-        task.attempts += 1
-        if task.attempts > config.max_retries:
-            tele.quarantined.append(
-                {**what, "attempts": task.attempts, "error": str(exc)}
-            )
-            _emit(hub, "quarantine", **what, attempts=task.attempts)
-            return "quarantine"
-        retry = task.attempts - 1
-        u = chaos.retry_jitter(task.ordinal, retry) if chaos is not None else 0.0
-        delay = config.retry_policy.backoff(retry, u)
-        tele.retries += 1
-        _emit(hub, "retry", **what, attempt=task.attempts, backoff_s=delay)
-        time.sleep(min(delay, _MAX_REAL_BACKOFF_S))
-        return "retry"
+    def failed(task: _Task, exc: BaseException) -> None:
+        if task.failed(exc):
+            queue.append(task)
 
     def run_serial_task(task: _Task) -> None:
-        while True:
-            try:
-                action = chaos_action(task)
-                if action == "crash":
-                    raise WorkerCrash(
-                        f"injected worker crash (job {task.ordinal})"
-                    )
-                if action == "hang":
-                    raise JobTimeout(
-                        f"injected worker hang (job {task.ordinal})"
-                    )
-                if action == "diverge":
-                    raise BackendDivergenceError(
-                        f"injected {task.spec.backend}-backend divergence "
-                        f"({task.spec.benchmark})"
-                    )
-                payload = execute_job(task.spec)
-                check_payload(task, payload)
-            except ReproError as exc:
-                if handle_failure(task, exc) == "quarantine":
-                    return
-                continue
+        # in-process hangs are simulated, so only an explicit budget
+        # applies here, not the implicit one that ends real hangs
+        payload = task.run(
+            lambda: execute_job(replace(task.spec, backend=task.backend)),
+            config.job_timeout_s,
+        )
+        if payload is not None:
             complete(task, payload)
-            return
 
     # -- pool machinery ------------------------------------------------
     import multiprocessing
@@ -520,10 +615,11 @@ def run_supervised(
     deaths = 0
 
     def start_worker(task: _Task) -> _Active:
-        action = chaos_action(task)
+        action = task.action()
+        spec = replace(task.spec, backend=task.backend)
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_worker_main, args=(child_conn, task.spec, action),
+            target=_worker_main, args=(child_conn, spec, action),
             daemon=True,
         )
         proc.start()
@@ -544,7 +640,7 @@ def run_supervised(
         nonlocal pool_enabled
         pool_enabled = False
         tele.mode = "serial-fallback"
-        _emit(hub, "fallback-serial", reason=reason)
+        config.report("fallback-serial", reason=reason)
         for a in list(active.values()):
             stop_worker(a)
             queue.appendleft(a.task)
@@ -553,9 +649,7 @@ def run_supervised(
     def worker_died(a: _Active, exc: ReproError) -> None:
         nonlocal deaths
         deaths += 1
-        task = a.task
-        if handle_failure(task, exc) != "quarantine":
-            queue.append(task)
+        failed(a.task, exc)
         if pool_enabled and deaths >= config.serial_fallback_after:
             degrade_to_serial(
                 f"{deaths} worker death(s); continuing serially"
@@ -620,24 +714,15 @@ def run_supervised(
                         )
                         continue
                     stop_worker(a)
-                    if msg[0] == "ok":
-                        payload = msg[1]
-                        try:
-                            check_payload(task, payload)
-                        except PayloadCorruption as exc:
-                            if handle_failure(task, exc) != "quarantine":
-                                queue.append(task)
-                            continue
-                        complete(task, payload)
-                    else:
-                        _, exc_name, message, is_divergence = msg
-                        exc: ReproError
-                        if is_divergence:
-                            exc = BackendDivergenceError(message)
-                        else:
-                            exc = ReproError(f"{exc_name}: {message}")
-                        if handle_failure(task, exc) != "quarantine":
-                            queue.append(task)
+                    if msg[0] != "ok":
+                        failed(task, msg[1])
+                        continue
+                    try:
+                        task.check_payload()
+                    except PayloadCorruption as exc:
+                        failed(task, exc)
+                        continue
+                    complete(task, msg[1])
                 elif a.deadline is not None and now >= a.deadline:
                     del active[slot]
                     stop_worker(a)
@@ -664,16 +749,5 @@ def run_supervised(
                 journal.path.parent / "flightrec" / journal.run_id,
                 reason="quarantine",
             )
-        names = ", ".join(
-            f"{q['benchmark']}#{q['job']}" for q in tele.quarantined
-        )
-        hint = (
-            f"; completed work is journaled as run {journal.run_id}"
-            if journal is not None
-            else ""
-        )
-        raise QuarantineError(
-            f"{len(tele.quarantined)} job(s) quarantined after retry "
-            f"exhaustion: {names}{hint}"
-        )
+        config.raise_quarantined()
     return payloads  # type: ignore[return-value]

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
+    "CacheWriteError",
     "ResultCache",
     "gc_cache",
     "source_fingerprint",
@@ -52,6 +53,10 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump to invalidate every existing cache entry (layout changes)
 _KEY_VERSION = 1
+
+
+class CacheWriteError(ReproError):
+    """The cache directory refused a write."""
 
 _fingerprint_memo: dict[str, str] = {}
 
@@ -223,9 +228,10 @@ class ResultCache:
         identical payloads; ``get`` cross-checks the stored checksum
         regardless.
 
-        An unwritable cache directory surfaces as a :class:`ReproError`
-        (CLI exit 2 with the path in the message) instead of a raw
-        ``OSError`` traceback — ``--cache-dir`` is user input.
+        An unwritable cache directory surfaces as a
+        :class:`CacheWriteError` (CLI exit 2 with the path in the
+        message) instead of a raw ``OSError`` traceback — ``--cache-dir``
+        is user input.
         """
         if not self.enabled:
             return
@@ -238,7 +244,7 @@ class ResultCache:
         try:
             atomic_write(self._path(key), json.dumps(entry))
         except OSError as exc:
-            raise ReproError(
+            raise CacheWriteError(
                 f"result cache at {self._root_path} is not writable: {exc}; "
                 "pick another --cache-dir or pass --no-cache"
             ) from None

@@ -24,9 +24,10 @@ Durability plumbing per request:
   — are forwarded to ``on_event``; the server streams them to
   ``GET /v1/jobs/<id>`` watchers as NDJSON progress;
 * the request deadline threaded into the pool's per-job timeout, with
-  an explicit pre-flight and post-failure deadline check so an expired
-  request reports ``expired`` (HTTP 504), not a generic failure — the
-  partial journal stays on disk either way.
+  explicit deadline checks before the run, after a failure and after
+  the run, so an expired request reports ``expired`` (HTTP 504), not a
+  generic failure or a late ``done`` — the partial journal stays on
+  disk either way.
 
 ``profile`` and ``check`` run in-process (the profiler patches ambient
 execution state), serialized by a module lock so concurrent workers
@@ -97,13 +98,14 @@ def execute_request(
         )
     try:
         if req.kind in ("run", "sweep"):
-            return _execute_pooled(
+            outcome = _execute_pooled(
                 entry, data_dir=data_dir, cache=cache, jobs=jobs,
                 on_event=on_event, now=now,
             )
-        if req.kind == "profile":
-            return _execute_profile(entry, now=now)
-        return _execute_check(entry, now=now)
+        elif req.kind == "profile":
+            outcome = _execute_profile(entry)
+        else:
+            outcome = _execute_check(entry)
     except ReproError as exc:
         if _expired(entry, now()):
             return ExecutionOutcome(state="expired", error=str(exc))
@@ -113,6 +115,14 @@ def execute_request(
         return ExecutionOutcome(
             state="failed", error=f"{type(exc).__name__}: {exc}"
         )
+    # a run the deadline could not interrupt still must not report done
+    if _expired(entry, now()):
+        return ExecutionOutcome(
+            state="expired",
+            error=f"deadline of {req.deadline_ms}ms expired during "
+            f"{req.kind}",
+        )
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +230,7 @@ def _execute_pooled(
             resilience.journal.close()
 
 
-def _execute_profile(entry: QueueEntry, *, now) -> ExecutionOutcome:
+def _execute_profile(entry: QueueEntry) -> ExecutionOutcome:
     from repro.arch.presets import get_system
     from repro.core.registry import get_benchmark
     from repro.exec.dispatch import use_backend, current_backend_name
@@ -234,15 +244,10 @@ def _execute_profile(entry: QueueEntry, *, now) -> ExecutionOutcome:
             with profile_session() as prof:
                 bench.run(**req.params)
         doc = prof.metrics(benchmark=req.benchmark, params=req.params)
-    if _expired(entry, now()):
-        return ExecutionOutcome(
-            state="expired",
-            error=f"deadline of {req.deadline_ms}ms expired during profile",
-        )
     return ExecutionOutcome(state="done", text=render_metrics(doc))
 
 
-def _execute_check(entry: QueueEntry, *, now) -> ExecutionOutcome:
+def _execute_check(entry: QueueEntry) -> ExecutionOutcome:
     import json
 
     from repro.check import check_all
@@ -254,11 +259,6 @@ def _execute_check(entry: QueueEntry, *, now) -> ExecutionOutcome:
             backend=req.backend,
             quick=req.quick,
             system=req.system,
-        )
-    if _expired(entry, now()):
-        return ExecutionOutcome(
-            state="expired",
-            error=f"deadline of {req.deadline_ms}ms expired during check",
         )
     text = json.dumps(report.as_dict(), indent=2) + "\n"
     return ExecutionOutcome(state="done", text=text)

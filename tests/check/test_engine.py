@@ -92,3 +92,43 @@ class TestCheckAll:
         (tmp_path / "m.toml").write_text(FAST_SPEC)
         report = check_all(claims_dir=str(tmp_path), relations=False)
         assert {o.backend for o in report.outcomes} == {"reference", "jit"}
+
+
+class TestSupervisedUnits:
+    """``check`` units climb the scheduler's supervision ladder."""
+
+    def _check(self, tmp_path, resilience=None):
+        (tmp_path / "m.toml").write_text(FAST_SPEC)
+        return check_all(
+            claims_dir=str(tmp_path), relations=False, resilience=resilience
+        )
+
+    def test_crashed_units_retry_to_the_unsupervised_report(self, tmp_path):
+        from repro.resilience import ResilienceConfig, parse_chaos
+
+        clean = self._check(tmp_path)
+        config = ResilienceConfig(
+            chaos=parse_chaos("crash=1.0,max-fault-attempts=1")
+        )
+        report = self._check(tmp_path, config)
+        assert report.as_dict() == clean.as_dict()
+        # one unit per backend, each crashing once before it runs clean
+        assert config.telemetry.crashes == config.telemetry.retries == 2
+
+    def test_interrupted_pass_resumes_to_the_same_report(self, tmp_path):
+        from repro.resilience import ResilienceConfig, RunJournal, parse_chaos
+
+        clean = self._check(tmp_path)
+        journal = RunJournal.create(tmp_path / "jd", run_id="c1")
+        with pytest.raises(KeyboardInterrupt):
+            self._check(tmp_path, ResilienceConfig(
+                journal=journal, chaos=parse_chaos("interrupt-after=1"),
+            ))
+        journal.close()
+        resumed = RunJournal.resume(tmp_path / "jd", "c1")
+        config = ResilienceConfig(journal=resumed)
+        report = self._check(tmp_path, config)
+        resumed.close()
+        assert report.as_dict() == clean.as_dict()
+        assert config.telemetry.resume_skips == 1
+        assert config.telemetry.completed == 1

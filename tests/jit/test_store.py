@@ -121,3 +121,21 @@ class TestGlobalStore:
             "dir", "persistent", "memo_hits", "disk_hits", "misses",
             "stores", "poisoned", "disk_errors",
         }
+
+
+class TestDiskWriteErrors:
+    def test_job_timeout_during_disk_put_propagates(self, tmp_path, monkeypatch):
+        # an in-process attempt's wall-clock alarm can fire mid-write: it
+        # must reach the supervisor, and is no reason to drop the disk tier
+        import repro.sched.cache as cache_mod
+        from repro.resilience import JobTimeout
+
+        def alarm(*args, **kwargs):
+            raise JobTimeout("job 0 (MemAlign) exceeded 0.1s wall clock")
+
+        store = ArtifactStore(tmp_path / "jit")
+        monkeypatch.setattr(cache_mod, "atomic_write", alarm)
+        with pytest.raises(JobTimeout):
+            store.put(KEY, _artifact())
+        assert store.stats()["persistent"] is True
+        assert store.stats()["disk_errors"] == 0

@@ -72,6 +72,23 @@ class TestFleetStatus:
         assert status["leases_stolen"] == 1
         assert status["heartbeats"] == 2
 
+    def test_errors_count_every_failure_class(self, run_dir):
+        with (run_dir / "events" / "w1.ndjson").open("a") as fh:
+            for name in (
+                "timeout", "worker-crash", "payload-fault", "job-error",
+                "retry",
+            ):
+                fh.write(event(name, NOW - 1) + "\n")
+        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        w1 = next(w for w in status["workers"] if w["worker"] == "w1")
+        assert (w1["errors"], w1["retries"]) == (4, 1)
+        row = next(
+            line for line in render_fleet_status(status).splitlines()
+            if line.strip().startswith("w1")
+        )
+        # ... RETRY ERR  <n>s ago
+        assert row.split()[-4:-2] == ["1", "4"]
+
     def test_eta_from_completion_rate(self, run_dir):
         # 3 jobs in 120s of observed history -> 1 remaining ~= 40s out
         status = fleet_status(run_dir, ttl_s=5.0, now=NOW)

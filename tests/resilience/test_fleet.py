@@ -140,6 +140,89 @@ class TestChaosFleet:
             join_fleet(SPECS, cfg)
 
 
+class TestOneLadder:
+    """Every mode climbs the same ladder: one chaos plan run serially,
+    in the pool and as a fleet worker reports the same telemetry."""
+
+    COUNTERS = ("retries", "timeouts", "crashes", "payload_faults",
+                "job_errors")
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return self._run("serial", None)
+
+    @staticmethod
+    def _run(mode, tmp_path):
+        from dataclasses import replace
+
+        from repro.resilience import (
+            ResilienceConfig, parse_chaos, run_supervised,
+        )
+
+        chaos = parse_chaos(
+            "seed=7,crash=0.5,payload=0.3,max-fault-attempts=2,diverge=1"
+        )
+        specs = [replace(s, backend="jit") for s in SPECS]
+        if mode == "fleet":
+            # one joining worker: deterministic, so no benign duplicates
+            cfg = make_cfg(tmp_path, workers=0, chaos=chaos)
+            payloads = join_fleet(specs, cfg)
+        else:
+            cfg = ResilienceConfig(chaos=chaos)
+            payloads = run_supervised(
+                specs, jobs=2 if mode == "pool" else 1, config=cfg
+            )
+        assert json.dumps(payloads) == expected_bytes()
+        return cfg.telemetry
+
+    @pytest.mark.parametrize("mode", ["pool", "fleet"])
+    def test_same_counters_and_fallbacks_as_serial(
+        self, mode, serial, tmp_path
+    ):
+        tele = self._run(mode, tmp_path)
+        assert [getattr(serial, c) for c in self.COUNTERS] == [4, 0, 3, 1, 0]
+        assert [getattr(tele, c) for c in self.COUNTERS] == [
+            getattr(serial, c) for c in self.COUNTERS
+        ]
+        assert tele.fallbacks == serial.fallbacks == [{
+            "benchmark": "MemAlign", "job": 1, "from": "jit",
+            "to": "reference",
+            "reason": "injected jit-backend divergence (MemAlign) "
+                      "[cudaErrorUnknown]",
+        }]
+        assert tele.degraded
+
+    def test_merge_keeps_one_fallback_per_job(self, tmp_path):
+        # a benign duplicate: two workers both ran job 0 and fell back;
+        # w-a also fell back on job 2, before it ran job 0
+        run_dir = fleet_dir(tmp_path, "ftest")
+        ensure_manifest(run_dir, SPECS, run_id="ftest", command="test")
+        fps = [job_fingerprint(s) for s in SPECS]
+        payloads = {fp: {"kind": "run", "result": {"v": i}}
+                    for i, fp in enumerate(fps)}
+        for worker, jobs in (("w-a", (2, 0)), ("w-b", (0,))):
+            with RunJournal.attach(
+                run_dir / "journals", run_id=worker, meta={}
+            ) as journal:
+                for fp, payload in payloads.items():
+                    journal.record(fp, payload)
+            log = _EventLog(run_dir / "events" / f"{worker}.ndjson", worker)
+            for job in jobs:
+                log.emit(
+                    "fallback-reference", benchmark="MemAlign", job=job,
+                    to="reference", reason="diverged", **{"from": "jit"},
+                )
+            log.close()
+        cfg = make_cfg(tmp_path)
+        merge_fleet(run_dir, SPECS, cfg=cfg)
+        assert cfg.telemetry.fallbacks == [
+            {"benchmark": "MemAlign", "job": job, "from": "jit",
+             "to": "reference", "reason": "diverged"}
+            for job in (0, 2)
+        ]
+        assert cfg.telemetry.duplicate_completions == len(SPECS)
+
+
 class TestMergeValidation:
     def _publish(self, tmp_path, worker: str, payload_by_fp: dict) -> None:
         run_dir = fleet_dir(tmp_path, "ftest")
@@ -202,23 +285,22 @@ class TestManifest:
 class TestStaleSnapshot:
     def test_rescans_before_claiming_after_a_job(self, tmp_path, monkeypatch):
         import repro.resilience.fleet as fleet
+        import repro.sched.runner as runner
 
         specs = SPECS[:2]
         cfg = make_cfg(tmp_path, worker_id="w0")
         journals = fleet_dir(tmp_path, cfg.run_id) / "journals"
-        execute = fleet._execute_with_retries
+        execute = runner.execute_job
 
-        def peer_finishes_job_1(spec, ordinal, *args, **kwargs):
-            payload = execute(spec, ordinal, *args, **kwargs)
-            if ordinal == 0:
+        def peer_finishes_job_1(spec):
+            payload = execute(spec)
+            if spec == specs[0]:
                 # a peer journals job 1 (and drops its lease) meanwhile
                 with RunJournal.attach(journals, run_id="peer") as peer:
                     peer.record(job_fingerprint(specs[1]), {"kind": "run"})
             return payload
 
-        monkeypatch.setattr(
-            fleet, "_execute_with_retries", peer_finishes_job_1
-        )
+        monkeypatch.setattr(runner, "execute_job", peer_finishes_job_1)
         assert fleet.fleet_worker(specs, cfg) == 1
 
 

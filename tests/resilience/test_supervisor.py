@@ -102,6 +102,18 @@ class TestTimeouts:
         assert payloads == clean
         assert config.telemetry.timeouts == 2
 
+    def test_serial_job_past_its_budget_times_out(self, monkeypatch):
+        # in-process attempts run under the same per-job budget
+        import time
+
+        import repro.sched.runner as runner
+
+        monkeypatch.setattr(runner, "execute_job", lambda spec: time.sleep(1))
+        config = ResilienceConfig(job_timeout_s=0.1, max_retries=0)
+        with pytest.raises(QuarantineError):
+            run_supervised(SPECS[:1], config=config)
+        assert config.telemetry.timeouts == 1
+
 
 class TestPayloadCorruption:
     def test_corrupted_payload_retried(self, clean):

@@ -22,6 +22,11 @@ Modelling choices (see DESIGN.md §5):
 * **Constant memory** is not resolved here: its cost is serialization
   at issue time and its footprint is assumed resident in the 64 KiB
   constant cache after first touch.
+
+Every cache here is a :class:`~repro.mem.cache.BatchedLRU`: the window
+warps' L1s are one instance with a block of sets per warp, and each
+record's stream goes through in one call, exactly as one
+:class:`~repro.mem.cache.LRUCache` access per line would.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.spec import GPUSpec
-from repro.mem.cache import LRUCache
+from repro.mem.cache import BatchedLRU
 from repro.mem.trace import AccessTrace
 
 __all__ = ["TrafficReport", "resolve_traffic"]
+
+_SENTINEL = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -100,26 +107,26 @@ class TrafficReport:
         }
 
 
-def _warp_line_lists(
-    addrs: np.ndarray, mask: np.ndarray, itemsize: int, line_bytes: int
-) -> list[np.ndarray]:
-    """Per window warp, the distinct line ids it touches (sorted)."""
-    out: list[np.ndarray] = []
-    for row_a, row_m in zip(addrs, mask):
-        if not row_m.any():
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        a = row_a[row_m]
-        first = a // line_bytes
-        last = (a + itemsize - 1) // line_bytes
-        out.append(np.unique(np.concatenate([first, last])))
-    return out
+def _warp_ids(
+    addrs: np.ndarray, mask: np.ndarray, itemsize: int, granularity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each window warp's distinct ``granularity``-byte block ids.
 
-
-def _warp_sector_lists(
-    addrs: np.ndarray, mask: np.ndarray, itemsize: int, sector_bytes: int
-) -> list[np.ndarray]:
-    return _warp_line_lists(addrs, mask, itemsize, sector_bytes)
+    Returns ``(ids, warps)``: the ids sorted within each warp, warps in
+    order — each warp's ``np.unique`` list, concatenated — and the warp
+    of each id.  An item straddling a boundary touches the blocks of
+    its first and last byte.  One row-wise sort does every warp: both
+    ends of every lane side by side, inactive lanes pushed to a
+    sentinel, then the first id of each run.
+    """
+    ids = np.concatenate(
+        [addrs // granularity, (addrs + (itemsize - 1)) // granularity], axis=1
+    )
+    ids[~np.concatenate([mask, mask], axis=1)] = _SENTINEL
+    ids.sort(axis=1)
+    keep = ids != _SENTINEL
+    keep[:, 1:] &= ids[:, 1:] != ids[:, :-1]
+    return ids[keep], np.nonzero(keep)[0]
 
 
 def resolve_traffic(
@@ -148,14 +155,15 @@ def resolve_traffic(
     sector_bytes = gpu.sector_bytes
     rw = max(int(resident_warps_per_sm), 1)
 
+    # One cache per window warp, each the warp's fair share of the SM.
     nw = trace.window_warps
     l1_share = max(gpu.l1_size // line_bytes // rw, 1)
     tex_share = max(gpu.texture_cache_size // line_bytes // rw, 1)
-    l1_caches = [LRUCache(l1_share, ways=4) for _ in range(nw)]
-    tex_caches = (
-        [LRUCache(tex_share, ways=4) for _ in range(nw)]
+    l1 = BatchedLRU(l1_share, ways=4, caches=nw)
+    tex = (
+        BatchedLRU(tex_share, ways=4, caches=nw)
         if gpu.texture_cache_dedicated
-        else l1_caches  # unified path: texture shares the L1 model
+        else l1  # unified path: texture shares the L1 model
     )
 
     # The window competes for L2 with the other *co-resident* warps, not
@@ -167,7 +175,7 @@ def resolve_traffic(
     effective_warps = max(min(trace.n_grid_warps, resident_total), trace.window_warps)
     frac = trace.window_warps / effective_warps
     l2_capacity = max(int(gpu.l2_size / sector_bytes * frac), 8)
-    l2 = LRUCache(l2_capacity, ways=16)
+    l2 = BatchedLRU(l2_capacity, ways=16)
 
     lat_weight = 0.0
     lat_cycles = 0.0
@@ -189,40 +197,37 @@ def resolve_traffic(
 
         if rec.space == "texture":
             cached_on_sm = True
-            caches = tex_caches
+            cache = tex
         else:
             cached_on_sm = gpu.global_loads_cached_in_l1 and not rec.is_store
-            caches = l1_caches
+            cache = l1
 
-        warp_lines = _warp_line_lists(
+        lines, line_warps = _warp_ids(
             rec.window_addrs, rec.window_mask, rec.itemsize, line_bytes
         )
-        warp_sectors = _warp_sector_lists(
+        sectors, sector_warps = _warp_ids(
             rec.window_addrs, rec.window_mask, rec.itemsize, sector_bytes
         )
 
         # --- on-SM cache stage ----------------------------------------
-        window_l2_sectors: list[np.ndarray] = []
-        window_lines = 0
+        window_lines = lines.size
         window_l1_hits = 0
-        for w, (lines, sectors) in enumerate(zip(warp_lines, warp_sectors)):
-            if lines.size == 0:
-                continue
-            window_lines += lines.size
-            if not cached_on_sm:
-                window_l2_sectors.append(sectors)
-                continue
-            cache = caches[w]
-            missed_lines = [lid for lid in lines.tolist() if not cache.access(lid)]
-            window_l1_hits += lines.size - len(missed_lines)
-            if missed_lines:
-                miss_set = np.asarray(missed_lines, dtype=np.int64)
-                sec_lines = sectors // (line_bytes // sector_bytes)
-                window_l2_sectors.append(sectors[np.isin(sec_lines, miss_set)])
+        window_l2 = sectors
+        if cached_on_sm and window_lines:
+            hit, _ = cache.access(cache.set_index(lines, line_warps), lines)
+            window_l1_hits = int(np.count_nonzero(hit))
+            # The sectors of each (warp, line) that missed, in warp-major
+            # order; a line is keyed by its rank among the record's lines.
+            distinct, rank = np.unique(lines, return_inverse=True)
+            missed = line_warps[~hit] * distinct.size + rank[~hit]
+            sector_keys = sector_warps * distinct.size + np.searchsorted(
+                distinct, sectors // gpu.sectors_per_transaction
+            )
+            window_l2 = sectors[np.isin(sector_keys, missed)]
 
         # Rescale window observations to grid totals using the exact
         # grid-total sector count from the coalescing summary.
-        window_sector_total = sum(s.size for s in warp_sectors)
+        window_sector_total = sectors.size
         scale = (
             rec.summary.sectors / window_sector_total
             if window_sector_total
@@ -240,17 +245,11 @@ def resolve_traffic(
                 report.l1_hits += grid_lines * hit_frac
 
         # --- L2 stage ----------------------------------------------------
-        window_l2 = (
-            np.concatenate(window_l2_sectors)
-            if window_l2_sectors
-            else np.empty(0, dtype=np.int64)
+        l2_hit, w_dirtied = l2.access(
+            l2.set_index(window_l2), window_l2, write=rec.is_store
         )
-        l2_before_h, l2_before_a = l2.hits, l2.accesses
-        l2_before_d = l2.lines_dirtied
-        l2.access_many(window_l2, write=rec.is_store)
-        w_l2_acc = l2.accesses - l2_before_a
-        w_l2_hit = l2.hits - l2_before_h
-        w_dirtied = l2.lines_dirtied - l2_before_d
+        w_l2_acc = window_l2.size
+        w_l2_hit = int(np.count_nonzero(l2_hit))
         grid_l2 = w_l2_acc * scale
         grid_l2_hits = w_l2_hit * scale
 

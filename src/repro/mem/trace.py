@@ -52,6 +52,11 @@ class AccessTrace:
     window_start_warp: int
     window_warps: int
     records: list[AccessRecord] = field(default_factory=list)
+    #: the last cache-model resolution, ``((gpu, resident_warps_per_sm,
+    #: record count), report)``; kept by :mod:`repro.timing.model`
+    _traffic: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def for_grid(

@@ -58,6 +58,8 @@ STATE_SCHEMA = "repro-serve-state/1"
 
 #: terminal request states (no further transitions)
 _TERMINAL = ("done", "failed", "expired")
+#: states that count against a client's admission cap
+_OPEN = ("queued", "running")
 
 
 class QueueEntry:
@@ -125,8 +127,10 @@ class DurableQueue:
     All mutation happens under one lock; durable writes (intake append,
     state-file replace) happen inside the mutating call, before it
     returns — the in-memory indexes are a cache over the files, never
-    the other way around.  ``now`` is injectable for deterministic
-    tests.
+    the other way around.  Per-state and per-client open counts are
+    kept as entries are indexed and change state, so admission and
+    ``/readyz`` cost the same however long the daemon has run.  ``now``
+    is injectable for deterministic tests.
     """
 
     def __init__(
@@ -155,6 +159,9 @@ class DurableQueue:
         self._ready = threading.Condition(self._lock)
         self._entries: dict[str, QueueEntry] = {}
         self._by_fingerprint: dict[str, str] = {}
+        self._state_counts = {state: 0 for state in STATES}
+        #: queued + running entries per client
+        self._client_open: dict[str, int] = {}
         self._pending: deque[str] = deque()
         self._seq = 0
         self._intake_path = self.data_dir / "intake.ndjson"
@@ -248,11 +255,24 @@ class DurableQueue:
                 "request": request.as_dict(),
             })
             self._persist(entry)
-            self._entries[entry.id] = entry
-            self._by_fingerprint[request.fingerprint] = entry.id
+            self._index(entry)
             self._pending.append(entry.id)
             self._ready.notify()
             return entry, False
+
+    def _index(self, entry: QueueEntry) -> None:
+        """Add a new entry (submitted, or rebuilt by recovery) to the
+        indexes and the counts; the caller holds the lock."""
+        self._entries[entry.id] = entry
+        self._by_fingerprint[entry.request.fingerprint] = entry.id
+        self._count(entry, 1)
+
+    def _count(self, entry: QueueEntry, delta: int) -> None:
+        """Add ``delta`` to the counts of the entry's current state."""
+        self._state_counts[entry.state] += delta
+        if entry.state in _OPEN:
+            client = entry.request.client
+            self._client_open[client] = self._client_open.get(client, 0) + delta
 
     # -- dispatch -------------------------------------------------------
     def claim(
@@ -301,7 +321,9 @@ class DurableQueue:
         self, entry: QueueEntry, state: str, *, error: str | None = None,
         result_fingerprint: str | None = None,
     ) -> None:
+        self._count(entry, -1)
         entry.state = state
+        self._count(entry, 1)
         entry.error = error
         if result_fingerprint is not None:
             entry.result_fingerprint = result_fingerprint
@@ -367,25 +389,16 @@ class DurableQueue:
 
     def inflight(self) -> int:
         with self._lock:
-            return sum(
-                1 for e in self._entries.values() if e.state == "running"
-            )
+            return self._state_counts["running"]
 
     def client_load(self, client: str) -> int:
         """Queued + running requests attributed to one client."""
         with self._lock:
-            return sum(
-                1 for e in self._entries.values()
-                if e.request.client == client
-                and e.state in ("queued", "running")
-            )
+            return self._client_open.get(client, 0)
 
     def counts(self) -> dict[str, int]:
         with self._lock:
-            out = {state: 0 for state in STATES}
-            for e in self._entries.values():
-                out[e.state] += 1
-            return out
+            return dict(self._state_counts)
 
     def wake_all(self) -> None:
         """Wake every blocked ``claim`` (drain) and status streamer."""

@@ -116,8 +116,7 @@ def recover(queue: DurableQueue) -> RecoverySummary:
                 summary.requeued += 1
             elif entry.terminal:
                 summary.completed += 1
-            queue._entries[entry.id] = entry
-            queue._by_fingerprint[entry.request.fingerprint] = entry.id
+            queue._index(entry)
             queue._seq = max(queue._seq, entry.seq + 1)
         queue._ready.notify_all()
     return summary

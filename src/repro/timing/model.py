@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from repro.arch.spec import GPUSpec
 from repro.common.errors import SpecError
 from repro.mem.hierarchy import TrafficReport, resolve_traffic
+from repro.mem.trace import AccessTrace
 from repro.simt.stats import KernelStats
 from repro.timing.occupancy import Occupancy, compute_occupancy
 
@@ -89,6 +90,27 @@ class KernelTiming:
         return self.bounds.get(name, 0.0) / m if m else 0.0
 
 
+def _resolve_once(
+    trace: AccessTrace, gpu: GPUSpec, resident_warps_per_sm: int
+) -> TrafficReport:
+    """:func:`resolve_traffic`, memoised on the trace.
+
+    The engine (once per SM grant), the row code and ``profile`` all time
+    the same launch, and the traffic depends only on the trace, the GPU
+    and the occupancy — not on ``sm_limit`` or the launch kind.  The
+    record count is part of the key because a dynamic-parallelism parent
+    appends its children's records to its own trace.  ``GPUSpec`` holds
+    a dict and cannot be hashed; tuple equality compares it by identity,
+    then by value.
+    """
+    key = (gpu, resident_warps_per_sm, len(trace.records))
+    if trace._traffic is not None and trace._traffic[0] == key:
+        return trace._traffic[1]
+    report = resolve_traffic(trace, gpu, resident_warps_per_sm=resident_warps_per_sm)
+    trace._traffic = (key, report)
+    return report
+
+
 def estimate_kernel_time(
     stats: KernelStats,
     gpu: GPUSpec,
@@ -111,7 +133,7 @@ def estimate_kernel_time(
         registers_per_thread=stats.registers_per_thread,
         n_blocks=stats.blocks,
     )
-    traffic = resolve_traffic(stats.trace, gpu, resident_warps_per_sm=occ.warps_per_sm)
+    traffic = _resolve_once(stats.trace, gpu, occ.warps_per_sm)
 
     active_sms = occ.active_sms
     if sm_limit is not None:

@@ -14,10 +14,20 @@ compared field-for-field — the 14x3 matrix:
 
 Representative kernels are additionally launched per column to assert
 equality of the *raw microarchitectural counters* (the quantities jit
-recomputes or replays), to check sanitizer findings are untouched by
-the backend, and to prove the fast path and the replay actually engage
-rather than silently falling back everywhere.
+recomputes or replays) and of each launch's resolved cache traffic, to
+check sanitizer findings are untouched by the backend, and to prove the
+fast path and the replay actually engage rather than silently falling
+back everywhere.
+
+Every reference launch's :class:`TrafficReport` is also pinned by digest
+(``traffic_golden.json``), so a drift in the L1/L2 model fails here and
+not only in the host-time benchmark's row digests.
 """
+
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +40,7 @@ from repro.host.runtime import CudaLite
 from repro.jit import default_store, reset_jit_store
 from repro.sanitize.core import Sanitizer
 from repro.simt.kernel import kernel
+from repro.timing.model import estimate_kernel_time
 
 #: the matrix columns, each with how many runs it takes over one private
 #: store: the bare fast analyzers (no store), jit over an empty store,
@@ -55,16 +66,40 @@ SCALED = {
     "MiniTransfer": dict(n=256, nnz=1024),
 }
 
-#: reference results, computed once per benchmark and shared across the
-#: per-backend comparisons (the expensive half of every matrix cell)
-_reference_memo: dict[str, dict] = {}
+#: sha256 of every reference launch's ``TrafficReport.as_dict()`` per
+#: benchmark at ``SCALED`` sizes, as canonical JSON (floats in ``repr``,
+#: so every bit counts)
+TRAFFIC_GOLDEN = json.loads(
+    (Path(__file__).with_name("traffic_golden.json")).read_text()
+)
+
+#: reference results and traffic digests, computed once per benchmark and
+#: shared across the per-backend comparisons (the expensive half of every
+#: matrix cell)
+_reference_memo: dict[str, tuple[dict, str]] = {}
 
 
-def _reference_result(name: str) -> dict:
+def _traffic(launches) -> list[dict]:
+    """Each ``(stats, gpu)`` launch's resolved traffic, in launch order."""
+    return [estimate_kernel_time(s, gpu).traffic.as_dict() for s, gpu in launches]
+
+
+def _run_reference(name: str) -> tuple[dict, str]:
+    """The reference result document and its launches' traffic digest."""
     cached = _reference_memo.get(name)
     if cached is None:
-        with use_backend("reference"):
-            cached = get_benchmark(name).run(**SCALED.get(name, {})).as_dict()
+        launches = []
+        real_launch = CudaLite.launch
+
+        def launch(rt, *args, **kwargs):
+            stats = real_launch(rt, *args, **kwargs)
+            launches.append((stats, rt.gpu))
+            return stats
+
+        with use_backend("reference"), mock.patch.object(CudaLite, "launch", launch):
+            doc = get_benchmark(name).run(**SCALED.get(name, {})).as_dict()
+        traffic = json.dumps(_traffic(launches), sort_keys=True)
+        cached = (doc, hashlib.sha256(traffic.encode()).hexdigest())
         _reference_memo[name] = cached
     return cached
 
@@ -93,7 +128,7 @@ def _enter_column(column, monkeypatch) -> str:
 @pytest.mark.parametrize("column", COLUMNS)
 @pytest.mark.parametrize("cls", ALL_BENCHMARKS, ids=lambda c: c.name)
 def test_benchmark_identical_across_backends(cls, column, private_store, monkeypatch):
-    ref = _reference_result(cls.name)
+    ref = _run_reference(cls.name)[0]
     backend = _enter_column(column, monkeypatch)
     for _ in range(COLUMNS[column]):
         reset_jit_store()  # a fresh process over the same directory
@@ -102,6 +137,13 @@ def test_benchmark_identical_across_backends(cls, column, private_store, monkeyp
     assert ref == alt.as_dict(), f"{cls.name}: {column} diverged from reference"
     misses = default_store().stats()["misses"]
     assert column != "jit-warm" or misses == 0, f"{cls.name}: primed store missed"
+
+
+@pytest.mark.parametrize("cls", ALL_BENCHMARKS, ids=lambda c: c.name)
+def test_reference_traffic_matches_golden(cls):
+    assert _run_reference(cls.name)[1] == TRAFFIC_GOLDEN[cls.name], (
+        f"{cls.name}: resolved cache traffic drifted from traffic_golden.json"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +188,11 @@ class TestKernelCounters:
     @pytest.mark.parametrize("column", COLUMNS)
     def test_counters_identical(self, private_store, monkeypatch, column):
         repeat = COLUMNS[column]
-        _, ref = _launch_all("reference", repeat=repeat)
+        ref_rt, ref = _launch_all("reference", repeat=repeat)
         rt, alt = _launch_all(_enter_column(column, monkeypatch), repeat=repeat)
         assert ref == alt
+        traffic = [_traffic((s, r.gpu) for s, _ in r.kernel_log) for r in (ref_rt, rt)]
+        assert traffic[0] == traffic[1]
         assert column != "fast" or rt.dispatch.counters.global_fast > 0
 
     def test_fast_path_engages(self, private_store):
@@ -201,3 +245,10 @@ def _findings(backend):
 class TestSanitizeFindingsEquivalence:
     def test_findings_identical(self, private_store):
         assert _findings("reference") == _findings("jit")
+
+
+if __name__ == "__main__":
+    # re-record traffic_golden.json after a deliberate cache-model change
+    print(json.dumps(
+        {cls.name: _run_reference(cls.name)[1] for cls in ALL_BENCHMARKS}, indent=2
+    ))

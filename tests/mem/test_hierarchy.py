@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch.presets import TESLA_K80, TESLA_V100
 from repro.mem.coalesce import analyze_access
-from repro.mem.hierarchy import resolve_traffic
+from repro.mem.hierarchy import _warp_ids, resolve_traffic
 from repro.mem.trace import AccessTrace
 
 
@@ -154,3 +154,56 @@ class TestBurstFactorApplied:
         add_access(t, BASE + np.arange(n) * 64)
         rep = resolve_traffic(t, TESLA_V100, resident_warps_per_sm=64)
         assert rep.dram_read_bytes == pytest.approx(n * 32 * 2, rel=0.05)
+
+
+class TestWarpIds:
+    """The row-wise sort equals each warp's ``np.unique`` list, concatenated."""
+
+    @staticmethod
+    def per_warp_unique(addrs, mask, itemsize, granularity):
+        ids, warps = [], []
+        for w, (row_a, row_m) in enumerate(zip(addrs, mask)):
+            a = row_a[row_m]
+            ends = [a // granularity, (a + itemsize - 1) // granularity]
+            u = np.unique(np.concatenate(ends))
+            ids.append(u)
+            warps.append(np.full(u.size, w))
+        return np.concatenate(ids), np.concatenate(warps)
+
+    @pytest.mark.parametrize("granularity", [128, 32])
+    @pytest.mark.parametrize("itemsize", [1, 4, 8, 16])
+    def test_matches_per_warp_unique(self, itemsize, granularity):
+        rng = np.random.default_rng(itemsize * granularity)
+        warps = 8
+        # a misaligned base, so items straddle line and sector boundaries
+        base = BASE + 4 * 128 - 3
+        contiguous = base + np.arange(warps * 32) * itemsize
+        scattered = base + rng.integers(0, 1 << 16, warps * 32) * itemsize
+        addrs = np.where(np.arange(warps * 32) < 128, contiguous, scattered)
+        addrs = addrs.reshape(warps, 32)
+        mask = rng.random((warps, 32)) < 0.7
+        mask[1] = False           # an all-inactive warp
+        mask[2] = False
+        mask[2, 17] = True        # a single active lane
+        mask[3] = True
+        straddles = (addrs // granularity != (addrs + itemsize - 1) // granularity) & mask
+        assert straddles.any() == (itemsize > 1)
+        ids, owners = _warp_ids(addrs, mask, itemsize, granularity)
+        exp_ids, exp_owners = self.per_warp_unique(addrs, mask, itemsize, granularity)
+        assert ids.tolist() == exp_ids.tolist()
+        assert owners.tolist() == exp_owners.tolist()
+        assert 1 not in owners.tolist() and owners.tolist().count(2) in (1, 2)
+
+    def test_straddling_item_touches_both_lines(self):
+        addrs = np.full((1, 32), BASE + 126)
+        mask = np.zeros((1, 32), dtype=bool)
+        mask[0, 0] = True
+        ids, owners = _warp_ids(addrs, mask, 4, 128)
+        assert ids.tolist() == [(BASE + 126) // 128, (BASE + 129) // 128]
+        assert owners.tolist() == [0, 0]
+
+    def test_no_active_lanes(self):
+        ids, owners = _warp_ids(
+            np.zeros((3, 32), dtype=np.int64), np.zeros((3, 32), dtype=bool), 4, 32
+        )
+        assert ids.size == 0 and owners.size == 0

@@ -1,12 +1,13 @@
-"""Property-based tests: LRU cache invariants."""
+"""Property-based tests: LRU cache invariants, and the batched array
+LRU against the scalar :class:`LRUCache` oracle."""
 
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import LRUCache
+from repro.mem.cache import BatchedLRU, LRUCache, _mix, _mix_array
 
 streams = st.lists(st.integers(0, 64), min_size=1, max_size=300)
 
@@ -70,3 +71,63 @@ class TestInvariants:
         c.access_many(stream)
         # with a huge hashed cache, conflict misses are absent
         assert c.misses == len(set(stream))
+
+
+@st.composite
+def chunked_streams(draw):
+    """Program-ordered ``(cache, line)`` accesses split into ``access``
+    calls, each call all reads or all writes; lines are drawn from a
+    small pool of ids up to 2**40 so streams re-touch lines."""
+    pool = draw(st.lists(st.integers(0, 1 << 40), min_size=1, max_size=48, unique=True))
+    lines = st.sampled_from(pool)
+    caches = draw(st.integers(1, 4))
+    access = st.tuples(st.integers(0, caches - 1), lines)
+    calls = draw(
+        st.lists(
+            st.tuples(st.lists(access, max_size=80), st.booleans()),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return caches, calls
+
+
+class TestBatchedMatchesScalar:
+    @given(
+        # small capacities too, so streams evict
+        capacity=st.one_of(st.integers(1, 24), st.integers(1, 512)),
+        ways=st.sampled_from([1, 2, 4, 8, 16]),
+        streams=chunked_streams(),
+    )
+    # capacity below ways: one set
+    @example(3, 4, (1, [([(0, 1), (0, 2), (0, 3), (0, 4), (0, 1)], False)]))
+    # capacity not a multiple of ways, two caches
+    @example(10, 4, (2, [([(0, 5), (1, 5), (0, 9)] * 4, True)]))
+    # recency carries across calls: the re-touched line is not the victim
+    @example(2, 2, (1, [([(0, 1), (0, 2)], False), ([(0, 1)], False),
+                        ([(0, 3), (0, 1)], False)]))
+    # a dirty line evicted by a read: its successor arrives clean
+    @example(1, 1, (1, [([(0, 1)], True), ([(0, 2)], False), ([(0, 2)], True)]))
+    @settings(max_examples=200, deadline=None)
+    def test_hits_and_dirtied_equal(self, capacity, ways, streams):
+        n_caches, calls = streams
+        oracle = [LRUCache(capacity, ways) for _ in range(n_caches)]
+        batched = BatchedLRU(capacity, ways, caches=n_caches)
+        assert batched.ways == oracle[0].ways
+        assert batched.n_sets == oracle[0].n_sets
+        for accesses, write in calls:
+            before = sum(c.lines_dirtied for c in oracle)
+            expected = [oracle[c].access(line, write=write) for c, line in accesses]
+            which = np.array([c for c, _ in accesses], dtype=np.int64)
+            lines = np.array([line for _, line in accesses], dtype=np.int64)
+            hits, dirtied = batched.access(
+                batched.set_index(lines, which), lines, write=write
+            )
+            assert hits.tolist() == expected
+            assert dirtied == sum(c.lines_dirtied for c in oracle) - before
+
+    @given(ids=st.lists(st.integers(0, (1 << 63) - 1), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_array_hash_equals_scalar(self, ids):
+        mixed = _mix_array(np.array(ids, dtype=np.int64))
+        assert mixed.tolist() == [_mix(i) for i in ids]

@@ -1,11 +1,13 @@
 """DurableQueue: accepted means persisted; idempotent resubmission."""
 
 import json
+import random
 
 import pytest
 
 from repro.serve.queue import DurableQueue
-from repro.serve.request import parse_request
+from repro.serve.recovery import recover
+from repro.serve.request import STATES, parse_request
 
 
 def sweep_request(values=(4096, 8192), **over):
@@ -162,3 +164,69 @@ class TestAccounting:
         assert queue.client_load("anon") == 2
         queue.complete(claimed, "fp")
         assert queue.client_load("anon") == 1
+
+
+class TestCountsMatchScan:
+    """The per-state and per-client counts kept on every transition equal
+    a full scan of the entries after every step, across a recovery."""
+
+    CLIENTS = ("anon", "alice", "bob")
+
+    @classmethod
+    def assert_counts_match_scan(cls, queue):
+        states = {state: 0 for state in STATES}
+        open_by_client = {client: 0 for client in cls.CLIENTS}
+        for e in queue._entries.values():
+            states[e.state] += 1
+            if e.state in ("queued", "running"):
+                open_by_client[e.request.client] += 1
+        assert queue.counts() == states
+        assert queue.inflight() == states["running"]
+        for client, n in open_by_client.items():
+            assert queue.client_load(client) == n
+
+    @classmethod
+    def random_steps(cls, queue, rng, submitted, steps):
+        running = [e for e in queue._entries.values() if e.state == "running"]
+        for _ in range(steps):
+            op = rng.choice(
+                ["submit", "submit", "duplicate", "claim", "claim",
+                 "complete", "fail", "expire", "requeue"]
+            )
+            if op == "submit":
+                doc = {"kind": "sweep", "benchmark": "MemAlign",
+                       "values": [rng.randrange(1 << 30)]}
+                submitted.append(doc)
+                queue.submit(parse_request(doc, client=rng.choice(cls.CLIENTS)))
+            elif op == "duplicate" and submitted:
+                # re-arms the original when it failed or expired
+                doc = rng.choice(submitted)
+                queue.submit(parse_request(doc, client=rng.choice(cls.CLIENTS)))
+            elif op == "claim":
+                entry = queue.claim("w0", timeout=0)
+                if entry is not None:
+                    running.append(entry)
+            elif running:
+                entry = running.pop(rng.randrange(len(running)))
+                if op == "complete":
+                    queue.complete(entry, "fp")
+                elif op == "requeue":
+                    queue.requeue(entry)
+                else:
+                    getattr(queue, op)(entry, "boom")
+            cls.assert_counts_match_scan(queue)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_lifecycle_then_recovery(self, tmp_path, seed):
+        rng = random.Random(seed)
+        submitted = []
+        first = DurableQueue(tmp_path / "data")
+        self.random_steps(first, rng, submitted, 80)
+        assert first.counts()["running"] and first.counts()["done"]
+        first.close()  # as if killed: running entries still hold leases
+        second = DurableQueue(tmp_path / "data")
+        recover(second)
+        self.assert_counts_match_scan(second)
+        assert second.counts()["running"] == 0
+        self.random_steps(second, rng, submitted, 40)
+        second.close()

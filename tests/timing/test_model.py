@@ -1,12 +1,16 @@
 """The roofline timing model: bounds, limits, launch overheads."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.arch.presets import TESLA_K80, TESLA_V100
 from repro.common.errors import SpecError
+from repro.mem.hierarchy import resolve_traffic
 from repro.simt.executor import run_kernel
 from repro.simt.kernel import kernel
+from repro.timing import model as timing_model
 from repro.timing.model import estimate_kernel_time, launch_overhead
 from tests.conftest import make_device_array
 
@@ -136,3 +140,76 @@ class TestArchitectureEffects:
         t_v = estimate_kernel_time(s_v, TESLA_V100).exec_s
         t_k = estimate_kernel_time(s_k, TESLA_K80).exec_s
         assert t_v < t_k
+
+
+class TestResolvedOnce:
+    """The traffic depends on the trace, the GPU and the occupancy only,
+    so each launch's trace is resolved once however often it is timed."""
+
+    @pytest.fixture
+    def resolutions(self, monkeypatch):
+        calls = []
+        real = timing_model.resolve_traffic
+
+        def counting(trace, gpu, **kw):
+            calls.append(gpu.name)
+            return real(trace, gpu, **kw)
+
+        monkeypatch.setattr(timing_model, "resolve_traffic", counting)
+        return calls
+
+    @pytest.fixture
+    def stats(self, allocator):
+        n = 1 << 14
+        x = make_device_array(allocator, np.zeros(n, dtype=np.float32))
+        y = make_device_array(allocator, np.zeros(n, dtype=np.float32))
+        return run(streaming, (x, y, n), n)
+
+    def test_sm_limit_and_launch_kind_reuse_the_resolution(self, stats, resolutions):
+        full = estimate_kernel_time(stats, TESLA_V100)
+        part = estimate_kernel_time(stats, TESLA_V100, sm_limit=8, launch_kind="graph")
+        assert len(resolutions) == 1
+        assert part.traffic is full.traffic
+
+    def test_memoised_report_equals_a_fresh_resolution(self, stats, resolutions):
+        estimate_kernel_time(stats, TESLA_V100)
+        t = estimate_kernel_time(stats, TESLA_V100, sm_limit=4)
+        fresh = resolve_traffic(
+            stats.trace, TESLA_V100, resident_warps_per_sm=t.occupancy.warps_per_sm
+        )
+        assert t.traffic.as_dict() == fresh.as_dict()
+
+    def test_appended_records_resolve_again(self, stats, allocator, resolutions):
+        before = estimate_kernel_time(stats, TESLA_V100)
+        n = 1 << 12
+        x = make_device_array(allocator, np.zeros(n, dtype=np.float32))
+        y = make_device_array(allocator, np.zeros(n, dtype=np.float32))
+        stats.merge_child(run(streaming, (x, y, n), n))
+        after = estimate_kernel_time(stats, TESLA_V100)
+        assert len(resolutions) == 2
+        assert after.traffic.bytes_requested > before.traffic.bytes_requested
+
+    def test_another_gpu_resolves_again(self, stats, resolutions):
+        estimate_kernel_time(stats, TESLA_V100)
+        k80 = estimate_kernel_time(stats, TESLA_K80)
+        assert resolutions == [TESLA_V100.name, TESLA_K80.name]
+        fresh = resolve_traffic(
+            stats.trace, TESLA_K80, resident_warps_per_sm=k80.occupancy.warps_per_sm
+        )
+        assert k80.traffic.as_dict() == fresh.as_dict()
+
+    def test_equal_gpu_reuses_the_resolution(self, stats, resolutions):
+        estimate_kernel_time(stats, TESLA_V100)
+        estimate_kernel_time(stats, replace(TESLA_V100))
+        assert len(resolutions) == 1
+
+    def test_another_occupancy_resolves_again(self, stats, resolutions):
+        before = estimate_kernel_time(stats, TESLA_V100)
+        stats.registers_per_thread = 255  # fewer resident warps per SM
+        t = estimate_kernel_time(stats, TESLA_V100)
+        assert t.occupancy.warps_per_sm < before.occupancy.warps_per_sm
+        assert len(resolutions) == 2
+        fresh = resolve_traffic(
+            stats.trace, TESLA_V100, resident_warps_per_sm=t.occupancy.warps_per_sm
+        )
+        assert t.traffic.as_dict() == fresh.as_dict()

@@ -36,11 +36,12 @@ finding is reported, ``prof diff`` exits 1 when a metric regresses
 beyond its threshold (or a ``--claims`` claim fails), ``check`` exits 1
 when any conformance check fails; every command exits 2 on a runtime
 error and 0 otherwise.  Supervised runs (``run``/``sweep``/``table1``/
-``check`` with ``--jobs`` or any resilience flag) add two more: 3 when
-the run completed only through a degradation fallback (jit backend
-re-run on the reference oracle, or the worker pool dropping to serial),
-and 4 when the run was interrupted (SIGINT/SIGTERM) with the completed
-work checkpointed to the run journal — finish it with ``--resume``.
+``check`` with ``--jobs``, ``--fleet`` or any resilience flag) add two
+more: 3 when the run completed only through a degradation fallback (jit
+backend re-run on the reference oracle, or local workers that could not
+be started leaving the run to finish in-process), and 4 when the run
+was interrupted (SIGINT/SIGTERM) with the completed work checkpointed
+to the run journal — finish it with ``--resume``.
 
 The parser is built from one command table (:data:`_COMMANDS`) whose
 shared option groups are each defined once (:func:`_option_groups`);
@@ -61,6 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.arch.presets import get_system, list_gpus
+from repro.common.durable import make_dirs
 from repro.common.errors import ReproError
 from repro.common.tables import render_table
 from repro.core.registry import ALL_BENCHMARKS, get_benchmark
@@ -99,79 +101,70 @@ def _make_cache(args: argparse.Namespace):
     return ResultCache(args.cache_dir, enabled=not args.no_cache)
 
 
-def _make_fleet(args: argparse.Namespace, *, command: str):
-    """Build the fleet configuration from ``--fleet``/``--join`` flags."""
-    if getattr(args, "fleet", None) is None and getattr(args, "join", None) is None:
-        return None
-    from repro.resilience import FleetConfig, new_run_id, parse_chaos
+def _make_config(args: argparse.Namespace, *, command: str):
+    """Build the supervision config of a supervised run from CLI flags.
 
-    if args.fleet is not None and args.join:
+    ``--run-id X`` starts a run X, ``--resume X`` reopens one and
+    ``--join X`` adds this process to one; ``--no-journal`` runs
+    without a journal.  A ``check`` run journals to ``<run-id>.ndjson``,
+    every other command to the run directory ``<run-id>.fleet/``.
+    """
+    from repro.resilience import (
+        ResilienceConfig, fleet_dir, new_run_id, parse_chaos,
+    )
+
+    fleet, join = getattr(args, "fleet", None), getattr(args, "join", None)
+    if fleet is not None and join:
         raise ReproError(
             "--fleet and --join are mutually exclusive: --fleet spawns "
             "local workers for a new run, --join adds this process to an "
             "existing one"
         )
-    if args.resume:
+    if (fleet is not None or join) and args.resume:
         raise ReproError(
             "--resume does not apply to fleet runs; re-join an "
             "interrupted fleet with --join <run-id> instead"
         )
-    if args.join:
-        run_id, workers = args.join, 0
-    else:
-        if args.fleet <= 0:
+    if fleet is not None and fleet <= 0:
+        raise ReproError(f"--fleet needs a positive worker count, got {fleet}")
+    run_id = join or args.resume or args.run_id
+    if not join and args.no_journal:
+        run_id = None
+    elif run_id is None:
+        run_id = new_run_id()
+    if run_id is not None and not join:
+        root = Path(args.journal_dir)
+        path = (
+            root / f"{run_id}.ndjson" if command == "check"
+            else fleet_dir(root, run_id)
+        )
+        if args.resume and not path.exists():
             raise ReproError(
-                f"--fleet needs a positive worker count, got {args.fleet}"
+                f"no journal for run {run_id!r} under {root} "
+                f"(expected {path})"
             )
-        run_id, workers = args.run_id or new_run_id(), args.fleet
-    ttl = args.lease_ttl if args.lease_ttl is not None else 5.0
-    heartbeat = (
-        args.heartbeat if args.heartbeat is not None else max(ttl / 3.0, 1e-3)
-    )
+        if not args.resume and path.exists():
+            raise ReproError(
+                f"journal {path} already exists; pass --resume {run_id} "
+                "to continue it or pick another --run-id"
+            )
+    ttl = getattr(args, "lease_ttl", None)
+    ttl = ttl if ttl is not None else 5.0
+    heartbeat = getattr(args, "heartbeat", None)
     kwargs: dict[str, Any] = {}
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
     if args.job_timeout is not None:
         kwargs["job_timeout_s"] = args.job_timeout
-    return FleetConfig(
+    return ResilienceConfig(
+        chaos=parse_chaos(args.chaos) if args.chaos else None,
         run_id=run_id,
-        worker_id=args.worker_id or "",
-        workers=workers,
         journal_root=args.journal_dir,
         command=command,
-        heartbeat_s=heartbeat,
+        worker_id=getattr(args, "worker_id", None) or "",
+        heartbeat_s=heartbeat if heartbeat is not None else max(ttl / 3.0, 1e-3),
         lease_ttl_s=ttl,
-        chaos=parse_chaos(args.chaos) if args.chaos else None,
         **kwargs,
-    )
-
-
-def _make_resilience(args: argparse.Namespace, *, command: str):
-    """Build the supervision policy (and run journal) from CLI flags."""
-    from repro.resilience import ResilienceConfig, RunJournal, parse_chaos
-
-    chaos = parse_chaos(args.chaos) if args.chaos else None
-    journal = None
-    if not args.no_journal:
-        if args.resume:
-            journal = RunJournal.resume(args.journal_dir, args.resume)
-        else:
-            journal = RunJournal.create(
-                args.journal_dir,
-                run_id=args.run_id,
-                meta={"command": command},
-            )
-    kwargs: dict[str, Any] = {}
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    if args.job_timeout is not None:
-        kwargs["job_timeout_s"] = args.job_timeout
-    # a hub gives the supervisor somewhere to hang its flight recorder,
-    # so a quarantine dumps the run's last sched events post-mortem
-    from repro.prof.activity import ActivityHub
-
-    return ResilienceConfig(
-        chaos=chaos, journal=journal, hub=ActivityHub(), **kwargs
     )
 
 
@@ -188,14 +181,15 @@ class _RunSession:
     """The lifecycle that ``table1``, ``sweep``, ``run`` and ``check`` share.
 
     Built once from the parsed arguments, the session picks the mode:
-    in-process; the supervised pool (``--jobs > 1`` or any resilience
-    flag); or the fleet (``--fleet``/``--join``).  Building it only
-    validates arguments.  :meth:`scope` opens the cache and the run
-    journal and runs the command's work inside ``--backend``, SIGTERM
-    handled as Ctrl-C, the ``--metrics-port`` endpoint, and the profiler
-    when an in-process run asked for an export; an interrupted scheduled
-    run says how to finish it and exits 4.  :meth:`finish` then renders
-    the result and writes every artifact, once.
+    in-process, or supervised (``--jobs > 1``, ``--fleet``/``--join``
+    or any resilience flag), which runs the job list through the engine
+    of :mod:`repro.resilience.fleet`.  Building it only validates
+    arguments.  :meth:`scope` opens the cache and runs the command's
+    work inside ``--backend``, SIGTERM handled as Ctrl-C, the
+    ``--metrics-port`` endpoint, and the profiler when an in-process run
+    asked for an export; an interrupted scheduled run says how to
+    finish it and exits 4.  :meth:`finish` then renders the result and
+    writes every artifact, once.
     """
 
     def __init__(
@@ -218,10 +212,11 @@ class _RunSession:
         #: ``check_all`` sets up both per backend itself (``--backend
         #: both``), and ``check``'s ``--json`` is its report
         self.scope_runtimes = scope_runtimes
-        self.fleet = _make_fleet(args, command=command)
-        # any resilience flag asks for the supervised pool, even at --jobs 1
+        fleet = getattr(args, "fleet", None)
+        # any resilience flag asks for supervision, even at --jobs 1
         self.supervised = (
-            self.fleet is not None
+            fleet is not None
+            or getattr(args, "join", None) is not None
             or getattr(args, "jobs", 1) > 1
             or any(
                 getattr(args, name, None) is not None
@@ -230,15 +225,31 @@ class _RunSession:
                 )
             )
         )
-        self.cache = self.resilience = self.telemetry = self.prof = None
+        self.config = (
+            _make_config(args, command=command) if self.supervised else None
+        )
+        #: worker processes: ``--fleet N`` or ``--jobs N``; 0 joins a run
+        self.jobs = (
+            0 if getattr(args, "join", None)
+            else fleet if fleet is not None else getattr(args, "jobs", 1)
+        )
+        self.telemetry = self.config.telemetry if self.config else None
+        self.cache = self.prof = None
 
     @property
     def scheduler(self) -> dict[str, Any]:
         """The scheduler keyword arguments of this run."""
-        return {
-            "cache": self.cache, "resilience": self.resilience,
-            "fleet": self.fleet,
-        }
+        return {"jobs": self.jobs, "cache": self.cache, "config": self.config}
+
+    def _run_dir(self) -> Path | None:
+        """The run directory of a journaled job list, once it exists."""
+        config = self.config
+        if config is None or config.run_id is None or self.command == "check":
+            return None
+        from repro.resilience.fleet import fleet_dir
+
+        run_dir = fleet_dir(config.journal_root, config.run_id)
+        return run_dir if run_dir.is_dir() else None
 
     @contextmanager
     def scope(self) -> Iterator[None]:
@@ -275,13 +286,6 @@ class _RunSession:
                 )
             if hasattr(args, "cache_dir"):  # the commands with the cache group
                 self.cache = _make_cache(args)
-            if self.fleet is None:
-                self.resilience = _make_resilience(args, command=self.command)
-            owner = self.fleet if self.fleet is not None else self.resilience
-            self.telemetry = owner.telemetry
-            journal = self.resilience.journal if self.resilience else None
-            if journal is not None:
-                stack.callback(journal.close)
             if threading.current_thread() is threading.main_thread():
                 # a polite kill flushes the journal and exits 4, like Ctrl-C
                 old = signal.signal(signal.SIGTERM, _raise_interrupt)
@@ -290,24 +294,26 @@ class _RunSession:
                 from repro.obs import MetricsServer
 
                 server = stack.enter_context(
-                    MetricsServer(self._samples, port=args.metrics_port)
+                    MetricsServer(self._live_samples, port=args.metrics_port)
                 )
                 print(f"metrics: serving on {server.url}", file=sys.stderr)
             try:
                 yield
             except KeyboardInterrupt:
-                if self.fleet is not None:
-                    run_id = self.fleet.run_id
+                run_id = self.config.run_id
+                if run_id is not None and (
+                    self.jobs == 0 or getattr(args, "fleet", None)
+                ):
                     message = (
                         f"interrupted: fleet run {run_id} keeps each worker's "
                         f"completed jobs in its own journal; finish with "
                         f"--join {run_id}"
                     )
-                elif journal is not None:
+                elif run_id is not None:
                     message = (
                         f"interrupted: {self.telemetry.completed} completed "
-                        f"job(s) saved to journal run {journal.run_id}; "
-                        f"finish with --resume {journal.run_id}"
+                        f"job(s) saved to journal run {run_id}; "
+                        f"finish with --resume {run_id}"
                     )
                 else:
                     message = (
@@ -388,7 +394,7 @@ class _RunSession:
         if self.telemetry is not None:
             doc["execution"] = self.telemetry.as_dict()
         path = Path(self.args.stats)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dirs(path.parent)
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"scheduler stats written to {path}")
 
@@ -403,60 +409,46 @@ class _RunSession:
                 file=sys.stderr,
             )
             return
-        from repro.obs import write_metrics_text
+        from repro.obs import fleet_status, telemetry_samples, write_metrics_text
 
-        path = write_metrics_text(self.args.metrics, self._samples())
-        print(f"metrics written to {path}")
-
-    def _samples(self):
-        """The sample set behind ``--metrics`` and ``--metrics-port``.
-
-        Fleet runs scan the shared coordination directory read-only —
-        safe to call from any process at any time, and incapable of
-        perturbing the run's byte-identical merge.  Pool runs read the
-        in-process scheduler telemetry, which the parent updates as
-        results arrive.
-        """
-        from repro.obs import fleet_samples, telemetry_samples
-
-        args = self.args
-        if self.fleet is not None:
-            from repro.resilience.fleet import fleet_dir
-
-            run_id = self.fleet.run_id
-            try:
-                return fleet_samples(
-                    fleet_dir(args.journal_dir, run_id),
-                    run_id=run_id, command=self.command,
-                )
-            except ReproError:
-                # scraped before the workers created the run directory:
-                # serve the still-zero telemetry instead of a 500
-                return telemetry_samples(
-                    self.telemetry, run_id=run_id, command=self.command
-                )
-        journal = self.resilience.journal
-        flight_dumps = None
-        if journal is not None:
-            from repro.obs import list_flight_dumps
-
-            flight_dumps = len(list_flight_dumps(
-                Path(args.journal_dir) / "flightrec" / journal.run_id
-            ))
-        return telemetry_samples(
+        run_dir = self._run_dir()
+        status = fleet_status(run_dir) if run_dir is not None else {}
+        samples = telemetry_samples(
             self.telemetry,
             cache_stats=self.cache.stats() if self.cache is not None else None,
-            run_id=journal.run_id if journal is not None else None,
+            run_id=self.config.run_id,
             command=self.command,
             jobs_total=self.jobs_total,
-            flight_dumps=flight_dumps,
+            # a finished merge resolved every job (an unjournaled run's
+            # directory is gone by now)
+            jobs_remaining=status.get("jobs_remaining", 0),
+            flight_dumps=status.get("flight_dumps"),
+        )
+        path = write_metrics_text(self.args.metrics, samples)
+        print(f"metrics written to {path}")
+
+    def _live_samples(self):
+        """The ``--metrics-port`` sample set: the run directory scanned
+        read-only — safe from any thread at any time, and incapable of
+        perturbing the run's byte-identical merge — or the still-zero
+        telemetry before the directory exists."""
+        from repro.obs import fleet_samples, telemetry_samples
+
+        run_dir = self._run_dir()
+        if run_dir is None:
+            return telemetry_samples(
+                self.telemetry, run_id=self.config.run_id,
+                command=self.command,
+            )
+        return fleet_samples(
+            run_dir, run_id=self.config.run_id, command=self.command,
+            mode=self.telemetry.mode,
         )
 
     def _write_exports(self) -> None:
         """``--trace``, ``--ndjson`` and ``--json``: the profiler's for an
         in-process run; under supervision ``--trace`` is stitched from
-        the run's journal(s) — per-worker lanes for fleet runs, a
-        synthetic span tree for journaled pool runs."""
+        the run directory, one lane per worker."""
         args = self.args
         prof = self.prof
         if prof is not None:
@@ -474,25 +466,18 @@ class _RunSession:
             return
         if not getattr(args, "trace", None):
             return
-        if self.fleet is not None:
-            from repro.obs import write_fleet_trace
-            from repro.resilience.fleet import fleet_dir
-
-            path = write_fleet_trace(
-                fleet_dir(args.journal_dir, self.fleet.run_id), args.trace
-            )
-            print(f"stitched fleet trace written to {path}")
-        elif self.resilience is not None and self.resilience.journal is not None:
-            from repro.obs import write_journal_trace
-
-            path = write_journal_trace(self.resilience.journal.path, args.trace)
-            print(f"journal trace written to {path}")
-        else:
+        run_dir = self._run_dir()
+        if run_dir is None:
             print(
                 "note: --trace under supervision needs a run journal; "
                 "drop --no-journal",
                 file=sys.stderr,
             )
+            return
+        from repro.obs import write_fleet_trace
+
+        path = write_fleet_trace(run_dir, args.trace)
+        print(f"stitched fleet trace written to {path}")
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -516,7 +501,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if session.supervised:
             from repro.sched import parallel_suite
 
-            report = parallel_suite(jobs=args.jobs, **session.scheduler)
+            report = parallel_suite(**session.scheduler)
         else:
             # the module global, read at call time: the perf benchmark's
             # launcher rebinds it to run Table I at its problem sizes
@@ -584,7 +569,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 values,
                 params=params,
                 system=args.system,
-                jobs=args.jobs,
                 **session.scheduler,
             )
         else:
@@ -791,7 +775,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 quick=args.quick,
                 relations=not args.no_relations,
                 system=args.system,
-                resilience=session.resilience,
+                resilience=session.config,
             )
         status = session.finish(0 if report.ok else 1, report.render())
     if args.json:
@@ -1094,23 +1078,6 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
             return False
         return True
 
-    def show_flight_dumps(dump_dir: Path) -> None:
-        dumps = list_flight_dumps(dump_dir)
-        if not dumps:
-            return
-        print(f"  flight dumps ({len(dumps)}):")
-        for p in dumps:
-            try:
-                doc = read_flight_dump(p)
-            except (OSError, ValueError):
-                print(f"    {p.name}  <unreadable>")
-                continue
-            print(
-                f"    {p.name}  reason={doc.get('reason', '?')} "
-                f"records={len(doc.get('records') or [])} "
-                f"dropped={doc.get('dropped', 0)}"
-            )
-
     if entry["kind"] == "run":
         header, entries = read_journal_entries(Path(entry["path"]))
         print(
@@ -1129,7 +1096,6 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
             print(f"  {e['job'][:16]}  {kind:<6} {bench:<14} span={span}")
         if filtering:
             print(f"  {shown}/{len(entries)} job(s) matched")
-        show_flight_dumps(root / "flightrec" / args.run_id)
         return 0
     run_dir = fleet_dir(root, args.run_id)
     manifest = read_manifest(run_dir)
@@ -1159,7 +1125,7 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         else:
             print(f"  worker {jf.stem}: {len(entries)} completed")
     if filtering:
-        print(f"  {shown}/{scanned} journaled job(s) matched")
+        print(f"  {shown}/{scanned} job(s) matched")
     quarantined = list((run_dir / "quarantine").glob("*.json")) if (
         run_dir / "quarantine"
     ).is_dir() else []
@@ -1172,8 +1138,21 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         f"quarantined {len(quarantined)}, live leases {len(leases)}"
     )
     if len(resolved) < total:
-        print(f"  finish with: repro <command> ... --join {args.run_id}")
-    show_flight_dumps(run_dir / "flightrec")
+        print(f"  finish with: repro <command> ... --resume {args.run_id}")
+    dumps = list_flight_dumps(run_dir / "flightrec")
+    if dumps:
+        print(f"  flight dumps ({len(dumps)}):")
+    for p in dumps:
+        try:
+            doc = read_flight_dump(p)
+        except (OSError, ValueError):
+            print(f"    {p.name}  <unreadable>")
+            continue
+        print(
+            f"    {p.name}  reason={doc.get('reason', '?')} "
+            f"records={len(doc.get('records') or [])} "
+            f"dropped={doc.get('dropped', 0)}"
+        )
     return 0
 
 
@@ -1195,8 +1174,7 @@ def cmd_journal_gc(args: argparse.Namespace) -> int:
         print(
             f"swept {summary['stale_leases_evicted']} stale lease(s), "
             f"{summary['steal_remnants_removed']} steal remnant(s), "
-            f"{summary['tmp_files_removed']} tmp file(s), "
-            f"{summary['flight_dump_dirs_removed']} flight-dump dir(s)"
+            f"{summary['tmp_files_removed']} tmp file(s)"
         )
     return 0
 

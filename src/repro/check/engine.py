@@ -143,58 +143,73 @@ def _check_supervised(
 ) -> None:
     """Run the (backend × claim file) units under the resilience policy.
 
-    Conformance outcomes are built in-process, so the worker pool cannot
-    isolate them: each unit climbs the supervision
-    :class:`~repro.resilience.supervisor.Ladder` in-process, with
-    :func:`~repro.resilience.supervisor.wall_clock_limit` for the
-    per-unit timeout, journal checkpoints (one outcome list per unit)
-    for ``--resume``, and simulated chaos keyed on the unit ordinal.  A
-    unit has no backend to fall back from: it verifies its backend.
+    Conformance outcomes are built in-process and are not job specs, so
+    the multi-process engine does not run them: each unit climbs the
+    supervision :class:`~repro.resilience.supervisor.Ladder` in-process,
+    with :func:`~repro.resilience.supervisor.wall_clock_limit` for the
+    per-unit timeout, checkpoints (one outcome list per unit) in the
+    single-file journal ``<run-id>.ndjson`` for ``--resume``, and
+    simulated chaos keyed on the unit ordinal.  A unit has no backend to
+    fall back from: it verifies its backend.
     """
     from functools import partial
 
     from repro.check.report import CheckOutcome
+    from repro.resilience.journal import RunJournal
     from repro.resilience.supervisor import Ladder
 
     tele = config.telemetry
     tele.mode = "serial"
     chaos = config.chaos
-    journal = config.journal
-    if journal is not None:
-        tele.journal_run_id = journal.run_id
+    journal = None
+    if config.run_id is not None:
+        journal = RunJournal.attach(
+            config.journal_root, run_id=config.run_id,
+            meta={"command": "check"},
+        )
+        tele.journal_run_id = config.run_id
 
     units = [(be, spec) for be in backends for spec in selected]
-    for ordinal, (be, spec) in enumerate(units):
-        fp = (
-            _unit_fingerprint(spec, backend=be, quick=quick, system=system)
-            if journal is not None
-            else None
-        )
-        if fp is not None and fp in journal.completed:
-            config.report("resume-skip", benchmark=spec.benchmark, job=ordinal)
-            report.extend(
-                CheckOutcome.from_dict(d) for d in journal.completed[fp]
+    try:
+        for ordinal, (be, spec) in enumerate(units):
+            fp = (
+                _unit_fingerprint(spec, backend=be, quick=quick, system=system)
+                if journal is not None
+                else None
             )
-            continue
-        ladder = Ladder(ordinal, spec.benchmark, None, config, config.report)
-        outcomes = ladder.run(
-            partial(
-                check_benchmark, spec, backend=be, quick=quick, system=system
-            ),
-            config.job_timeout_s,
-        )
-        if outcomes is None:
-            continue
-        report.extend(outcomes)
+            if fp is not None and fp in journal.completed:
+                config.report(
+                    "resume-skip", benchmark=spec.benchmark, job=ordinal
+                )
+                report.extend(
+                    CheckOutcome.from_dict(d) for d in journal.completed[fp]
+                )
+                continue
+            ladder = Ladder(
+                ordinal, spec.benchmark, None, config, config.report
+            )
+            outcomes = ladder.run(
+                partial(
+                    check_benchmark, spec, backend=be, quick=quick,
+                    system=system,
+                ),
+                config.job_timeout_s,
+            )
+            if outcomes is None:
+                continue
+            report.extend(outcomes)
+            if journal is not None:
+                journal.record(
+                    fp,
+                    [o.as_dict() for o in outcomes],
+                    meta={"benchmark": spec.benchmark, "backend": be},
+                )
+            tele.completed += 1
+            if chaos is not None and chaos.interrupts_after(tele.completed):
+                raise KeyboardInterrupt
+    finally:
         if journal is not None:
-            journal.record(
-                fp,
-                [o.as_dict() for o in outcomes],
-                meta={"benchmark": spec.benchmark, "backend": be},
-            )
-        tele.completed += 1
-        if chaos is not None and chaos.interrupts_after(tele.completed):
-            raise KeyboardInterrupt
+            journal.close()
     config.raise_quarantined("check unit(s)")
 
 

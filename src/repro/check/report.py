@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from repro.common.durable import make_dirs
 from repro.common.tables import render_table
 
 __all__ = ["CONFORMANCE_SCHEMA", "CheckOutcome", "ConformanceReport"]
@@ -131,7 +132,7 @@ class ConformanceReport:
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dirs(path.parent)
         path.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
         return path
 

@@ -16,13 +16,17 @@ in one place — see the "Durability" section of ``docs/resilience.md``:
 * :func:`read_records` reads such a file back, skipping blank,
   unparsable (torn, garbage) and non-object lines.
 
+* :func:`make_dirs` creates a directory and its missing parents,
+  fsyncing each new level into its parent, so a directory created on
+  first use survives a power cut along with what is published into it.
+
 Interrupted publishes leave only ``*.tmp`` files, which ``repro journal
 gc``, ``repro cache gc`` and :meth:`~repro.resilience.lease.LeaseDir.
-sweep_stale` remove.  Directories created on first use are not fsync'd
-into their parents.
+sweep_stale` remove.
 
-``os.fsync``, ``os.replace`` and ``os.link`` are called through the
-``os`` module so instrumentation that replaces them sees every call.
+``os.fsync``, ``os.replace``, ``os.link`` and ``os.mkdir`` are called
+through the ``os`` module so instrumentation that replaces them sees
+every call.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import uuid
 from pathlib import Path
 from typing import Any
 
-__all__ = ["atomic_write", "Appender", "read_records"]
+__all__ = ["atomic_write", "Appender", "make_dirs", "read_records"]
 
 
 def _fsync_dir(path: Path) -> None:
@@ -42,6 +46,26 @@ def _fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def make_dirs(path: str | Path) -> Path:
+    """Create ``path`` and any missing parents, each new level fsync'd
+    into its parent; returns ``path``.  An existing directory costs no
+    fsync."""
+    path = Path(path)
+    missing = []
+    level = path
+    while not level.is_dir() and level.parent != level:
+        missing.append(level)
+        level = level.parent
+    for level in reversed(missing):
+        try:
+            os.mkdir(level)
+        except FileExistsError:
+            if not level.is_dir():
+                raise
+        _fsync_dir(level.parent)
+    return path
 
 
 def atomic_write(
@@ -56,7 +80,7 @@ def atomic_write(
     the temp file and re-raises.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     if isinstance(data, str):
         data = data.encode()
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:8]}.tmp")
@@ -89,7 +113,7 @@ class Appender:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.path.parent)
         created = not self.path.exists()
         self._fh = self.path.open("a+b")
         if created:

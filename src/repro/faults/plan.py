@@ -125,10 +125,10 @@ class FaultPlan:
         Issue-cycle budget per kernel; exceeded → WatchdogTimeout.
         (Also settable directly on the runtime.)
     worker_crash_prob, worker_hang_prob:
-        Scheduler-layer chaos: per-attempt probability that a sweep
-        worker crashes (hard exit, no result) or hangs (sleeps past any
-        job timeout).  Decisions are keyed on ``(job ordinal, attempt)``
-        so they are independent of pool completion order.
+        Scheduler-layer chaos: per-attempt probability that an attempt
+        fails as a worker crash or as a timeout (both simulated
+        in-process).  Decisions are keyed on ``(job ordinal, attempt)``
+        so they are independent of which worker runs a job, and when.
     payload_corrupt_prob:
         Per-attempt probability the worker's result payload arrives
         truncated or corrupted (torn-IPC analog); the supervisor
@@ -156,7 +156,7 @@ class FaultPlan:
         analog).  Keyed on ``(job ordinal, lease epoch)``, so the
         worker that *steals* the dead worker's lease draws a fresh
         decision; ``sched_fault_attempts`` bounds the eligible epochs
-        exactly as it bounds pool-mode attempts.
+        exactly as it bounds a job's attempts.
     heartbeat_stall_prob:
         Per-claim probability that the lease owner stops heartbeating
         and stalls past the lease TTL before executing, so a healthy
@@ -313,9 +313,9 @@ class FaultPlan:
     # -- scheduler-layer chaos -----------------------------------------
     # These decisions are *pure functions* of (seed, domain, job
     # ordinal, attempt) rather than draws from a sequential counter
-    # stream: a supervised pool completes jobs in nondeterministic
+    # stream: supervised workers complete jobs in nondeterministic
     # order, and keying on the job keeps the injected fault schedule
-    # identical across pool widths, serial fallback, and resumes.
+    # identical across worker counts, fallbacks, and resumes.
 
     def _keyed(self, domain: str, ordinal: int, attempt: int) -> float:
         return float(

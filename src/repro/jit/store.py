@@ -9,7 +9,7 @@ Two tiers, both keyed by the launch's trace key:
   :class:`~repro.sched.cache.ResultCache` (atomic publishes, see the
   "Durability" section of ``docs/resilience.md``; payload checksums;
   quarantine of torn entries), so a second
-  *process* — a fresh CLI run, a pool worker, a fleet worker on the
+  *process* — a fresh CLI run, a local worker, a joined worker on the
   same directory — skips tracing too and only parses the artifact's
   JSON.
 

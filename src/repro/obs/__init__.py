@@ -40,11 +40,9 @@ from repro.obs.server import MetricsServer
 from repro.obs.stitch import (
     ActivitySink,
     fleet_chrome_trace,
-    journal_chrome_trace,
     read_journal_entries,
     read_worker_activity,
     write_fleet_trace,
-    write_journal_trace,
 )
 from repro.obs.top import fleet_status, render_fleet_status
 from repro.obs.trace import (
@@ -66,8 +64,6 @@ __all__ = [
     "read_journal_entries",
     "fleet_chrome_trace",
     "write_fleet_trace",
-    "journal_chrome_trace",
-    "write_journal_trace",
     # metrics
     "Sample",
     "prometheus_text",

@@ -14,10 +14,9 @@ moments?*
 Dump locations
 --------------
 
-* fleet workers → ``<run-id>.fleet/flightrec/<worker>-<reason>.json``
-  (removed with the run dir by ``repro journal gc``);
-* the supervised pool → ``<journal-dir>/flightrec/<run-id>/`` next to
-  the run journal (swept by ``repro journal gc`` alongside it).
+Every worker of a supervised run dumps into its run directory,
+``<run-id>.fleet/flightrec/<worker>-<reason>.json``, which ``repro
+journal gc`` removes with the run.
 
 Dumps are listed by ``repro journal show <run-id>`` and counted in the
 metrics exposition (``repro_flight_dumps_total``).

@@ -1,10 +1,10 @@
 """Prometheus text-format metrics exposition.
 
-The scrape surface of one scheduler run: the supervisor/fleet counters
-of :class:`~repro.resilience.supervisor.SchedTelemetry`, the
+The scrape surface of one scheduler run: the supervision counters of
+:class:`~repro.resilience.supervisor.SchedTelemetry`, the
 :class:`~repro.sched.cache.ResultCache` hit/miss/store/quarantine
-counters, and — for a live fleet run — progress scanned read-only from
-the shared coordination directory.  Rendered in the `Prometheus text
+counters, and — for a live run — progress scanned read-only from its
+run directory.  Rendered in the `Prometheus text
 exposition format`_ (version 0.0.4: ``# HELP``/``# TYPE`` comment
 lines, one ``name{labels} value`` sample per line), the format every
 scraper, ``promtool``, and ``curl | grep`` already speak.
@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+from repro.common.durable import make_dirs
 from repro.common.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -245,9 +246,14 @@ def telemetry_samples(
     run_id: str | None = None,
     command: str = "",
     jobs_total: int | None = None,
+    jobs_remaining: int | None = None,
     flight_dumps: int | None = None,
 ) -> list[Sample]:
-    """The standard sample set of one scheduler run."""
+    """The standard sample set of one scheduler run.
+
+    ``jobs_remaining`` counts from the run directory's resolved set,
+    which includes the jobs resolved from the result cache.
+    """
     run = run_id or tele.journal_run_id or ""
     out = [
         _gauge(
@@ -293,7 +299,7 @@ def telemetry_samples(
         ),
         _counter(
             "repro_fallbacks_total", len(tele.fallbacks),
-            "Degradation-ladder steps taken (serial/reference/fleet).",
+            "Degradation-ladder steps taken (reference/in-process).",
         ),
     ]
     if jobs_total is not None:
@@ -303,10 +309,10 @@ def telemetry_samples(
                 "Jobs in this run's manifest.",
             )
         )
+    if jobs_remaining is not None:
         out.append(
             _gauge(
-                "repro_jobs_remaining",
-                max(0, jobs_total - tele.completed - tele.resume_skips),
+                "repro_jobs_remaining", jobs_remaining,
                 "Manifest jobs not yet resolved.",
             )
         )
@@ -314,7 +320,7 @@ def telemetry_samples(
         out.extend([
             _gauge(
                 "repro_fleet_workers", tele.fleet_workers,
-                "Worker processes cooperating on this fleet run.",
+                "Worker processes cooperating on this run.",
             ),
             _counter(
                 "repro_leases_acquired_total", tele.leases_acquired,
@@ -353,13 +359,15 @@ def telemetry_samples(
     return out
 
 
-def fleet_samples(run_dir: Path, *, run_id: str, command: str = "") -> list[Sample]:
-    """Live samples scanned read-only from a fleet coordination dir.
+def fleet_samples(
+    run_dir: Path, *, run_id: str, command: str = "", mode: str = "fleet"
+) -> list[Sample]:
+    """Live samples scanned read-only from a run directory.
 
-    The ``--metrics-port`` scrape surface of an in-flight fleet run:
-    built entirely from the shared directory (manifest, journals,
-    leases, quarantine, flight dumps), so serving a scrape never
-    touches the run's own state.
+    The ``--metrics-port`` scrape surface of an in-flight run: built
+    entirely from the shared directory (manifest, journals, leases,
+    quarantine, flight dumps), so serving a scrape never touches the
+    run's own state.
     """
     from repro.obs.top import fleet_status
 
@@ -369,7 +377,7 @@ def fleet_samples(run_dir: Path, *, run_id: str, command: str = "") -> list[Samp
             "repro_run_info", 1.0,
             "Run identity; value is always 1.",
             run_id=run_id, command=command or status.get("command", ""),
-            mode="fleet",
+            mode=mode,
         ),
         _gauge(
             "repro_jobs_total", status["jobs_total"],
@@ -389,7 +397,7 @@ def fleet_samples(run_dir: Path, *, run_id: str, command: str = "") -> list[Samp
         ),
         _gauge(
             "repro_fleet_workers", len(status["workers"]),
-            "Worker processes observed on this fleet run.",
+            "Worker processes observed on this run.",
         ),
         _counter(
             "repro_leases_acquired_total", status["leases_acquired"],
@@ -422,6 +430,6 @@ def fleet_samples(run_dir: Path, *, run_id: str, command: str = "") -> list[Samp
 def write_metrics_text(path: str | Path, samples: Iterable[Sample]) -> Path:
     """Write an exposition document; returns the path written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     path.write_text(prometheus_text(samples))
     return path

@@ -24,12 +24,8 @@ Two halves:
   property tests assert equality across ``--resume`` and repeated
   merges.
 
-:func:`journal_chrome_trace` is the pool-run analog: it has no device
-activity to stitch (pool workers report payloads, not records), so it
-renders one synthetic span per journaled job from the journal's stable
-fields only (benchmark/kind/backend/ordinal + span identity —
-*not* attempt counts), making an interrupted-then-resumed run's trace
-byte-identical to an uninterrupted one under the same run id.
+Every supervised run has a run directory, so a supervised ``--trace``
+is always this stitched trace.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.common.durable import Appender, read_records
+from repro.common.durable import Appender, make_dirs, read_records
 from repro.common.errors import ReproError
 from repro.obs.trace import TraceContext
 from repro.prof.activity import ActivityRecord
@@ -50,8 +46,6 @@ __all__ = [
     "read_journal_entries",
     "fleet_chrome_trace",
     "write_fleet_trace",
-    "journal_chrome_trace",
-    "write_journal_trace",
 ]
 
 #: pid of the run lane (root span + flow sources)
@@ -177,14 +171,9 @@ def _load_manifest(run_dir: Path) -> dict[str, Any]:
 
 def _scan_winners(run_dir: Path) -> dict[str, str]:
     """fingerprint -> winning worker, the merge's first-write-wins pick."""
-    from repro.resilience.journal import RunJournal
+    from repro.resilience.fleet import _scan_completed
 
-    winners: dict[str, str] = {}
-    for path in sorted((run_dir / "journals").glob("*.ndjson")):
-        _, completed = RunJournal._load(path)
-        for fp in completed:
-            winners.setdefault(fp, path.stem)
-    return winners
+    return {fp: w for fp, (w, _) in _scan_completed(run_dir).items()}
 
 
 # ----------------------------------------------------------------------
@@ -349,18 +338,13 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
 
 def write_fleet_trace(run_dir: str | Path, path: str | Path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     path.write_text(json.dumps(fleet_chrome_trace(run_dir)))
     return path
 
 
 # ----------------------------------------------------------------------
-# pool-journal trace
-
-#: synthetic geometry of pool-journal spans (no device clock to use)
-_JOURNAL_SLOT_US = 1000.0
-_JOURNAL_SPAN_US = 800.0
-
+# journal entries
 
 def read_journal_entries(
     journal_path: str | Path,
@@ -388,96 +372,3 @@ def read_journal_entries(
             seen.add(obj["job"])
             entries.append(obj)
     return header, entries
-
-
-def journal_chrome_trace(journal_path: str | Path) -> dict[str, Any]:
-    """A synthetic span tree from one pool run's journal.
-
-    Spans are built from *stable* journal fields only — benchmark,
-    kind, backend, job ordinal, span identity — and jobs are laid out
-    by ordinal, so the trace of ``run → interrupt → --resume`` is
-    byte-identical to the trace of the same run finishing in one go.
-    """
-    journal_path = Path(journal_path)
-    header, entries = read_journal_entries(journal_path)
-    run_id = header.get("run_id", journal_path.stem)
-    root = TraceContext.root(run_id)
-
-    def ordinal_of(idx: int, entry: dict[str, Any]) -> int:
-        meta = entry.get("meta") or {}
-        return meta["job"] if isinstance(meta.get("job"), int) else idx
-
-    ordered = sorted(
-        (
-            (ordinal_of(i, e), e["job"], e.get("meta") or {})
-            for i, e in enumerate(entries)
-        ),
-        key=lambda t: (t[0], t[1]),
-    )
-    events: list[dict[str, Any]] = [
-        _meta("process_name", RUN_PID, 0, "run"),
-        _meta("thread_name", RUN_PID, 1, "run"),
-        _meta("thread_name", RUN_PID, 2, "jobs"),
-    ]
-    for ordinal, fp, meta in ordered:
-        ctx = TraceContext.from_dict(meta) or root.job(ordinal)
-        label = meta.get("benchmark", "?")
-        if meta.get("kind"):
-            label = f"{label} [{meta['kind']}]"
-        args: dict[str, Any] = {"job": ordinal, "fingerprint": fp[:12]}
-        for key in ("benchmark", "kind", "backend"):
-            if meta.get(key):
-                args[key] = meta[key]
-        args.update(_trace_args({}, ctx))
-        events.append({
-            "name": label,
-            "cat": "span",
-            "ph": "X",
-            "ts": ordinal * _JOURNAL_SLOT_US,
-            "dur": _JOURNAL_SPAN_US,
-            "pid": RUN_PID,
-            "tid": 2,
-            "args": args,
-        })
-        events.append({
-            "name": "span", "cat": "trace", "ph": "s",
-            "id": ordinal + 1, "ts": ordinal * _JOURNAL_SLOT_US,
-            "pid": RUN_PID, "tid": 1,
-        })
-        events.append({
-            "name": "span", "cat": "trace", "ph": "f", "bp": "e",
-            "id": ordinal + 1, "ts": ordinal * _JOURNAL_SLOT_US,
-            "pid": RUN_PID, "tid": 2,
-        })
-    total = (
-        (max(o for o, _, _ in ordered) + 1) * _JOURNAL_SLOT_US
-        if ordered else _JOURNAL_SLOT_US
-    )
-    events.append({
-        "name": f"run {run_id}",
-        "cat": "span",
-        "ph": "X",
-        "ts": 0.0,
-        "dur": total,
-        "pid": RUN_PID,
-        "tid": 1,
-        "args": {
-            "run_id": run_id,
-            "command": header.get("command", ""),
-            "jobs": len(ordered),
-            **_trace_args({}, root),
-        },
-    })
-    events.sort(key=lambda e: (e["pid"], e["tid"], e["ts"]))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.obs", "run_id": run_id},
-    }
-
-
-def write_journal_trace(journal_path: str | Path, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(journal_chrome_trace(journal_path)))
-    return path

@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.common.durable import make_dirs
 from repro.prof.activity import ActivityRecord
 
 __all__ = ["chrome_trace", "write_chrome_trace", "DEVICE_PID", "DRIVER_PID"]
@@ -205,6 +206,6 @@ def write_chrome_trace(
 ) -> Path:
     """Serialize records to ``path``; returns the path written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     path.write_text(json.dumps(chrome_trace(records, device_name=device_name)))
     return path

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.arch.spec import GPUSpec
+from repro.common.durable import make_dirs
 from repro.common.errors import ReproError
 from repro.host.profiler import kernel_metrics
 from repro.prof.roofline import classify_kernel, peak_lane_ops
@@ -256,7 +257,7 @@ def render_metrics(doc: dict[str, Any]) -> str:
 def write_metrics(path: str | Path, doc: dict[str, Any]) -> Path:
     """Serialize a metrics document (schema stamped if missing)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     path.write_text(render_metrics(doc))
     return path
 

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.common.durable import make_dirs
 from repro.prof.activity import ActivityRecord
 
 __all__ = [
@@ -69,7 +70,7 @@ def iter_ndjson(records: Iterable[ActivityRecord]) -> Iterator[str]:
 
 def write_ndjson(path: str | Path, records: Iterable[ActivityRecord]) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(path.parent)
     with path.open("w") as fh:
         for line in iter_ndjson(records):
             fh.write(line + "\n")

@@ -1,27 +1,27 @@
 """Resilient scheduling: supervision, checkpoint/resume, fleet, chaos.
 
-The production-hardening layer over :mod:`repro.sched`: a supervised
-worker pool (:mod:`~repro.resilience.supervisor`), an append-only
-NDJSON run journal for checkpoint/resume
-(:mod:`~repro.resilience.journal`), a journal-backed work-stealing
-fleet for distributed sweeps (:mod:`~repro.resilience.fleet` over the
-atomic leases of :mod:`~repro.resilience.lease`), and the ``--chaos``
-grammar that drives deterministic scheduler- and fleet-layer fault
-injection (:mod:`~repro.resilience.chaos`).  See ``docs/resilience.md``
-and ``docs/fleet.md``.
+The production-hardening layer over :mod:`repro.sched`: one
+multi-process engine (:mod:`~repro.resilience.fleet`, over the atomic
+leases of :mod:`~repro.resilience.lease`) that runs every supervised
+job list, locally or across machines sharing a directory; the
+per-job supervision ladder and its config
+(:mod:`~repro.resilience.supervisor`); an append-only NDJSON run
+journal for checkpoint/resume (:mod:`~repro.resilience.journal`); and
+the ``--chaos`` grammar that drives deterministic scheduler- and
+fleet-layer fault injection (:mod:`~repro.resilience.chaos`).  See
+``docs/resilience.md`` and ``docs/fleet.md``.
 """
 
 from repro.resilience.chaos import parse_chaos
 from repro.resilience.fleet import (
     FLEET_SCHEMA,
-    FleetConfig,
     FleetMergeError,
     ensure_manifest,
     fleet_dir,
     fleet_worker,
     join_fleet,
     merge_fleet,
-    run_fleet,
+    run_jobs,
 )
 from repro.resilience.journal import (
     DEFAULT_JOURNAL_DIR,
@@ -34,14 +34,12 @@ from repro.resilience.journal import (
 )
 from repro.resilience.lease import LEASE_SCHEMA, Lease, LeaseDir
 from repro.resilience.supervisor import (
-    HANG_SLEEP_S,
     JobTimeout,
     PayloadCorruption,
     QuarantineError,
     ResilienceConfig,
     SchedTelemetry,
     WorkerCrash,
-    run_supervised,
     wall_clock_limit,
 )
 
@@ -50,8 +48,6 @@ __all__ = [
     "FLEET_SCHEMA",
     "JOURNAL_SCHEMA",
     "LEASE_SCHEMA",
-    "HANG_SLEEP_S",
-    "FleetConfig",
     "FleetMergeError",
     "JobTimeout",
     "Lease",
@@ -72,7 +68,6 @@ __all__ = [
     "merge_fleet",
     "new_run_id",
     "parse_chaos",
-    "run_fleet",
-    "run_supervised",
+    "run_jobs",
     "wall_clock_limit",
 ]

@@ -1,49 +1,56 @@
-"""Journal-backed work-stealing fleet for distributed sweeps.
+"""One multi-process engine for every supervised job list.
 
-``run_fleet`` turns one sweep into a crash-tolerant cooperation of
-independent worker *processes* — on one machine (``--fleet N``) or on
-several machines sharing a directory (``--join <run-id>`` per worker).
-Nothing coordinates the workers except the filesystem:
+:func:`run_jobs` runs a list of :class:`~repro.sched.runner.JobSpec` s
+— ``table1``, ``sweep`` and ``run`` under ``--jobs``, ``--fleet``,
+``--resume`` or a resilience flag, and every ``repro serve`` request —
+through one *run directory*, ``<journal-dir>/<run-id>.fleet/``.  A
+coordinator resolves each job once, against the run's journals
+(``--resume``) and then the :class:`~repro.sched.cache.ResultCache`,
+runs the rest as one in-process worker or as local worker processes it
+supervises, and merges.  ``--join <run-id>`` (:func:`join_fleet`) makes
+a process on any machine sharing the directory one more worker of the
+same run.  Nothing coordinates the workers except the filesystem:
 
 * the **manifest** (``manifest.json``) pins the run's job list — one
-  :func:`~repro.resilience.journal.job_fingerprint` per
-  :class:`~repro.sched.runner.JobSpec`, in spec order.  The first
-  worker to arrive creates it atomically (hard-link publish); everyone
-  else validates their own job list against it, so two operators who
-  typed different sweeps into the same run id fail loudly instead of
-  merging garbage;
+  :func:`~repro.resilience.journal.job_fingerprint` per spec, in spec
+  order.  The first arrival creates it atomically (hard-link publish);
+  a joining worker validates its own job list against it, so two
+  operators who typed different sweeps into the same run id fail
+  loudly instead of merging garbage;
 * each job is claimed through an atomic **lease**
-  (:mod:`~repro.resilience.lease`): ``O_EXCL`` create, atomic
+  (:mod:`~repro.resilience.lease`): exclusive atomic publish, atomic
   heartbeats, rename-based stealing once a lease outlives its TTL;
 * each worker appends completed payloads to its **own**
   ``repro-journal/1`` NDJSON journal under ``journals/`` — append-only,
-  never contended;
+  never contended; the coordinator journals cache hits the same way;
 * health events (lease acquires, steals, heartbeats, stalls, kills,
   completions, and the supervision ladder's failures, retries,
   fallbacks and quarantines) stream to per-worker NDJSON **event
-  logs** under ``events/``, which the merging process replays through
+  logs** under ``events/``, which the merge folds through
   :meth:`~repro.resilience.supervisor.SchedTelemetry.observe` and
   re-emits as ``sched`` activity records.
 
-Every file here is published or appended through
-:mod:`repro.common.durable` (the "Durability" section of
-``docs/resilience.md``).
+Subdirectories are created when first written, and every file is
+published or appended through :mod:`repro.common.durable` (the
+"Durability" section of ``docs/resilience.md``).
 
 The **merge** is deterministic and idempotent: payloads are collected
 per fingerprint across all worker journals in sorted worker order,
 first write wins, and every duplicate (a stalled worker finishing a
-stolen job) is cross-validated by SHA-256 checksum against the winner
-— and against any :class:`~repro.sched.cache.ResultCache` entry — so
-the final payload list is byte-identical to a serial run regardless of
-worker count, death order, or duplicate completions.  A disagreement
-is a hard error, never a silent pick.
+stolen job) is cross-validated by SHA-256 checksum against the winner,
+so the final payload list is byte-identical to a serial run regardless
+of worker count, death order, or duplicate completions.  A
+disagreement is a hard error, never a silent pick.
 
-Fault tolerance is layered: a worker that dies mid-lease is stolen
-from after one TTL; a worker that stalls heartbeats is stolen from and
-its late completion lands as a (validated) duplicate; if *every*
-worker dies, the coordinating process finishes the remaining jobs
-in-process (``fleet-fallback``, exit code 3) — the same degradation
-ladder the supervised pool uses.  Chaos decisions
+Local workers are supervised: a worker that dies is charged a
+``worker-crash`` on the :class:`~repro.resilience.supervisor.Ladder` of
+the job whose lease it held, the lease is expired in place so the next
+claim steals it at epoch + 1, and a replacement is spawned; a worker
+whose attempt outlives twice the job timeout is killed and charged a
+``timeout``; a job charged past ``max_retries`` is quarantined.  A
+worker that cannot be started — spawning raises, or it dies holding no
+lease — drops the run to in-process execution (``fleet-fallback``,
+exit code 3).  Chaos decisions
 (:meth:`~repro.faults.plan.FaultPlan.fleet_outcome`) are keyed on
 ``(job ordinal, lease epoch)``, so injected kill/stall schedules are
 reproducible across any worker count.
@@ -54,91 +61,55 @@ from __future__ import annotations
 import json
 import os
 import signal
+import tempfile
 import threading
 import time
-import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.common.durable import Appender, atomic_write, read_records
 from repro.common.errors import ReproError
-from repro.faults.plan import FaultPlan
-from repro.resilience.journal import (
-    DEFAULT_JOURNAL_DIR,
-    RunJournal,
-    job_fingerprint,
-    new_run_id,
-)
+from repro.resilience.journal import RunJournal, job_fingerprint
 from repro.resilience.lease import LeaseDir
-from repro.resilience.supervisor import Ladder, QuarantineError, SchedTelemetry
+from repro.resilience.supervisor import (
+    JobTimeout,
+    Ladder,
+    QuarantineError,
+    ResilienceConfig,
+    SchedTelemetry,
+    WorkerCrash,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.prof.activity import ActivityHub
     from repro.sched.cache import ResultCache
     from repro.sched.runner import JobSpec
 
 __all__ = [
     "FLEET_SCHEMA",
-    "FleetConfig",
     "FleetMergeError",
     "fleet_dir",
     "ensure_manifest",
     "read_manifest",
     "fleet_worker",
-    "run_fleet",
+    "run_jobs",
     "join_fleet",
     "merge_fleet",
 ]
 
 FLEET_SCHEMA = "repro-fleet/1"
 
+#: how often idle workers and the coordinator rescan the run directory
+POLL_S = 0.05
+
+#: multiples of the job timeout an attempt may run before the
+#: coordinator kills its worker; the worker's own SIGALRM limit
+#: (:func:`~repro.resilience.supervisor.wall_clock_limit`) fires at one
+_KILL_AFTER = 2.0
+
 
 class FleetMergeError(ReproError):
     """Worker journals (or the cache) disagree about a job's payload."""
-
-
-@dataclass
-class FleetConfig:
-    """Shape and policy of one fleet run.
-
-    ``workers`` is the local process count for :func:`run_fleet`;
-    :func:`join_fleet` ignores it (one invocation is one worker).
-    ``lethal`` gates the chaos faults that really terminate the worker
-    process — the coordinator's in-process fallback runs with it off
-    so an injected kill cannot take down the merge.  ``max_retries``,
-    ``job_timeout_s`` and ``chaos`` drive each job's
-    :class:`~repro.resilience.supervisor.Ladder`, as in the pool.
-    """
-
-    run_id: str = field(default_factory=new_run_id)
-    worker_id: str = ""
-    workers: int = 2
-    journal_root: str | Path = DEFAULT_JOURNAL_DIR
-    command: str = "fleet"
-    heartbeat_s: float = 0.5
-    lease_ttl_s: float = 5.0
-    poll_s: float = 0.05
-    join_timeout_s: float = 120.0
-    max_retries: int = 2
-    job_timeout_s: float | None = None
-    chaos: FaultPlan | None = None
-    lethal: bool = True
-    hub: "ActivityHub | None" = field(default=None, repr=False, compare=False)
-    telemetry: SchedTelemetry = field(default_factory=SchedTelemetry)
-
-    def __post_init__(self) -> None:
-        if not self.worker_id:
-            self.worker_id = f"w-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        if self.lease_ttl_s <= 0:
-            raise ReproError(
-                f"lease TTL must be positive, got {self.lease_ttl_s}"
-            )
-        if self.heartbeat_s <= 0 or self.heartbeat_s >= self.lease_ttl_s:
-            raise ReproError(
-                f"heartbeat interval must be in (0, lease TTL); got "
-                f"{self.heartbeat_s} vs TTL {self.lease_ttl_s}"
-            )
 
 
 def fleet_dir(root: str | Path, run_id: str) -> Path:
@@ -166,6 +137,7 @@ def ensure_manifest(
     *,
     run_id: str,
     command: str,
+    republish: bool = False,
 ) -> dict[str, Any]:
     """Create (first arrival) or validate (everyone else) the manifest.
 
@@ -174,7 +146,9 @@ def ensure_manifest(
     for every worker but one, and no reader ever observes a partial
     manifest.  A joining worker whose own spec list hashes
     differently fails loudly: half a fleet computing a different sweep
-    must not share journals with this one.
+    must not share journals with this one.  With ``republish`` (the
+    coordinator of ``--resume``) a different job list replaces the
+    manifest instead: journaled jobs are matched by fingerprint.
     """
     fingerprints = [job_fingerprint(s) for s in specs]
     path = run_dir / "manifest.json"
@@ -185,10 +159,9 @@ def ensure_manifest(
         "jobs": fingerprints,
         "specs": [_spec_as_dict(s) for s in specs],
     }
-    for sub in ("journals", "leases", "events", "quarantine"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    # False when a peer published first; validated below either way
-    atomic_write(path, json.dumps(doc, indent=1), exclusive=True)
+    if not path.exists():
+        # False when a peer published first; validated below either way
+        atomic_write(path, json.dumps(doc, indent=1), exclusive=True)
     published = read_manifest(run_dir)
     if published.get("schema") != FLEET_SCHEMA:
         raise ReproError(
@@ -196,6 +169,9 @@ def ensure_manifest(
             f"{published.get('schema')!r}, expected {FLEET_SCHEMA}"
         )
     if published.get("jobs") != fingerprints:
+        if republish:
+            atomic_write(path, json.dumps(doc, indent=1))
+            return doc
         raise ReproError(
             f"fleet run {run_id!r} was created for a different job list "
             f"({len(published.get('jobs', []))} job(s) vs {len(fingerprints)} "
@@ -220,30 +196,24 @@ def read_manifest(run_dir: Path) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # shared-state scans
 
-def _scan_completed(run_dir: Path) -> dict[str, tuple[str, Any]]:
-    """fingerprint -> (worker journal name, payload), first write wins.
+def _scan_duplicates(run_dir: Path) -> dict[str, list[tuple[str, Any]]]:
+    """fingerprint -> every (worker journal name, payload) recorded.
 
     Worker journals are visited in sorted filename order and each file
-    in append order, so the winner for a duplicated fingerprint is the
-    same for every scanning process.
+    in append order, so the first record of a duplicated fingerprint —
+    the merge's winner — is the same for every scanning process.
     """
-    out: dict[str, tuple[str, Any]] = {}
-    jdir = run_dir / "journals"
-    for path in sorted(jdir.glob("*.ndjson")):
-        _, completed = RunJournal._load(path)
-        for fp, payload in completed.items():
-            out.setdefault(fp, (path.stem, payload))
-    return out
-
-
-def _scan_duplicates(run_dir: Path) -> dict[str, list[tuple[str, Any]]]:
-    """fingerprint -> every (worker, payload) recorded, in merge order."""
     out: dict[str, list[tuple[str, Any]]] = {}
     for path in sorted((run_dir / "journals").glob("*.ndjson")):
         _, completed = RunJournal._load(path)
         for fp, payload in completed.items():
             out.setdefault(fp, []).append((path.stem, payload))
     return out
+
+
+def _scan_completed(run_dir: Path) -> dict[str, tuple[str, Any]]:
+    """fingerprint -> (worker journal name, payload), first write wins."""
+    return {fp: recs[0] for fp, recs in _scan_duplicates(run_dir).items()}
 
 
 def _scan_quarantined(run_dir: Path) -> dict[str, dict[str, Any]]:
@@ -286,12 +256,26 @@ class _EventLog:
         self._out.close()
 
 
-def _read_events(run_dir: Path) -> list[dict[str, Any]]:
+def _read_events(
+    run_dir: Path, after: dict[str, int] | None = None
+) -> list[dict[str, Any]]:
+    """Every event log's records, logs in sorted order; ``after`` maps a
+    log's name to how many leading records to skip (an earlier
+    invocation's, see :func:`_event_counts`)."""
+    after = after or {}
     return [
         ev
         for path in sorted((run_dir / "events").glob("*.ndjson"))
-        for ev in read_records(path)
+        for ev in read_records(path)[after.get(path.name, 0):]
     ]
+
+
+def _event_counts(run_dir: Path) -> dict[str, int]:
+    """log name -> records so far: the events a resumed run replayed."""
+    return {
+        path.name: len(read_records(path))
+        for path in (run_dir / "events").glob("*.ndjson")
+    }
 
 
 # ----------------------------------------------------------------------
@@ -347,17 +331,21 @@ def _quarantine_job(run_dir: Path, fp: str, info: dict[str, Any]) -> None:
         pass
 
 
-def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
+def fleet_worker(
+    specs: Sequence["JobSpec"], cfg: ResilienceConfig, *, lethal: bool = True
+) -> int:
     """Run one worker until every manifest job is resolved.
 
     Claims jobs lease-by-lease in ordinal order, executes them in-process
-    on the pool's supervision :class:`~repro.resilience.supervisor.Ladder`
-    (so a plan injects the same faults as in the pool, and its events go
-    to this worker's event log), journals completions to this worker's
-    own NDJSON file, and steals from dead or stalled peers.  Each attempt
-    restarts the activity sink's buffer, so only the successful
-    attempt's activity is published.  Returns the number of jobs this
-    worker completed.
+    on the supervision :class:`~repro.resilience.supervisor.Ladder` (its
+    events go to this worker's event log and its flight recorder),
+    journals completions to this worker's own NDJSON file, and steals
+    from dead or stalled peers.  Each attempt restarts the activity
+    sink's buffer, so only the successful attempt's activity is
+    published.  ``lethal`` is off for the coordinator's in-process
+    worker: chaos then never kills or stalls it, and ``interrupt-after``
+    interrupts it instead.  Returns the number of jobs this worker
+    completed.
     """
     from repro.obs.flight import FlightRecorder
     from repro.obs.stitch import ActivitySink
@@ -388,7 +376,8 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
     # observability plane: a worker-local hub captures the benchmark's
     # own activity (kernels, copies, launches) through the ambient
     # session, publishes successful jobs' records for trace stitching,
-    # and keeps a flight-recorder ring for crash post-mortems
+    # and keeps a flight-recorder ring (ladder events included) for
+    # post-mortems
     hub = ActivityHub()
     root_ctx = TraceContext.root(cfg.run_id)
     hub.trace = root_ctx
@@ -399,6 +388,10 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
     hub.subscribe(sink)
     recorder = FlightRecorder(worker=cfg.worker_id, run_id=cfg.run_id)
     hub.subscribe(recorder)
+
+    def report(name: str, **args: Any) -> None:
+        events.emit(name, **args)
+        hub.emit("sched", name, track="scheduler", **args)
 
     def flight_dump(reason: str) -> None:
         if len(recorder):
@@ -434,7 +427,7 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                     chaos is not None
                     and chaos.lease_write_corrupts(ordinal, lease.epoch)
                 )
-                if action == "kill" and cfg.lethal:
+                if action == "kill" and lethal:
                     events.emit(
                         "chaos-kill", job=ordinal, epoch=lease.epoch
                     )
@@ -454,14 +447,19 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                 job_ctx = root_ctx.job(ordinal)
                 spec = spec_by_fp[fp]
                 ladder = Ladder(
-                    ordinal, spec.benchmark, spec.backend, cfg, events.emit
+                    ordinal, spec.benchmark, spec.backend, cfg, report
                 )
 
                 def attempt():
                     sink.begin(ordinal)
+                    if ladder.attempts or ladder.backend != spec.backend:
+                        # a retry: publish when it started, so the
+                        # coordinator times the attempt, not the claim
+                        lease.attempt_at = time.time()
+                        leases.heartbeat(lease)
                     return execute_job(replace(spec, backend=ladder.backend))
 
-                if action == "stall" and cfg.lethal:
+                if action == "stall" and lethal:
                     # miss every heartbeat and outlive the TTL: a peer
                     # steals the lease mid-run and our completion below
                     # lands as a validated duplicate
@@ -504,9 +502,15 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
                     "job-complete", job=ordinal, epoch=lease.epoch,
                     duplicate=not released,
                 )
+                if (
+                    not lethal and chaos is not None
+                    and chaos.interrupts_after(completed_here)
+                ):
+                    # deterministic SIGINT analog for interrupt-and-resume
+                    raise KeyboardInterrupt
                 break  # ``done`` is a job's run time old: rescan first
             if not progress:
-                time.sleep(cfg.poll_s)
+                time.sleep(POLL_S)
         events.emit("worker-exit", completed=completed_here)
     except ReproError:
         # exiting nonzero (entry point maps this to exit 21): preserve
@@ -520,8 +524,8 @@ def fleet_worker(specs: Sequence["JobSpec"], cfg: FleetConfig) -> int:
     return completed_here
 
 
-def _fleet_worker_entry(specs, cfg: FleetConfig) -> None:
-    """Child-process entry point for locally spawned fleet workers."""
+def _fleet_worker_entry(specs, cfg: ResilienceConfig) -> None:
+    """Child-process entry point of a local worker."""
     if hasattr(signal, "SIGTERM"):
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if hasattr(signal, "SIGINT"):
@@ -538,55 +542,54 @@ def _fleet_worker_entry(specs, cfg: FleetConfig) -> None:
 
 def _emit(hub, name: str, **args: Any) -> None:
     if hub is not None and hub.wants("sched"):
-        hub.emit("sched", name, track="fleet", **args)
+        hub.emit("sched", name, track="scheduler", **args)
 
 
 def merge_fleet(
     run_dir: Path,
     specs: Sequence["JobSpec"],
     *,
-    cfg: FleetConfig,
+    cfg: ResilienceConfig,
     cache: "ResultCache | None" = None,
+    stores: dict[int, str] | None = None,
+    events_after: dict[str, int] | None = None,
 ) -> list[dict[str, Any]]:
-    """Deterministic first-write-wins merge of all worker journals.
+    """Deterministic first-write-wins merge of all worker journals,
+    job by job in manifest order (``specs`` match it: every caller
+    published or validated the manifest first).
 
-    Every duplicated completion is checksum-compared against the
-    winner, and every payload against any existing result-cache entry;
-    a mismatch raises :class:`FleetMergeError` (deterministic jobs
-    cannot legitimately disagree, so a conflict means corruption or a
-    code-version split across the fleet).  Replays the workers' event
-    logs through :meth:`SchedTelemetry.observe` and re-emits each event
-    as a ``fleet-<name>`` ``sched`` record.
+    First folds the run's event logs into ``cfg.telemetry`` through
+    :meth:`SchedTelemetry.observe` and re-emits each event as a
+    ``sched`` record (``events_after`` skips an earlier invocation's,
+    see :func:`_event_counts`), so even a quarantined run reports its
+    ladder counters.  Every duplicated completion is checksum-compared
+    against the winner; a mismatch raises :class:`FleetMergeError`
+    (deterministic jobs cannot legitimately disagree, so a conflict
+    means corruption or a code-version split across the fleet).  With
+    ``stores`` (job ordinal -> cache key) the coordinator stores the
+    jobs it executed without a second lookup; otherwise every payload
+    is cross-checked against any result-cache entry and stored when
+    absent.  Quarantined jobs raise :class:`QuarantineError` once
+    everything else is stored.
     """
     from repro.sched.cache import _payload_checksum
     from repro.sched.runner import _cache_key
 
     tele = cfg.telemetry
     hub = cfg.hub
-    quarantined = _scan_quarantined(run_dir)
-    if quarantined:
-        for fp, info in quarantined.items():
-            tele.quarantined.append({**info, "fingerprint": fp[:12]})
-        names = ", ".join(
-            f"{q.get('benchmark', '?')}#{q.get('job', '?')}"
-            for q in quarantined.values()
-        )
-        raise QuarantineError(
-            f"{len(quarantined)} fleet job(s) quarantined after retry "
-            f"exhaustion: {names}; journals kept under {run_dir}"
-        )
+    for ev in _read_events(run_dir, events_after):
+        name = ev.pop("event", "event")
+        tele.observe(name, **ev)
+        _emit(hub, name, **ev)
     all_records = _scan_duplicates(run_dir)
-    fingerprints = [job_fingerprint(s) for s in specs]
-    missing = [fp for fp in fingerprints if fp not in all_records]
-    if missing:
-        raise ReproError(
-            f"fleet run under {run_dir} is incomplete: "
-            f"{len(missing)}/{len(fingerprints)} job(s) never journaled"
-        )
-    payloads: list[dict[str, Any]] = []
+    fingerprints = read_manifest(run_dir)["jobs"]
+    payloads: list[dict[str, Any] | None] = []
     winners: list[tuple[int, str]] = []
     for ordinal, (fp, spec) in enumerate(zip(fingerprints, specs)):
-        records = all_records[fp]
+        records = all_records.get(fp)
+        if not records:
+            payloads.append(None)
+            continue
         winner_worker, winner = records[0]
         winners.append((ordinal, winner_worker))
         checksum = _payload_checksum(winner)
@@ -602,7 +605,10 @@ def merge_fleet(
                     f"({spec.benchmark}): worker {winner_worker!r} vs "
                     f"{other_worker!r}; refusing to merge"
                 )
-        if cache is not None:
+        if cache is not None and stores is not None:
+            if ordinal in stores:
+                cache.put(stores[ordinal], winner)
+        elif cache is not None:
             key = _cache_key(cache, spec)
             existing = cache.get(key)
             if existing is None:
@@ -613,10 +619,32 @@ def merge_fleet(
                     "disagrees with the result cache; refusing to merge"
                 )
         payloads.append(winner)
+    quarantined = _scan_quarantined(run_dir)
+    if quarantined:
+        for info in quarantined.values():
+            tele.observe("quarantine", **info)
+        names = ", ".join(
+            f"{q.get('benchmark', '?')}#{q.get('job', '?')}"
+            for q in quarantined.values()
+        )
+        hint = (
+            f"; completed work is journaled as run {tele.journal_run_id}"
+            if tele.journal_run_id else ""
+        )
+        raise QuarantineError(
+            f"{len(quarantined)} job(s) quarantined after retry "
+            f"exhaustion: {names}{hint}"
+        )
+    missing = payloads.count(None)
+    if missing:
+        raise ReproError(
+            f"fleet run under {run_dir} is incomplete: "
+            f"{missing}/{len(fingerprints)} job(s) never journaled"
+        )
     if hub is not None and hub.subscriber_count:
         # thread each winning worker's published activity records into
         # the caller's hub — device timelines and span identities
-        # survive the merge instead of collapsing into fleet-* summaries
+        # survive the merge instead of collapsing into event summaries
         from repro.obs.stitch import read_worker_activity
         from repro.prof.ndjson import record_from_json
 
@@ -642,107 +670,274 @@ def merge_fleet(
                         "fleet_job": ordinal,
                     },
                 ))
-    for ev in _read_events(run_dir):
-        name = ev.pop("event", "event")
-        tele.observe(name, **ev)
-        _emit(hub, f"fleet-{name}", **ev)
-    tele.completed = len(payloads)
-    # the run is merged: expired leases and steal remnants are garbage
-    LeaseDir(run_dir / "leases", ttl_s=cfg.lease_ttl_s).sweep_stale()
+    if (run_dir / "leases").is_dir():
+        # the run is merged: expired leases and steal remnants are garbage
+        LeaseDir(run_dir / "leases", ttl_s=cfg.lease_ttl_s).sweep_stale()
     _emit(
         hub, "fleet-merge", jobs=len(payloads),
         duplicates=tele.duplicate_completions,
         steals=tele.leases_stolen,
     )
-    return payloads
+    return payloads  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
 # entry points
 
-def run_fleet(
+def run_jobs(
     specs: Sequence["JobSpec"],
-    cfg: FleetConfig,
     *,
+    jobs: int = 1,
     cache: "ResultCache | None" = None,
+    config: ResilienceConfig | None = None,
 ) -> list[dict[str, Any]]:
-    """Coordinate ``cfg.workers`` local worker processes, then merge.
+    """Run ``specs`` under supervision; order-preserving payload list.
 
-    The coordinator owns no jobs itself; it publishes the manifest,
-    spawns the workers, and watches the shared directory.  If every
-    worker dies with work outstanding (chaos, OOM killer, operator
-    ``kill -9``), it finishes the remainder in-process with lethal
-    chaos disarmed — the fleet analog of the pool's serial fallback —
-    and the merge still produces the byte-identical result.
+    Resolves each job once, in order: already journaled in the run
+    directory (a ``resume-skip``), else one result-cache lookup, whose
+    hit is journaled (``source: cache``) and never dispatched.  The
+    rest runs as one in-process worker when ``jobs == 1`` or one job
+    is left (mode ``serial``), or as ``jobs`` supervised local worker
+    processes (mode ``fleet``); then the journals merge and the
+    executed payloads go into the cache.  ``jobs == 0`` makes this
+    process one worker of an existing run instead (:func:`join_fleet`).
+    A config without a ``run_id`` runs in a temporary run directory,
+    removed after the merge.
     """
-    import multiprocessing
+    config = config or ResilienceConfig()
+    if jobs == 0:
+        return join_fleet(specs, config, cache=cache)
+    if config.run_id is not None:
+        config.telemetry.journal_run_id = config.run_id
+        return _coordinate(specs, jobs, cache, config)
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as tmp:
+        return _coordinate(
+            specs, jobs, cache, replace(config, run_id="run", journal_root=tmp)
+        )
+
+
+def _coordinate(
+    specs: Sequence["JobSpec"],
+    jobs: int,
+    cache: "ResultCache | None",
+    cfg: ResilienceConfig,
+) -> list[dict[str, Any]]:
+    from repro.obs.trace import TraceContext
+    from repro.sched.runner import _cache_key
 
     tele = cfg.telemetry
-    tele.mode = "fleet"
-    tele.fleet_workers = max(1, cfg.workers)
-    tele.journal_run_id = cfg.run_id
+    chaos = cfg.chaos
+    if cache is not None and chaos is not None and cache.chaos is None:
+        cache.chaos = chaos
     run_dir = fleet_dir(cfg.journal_root, cfg.run_id)
-    ensure_manifest(run_dir, specs, run_id=cfg.run_id, command=cfg.command)
-    fingerprints = [job_fingerprint(s) for s in specs]
-
-    ctx = multiprocessing.get_context()
-    children: list = []
-    for i in range(max(1, cfg.workers)):
-        wcfg = replace(
-            cfg, worker_id=f"{cfg.worker_id}-{i:02d}", lethal=True,
-            telemetry=SchedTelemetry(),
-        )
-        proc = ctx.Process(
-            target=_fleet_worker_entry, args=(list(specs), wcfg), daemon=True
-        )
-        proc.start()
-        children.append(proc)
-    _emit(cfg.hub, "fleet-start", workers=len(children), jobs=len(specs))
-
-    deadline = time.monotonic() + cfg.join_timeout_s
+    fingerprints = ensure_manifest(
+        run_dir, specs, run_id=cfg.run_id, command=cfg.command,
+        republish=True,
+    )["jobs"]
+    journaled = _scan_completed(run_dir)
+    quarantined = _scan_quarantined(run_dir)
+    events_after = _event_counts(run_dir)
+    root_ctx = TraceContext.root(cfg.run_id)
+    # the in-process worker's id derives from the run id, so a resumed
+    # serial run appends to the same journal and stitches the same trace
+    local = replace(cfg, worker_id=cfg.run_id)
+    todo: list[int] = []
+    stores: dict[int, str] = {}
+    journal = None
     try:
-        while True:
-            done = _resolved(run_dir)
-            if all(fp in done for fp in fingerprints):
-                break
-            alive = [p for p in children if p.is_alive()]
-            if not alive or time.monotonic() > deadline:
-                reason = (
-                    "every fleet worker died"
-                    if not alive else "fleet join timeout"
+        for i, (spec, fp) in enumerate(zip(specs, fingerprints)):
+            if fp in journaled:
+                cfg.report("resume-skip", benchmark=spec.benchmark, job=i)
+                continue
+            key = _cache_key(cache, spec) if cache is not None else None
+            hit = cache.get(key) if key is not None else None
+            if hit is None:
+                todo.append(i)
+                if key is not None:
+                    stores[i] = key
+                if fp in quarantined:
+                    # a resumed run retries what an earlier one quarantined
+                    (run_dir / "quarantine" / f"{fp}.json").unlink(
+                        missing_ok=True
+                    )
+                continue
+            if journal is None:
+                journal = RunJournal.attach(
+                    run_dir / "journals", run_id=local.worker_id,
+                    meta={"command": cfg.command, "fleet_run": cfg.run_id},
                 )
-                for p in alive:
-                    p.terminate()
+            journal.record(fp, hit, meta={
+                "benchmark": spec.benchmark, "job": i, "source": "cache",
+                **root_ctx.job(i).as_dict(),
+            })
+    finally:
+        if journal is not None:
+            journal.close()
+    tele.mode = "fleet" if jobs > 1 and len(todo) > 1 else "serial"
+    try:
+        if tele.mode == "fleet":
+            tele.fleet_workers = min(jobs, len(todo))
+            reason = _supervise(specs, fingerprints, todo, jobs, cfg)
+            if reason is not None:
                 tele.mode = "fleet-fallback"
                 tele.fallbacks.append({
                     "from": "fleet", "to": "in-process", "reason": reason,
                 })
                 _emit(cfg.hub, "fallback-fleet", reason=reason)
-                fallback = replace(
-                    cfg, worker_id=f"{cfg.worker_id}-coord", lethal=False,
-                    telemetry=tele,
-                )
-                fleet_worker(specs, fallback)
-                break
-            time.sleep(cfg.poll_s)
+                fleet_worker(specs, local, lethal=False)
+        elif todo:
+            tele.fleet_workers = 1
+            fleet_worker(specs, local, lethal=False)
     finally:
-        for p in children:
-            if p.is_alive():
-                p.terminate()
-            p.join(timeout=5)
-            if p.is_alive():  # pragma: no cover - stuck child
-                p.kill()
-                p.join(timeout=5)
-    return merge_fleet(run_dir, specs, cfg=cfg, cache=cache)
+        done = _scan_completed(run_dir)
+        tele.completed = sum(fingerprints[i] in done for i in todo)
+    return merge_fleet(
+        run_dir, specs, cfg=cfg, cache=cache, stores=stores,
+        events_after=events_after,
+    )
+
+
+def _stop(proc) -> None:
+    if proc.is_alive():
+        proc.terminate()
+    proc.join(timeout=5)
+    if proc.is_alive():  # pragma: no cover - stuck in uninterruptible IO
+        proc.kill()
+        proc.join(timeout=5)
+
+
+def _supervise(
+    specs: Sequence["JobSpec"],
+    fingerprints: list[str],
+    todo: list[int],
+    jobs: int,
+    cfg: ResilienceConfig,
+) -> str | None:
+    """Run the ``todo`` jobs on up to ``jobs`` local worker processes.
+
+    Returns once every one is journaled or quarantined (None), or with
+    the reason the run must fall back in-process: a worker could not
+    be started, or died holding no lease.  Workers still running on
+    the way out are stopped and their leases expired.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    chaos = cfg.chaos
+    timeout = cfg.job_timeout_s
+    run_dir = fleet_dir(cfg.journal_root, cfg.run_id)
+    leases = LeaseDir(run_dir / "leases", ttl_s=cfg.lease_ttl_s)
+    ordinal_of = {fingerprints[i]: i for i in todo}
+    ladders: dict[int, Ladder] = {}
+    procs: dict[str, Any] = {}
+    events: _EventLog | None = None
+    spawned = 0
+
+    def report(name: str, **args: Any) -> None:
+        nonlocal events
+        if events is None:
+            events = _EventLog(
+                run_dir / "events" / f"{cfg.run_id}.ndjson", cfg.run_id
+            )
+        events.emit(name, **args)
+
+    def charge(lease, exc: Exception, resolved: set[str]) -> None:
+        """Charge a lost attempt to the job whose lease it held, then
+        expire the lease so the next claim steals it.  A job already
+        journaled or quarantined is not charged again."""
+        i = ordinal_of.get(lease.job)
+        if i is not None and lease.job not in resolved:
+            spec = specs[i]
+            ladder = ladders.setdefault(
+                i, Ladder(i, spec.benchmark, spec.backend, cfg, report)
+            )
+            if not ladder.failed(exc):
+                _quarantine_job(run_dir, lease.job, {
+                    "benchmark": spec.benchmark, "job": i,
+                    "worker": cfg.run_id, "attempts": ladder.attempts,
+                })
+                resolved.add(lease.job)
+        leases.expire(lease)
+
+    try:
+        while True:
+            # who is dead is settled before the lease scan, so a dead
+            # worker's last claim is always seen
+            dead = [w for w, p in procs.items() if not p.is_alive()]
+            journaled = set(_scan_completed(run_dir))
+            resolved = journaled.union(_scan_quarantined(run_dir))
+            pending = [fp for fp in ordinal_of if fp not in resolved]
+            if chaos is not None and chaos.interrupts_after(
+                len(journaled.intersection(ordinal_of))
+            ):
+                # deterministic SIGINT analog for interrupt-and-resume
+                raise KeyboardInterrupt
+            if not pending:
+                return None
+            held = {lease.owner: lease for lease in leases.held()}
+            for wid in dead:
+                proc = procs.pop(wid)
+                proc.join()
+                if proc.exitcode == 0:
+                    continue
+                lease = held.get(wid)
+                if lease is None:
+                    return (
+                        f"worker {wid} died holding no lease "
+                        f"(exit {proc.exitcode})"
+                    )
+                charge(lease, WorkerCrash(
+                    f"worker {wid} died holding job "
+                    f"{ordinal_of.get(lease.job, '?')} (exit {proc.exitcode})"
+                ), resolved)
+            for wid, proc in list(procs.items()):
+                lease = held.get(wid)
+                if (
+                    timeout and lease is not None
+                    and time.time() - lease.attempt_at > _KILL_AFTER * timeout
+                ):
+                    del procs[wid]
+                    _stop(proc)
+                    charge(lease, JobTimeout(
+                        f"job {ordinal_of.get(lease.job, '?')} exceeded "
+                        f"{timeout:g}s wall clock; worker {wid} killed"
+                    ), resolved)
+            while len(procs) < min(jobs, len(pending)):
+                wid = f"{cfg.worker_id}-{spawned:02d}"
+                spawned += 1
+                wcfg = replace(
+                    cfg, worker_id=wid, hub=None, telemetry=SchedTelemetry()
+                )
+                try:
+                    proc = ctx.Process(
+                        target=_fleet_worker_entry, args=(list(specs), wcfg),
+                        daemon=True,
+                    )
+                    proc.start()
+                except OSError as exc:
+                    return f"worker processes unavailable: {exc}"
+                procs[wid] = proc
+            time.sleep(POLL_S)
+    finally:
+        # never leak child processes: Ctrl-C, chaos interrupts, and
+        # fallbacks all pass through here; a stopped worker's leases
+        # are expired so whoever continues need not wait out the TTL
+        for proc in procs.values():
+            _stop(proc)
+        for lease in leases.held():
+            if lease.owner in procs:
+                leases.expire(lease)
+        if events is not None:
+            events.close()
 
 
 def join_fleet(
     specs: Sequence["JobSpec"],
-    cfg: FleetConfig,
+    cfg: ResilienceConfig,
     *,
     cache: "ResultCache | None" = None,
 ) -> list[dict[str, Any]]:
-    """Run this process as one fleet worker, then merge.
+    """Run this process as one worker of the run, then merge.
 
     The cross-machine entry point (``repro sweep --join <run-id>``):
     every participating invocation points at the same shared journal
@@ -751,6 +946,7 @@ def join_fleet(
     deterministic) merge — so whichever worker you gave ``--out`` to
     writes the byte-identical document, and a late ``--join`` against a
     finished run is simply a merge with nothing left to claim.
+    ``completed`` counts every merged job.
     """
     tele = cfg.telemetry
     tele.mode = "fleet"
@@ -759,4 +955,6 @@ def join_fleet(
     run_dir = fleet_dir(cfg.journal_root, cfg.run_id)
     completed = fleet_worker(specs, cfg)
     tele.resume_skips = len(specs) - completed
-    return merge_fleet(run_dir, specs, cfg=cfg, cache=cache)
+    payloads = merge_fleet(run_dir, specs, cfg=cfg, cache=cache)
+    tele.completed = len(payloads)
+    return payloads

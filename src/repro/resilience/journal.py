@@ -8,9 +8,11 @@ fingerprint is already recorded, replaying the stored payload instead
 (byte-identical: payloads are the same JSON-ready dicts the result
 types round-trip through).
 
-Layout: one ``<run-id>.ndjson`` file per run under ``.repro-journal/``
-(git-ignored).  The first line is a header record; every subsequent
-line is one completed job::
+Layout: under ``.repro-journal/`` (git-ignored), each worker of a job
+list's run directory keeps one under ``<run-id>.fleet/journals/``
+(:mod:`~repro.resilience.fleet`), and a ``check`` run keeps one
+``<run-id>.ndjson`` file.  The first line is a header record; every
+subsequent line is one completed job::
 
     {"schema": "repro-journal/1", "run_id": "...", "command": "sweep", ...}
     {"job": "<fingerprint>", "payload": {...}, "meta": {...}}
@@ -258,8 +260,8 @@ def _dir_mtime(path: Path) -> float:
 def list_runs(root: str | Path) -> list[dict[str, Any]]:
     """Every run under a journal directory, newest first.
 
-    Covers both plain ``<run-id>.ndjson`` journals and ``<run-id>.fleet``
-    coordination directories.  Each entry carries ``run_id``, ``kind``
+    Covers both ``check``'s ``<run-id>.ndjson`` journals and
+    ``<run-id>.fleet`` run directories.  Each entry carries ``run_id``, ``kind``
     (``"run"`` | ``"fleet"``), ``command``, ``jobs`` (completed count),
     ``mtime``, and ``path``.
     """
@@ -317,10 +319,9 @@ def gc_runs(
       journal file or fleet directory — whose newest mtime is older
       than the cutoff;
     * **stale-artifact cleanup** (always): expired lease files of every
-      surviving fleet run, ``stolen/`` steal remnants, orphaned
-      ``*.tmp`` files from interrupted atomic writes, and
-      ``flightrec/<run-id>/`` flight-recorder dump directories whose
-      run was removed above or no longer exists at all.
+      surviving fleet run, ``stolen/`` steal remnants, and orphaned
+      ``*.tmp`` files from interrupted atomic writes.  Flight-recorder
+      dumps live inside their run directory and go with it.
 
     Returns a summary dict; with ``dry_run`` nothing is deleted and
     ``removed`` lists what would have been.
@@ -374,29 +375,11 @@ def gc_runs(
                 tmps += 1
             except OSError:
                 pass
-    # pool flight-recorder dumps live beside the journals under
-    # flightrec/<run-id>/ — sweep the directories of runs removed above
-    # and of runs that no longer exist (orphaned dumps); fleet dumps
-    # live inside the run directory and go with its rmtree
-    flights = 0
-    flight_root = root / "flightrec"
-    if flight_root.is_dir():
-        removed_ids = {e["run_id"] for e in removed}
-        live = {
-            e["run_id"] for e in list_runs(root)
-        } - removed_ids
-        for dump_dir in sorted(flight_root.iterdir()):
-            if not dump_dir.is_dir() or dump_dir.name in live:
-                continue
-            flights += 1
-            if not dry_run:
-                shutil.rmtree(dump_dir, ignore_errors=True)
     return {
         "removed": removed,
         "kept": len(list_runs(root)) - (len(removed) if dry_run else 0),
         "stale_leases_evicted": leases_evicted,
         "steal_remnants_removed": remnants,
         "tmp_files_removed": tmps,
-        "flight_dump_dirs_removed": flights,
         "dry_run": dry_run,
     }

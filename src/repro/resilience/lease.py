@@ -1,14 +1,21 @@
 """Atomic job leases for the distributed sweep fleet.
 
-A fleet worker claims a job by *creating* its lease file with
-``O_CREAT | O_EXCL`` — the one filesystem operation that is atomic on
-every POSIX filesystem, including the shared network directories a
-multi-machine fleet coordinates through.  The file body is a small
+A fleet worker claims a job by *publishing* its lease file with an
+exclusive :func:`~repro.common.durable.atomic_write`: the complete body
+is written to a temporary file and hard-linked into place, which fails
+if the lease exists — atomic on every POSIX filesystem, including the
+shared network directories a multi-machine fleet coordinates through,
+and never visible half-written.  The file body is a small
 JSON document naming the owner, the lease *epoch* (how many times the
-job has been claimed), and two wall-clock timestamps::
+job has been claimed), and three wall-clock timestamps::
 
     {"schema": "repro-lease/1", "job": "<fingerprint>", "owner": "w1",
-     "epoch": 0, "acquired_at": 1723180000.0, "heartbeat_at": 1723180003.2}
+     "epoch": 0, "acquired_at": 1723180000.0, "heartbeat_at": 1723180003.2,
+     "attempt_at": 1723180000.0}
+
+``attempt_at`` is when the owner started its current attempt at the
+job; the coordinator of a local run kills a worker whose attempt
+outlives the job timeout (:mod:`~repro.resilience.fleet`).
 
 While the owner works, a heartbeat republishes the file with a fresh
 ``heartbeat_at`` through :func:`~repro.common.durable.atomic_write`
@@ -16,10 +23,12 @@ While the owner works, a heartbeat republishes the file with a fresh
 that finds a lease whose heartbeat is older than the TTL — the owner
 was SIGKILL'd, wedged, or unplugged — *steals* it: it renames the
 stale file into ``stolen/`` (rename is atomic, so exactly one stealer
-wins) and then re-acquires through the same ``O_EXCL`` create with the
-epoch bumped.  An unreadable or torn lease file (a crash mid-write, a
+wins) and then re-acquires through the same exclusive publish with the
+epoch bumped.  An unreadable or torn lease file (outside damage, a
 chaos-injected corruption) is treated as immediately steal-eligible:
 the remnant is quarantined into ``stolen/`` and the job re-claimed.
+:meth:`LeaseDir.expire` makes a dead owner's lease stale at once, so
+the next claim is a steal without waiting out the TTL.
 
 None of this is load-bearing for *correctness* — job execution is
 deterministic and the fleet merge is first-write-wins with checksum
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.common.durable import atomic_write
+from repro.common.durable import atomic_write, make_dirs
 from repro.common.errors import ReproError
 
 __all__ = [
@@ -66,6 +75,7 @@ class Lease:
     acquired_at: float
     heartbeat_at: float
     stolen_from: str | None = None   #: previous owner when epoch > 0
+    attempt_at: float = 0.0          #: start of the owner's current attempt
 
     def as_dict(self) -> dict:
         return {
@@ -75,6 +85,7 @@ class Lease:
             "epoch": self.epoch,
             "acquired_at": self.acquired_at,
             "heartbeat_at": self.heartbeat_at,
+            "attempt_at": self.attempt_at,
         }
 
 
@@ -101,8 +112,7 @@ class LeaseDir:
         self.skew_s = float(skew_s)
         self.now = now
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            (self.root / "stolen").mkdir(exist_ok=True)
+            make_dirs(self.root)
         except OSError as exc:
             raise LeaseUnavailable(
                 f"lease directory {self.root} is not writable: {exc}"
@@ -116,14 +126,6 @@ class LeaseDir:
     def _body(lease: Lease) -> bytes:
         return json.dumps(lease.as_dict(), separators=(",", ":")).encode()
 
-    def _write_body(self, fd: int, lease: Lease, *, torn: bool = False) -> None:
-        body = self._body(lease)
-        if torn:
-            # chaos: a crash mid-write leaves half a lease on disk
-            body = body[: max(1, len(body) // 2)]
-        os.write(fd, body)
-        os.fsync(fd)
-
     # ------------------------------------------------------------------
     def acquire(
         self, job: str, owner: str, *, epoch: int = 0,
@@ -131,28 +133,28 @@ class LeaseDir:
     ) -> Lease | None:
         """Claim ``job`` for ``owner``; None when held by a live peer.
 
-        The create is ``O_EXCL``, so between two racing workers exactly
-        one returns a :class:`Lease` and the other None.
+        The claim is an exclusive :func:`~repro.common.durable.
+        atomic_write` (a hard-link publish), so between two racing
+        workers exactly one returns a :class:`Lease` and the other None,
+        and no reader ever sees a half-written lease.  ``torn`` (chaos)
+        publishes half a body instead.
         """
         t = self.now()
         lease = Lease(
             job=job, owner=owner, epoch=epoch,
             acquired_at=t, heartbeat_at=t, stolen_from=stolen_from,
+            attempt_at=t,
         )
+        body = self._body(lease)
+        if torn:
+            body = body[: max(1, len(body) // 2)]
         try:
-            fd = os.open(
-                self.path(job), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-            )
-        except FileExistsError:
-            return None
+            if not atomic_write(self.path(job), body, exclusive=True):
+                return None
         except OSError as exc:
             raise LeaseUnavailable(
                 f"cannot create lease for job {job[:12]}: {exc}"
             ) from None
-        try:
-            self._write_body(fd, lease, torn=torn)
-        finally:
-            os.close(fd)
         return lease
 
     def read(self, job: str) -> Lease | None:
@@ -173,7 +175,20 @@ class LeaseDir:
             job=obj["job"], owner=obj["owner"], epoch=int(obj["epoch"]),
             acquired_at=float(obj["acquired_at"]),
             heartbeat_at=float(obj["heartbeat_at"]),
+            attempt_at=float(obj.get("attempt_at", obj["acquired_at"])),
         )
+
+    def held(self) -> list[Lease]:
+        """Every readable lease in the directory; torn ones are skipped."""
+        out = []
+        for path in sorted(self.root.glob("*.lease")):
+            try:
+                lease = self.read(path.name[: -len(".lease")])
+            except ValueError:
+                continue
+            if lease is not None:
+                out.append(lease)
+        return out
 
     def is_stale(self, lease: Lease) -> bool:
         """Has the owner missed enough heartbeats to lose the lease?"""
@@ -217,6 +232,7 @@ class LeaseDir:
         """Move a stale/corrupt lease into ``stolen/``; True if we won."""
         dest = self.root / "stolen" / f"{job}.{uuid.uuid4().hex[:8]}.lease"
         try:
+            make_dirs(dest.parent)
             os.rename(self.path(job), dest)
         except FileNotFoundError:
             return False
@@ -250,6 +266,15 @@ class LeaseDir:
         except OSError:
             return False
         return True
+
+    def expire(self, lease: Lease) -> None:
+        """Make a dead owner's lease stale in place: the next claim
+        steals it at ``epoch + 1`` without waiting out the TTL."""
+        lease.heartbeat_at = 0.0
+        try:
+            atomic_write(self.path(lease.job), self._body(lease))
+        except OSError:
+            pass
 
     def release(self, lease: Lease) -> bool:
         """Drop the lease after the job is journaled; False if lost."""

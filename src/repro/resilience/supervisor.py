@@ -1,30 +1,23 @@
-"""The supervised worker pool behind ``repro.sched``.
+"""Supervision policy: the per-job ladder, its telemetry and its config.
 
-``run_supervised`` executes a list of
-:class:`~repro.sched.runner.JobSpec` s with the machinery a production
-job scheduler treats as table stakes:
+Every supervised run — the multi-process engine of
+:mod:`repro.resilience.fleet` (``table1``/``sweep``/``run`` with
+``--jobs``, ``--fleet``, ``--join``, ``--resume`` or a resilience flag,
+and ``repro serve`` requests) and ``repro check`` units — climbs the
+same ladder, configured by one :class:`ResilienceConfig`:
 
-* **crash isolation** — each in-flight job runs in its own worker
-  process behind a pipe; a dying worker fails only its job, and the
-  pool refills the slot.
-* **wall-clock timeouts** — a job past ``job_timeout_s`` has its worker
-  terminated and is treated as a failed attempt.
 * **bounded retries** — failed attempts retry with the exponential
   backoff + deterministic jitter of
   :class:`~repro.faults.plan.RetryPolicy`; after ``max_retries``
   retries the job is *quarantined* (the run finishes everything else,
   journals it, then raises :class:`QuarantineError`).  One
-  :class:`Ladder` per job makes these decisions for every supervised
-  path: this pool, the fleet's workers, and ``repro check`` units.
-* **checkpointing** — every completed payload is appended to the run's
-  :class:`~repro.resilience.journal.RunJournal` before the next job is
-  considered, so an interrupt loses nothing that finished.
-* **a graceful-degradation ladder** — pool creation failure or
-  repeated worker death drops the run to serial in-process execution;
-  a divergence on a non-reference backend re-runs that job on the
-  reference backend.
-  Both degradations are recorded in the telemetry (and surface as CLI
-  exit code 3).
+  :class:`Ladder` per job makes these decisions.
+* **wall-clock timeouts** — each in-process attempt runs under
+  :func:`wall_clock_limit`; the engine's coordinator also kills a
+  local worker whose attempt outlives it.
+* **reference fallback** — a divergence on a non-reference backend
+  re-runs that job on the reference backend, recorded in the telemetry
+  (and surfacing as CLI exit code 3).
 
 Every supervision action (retry, timeout, crash, fallback, resume
 skip, quarantine) is folded into :class:`SchedTelemetry` by
@@ -35,10 +28,11 @@ device timeline.
 
 Chaos faults come from the scheduler-layer extensions of
 :class:`~repro.faults.plan.FaultPlan`; decisions are keyed on the job
-ordinal, so the injected schedule is identical across pool widths,
-serial fallback, and resumes.  In pool mode crash and hang faults are
-*real* (the worker hard-exits / sleeps past the timeout); in-process
-attempts simulate them by raising the equivalent error.
+ordinal and attempt, so the injected schedule is identical whichever
+worker runs a job and across resumes.  Injected crash and hang faults
+are simulated in-process by raising the equivalent error; real process
+deaths come from fleet chaos (``fleet-kill``, ``hb-stall``) and real
+faults.
 """
 
 from __future__ import annotations
@@ -47,20 +41,18 @@ import os
 import signal
 import threading
 import time
-from collections import deque
+import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import BackendDivergenceError, ReproError
 from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.resilience.journal import DEFAULT_JOURNAL_DIR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.prof.activity import ActivityHub
-    from repro.resilience.journal import RunJournal
-    from repro.sched.cache import ResultCache
-    from repro.sched.runner import JobSpec
 
 __all__ = [
     "WorkerCrash",
@@ -70,18 +62,8 @@ __all__ = [
     "SchedTelemetry",
     "ResilienceConfig",
     "Ladder",
-    "run_supervised",
     "wall_clock_limit",
-    "HANG_SLEEP_S",
 ]
-
-#: how long an injected "hang" sleeps in a real worker — far beyond any
-#: sane job timeout, so the supervisor's kill path is what ends it
-HANG_SLEEP_S = 60.0
-
-#: job timeout applied automatically when hang chaos is armed but the
-#: caller set none (a hang fault with no timeout would deadlock the run)
-_IMPLICIT_CHAOS_TIMEOUT_S = 5.0
 
 #: upper bound on the *real* time spent sleeping out one backoff —
 #: the policy's schedule is recorded verbatim in the retry event
@@ -96,7 +78,7 @@ class WorkerCrash(ReproError):
 
 
 class JobTimeout(ReproError):
-    """A job exceeded its wall-clock budget and its worker was killed."""
+    """A job attempt exceeded its wall-clock budget."""
 
 
 class PayloadCorruption(ReproError):
@@ -133,6 +115,13 @@ def _job_order(entry: dict[str, Any]) -> int:
     return job if isinstance(job, int) else -1
 
 
+def _add_once(entries: list[dict[str, Any]], entry: dict[str, Any]) -> None:
+    """Append ``entry`` unless its job is listed; keep job order."""
+    if all(e.get("job") != entry["job"] for e in entries):
+        entries.append(entry)
+        entries.sort(key=_job_order)
+
+
 @dataclass
 class SchedTelemetry:
     """What the supervisor did during one scheduler run.
@@ -142,7 +131,7 @@ class SchedTelemetry:
     activity hub as ``sched`` records.
     """
 
-    #: "serial" | "pool" | "serial-fallback" | "fleet" | "fleet-fallback"
+    #: "serial" | "fleet" | "fleet-fallback"
     mode: str = "serial"
     completed: int = 0              #: jobs finished this run (journaled)
     retries: int = 0
@@ -154,7 +143,7 @@ class SchedTelemetry:
     fallbacks: list[dict[str, Any]] = field(default_factory=list)
     quarantined: list[dict[str, Any]] = field(default_factory=list)
     journal_run_id: str | None = None
-    # fleet counters (filled by repro.resilience.fleet at merge time)
+    # fleet counters (folded from the run's event logs at merge time)
     fleet_workers: int = 0
     leases_acquired: int = 0
     leases_stolen: int = 0
@@ -162,18 +151,16 @@ class SchedTelemetry:
     duplicate_completions: int = 0
 
     def observe(self, name: str, /, **args: Any) -> None:
-        """Fold one supervision event (pool, ``check`` unit, or replayed
-        fleet event log) into the telemetry.  A fleet may run a job
-        twice, and pool and fleet jobs finish in any order, so
-        ``fallbacks`` keeps one entry per job, in job order."""
+        """Fold one supervision event (a ``check`` unit's, or one replayed
+        from a run's event logs) into the telemetry.  Two workers may
+        run a job, and jobs finish in any order, so ``fallbacks`` and
+        ``quarantined`` keep one entry per job, in job order."""
         if name == "fallback-reference":
-            if all(f.get("job") != args.get("job") for f in self.fallbacks):
-                keys = ("benchmark", "job", "from", "to", "reason")
-                self.fallbacks.append({k: args.get(k) for k in keys})
-                self.fallbacks.sort(key=_job_order)
+            keys = ("benchmark", "job", "from", "to", "reason")
+            _add_once(self.fallbacks, {k: args.get(k) for k in keys})
         elif name == "quarantine":
             keys = ("benchmark", "job", "attempts", "error")
-            self.quarantined.append({k: args.get(k) for k in keys})
+            _add_once(self.quarantined, {k: args.get(k) for k in keys})
         elif name in _COUNTERS:
             counter = _COUNTERS[name]
             setattr(self, counter, getattr(self, counter) + 1)
@@ -181,9 +168,7 @@ class SchedTelemetry:
     @property
     def degraded(self) -> bool:
         """Did the run finish only by stepping down the ladder?"""
-        return bool(self.fallbacks) or self.mode in (
-            "serial-fallback", "fleet-fallback"
-        )
+        return bool(self.fallbacks) or self.mode == "fleet-fallback"
 
     def as_dict(self) -> dict[str, Any]:
         doc = {
@@ -213,22 +198,43 @@ class SchedTelemetry:
 
 @dataclass
 class ResilienceConfig:
-    """Supervision policy for one scheduler run.
+    """Policy and identity of one supervised run, ``check`` included.
 
-    The defaults give every run crash isolation and two retries at
-    zero configuration; chaos, journaling, and health-event emission
-    are opt-in.  ``telemetry`` is filled in during the run and read
-    back by the caller afterwards.
+    The defaults give every run two retries at zero configuration;
+    chaos, journaling and health-event emission are opt-in.
+    ``telemetry`` is filled in during the run and read back by the
+    caller afterwards.  ``run_id`` names the run's journal under
+    ``journal_root`` (``<run-id>.fleet/`` for job lists,
+    ``<run-id>.ndjson`` for ``check``); None runs unjournaled.
+    ``worker_id`` names this process when it joins a run (``--join``)
+    and prefixes the local workers the engine spawns; the lease TTL and
+    heartbeat govern how fast a dead worker's job is stolen.
     """
 
     max_retries: int = 2
     job_timeout_s: float | None = None
     chaos: FaultPlan | None = None
-    journal: "RunJournal | None" = None
-    hub: "ActivityHub | None" = None
-    #: worker deaths (crashes + timeouts) before degrading to serial
-    serial_fallback_after: int = 16
+    hub: "ActivityHub | None" = field(default=None, repr=False, compare=False)
     telemetry: SchedTelemetry = field(default_factory=SchedTelemetry)
+    run_id: str | None = None
+    journal_root: str | Path = DEFAULT_JOURNAL_DIR
+    command: str = "run"
+    worker_id: str = ""
+    heartbeat_s: float = 0.5
+    lease_ttl_s: float = 5.0
+
+    def __post_init__(self) -> None:
+        if not self.worker_id:
+            self.worker_id = f"w-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        if self.lease_ttl_s <= 0:
+            raise ReproError(
+                f"lease TTL must be positive, got {self.lease_ttl_s}"
+            )
+        if self.heartbeat_s <= 0 or self.heartbeat_s >= self.lease_ttl_s:
+            raise ReproError(
+                f"heartbeat interval must be in (0, lease TTL); got "
+                f"{self.heartbeat_s} vs TTL {self.lease_ttl_s}"
+            )
 
     def report(self, name: str, /, **args: Any) -> None:
         """Fold one supervision event into the telemetry, then emit it
@@ -245,60 +251,13 @@ class ResilienceConfig:
             return
         names = ", ".join(f"{q['benchmark']}#{q['job']}" for q in quarantined)
         hint = (
-            f"; completed work is journaled as run {self.journal.run_id}"
-            if self.journal is not None else ""
+            f"; completed work is journaled as run {self.run_id}"
+            if self.run_id is not None else ""
         )
         raise QuarantineError(
             f"{len(quarantined)} {units} quarantined after retry "
             f"exhaustion: {names}{hint}"
         )
-
-
-# ----------------------------------------------------------------------
-def _worker_main(conn, spec: "JobSpec", action: str) -> None:
-    """Entry point of one worker process: run one job, report, exit.
-
-    ``action`` carries the chaos decision made in the parent so crashes
-    and hangs are *real* process behaviour, not simulations.  Errors
-    are relayed through the pipe as :class:`ReproError` instances and
-    exit cleanly — a nonzero exit with no message is what the parent
-    counts as a crash.
-    """
-    # the parent's SIGTERM/SIGINT handlers were inherited across fork:
-    # terminate() must kill us silently, and a terminal Ctrl-C must be
-    # handled by the supervisor (which then terminates us), not by a
-    # KeyboardInterrupt racing conn.send mid-payload
-    if hasattr(signal, "SIGTERM"):
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if hasattr(signal, "SIGINT"):
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if action == "crash":
-        os._exit(17)
-    if action == "hang":
-        time.sleep(HANG_SLEEP_S)
-        os._exit(0)
-    from repro.sched.runner import execute_job
-
-    try:
-        if action == "diverge":
-            raise BackendDivergenceError(
-                f"injected {spec.backend}-backend divergence ({spec.benchmark})"
-            )
-        payload = execute_job(spec)
-    except BaseException as exc:  # noqa: BLE001 - report across the pipe
-        if not isinstance(exc, ReproError):
-            exc = ReproError(f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(("error", exc))
-        except Exception:
-            pass
-        os._exit(0)
-    try:
-        conn.send(("ok", payload))
-        conn.close()
-    except Exception:
-        os._exit(13)
-    os._exit(0)
 
 
 class Ladder:
@@ -307,9 +266,9 @@ class Ladder:
 
     ``ordinal`` keys every chaos and jitter decision.  ``backend`` is
     None for work with no oracle to fall back to, and ``reference``
-    once the job fell back.  ``config`` (a :class:`ResilienceConfig` or
-    a fleet's config) supplies ``max_retries`` and ``chaos``, and every
-    event goes through ``report(name, **args)``.
+    once the job fell back.  ``config`` (a :class:`ResilienceConfig`)
+    supplies ``max_retries`` and ``chaos``, and every event goes
+    through ``report(name, **args)``.
     """
 
     __slots__ = ("ordinal", "benchmark", "backend", "attempts",
@@ -393,8 +352,8 @@ class Ladder:
     def run(self, work: Callable[[], Any], timeout: float | None) -> Any:
         """Attempt ``work()`` in-process, each attempt under
         :func:`wall_clock_limit`, until it succeeds (its result) or the
-        job is quarantined (None).  Injected faults raise the typed
-        errors a pool worker would have produced."""
+        job is quarantined (None).  Injected crash and hang faults raise
+        the typed errors a real death or overrun is charged as."""
         subject = f"job {self.ordinal} ({self.benchmark})"
         while True:
             try:
@@ -421,39 +380,14 @@ class Ladder:
                     return None
 
 
-class _Task(Ladder):
-    """One queued pool job: its ladder, and what completing it needs."""
-
-    __slots__ = ("spec", "key", "fingerprint")
-
-    def __init__(self, ordinal, spec, key, fingerprint, config):
-        super().__init__(
-            ordinal, spec.benchmark, spec.backend, config, config.report
-        )
-        self.spec = spec
-        self.key = key
-        self.fingerprint = fingerprint
-
-
-class _Active:
-    """One occupied pool slot."""
-
-    __slots__ = ("task", "proc", "conn", "deadline")
-
-    def __init__(self, task, proc, conn, deadline):
-        self.task = task
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-
-
 @contextmanager
 def wall_clock_limit(seconds: float | None, subject: str = ""):
     """Raise :class:`JobTimeout` if the block runs past ``seconds``.
 
     Signal-based (``SIGALRM``), so it only arms in the main thread on
-    POSIX; elsewhere it is a no-op.  Used for in-process attempts,
-    which the pool cannot isolate (:meth:`Ladder.run`).
+    POSIX; elsewhere it is a no-op.  Used for every in-process attempt
+    (:meth:`Ladder.run`); code that blocks the signal escapes it, which
+    is what the engine coordinator's kill is for.
     """
     if (
         not seconds
@@ -475,279 +409,3 @@ def wall_clock_limit(seconds: float | None, subject: str = ""):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-
-
-# ----------------------------------------------------------------------
-def run_supervised(
-    specs: Sequence["JobSpec"],
-    *,
-    jobs: int = 1,
-    cache: "ResultCache | None" = None,
-    config: ResilienceConfig | None = None,
-) -> list[dict[str, Any]]:
-    """Execute jobs under supervision; order-preserving payload list.
-
-    Resolution order per job: journal (resume) → result cache → live
-    execution.  Completed payloads are cached and journaled as they
-    arrive; the parent owns all cache/journal traffic, so workers stay
-    side-effect-free.
-    """
-    from repro.obs.trace import TraceContext
-    from repro.resilience.journal import job_fingerprint
-    from repro.sched.runner import _cache_key, execute_job
-
-    config = config or ResilienceConfig()
-    tele = config.telemetry
-    chaos = config.chaos
-    journal = config.journal
-    hub = config.hub
-    if journal is not None:
-        tele.journal_run_id = journal.run_id
-    if cache is not None and chaos is not None and cache.chaos is None:
-        cache.chaos = chaos
-
-    # one run = one trace; span ids derive from the journal's run id so
-    # a --resume re-mints the identical tree
-    root_ctx = (
-        TraceContext.root(journal.run_id) if journal is not None else None
-    )
-
-    def job_ctx(spec: "JobSpec", ordinal: int) -> "TraceContext | None":
-        if spec.trace is not None:
-            return spec.trace
-        return root_ctx.job(ordinal) if root_ctx is not None else None
-
-    def job_meta(
-        spec: "JobSpec", ordinal: int, **extra: Any
-    ) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "benchmark": spec.benchmark, "job": ordinal, **extra,
-        }
-        ctx = job_ctx(spec, ordinal)
-        if ctx is not None:
-            meta.update(ctx.as_dict())
-        return meta
-
-    timeout = config.job_timeout_s
-    if timeout is None and chaos is not None and chaos.worker_hang_prob > 0:
-        timeout = _IMPLICIT_CHAOS_TIMEOUT_S
-
-    payloads: list[dict[str, Any] | None] = [None] * len(specs)
-    queue: deque[_Task] = deque()
-    for i, spec in enumerate(specs):
-        fingerprint = job_fingerprint(spec) if journal is not None else None
-        if fingerprint is not None and fingerprint in journal.completed:
-            payloads[i] = journal.completed[fingerprint]
-            config.report("resume-skip", benchmark=spec.benchmark, job=i)
-            continue
-        key = _cache_key(cache, spec) if cache is not None else None
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            payloads[i] = hit
-            if journal is not None:
-                journal.record(
-                    fingerprint, hit,
-                    meta=job_meta(spec, i, source="cache"),
-                )
-            continue
-        queue.append(_Task(i, spec, key, fingerprint, config))
-
-    pool_enabled = jobs > 1 and len(queue) > 1
-    tele.mode = "pool" if pool_enabled else "serial"
-
-    # flight recorder: keep the last records around so a quarantine can
-    # dump what the run was doing on the way down
-    recorder = None
-    recorder_sid = None
-    prev_trace = None
-    if hub is not None:
-        from repro.obs.flight import FlightRecorder
-
-        recorder = FlightRecorder(
-            worker="pool",
-            run_id=journal.run_id if journal is not None else None,
-        )
-        recorder_sid = hub.subscribe(recorder)
-        prev_trace = hub.trace
-        if root_ctx is not None:
-            hub.trace = root_ctx
-
-    # -- completion and failure routing ------------------------------
-    def complete(task: _Task, payload: dict[str, Any]) -> None:
-        payloads[task.ordinal] = payload
-        if cache is not None and task.key is not None:
-            cache.put(task.key, payload)
-        if journal is not None:
-            journal.record(
-                task.fingerprint, payload,
-                meta=job_meta(
-                    task.spec, task.ordinal,
-                    kind=task.spec.kind,
-                    backend=task.backend,
-                    attempts=task.attempts + 1,
-                ),
-            )
-        tele.completed += 1
-        if chaos is not None and chaos.interrupts_after(tele.completed):
-            # deterministic SIGINT analog for interrupt-and-resume tests
-            raise KeyboardInterrupt
-
-    def failed(task: _Task, exc: BaseException) -> None:
-        if task.failed(exc):
-            queue.append(task)
-
-    def run_serial_task(task: _Task) -> None:
-        # in-process hangs are simulated, so only an explicit budget
-        # applies here, not the implicit one that ends real hangs
-        payload = task.run(
-            lambda: execute_job(replace(task.spec, backend=task.backend)),
-            config.job_timeout_s,
-        )
-        if payload is not None:
-            complete(task, payload)
-
-    # -- pool machinery ------------------------------------------------
-    import multiprocessing
-
-    ctx = multiprocessing.get_context()
-    active: dict[int, _Active] = {}
-    next_slot = 0
-    deaths = 0
-
-    def start_worker(task: _Task) -> _Active:
-        action = task.action()
-        spec = replace(task.spec, backend=task.backend)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main, args=(child_conn, spec, action),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = (time.monotonic() + timeout) if timeout else None
-        return _Active(task, proc, parent_conn, deadline)
-
-    def stop_worker(a: _Active) -> None:
-        if a.proc.is_alive():
-            a.proc.terminate()
-        a.proc.join(timeout=5)
-        if a.proc.is_alive():  # pragma: no cover - stuck in uninterruptible IO
-            a.proc.kill()
-            a.proc.join(timeout=5)
-        a.conn.close()
-
-    def degrade_to_serial(reason: str) -> None:
-        nonlocal pool_enabled
-        pool_enabled = False
-        tele.mode = "serial-fallback"
-        config.report("fallback-serial", reason=reason)
-        for a in list(active.values()):
-            stop_worker(a)
-            queue.appendleft(a.task)
-        active.clear()
-
-    def worker_died(a: _Active, exc: ReproError) -> None:
-        nonlocal deaths
-        deaths += 1
-        failed(a.task, exc)
-        if pool_enabled and deaths >= config.serial_fallback_after:
-            degrade_to_serial(
-                f"{deaths} worker death(s); continuing serially"
-            )
-
-    width = max(1, jobs)
-    try:
-        while queue or active:
-            if not pool_enabled:
-                if active:  # pragma: no cover - defensive (drained above)
-                    for a in list(active.values()):
-                        stop_worker(a)
-                        queue.appendleft(a.task)
-                    active.clear()
-                run_serial_task(queue.popleft())
-                continue
-
-            # refill free slots
-            while queue and len(active) < width:
-                task = queue.popleft()
-                try:
-                    active[next_slot] = start_worker(task)
-                    next_slot += 1
-                except OSError as exc:
-                    queue.appendleft(task)
-                    degrade_to_serial(f"worker pool unavailable: {exc}")
-                    break
-            if not pool_enabled or not active:
-                continue
-
-            now = time.monotonic()
-            deadlines = [a.deadline for a in active.values() if a.deadline]
-            wait_s = None
-            if deadlines:
-                wait_s = max(0.0, min(deadlines) - now)
-            ready = mp_connection.wait(
-                [a.conn for a in active.values()], timeout=wait_s
-            )
-            now = time.monotonic()
-            for slot, a in list(active.items()):
-                if slot not in active:
-                    # a worker_died → degrade_to_serial on an earlier
-                    # slot drained the pool mid-iteration; this slot's
-                    # task is already re-queued for serial execution
-                    continue
-                task = a.task
-                if a.conn in ready:
-                    try:
-                        msg = a.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                    del active[slot]
-                    if msg is None:
-                        stop_worker(a)
-                        worker_died(
-                            a,
-                            WorkerCrash(
-                                f"worker for job {task.ordinal} "
-                                f"({task.spec.benchmark}) died "
-                                f"(exit {a.proc.exitcode})"
-                            ),
-                        )
-                        continue
-                    stop_worker(a)
-                    if msg[0] != "ok":
-                        failed(task, msg[1])
-                        continue
-                    try:
-                        task.check_payload()
-                    except PayloadCorruption as exc:
-                        failed(task, exc)
-                        continue
-                    complete(task, msg[1])
-                elif a.deadline is not None and now >= a.deadline:
-                    del active[slot]
-                    stop_worker(a)
-                    worker_died(
-                        a,
-                        JobTimeout(
-                            f"job {task.ordinal} ({task.spec.benchmark}) "
-                            f"exceeded {timeout:g}s wall clock"
-                        ),
-                    )
-    finally:
-        # never leak child processes: Ctrl-C, chaos interrupts, and
-        # raising jobs all pass through here before unwinding
-        for a in list(active.values()):
-            stop_worker(a)
-        active.clear()
-        if hub is not None and recorder_sid is not None:
-            hub.unsubscribe(recorder_sid)
-            hub.trace = prev_trace
-
-    if tele.quarantined:
-        if recorder is not None and journal is not None and len(recorder):
-            recorder.dump(
-                journal.path.parent / "flightrec" / journal.run_id,
-                reason="quarantine",
-            )
-        config.raise_quarantined()
-    return payloads  # type: ignore[return-value]

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.arch.spec import SystemSpec
-from repro.common.durable import atomic_write
+from repro.common.durable import atomic_write, make_dirs
 from repro.common.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -208,7 +208,7 @@ class ResultCache:
         """Move a corrupted entry aside for post-mortem; never raises."""
         qdir = self._root_path / "quarantine"
         try:
-            qdir.mkdir(parents=True, exist_ok=True)
+            make_dirs(qdir)
             os.replace(path, qdir / path.name)
         except OSError:  # pragma: no cover - cross-device or perms
             try:

@@ -2,15 +2,16 @@
 
 The unit of work is a :class:`JobSpec` — one benchmark comparison
 (``kind="run"``) or one sweep point (``kind="sweep"`` with a single
-value).  :func:`run_jobs` resolves each job against the run journal
-(``--resume``) and the :class:`~repro.sched.cache.ResultCache` first,
-then hands the remaining misses to the supervised worker pool of
-:mod:`repro.resilience.supervisor` — per-job wall-clock timeouts,
-crash isolation, bounded retries with backoff + jitter, poisoned-job
-quarantine, and journal checkpointing after every completed job.
-Results come back as the JSON-ready payloads the result types
-round-trip through, so a journal replay, a cached replay, and a fresh
-computation are byte-for-byte interchangeable.
+value).  :func:`run_jobs` is the engine of :mod:`repro.resilience.fleet`:
+it resolves each job against the run journal (``--resume``) and the
+:class:`~repro.sched.cache.ResultCache` first, then runs the misses
+in-process or on supervised local worker processes — per-attempt
+wall-clock timeouts, crash isolation, bounded retries with backoff +
+jitter, poisoned-job quarantine, and a journal checkpoint after every
+completed job.  Results come back as the
+JSON-ready payloads the result types round-trip through, so a journal
+replay, a cached replay, and a fresh computation are byte-for-byte
+interchangeable.
 
 :func:`parallel_sweep` and :func:`parallel_suite` are the two shapes
 the CLI uses: a figure sweep decomposes into one job per x-value
@@ -31,11 +32,11 @@ from repro.core.base import BenchResult, SweepResult
 from repro.core.registry import ALL_BENCHMARKS, get_benchmark
 from repro.core.suite import SuiteReport
 from repro.exec.dispatch import current_backend_name, use_backend
+from repro.resilience.fleet import run_jobs
 from repro.sched.cache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceContext
-    from repro.resilience.fleet import FleetConfig
     from repro.resilience.supervisor import ResilienceConfig
 
 __all__ = ["JobSpec", "execute_job", "run_jobs", "parallel_sweep", "parallel_suite"]
@@ -91,45 +92,6 @@ def _cache_key(cache: ResultCache, spec: JobSpec) -> str:
     )
 
 
-def run_jobs(
-    specs: Sequence[JobSpec],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    resilience: "ResilienceConfig | None" = None,
-    fleet: "FleetConfig | None" = None,
-) -> list[dict[str, Any]]:
-    """Execute jobs under supervision; order-preserving payload list.
-
-    Resolution order per job: journal (``--resume``) → result cache →
-    supervised execution.  The parent process owns all cache and
-    journal traffic: lookups happen before dispatch (so warm entries
-    never reach the pool) and stores/checkpoints happen as results
-    arrive — workers stay side-effect-free.  ``resilience`` carries
-    the supervision policy (retries, timeouts, chaos plan, journal,
-    activity hub) and collects telemetry; the default policy adds
-    crash isolation and bounded retries with no observable change to
-    results.
-
-    With ``fleet`` the jobs instead go through the work-stealing fleet
-    of :mod:`repro.resilience.fleet`: ``fleet.workers > 0`` spawns
-    that many cooperating worker processes and merges their journals
-    (``--fleet N``); ``fleet.workers == 0`` makes *this* process one
-    worker of an existing fleet run and merges on completion
-    (``--join <run-id>``).  Either way the payload list is
-    byte-identical to the serial path.
-    """
-    if fleet is not None:
-        from repro.resilience.fleet import join_fleet, run_fleet
-
-        if fleet.workers > 0:
-            return run_fleet(specs, fleet, cache=cache)
-        return join_fleet(specs, fleet, cache=cache)
-    from repro.resilience.supervisor import run_supervised
-
-    return run_supervised(specs, jobs=jobs, cache=cache, config=resilience)
-
-
 def parallel_sweep(
     benchmark: str,
     values: Sequence[Any],
@@ -139,8 +101,7 @@ def parallel_sweep(
     backend: str | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    resilience: "ResilienceConfig | None" = None,
-    fleet: "FleetConfig | None" = None,
+    config: "ResilienceConfig | None" = None,
 ) -> SweepResult:
     """A figure sweep as one job per value, merged in value order.
 
@@ -162,9 +123,7 @@ def parallel_sweep(
         )
         for v in values
     ]
-    payloads = run_jobs(
-        specs, jobs=jobs, cache=cache, resilience=resilience, fleet=fleet
-    )
+    payloads = run_jobs(specs, jobs=jobs, cache=cache, config=config)
     first = payloads[0]["sweep"]
     merged = SweepResult.from_dict(first, title=payloads[0].get("title", ""))
     for payload in payloads[1:]:
@@ -187,8 +146,7 @@ def parallel_suite(
     backend: str | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    resilience: "ResilienceConfig | None" = None,
-    fleet: "FleetConfig | None" = None,
+    config: "ResilienceConfig | None" = None,
 ) -> SuiteReport:
     """Table I as one job per benchmark (the ``table1 --jobs`` path)."""
     overrides = overrides or {}
@@ -203,9 +161,7 @@ def parallel_suite(
         )
         for cls in ALL_BENCHMARKS
     ]
-    payloads = run_jobs(
-        specs, jobs=jobs, cache=cache, resilience=resilience, fleet=fleet
-    )
+    payloads = run_jobs(specs, jobs=jobs, cache=cache, config=config)
     return SuiteReport(
         results=[BenchResult.from_dict(p["result"]) for p in payloads]
     )

@@ -1,4 +1,4 @@
-"""Request execution: the bridge from the queue to the supervised pool.
+"""Request execution: the bridge from the queue to the scheduler.
 
 ``execute_request`` takes one claimed :class:`~repro.serve.queue.
 QueueEntry` and runs it through exactly the code path the CLI uses for
@@ -15,15 +15,15 @@ command line, which is the recovery story's acceptance test.
 
 Durability plumbing per request:
 
-* a per-request :class:`~repro.resilience.journal.RunJournal` under
-  ``<data-dir>/journals/<request-id>.ndjson``, ``attach``\\ ed so a
-  re-execution after a crash resumes from completed checkpoints
-  instead of recomputing;
+* a per-request run directory ``<data-dir>/journals/<request-id>.fleet/``
+  (:mod:`repro.resilience.fleet`), reopened by a re-execution after a
+  crash, which resumes from the completed checkpoints instead of
+  recomputing;
 * a per-request :class:`~repro.prof.activity.ActivityHub` whose
-  ``sched`` records — plus one ``checkpoint`` event per journaled job
-  — are forwarded to ``on_event``; the server streams them to
+  ``sched`` records (resume skips, and the run's events as it merges)
+  are forwarded to ``on_event``; the server streams them to
   ``GET /v1/jobs/<id>`` watchers as NDJSON progress;
-* the request deadline threaded into the pool's per-job timeout, with
+* the request deadline threaded into the per-job timeout, with
   explicit deadline checks before the run, after a failure and after
   the run, so an expired request reports ``expired`` (HTTP 504), not a
   generic failure or a late ``done`` — the partial journal stays on
@@ -98,7 +98,7 @@ def execute_request(
         )
     try:
         if req.kind in ("run", "sweep"):
-            outcome = _execute_pooled(
+            outcome = _execute_scheduled(
                 entry, data_dir=data_dir, cache=cache, jobs=jobs,
                 on_event=on_event, now=now,
             )
@@ -146,41 +146,21 @@ def _progress_hub(entry: QueueEntry, on_event):
     return hub
 
 
-def _make_resilience(entry: QueueEntry, data_dir: Path, hub, now, on_event):
-    from repro.resilience.journal import RunJournal
+def _make_config(entry: QueueEntry, data_dir: Path, hub, now):
+    """The request's supervision config: the CLI's, with the request id
+    as run id and the remaining deadline as the job timeout."""
     from repro.resilience.supervisor import ResilienceConfig
 
-    journal = RunJournal.attach(
-        data_dir / "journals",
-        run_id=entry.id,
-        meta={
-            "command": f"serve-{entry.request.kind}",
-            "request": entry.id,
-            "fingerprint": entry.request.fingerprint,
-        },
-    )
-    if on_event is not None:
-        # the pool's activity hub only speaks up on exceptional paths
-        # (retries, timeouts, fallbacks); clean progress is the journal
-        # checkpoint stream, so forward those to watchers too
-        checkpoint = journal.record
-
-        def record(fingerprint, payload, *, meta=None):
-            checkpoint(fingerprint, payload, meta=meta)
-            on_event({
-                "event": "checkpoint", "kind": "sched", "job": fingerprint,
-            })
-
-        journal.record = record
-    remaining = _deadline_remaining(entry, now())
     return ResilienceConfig(
-        journal=journal,
+        run_id=entry.id,
+        journal_root=data_dir / "journals",
+        command=f"serve-{entry.request.kind}",
         hub=hub,
-        job_timeout_s=remaining if remaining is not None else None,
+        job_timeout_s=_deadline_remaining(entry, now()),
     )
 
 
-def _execute_pooled(
+def _execute_scheduled(
     entry: QueueEntry, *, data_dir, cache, jobs, on_event, now
 ) -> ExecutionOutcome:
     from repro.core.base import BenchResult
@@ -194,40 +174,33 @@ def _execute_pooled(
 
     req = entry.request
     hub = _progress_hub(entry, on_event)
-    resilience = _make_resilience(entry, Path(data_dir), hub, now, on_event)
-    try:
-        doc: dict[str, Any]
-        if req.kind == "sweep":
-            sweep = parallel_sweep(
-                req.benchmark,
-                req.values,
-                params=req.params,
-                system=req.system,
-                backend=req.backend,
-                jobs=jobs,
-                cache=cache,
-                resilience=resilience,
-            )
-            doc = sweep_document(
-                req.benchmark, req.params, sweep, resilience.telemetry
-            )
-        else:
-            payloads = run_jobs(
-                req.job_specs(), jobs=jobs, cache=cache,
-                resilience=resilience,
-            )
-            result = BenchResult.from_dict(payloads[0]["result"])
-            doc = {
-                "schema": BENCH_SCHEMA,
-                "benchmark": req.benchmark,
-                "params": req.params,
-                "results": [result.as_dict()],
-                **execution_section(resilience.telemetry),
-            }
-        return ExecutionOutcome(state="done", text=render_metrics(doc))
-    finally:
-        if resilience.journal is not None:
-            resilience.journal.close()
+    config = _make_config(entry, Path(data_dir), hub, now)
+    doc: dict[str, Any]
+    if req.kind == "sweep":
+        sweep = parallel_sweep(
+            req.benchmark,
+            req.values,
+            params=req.params,
+            system=req.system,
+            backend=req.backend,
+            jobs=jobs,
+            cache=cache,
+            config=config,
+        )
+        doc = sweep_document(req.benchmark, req.params, sweep, config.telemetry)
+    else:
+        payloads = run_jobs(
+            req.job_specs(), jobs=jobs, cache=cache, config=config,
+        )
+        result = BenchResult.from_dict(payloads[0]["result"])
+        doc = {
+            "schema": BENCH_SCHEMA,
+            "benchmark": req.benchmark,
+            "params": req.params,
+            "results": [result.as_dict()],
+            **execution_section(config.telemetry),
+        }
+    return ExecutionOutcome(state="done", text=render_metrics(doc))
 
 
 def _execute_profile(entry: QueueEntry) -> ExecutionOutcome:

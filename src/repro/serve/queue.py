@@ -11,7 +11,7 @@ was acknowledged.  Layout under the data dir::
     intake.ndjson            append-only accept log (fsync per line)
     requests/<id>.json       per-request state, atomic publish
     leases/<id>.lease        execution leases (repro.resilience.lease)
-    journals/<id>.ndjson     per-request run journal (checkpoint/resume)
+    journals/<id>.fleet/     per-request run directory (checkpoint/resume)
     results/<fp>.json        finished result documents, content-addressed
 
 The intake journal is the recovery spine: a crash mid-append leaves an
@@ -25,9 +25,9 @@ either the old state or the new one, never a torn file.
 Execution claims go through the same :class:`~repro.resilience.lease.
 LeaseDir` the distributed fleet uses: a worker thread (or, after a
 crash, the restarted daemon's recovery pass) claims a request by
-``O_EXCL``-creating its lease; a request whose lease heartbeat went
+exclusively publishing its lease; a request whose lease heartbeat went
 stale — the daemon was SIGKILL'd mid-job — is steal-eligible and
-re-enqueued by recovery, resuming from its per-request run journal.
+re-enqueued by recovery, resuming from its per-request run directory.
 
 Idempotency rides on the same store: the queue indexes request
 fingerprints, so a duplicate submission maps to the original request
@@ -45,7 +45,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.common.durable import Appender, atomic_write, read_records
+from repro.common.durable import Appender, atomic_write, make_dirs, read_records
 from repro.common.errors import ReproError
 from repro.resilience.journal import new_run_id
 from repro.resilience.lease import Lease, LeaseDir
@@ -143,10 +143,8 @@ class DurableQueue:
         self.data_dir = Path(data_dir)
         self.now = now
         try:
-            self.data_dir.mkdir(parents=True, exist_ok=True)
-            (self.data_dir / "requests").mkdir(exist_ok=True)
-            (self.data_dir / "results").mkdir(exist_ok=True)
-            (self.data_dir / "journals").mkdir(exist_ok=True)
+            for sub in ("requests", "results", "journals"):
+                make_dirs(self.data_dir / sub)
         except OSError as exc:
             raise ReproError(
                 f"serve data dir {self.data_dir} is not writable: {exc}; "

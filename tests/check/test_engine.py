@@ -116,19 +116,17 @@ class TestSupervisedUnits:
         assert config.telemetry.crashes == config.telemetry.retries == 2
 
     def test_interrupted_pass_resumes_to_the_same_report(self, tmp_path):
-        from repro.resilience import ResilienceConfig, RunJournal, parse_chaos
+        from repro.resilience import ResilienceConfig, parse_chaos
 
         clean = self._check(tmp_path)
-        journal = RunJournal.create(tmp_path / "jd", run_id="c1")
         with pytest.raises(KeyboardInterrupt):
             self._check(tmp_path, ResilienceConfig(
-                journal=journal, chaos=parse_chaos("interrupt-after=1"),
+                run_id="c1", journal_root=tmp_path / "jd",
+                chaos=parse_chaos("interrupt-after=1"),
             ))
-        journal.close()
-        resumed = RunJournal.resume(tmp_path / "jd", "c1")
-        config = ResilienceConfig(journal=resumed)
+        assert (tmp_path / "jd" / "c1.ndjson").exists()
+        config = ResilienceConfig(run_id="c1", journal_root=tmp_path / "jd")
         report = self._check(tmp_path, config)
-        resumed.close()
         assert report.as_dict() == clean.as_dict()
         assert config.telemetry.resume_skips == 1
         assert config.telemetry.completed == 1

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.durable import Appender, atomic_write, read_records
+from repro.common.durable import Appender, atomic_write, make_dirs, read_records
 from repro.obs.flight import FlightRecorder
 from repro.obs.stitch import ActivitySink
 from repro.prof.activity import ActivityRecord
@@ -38,9 +38,9 @@ class PowerCut:
     returns the regular files a power cut would leave.
 
     fds are matched to files by ``os.fstat`` inode.  Whatever exists
-    when the layer is installed counts as durable.  Directories
-    themselves are assumed to survive: fsyncing the parents of
-    directories created on first use is the documented gap.
+    when the layer is installed counts as durable.  A directory, like a
+    file, survives only as an entry of its parent's last fsync, so a
+    file in a directory whose creation was never fsync'd is lost.
     ``fail_at = (op, n)`` makes the n-th call of ``op`` raise ``EIO``.
     """
 
@@ -49,6 +49,7 @@ class PowerCut:
     def __init__(self, root: Path, monkeypatch) -> None:
         self.root = root
         self.entries: dict[Path, dict[str, int]] = {}  # dir -> name -> ino
+        self.subdirs: dict[Path, set[str]] = {}        # dir -> dir names
         self.data: dict[int, bytes] = {}               # ino -> bytes
         self.calls = dict.fromkeys(self.OPS, 0)
         self.fail_at: tuple[str, int] | None = None
@@ -72,10 +73,22 @@ class PowerCut:
         return call
 
     def _sync_dir(self, path: Path) -> None:
+        listing = list(os.scandir(path))
         self.entries[path] = {
-            e.name: e.inode() for e in os.scandir(path)
+            e.name: e.inode() for e in listing
             if e.is_file(follow_symlinks=False)
         }
+        self.subdirs[path] = {
+            e.name for e in listing if e.is_dir(follow_symlinks=False)
+        }
+
+    def survives(self, path: Path) -> bool:
+        """Is directory ``path`` still reachable from the root after a cut?"""
+        while path != self.root:
+            if path.name not in self.subdirs.get(path.parent, ()):
+                return False
+            path = path.parent
+        return True
 
     def _synced(self, fd: int) -> None:
         synced = os.fstat(fd)
@@ -95,7 +108,7 @@ class PowerCut:
         """relative path -> bytes of every file that survives."""
         return {
             str((d / name).relative_to(self.root)): self.data.get(ino, b"")
-            for d, names in self.entries.items()
+            for d, names in self.entries.items() if self.survives(d)
             for name, ino in names.items()
         }
 
@@ -175,6 +188,28 @@ class TestAppends:
         app.append({"v": 1})
         app.close()
         assert layer.cut() == {"log.ndjson": b'{"v":1}\n'}
+
+
+class TestMakeDirs:
+    def test_new_levels_survive_a_power_cut(self, tmp_path, monkeypatch):
+        layer = PowerCut(tmp_path, monkeypatch)
+        make_dirs(tmp_path / "a" / "b" / "c")
+        assert layer.survives(tmp_path / "a" / "b" / "c")
+
+    def test_a_plain_mkdir_does_not(self, tmp_path, monkeypatch):
+        layer = PowerCut(tmp_path, monkeypatch)
+        (tmp_path / "a").mkdir()
+        assert not layer.survives(tmp_path / "a")
+
+    def test_an_existing_directory_costs_no_fsync(self, tmp_path, monkeypatch):
+        layer = PowerCut(tmp_path, monkeypatch)
+        assert make_dirs(tmp_path) == tmp_path
+        assert layer.calls["fsync"] == 0
+
+    def test_a_file_in_the_way_raises(self, tmp_path):
+        (tmp_path / "a").write_text("")
+        with pytest.raises(OSError):
+            make_dirs(tmp_path / "a" / "b")
 
 
 _scalars = (
@@ -332,7 +367,6 @@ def _fleet_manifest(root):
 
 
 def _quarantine_marker(root):
-    (root / "quarantine").mkdir()
     _quarantine_job(root, "fp0", {"job": 0})
     return [root / "quarantine" / "fp0.json"]
 
@@ -355,15 +389,22 @@ def _activity_sink(root):
 
 def _event_log(root):
     path = root / "events" / "w0.ndjson"
-    path.parent.mkdir()
     log = _EventLog(path, "w0")
     log.emit("heartbeat", job=0)
     log.close()
     return [path]
 
 
+def _made_dirs(root):
+    leaf = make_dirs(root / "a" / "b" / "c")
+    path = leaf / "f"
+    atomic_write(path, b"x")
+    return [path]
+
+
 WRITERS = {
     "cache-put": _cache_put,
+    "make-dirs": _made_dirs,
     "queue-submit": _queue_submit,
     "queue-put-result": _queue_put_result,
     "queue-complete": _queue_complete,
@@ -396,10 +437,9 @@ def test_acknowledged_writes_survive_a_power_cut(
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: (file, function) pairs allowed to touch the disk directly: the
-#: O_EXCL lease claim is a claim, not a publish; quarantine is a move
+#: (file, function) pairs allowed to touch the disk directly:
+#: quarantine is a move
 ALLOWED = {
-    ("resilience/lease.py", "LeaseDir._write_body"),
     ("sched/cache.py", "ResultCache._quarantine"),
 }
 
@@ -421,8 +461,8 @@ def _is_append_open(call: ast.Call) -> bool:
 
 def durability_calls(tree: ast.AST) -> list[tuple[str, str]]:
     """``(enclosing qualname, what)`` of every direct disk-durability
-    operation: ``os.fsync/replace/link``, ``os.O_APPEND`` and
-    append-mode opens."""
+    operation: ``os.fsync/replace/link``, ``os.O_APPEND``, append-mode
+    opens, and directory creation (``mkdir``/``makedirs``)."""
     found: list[tuple[str, str]] = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -446,6 +486,12 @@ def durability_calls(tree: ast.AST) -> list[tuple[str, str]]:
                         found.append((where, f"from os import {alias.name}"))
             elif isinstance(child, ast.Call) and _is_append_open(child):
                 found.append((where, "append-mode open"))
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("mkdir", "makedirs")
+            ):
+                found.append((where, "mkdir"))
             visit(child, scope)
 
     visit(tree, ())
@@ -469,4 +515,6 @@ def test_scanner_sees_the_module_itself():
         what for _, what in
         durability_calls(ast.parse((SRC / "common/durable.py").read_text()))
     }
-    assert found == {"os.fsync", "os.replace", "os.link", "append-mode open"}
+    assert found == {
+        "os.fsync", "os.replace", "os.link", "append-mode open", "mkdir",
+    }

@@ -90,9 +90,10 @@ class TestParse:
 
 class TestTelemetrySamples:
     def test_registry_prefix_and_core_names(self):
-        tele = SchedTelemetry(mode="pool", completed=3, retries=1)
+        tele = SchedTelemetry(mode="fleet", completed=3, retries=1)
         samples = telemetry_samples(
-            tele, run_id="r1", command="sweep", jobs_total=4
+            tele, run_id="r1", command="sweep", jobs_total=4,
+            jobs_remaining=1,
         )
         names = {s.name for s in samples}
         assert all(n.startswith("repro_") for n in names)
@@ -119,7 +120,7 @@ class TestTelemetrySamples:
         assert by_name["repro_flight_dumps_total"] == 3
 
     def test_output_is_valid_exposition(self):
-        tele = SchedTelemetry(mode="pool", completed=1)
+        tele = SchedTelemetry(mode="fleet", completed=1)
         parse_prometheus_text(prometheus_text(telemetry_samples(tele)))
 
 

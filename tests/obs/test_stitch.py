@@ -9,7 +9,6 @@ from repro.obs import (
     ActivitySink,
     TraceContext,
     fleet_chrome_trace,
-    journal_chrome_trace,
     read_journal_entries,
     read_worker_activity,
     write_fleet_trace,
@@ -219,37 +218,3 @@ class TestFleetStitch:
         out = write_fleet_trace(run_dir, tmp_path / "out" / "trace.json")
         doc = json.loads(out.read_text())
         assert doc["otherData"]["run_id"] == "r1"
-
-
-class TestJournalTrace:
-    def test_spans_ordered_by_meta_ordinal(self, tmp_path):
-        path = tmp_path / "r1.ndjson"
-        # journaled out of order: ordinal 1 first (resume replay order)
-        write_journal(path, ["fpB", "fpA"], metas=[
-            {"benchmark": "CoMem", "job": 1},
-            {"benchmark": "MemAlign", "job": 0},
-        ])
-        trace = journal_chrome_trace(path)
-        jobs = [e for e in spans(trace) if "job" in e["args"]]
-        assert [e["args"]["benchmark"] for e in jobs] == ["MemAlign", "CoMem"]
-        assert jobs[0]["ts"] < jobs[1]["ts"]
-
-    def test_trace_ignores_unstable_fields(self, tmp_path):
-        a_path, b_path = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        write_journal(a_path, ["fp0"], metas=[{"benchmark": "X", "job": 0}])
-        write_journal(
-            b_path, ["fp0"],
-            metas=[{"benchmark": "X", "job": 0, "attempts": 7, "source": "resume"}],
-        )
-        assert json.dumps(journal_chrome_trace(a_path)) == \
-            json.dumps(journal_chrome_trace(b_path))
-
-    def test_one_root_span(self, tmp_path):
-        path = tmp_path / "r1.ndjson"
-        write_journal(path, ["fp0", "fp1"])
-        roots = [
-            e for e in spans(journal_chrome_trace(path))
-            if "parent_span_id" not in e["args"]
-        ]
-        assert len(roots) == 1
-        assert roots[0]["args"]["run_id"] == "r1"

@@ -7,10 +7,11 @@ resolve to a span in the same document, and (c) be byte-identical on
 re-stitch — kills, stalls, lease corruption, and clock skew may change
 who executes what, never what the trace says happened.
 
-The pool analog: a run that is interrupted and ``--resume``\\ d must
-yield a journal trace byte-identical to the same run finishing in one
-go, because the trace is derived only from stable journal fields and
-span ids are minted from the run id alone.
+And a serial run that is interrupted and ``--resume``\\ d must stitch
+a trace byte-identical to the same run finishing in one go: its
+in-process worker is named after the run, so both invocations write
+one worker's journal and activity, and span ids are minted from the
+run id alone.
 
 Examples spawn real worker processes, so the sweep stays small (two
 jobs, sub-second lease TTLs, a handful of examples per worker count).
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.faults.plan import FaultPlan
-from repro.obs import fleet_chrome_trace, journal_chrome_trace
-from repro.resilience.fleet import FleetConfig, fleet_dir, run_fleet
-from repro.sched import JobSpec
+from repro.obs import fleet_chrome_trace
+from repro.resilience import ResilienceConfig, fleet_dir
+from repro.sched import JobSpec, run_jobs
 
 SPECS = [
     JobSpec(benchmark="MemAlign", params={"n": 8192}),
@@ -79,16 +80,14 @@ class TestFleetTraceProps:
         tmp_path = tmp_path_factory.mktemp("trace-prop")
         run_id = f"tprop-{workers}-{seed}-{flavor}"
         chaos = FaultPlan(seed, **FLAVORS[flavor]) if FLAVORS[flavor] else None
-        cfg = FleetConfig(
+        cfg = ResilienceConfig(
             run_id=run_id,
-            workers=workers,
             journal_root=tmp_path,
             lease_ttl_s=0.4,
             heartbeat_s=0.1,
-            join_timeout_s=60.0,
             chaos=chaos,
         )
-        run_fleet(SPECS, cfg)
+        run_jobs(SPECS, jobs=workers, config=cfg)
         run_dir = fleet_dir(tmp_path, run_id)
         trace = fleet_chrome_trace(run_dir)
         assert_well_formed(trace)
@@ -120,7 +119,11 @@ class TestPoolResumeTraceIdentity:
             base + ["--journal-dir", str(resumed), "--resume", "r1"]
         ) == 0
         capsys.readouterr()
-        a = json.dumps(journal_chrome_trace(straight / "r1.ndjson"))
-        b = json.dumps(journal_chrome_trace(resumed / "r1.ndjson"))
+        a = json.dumps(fleet_chrome_trace(fleet_dir(straight, "r1")))
+        b = json.dumps(fleet_chrome_trace(fleet_dir(resumed, "r1")))
         assert a == b
         assert_well_formed(json.loads(a))
+        # real device activity, not a synthetic span tree
+        assert any(
+            e.get("cat") == "kernel" for e in json.loads(a)["traceEvents"]
+        )

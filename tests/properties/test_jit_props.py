@@ -28,7 +28,7 @@ from repro.jit import reset_jit_store
 from repro.jit.codegen import TraceEvent, compile_artifact, generate_source
 from repro.mem.banks import BankConflictSummary
 from repro.mem.coalesce import AccessSummary
-from repro.resilience.fleet import FleetConfig, run_fleet
+from repro.resilience import ResilienceConfig
 from repro.sched import JobSpec, run_jobs
 
 #: cheap, parameterizable subjects with distinct access shapes
@@ -120,15 +120,13 @@ class TestFleetJitByteIdentity:
     @given(seed=st.integers(min_value=0, max_value=7))
     def test_two_worker_fleet_matches_serial(self, tmp_path_factory, seed):
         tmp_path = tmp_path_factory.mktemp("fleet-jit-prop")
-        cfg = FleetConfig(
+        cfg = ResilienceConfig(
             run_id=f"jit-prop-{seed}",
-            workers=2,
             journal_root=tmp_path,
             lease_ttl_s=0.4,
             heartbeat_s=0.1,
-            join_timeout_s=60.0,
         )
-        payloads = run_fleet(JIT_SPECS, cfg)
+        payloads = run_jobs(JIT_SPECS, jobs=2, config=cfg)
         assert json.dumps(payloads) == serial_jit_bytes()
         assert cfg.telemetry.completed == len(JIT_SPECS)
 

@@ -1,4 +1,4 @@
-"""The work-stealing fleet: byte-identity, steals, duplicates, merge.
+"""The multi-process engine: byte-identity, steals, duplicates, merge.
 
 The invariant under test everywhere: the merged payload list is
 byte-for-byte the serial ``run_jobs`` result, regardless of worker
@@ -12,9 +12,8 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.faults.plan import FaultPlan
-from repro.resilience import QuarantineError, RunJournal
+from repro.resilience import QuarantineError, ResilienceConfig, RunJournal
 from repro.resilience.fleet import (
-    FleetConfig,
     FleetMergeError,
     _EventLog,
     _read_events,
@@ -22,7 +21,7 @@ from repro.resilience.fleet import (
     fleet_dir,
     join_fleet,
     merge_fleet,
-    run_fleet,
+    run_jobs,
 )
 from repro.resilience.journal import job_fingerprint
 from repro.sched import JobSpec, run_jobs
@@ -40,19 +39,18 @@ def expected_bytes() -> str:
     return json.dumps(run_jobs(SPECS))
 
 
-def make_cfg(tmp_path, **kw) -> FleetConfig:
+def make_cfg(tmp_path, **kw) -> ResilienceConfig:
     kw.setdefault("run_id", "ftest")
     kw.setdefault("journal_root", tmp_path)
     kw.setdefault("lease_ttl_s", 0.5)
     kw.setdefault("heartbeat_s", 0.1)
-    kw.setdefault("join_timeout_s", 60.0)
-    return FleetConfig(**kw)
+    return ResilienceConfig(**kw)
 
 
 class TestCleanFleet:
     def test_two_workers_match_serial(self, tmp_path):
-        cfg = make_cfg(tmp_path, workers=2)
-        payloads = run_fleet(SPECS, cfg)
+        cfg = make_cfg(tmp_path)
+        payloads = run_jobs(SPECS, jobs=2, config=cfg)
         assert json.dumps(payloads) == expected_bytes()
         tele = cfg.telemetry
         assert tele.mode == "fleet"
@@ -64,22 +62,22 @@ class TestCleanFleet:
         assert not tele.degraded
 
     def test_join_single_worker_matches_serial(self, tmp_path):
-        cfg = make_cfg(tmp_path, workers=0)
+        cfg = make_cfg(tmp_path)
         payloads = join_fleet(SPECS, cfg)
         assert json.dumps(payloads) == expected_bytes()
         assert cfg.telemetry.resume_skips == 0
 
     def test_join_of_complete_run_is_pure_merge(self, tmp_path):
-        run_fleet(SPECS, make_cfg(tmp_path, workers=2))
-        cfg = make_cfg(tmp_path, workers=0)
+        run_jobs(SPECS, jobs=2, config=make_cfg(tmp_path))
+        cfg = make_cfg(tmp_path)
         payloads = join_fleet(SPECS, cfg)
         assert json.dumps(payloads) == expected_bytes()
         # nothing left to claim: every job replayed from fleet journals
         assert cfg.telemetry.resume_skips == len(SPECS)
 
     def test_merge_is_idempotent(self, tmp_path):
-        cfg = make_cfg(tmp_path, workers=2)
-        first = run_fleet(SPECS, cfg)
+        cfg = make_cfg(tmp_path)
+        first = run_jobs(SPECS, jobs=2, config=cfg)
         again = merge_fleet(
             fleet_dir(tmp_path, "ftest"), SPECS, cfg=make_cfg(tmp_path)
         )
@@ -87,8 +85,8 @@ class TestCleanFleet:
 
     def test_merge_populates_and_validates_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cfg = make_cfg(tmp_path, workers=2)
-        payloads = run_fleet(SPECS, cfg, cache=cache)
+        cfg = make_cfg(tmp_path)
+        payloads = run_jobs(SPECS, jobs=2, cache=cache, config=cfg)
         assert cache.stores == len(SPECS)
         # a second merge against the warm cache cross-validates quietly
         again = merge_fleet(
@@ -103,24 +101,38 @@ class TestChaosFleet:
         # every epoch-0 claim dies; epoch-1 steals are past the armed
         # window, so the surviving worker finishes everything
         chaos = FaultPlan(3, fleet_kill_prob=1.0, sched_fault_attempts=1)
-        cfg = make_cfg(tmp_path, workers=4, chaos=chaos)
-        payloads = run_fleet(SPECS, cfg)
+        cfg = make_cfg(tmp_path, chaos=chaos)
+        payloads = run_jobs(SPECS, jobs=4, config=cfg)
         assert json.dumps(payloads) == expected_bytes()
         assert cfg.telemetry.leases_stolen >= 1
 
     def test_stalled_heartbeats_cause_validated_duplicates(self, tmp_path):
         chaos = FaultPlan(5, heartbeat_stall_prob=1.0, sched_fault_attempts=1)
-        cfg = make_cfg(tmp_path, workers=2, chaos=chaos)
-        payloads = run_fleet(SPECS, cfg)
+        cfg = make_cfg(tmp_path, chaos=chaos)
+        payloads = run_jobs(SPECS, jobs=2, config=cfg)
         assert json.dumps(payloads) == expected_bytes()
         assert cfg.telemetry.leases_stolen >= 1
 
-    def test_all_workers_dead_falls_back_in_process(self, tmp_path):
-        # one worker, dies on its first claim, nobody left to steal:
-        # the coordinator finishes in-process with lethal chaos off
-        chaos = FaultPlan(7, fleet_kill_prob=1.0, sched_fault_attempts=1)
-        cfg = make_cfg(tmp_path, workers=1, chaos=chaos)
-        payloads = run_fleet(SPECS, cfg)
+    def test_worker_dying_without_a_lease_falls_back_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        # local workers die before their first claim, so no job can be
+        # charged: the coordinator finishes in-process
+        import os
+
+        from repro.resilience.lease import LeaseDir
+
+        coordinator = os.getpid()
+        claim = LeaseDir.claim
+
+        def die_in_workers(self, job, owner):
+            if os.getpid() != coordinator:
+                os._exit(3)
+            return claim(self, job, owner)
+
+        monkeypatch.setattr(LeaseDir, "claim", die_in_workers)
+        cfg = make_cfg(tmp_path)
+        payloads = run_jobs(SPECS, jobs=2, config=cfg)
         assert json.dumps(payloads) == expected_bytes()
         tele = cfg.telemetry
         assert tele.mode == "fleet-fallback"
@@ -129,20 +141,21 @@ class TestChaosFleet:
 
     def test_corrupt_leases_still_merge_identically(self, tmp_path):
         chaos = FaultPlan(11, lease_corrupt_prob=1.0, sched_fault_attempts=1)
-        cfg = make_cfg(tmp_path, workers=2, chaos=chaos)
-        payloads = run_fleet(SPECS, cfg)
+        cfg = make_cfg(tmp_path, chaos=chaos)
+        payloads = run_jobs(SPECS, jobs=2, config=cfg)
         assert json.dumps(payloads) == expected_bytes()
 
     def test_poisoned_job_quarantines_the_run(self, tmp_path):
         chaos = FaultPlan(2, worker_crash_prob=1.0)   # every attempt crashes
-        cfg = make_cfg(tmp_path, workers=0, chaos=chaos, max_retries=1)
+        cfg = make_cfg(tmp_path, chaos=chaos, max_retries=1)
         with pytest.raises(QuarantineError, match="quarantined"):
             join_fleet(SPECS, cfg)
 
 
 class TestOneLadder:
     """Every mode climbs the same ladder: one chaos plan run serially,
-    in the pool and as a fleet worker reports the same telemetry."""
+    on local workers (``pool``: ``--jobs 2``) and as a joining fleet
+    worker reports the same telemetry."""
 
     COUNTERS = ("retries", "timeouts", "crashes", "payload_faults",
                 "job_errors")
@@ -155,9 +168,7 @@ class TestOneLadder:
     def _run(mode, tmp_path):
         from dataclasses import replace
 
-        from repro.resilience import (
-            ResilienceConfig, parse_chaos, run_supervised,
-        )
+        from repro.resilience import parse_chaos
 
         chaos = parse_chaos(
             "seed=7,crash=0.5,payload=0.3,max-fault-attempts=2,diverge=1"
@@ -165,11 +176,11 @@ class TestOneLadder:
         specs = [replace(s, backend="jit") for s in SPECS]
         if mode == "fleet":
             # one joining worker: deterministic, so no benign duplicates
-            cfg = make_cfg(tmp_path, workers=0, chaos=chaos)
+            cfg = make_cfg(tmp_path, chaos=chaos)
             payloads = join_fleet(specs, cfg)
         else:
             cfg = ResilienceConfig(chaos=chaos)
-            payloads = run_supervised(
+            payloads = run_jobs(
                 specs, jobs=2 if mode == "pool" else 1, config=cfg
             )
         assert json.dumps(payloads) == expected_bytes()
@@ -223,6 +234,47 @@ class TestOneLadder:
         assert cfg.telemetry.duplicate_completions == len(SPECS)
 
 
+class TestQuarantinedTelemetry:
+    """A quarantined run still reports the ladder's counters: the merge
+    folds every event log before it raises."""
+
+    @pytest.mark.parametrize("mode", ["serial", "join"])
+    def test_counters_survive_the_quarantine(self, mode, tmp_path):
+        from repro.resilience import parse_chaos
+
+        cfg = make_cfg(
+            tmp_path, chaos=parse_chaos("seed=2,crash=1.0"), max_retries=1
+        )
+        with pytest.raises(QuarantineError):
+            if mode == "serial":
+                run_jobs(SPECS[1:], config=cfg)
+            else:
+                join_fleet(SPECS[1:], cfg)
+        tele = cfg.telemetry
+        assert (tele.retries, tele.crashes, len(tele.quarantined)) == (2, 4, 2)
+
+
+class TestNoWallClockLimit:
+    def test_long_healthy_run_is_not_degraded(self, tmp_path, monkeypatch):
+        # the run's own clock jumps past two minutes: only a job's
+        # timeout and the ladder bound a run, so it finishes as a fleet
+        import time
+
+        real = time.monotonic
+        calls = []
+
+        def jumping():
+            calls.append(None)
+            return real() + (0.0 if len(calls) == 1 else 121.0)
+
+        monkeypatch.setattr(time, "monotonic", jumping)
+        cfg = make_cfg(tmp_path)
+        payloads = run_jobs(SPECS, jobs=2, config=cfg)
+        assert json.dumps(payloads) == expected_bytes()
+        assert cfg.telemetry.mode == "fleet"
+        assert not cfg.telemetry.degraded
+
+
 class TestMergeValidation:
     def _publish(self, tmp_path, worker: str, payload_by_fp: dict) -> None:
         run_dir = fleet_dir(tmp_path, "ftest")
@@ -248,7 +300,7 @@ class TestMergeValidation:
 
     def test_cache_disagreement_refuses_to_merge(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_fleet(SPECS, make_cfg(tmp_path, workers=2), cache=cache)
+        run_jobs(SPECS, jobs=2, cache=cache, config=make_cfg(tmp_path))
         # poison one cache entry behind the fleet's back
         from repro.sched.runner import _cache_key
 

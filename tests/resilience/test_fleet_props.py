@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
-from repro.resilience.fleet import FleetConfig, run_fleet
+from repro.resilience import ResilienceConfig
 from repro.sched import JobSpec, run_jobs
 
 SPECS = [
@@ -56,15 +56,13 @@ class TestFleetByteIdentity:
     def test_matches_serial(self, workers, tmp_path_factory, seed, flavor):
         tmp_path = tmp_path_factory.mktemp("fleet-prop")
         chaos = FaultPlan(seed, **FLAVORS[flavor]) if FLAVORS[flavor] else None
-        cfg = FleetConfig(
+        cfg = ResilienceConfig(
             run_id=f"prop-{workers}-{seed}-{flavor}",
-            workers=workers,
             journal_root=tmp_path,
             lease_ttl_s=0.4,
             heartbeat_s=0.1,
-            join_timeout_s=60.0,
             chaos=chaos,
         )
-        payloads = run_fleet(SPECS, cfg)
+        payloads = run_jobs(SPECS, jobs=workers, config=cfg)
         assert json.dumps(payloads) == expected_bytes()
         assert cfg.telemetry.completed == len(SPECS)

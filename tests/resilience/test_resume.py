@@ -4,6 +4,8 @@ The core guarantee: payloads are the JSON-ready dicts the result types
 round-trip through, so a journal replay, a cache replay, and a fresh
 computation are byte-for-byte interchangeable — an interrupted run
 resumed under chaos still produces exactly the bytes of a clean run.
+A run resumes by running again under the same run id: its run
+directory's journals are replayed.
 """
 
 import functools
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
-from repro.resilience import ResilienceConfig, RunJournal, run_supervised
+from repro.resilience import ResilienceConfig
 from repro.sched import JobSpec, run_jobs
 
 SPECS = [
@@ -30,52 +32,40 @@ def expected_bytes() -> str:
     return json.dumps(run_jobs(SPECS))
 
 
+def journaled(root, run_id="r1", **kw) -> ResilienceConfig:
+    return ResilienceConfig(run_id=run_id, journal_root=root, **kw)
+
+
 class TestInterruptResume:
     def test_chaos_interrupt_checkpoints_then_resumes(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="r1")
-        config = ResilienceConfig(
-            journal=journal, chaos=FaultPlan(0, interrupt_after_jobs=1)
-        )
+        config = journaled(tmp_path, chaos=FaultPlan(0, interrupt_after_jobs=1))
         with pytest.raises(KeyboardInterrupt):
-            run_supervised(SPECS, config=config)
+            run_jobs(SPECS, config=config)
         assert config.telemetry.completed == 1
-        journal.close()
 
-        resumed = RunJournal.resume(tmp_path, "r1")
-        config2 = ResilienceConfig(journal=resumed)
-        payloads = run_supervised(SPECS, config=config2)
-        resumed.close()
+        config2 = journaled(tmp_path)
+        payloads = run_jobs(SPECS, config=config2)
         assert json.dumps(payloads) == expected_bytes()
         assert config2.telemetry.resume_skips == 1
         assert config2.telemetry.completed == 2
 
     def test_pool_interrupt_resumes_in_pool_mode(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="r1")
-        config = ResilienceConfig(
-            journal=journal, chaos=FaultPlan(0, interrupt_after_jobs=1)
-        )
+        config = journaled(tmp_path, chaos=FaultPlan(0, interrupt_after_jobs=1))
         with pytest.raises(KeyboardInterrupt):
-            run_supervised(SPECS, jobs=2, config=config)
+            run_jobs(SPECS, jobs=2, config=config)
         saved = config.telemetry.completed
         assert saved >= 1
-        journal.close()
 
-        resumed = RunJournal.resume(tmp_path, "r1")
-        config2 = ResilienceConfig(journal=resumed)
-        payloads = run_supervised(SPECS, jobs=2, config=config2)
-        resumed.close()
+        config2 = journaled(tmp_path)
+        payloads = run_jobs(SPECS, jobs=2, config=config2)
         assert json.dumps(payloads) == expected_bytes()
         assert config2.telemetry.resume_skips == saved
 
     def test_fully_journaled_run_executes_nothing(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="r1")
-        run_supervised(SPECS, config=ResilienceConfig(journal=journal))
-        journal.close()
+        run_jobs(SPECS, config=journaled(tmp_path))
 
-        resumed = RunJournal.resume(tmp_path, "r1")
-        config = ResilienceConfig(journal=resumed)
-        payloads = run_supervised(SPECS, config=config)
-        resumed.close()
+        config = journaled(tmp_path)
+        payloads = run_jobs(SPECS, config=config)
         assert json.dumps(payloads) == expected_bytes()
         assert config.telemetry.resume_skips == 3
         assert config.telemetry.completed == 0
@@ -83,17 +73,13 @@ class TestInterruptResume:
     def test_code_change_invalidates_fingerprint(self, tmp_path):
         # a journal from different specs replays nothing (params are
         # part of the fingerprint closure)
-        journal = RunJournal.create(tmp_path, run_id="r1")
-        run_supervised(
+        run_jobs(
             [JobSpec(benchmark="MemAlign", params={"n": 4096})],
-            config=ResilienceConfig(journal=journal),
+            config=journaled(tmp_path),
         )
-        journal.close()
 
-        resumed = RunJournal.resume(tmp_path, "r1")
-        config = ResilienceConfig(journal=resumed)
-        run_supervised(SPECS[:1], config=config)
-        resumed.close()
+        config = journaled(tmp_path)
+        run_jobs(SPECS[:1], config=config)
         assert config.telemetry.resume_skips == 0
         assert config.telemetry.completed == 1
 
@@ -109,25 +95,20 @@ class TestReplayProperty:
         """Interrupt after k jobs, resume under crash chaos: the final
         payload list is byte-identical to the uninterrupted run."""
         with tempfile.TemporaryDirectory() as root:
-            journal = RunJournal.create(root, run_id="prop")
-            config = ResilienceConfig(
-                journal=journal,
-                chaos=FaultPlan(seed, interrupt_after_jobs=k),
+            config = journaled(
+                root, "prop", chaos=FaultPlan(seed, interrupt_after_jobs=k)
             )
             with pytest.raises(KeyboardInterrupt):
-                run_supervised(SPECS, config=config)
-            journal.close()
+                run_jobs(SPECS, config=config)
 
-            resumed = RunJournal.resume(root, "prop")
-            config2 = ResilienceConfig(
-                journal=resumed,
+            config2 = journaled(
+                root, "prop",
                 chaos=FaultPlan(
                     seed,
                     worker_crash_prob=crash,
                     sched_fault_attempts=1,
                 ),
             )
-            payloads = run_supervised(SPECS, config=config2)
-            resumed.close()
+            payloads = run_jobs(SPECS, config=config2)
             assert json.dumps(payloads) == expected_bytes()
             assert config2.telemetry.resume_skips == k

@@ -1,26 +1,31 @@
-"""The supervised pool: crash isolation, timeouts, retries, degradation.
+"""The supervised engine: crash isolation, timeouts, retries, degradation.
 
 Chaos decisions are keyed on (seed, job ordinal, attempt), so every
 injected schedule here is deterministic — a probability of 1.0 with
 ``sched_fault_attempts=1`` means "every job's first attempt fails, the
 retry runs clean", which makes recovery behaviour exactly assertable.
 
-Pool tests use real worker processes (hard exits, SIGTERM kills); the
-job timeout below is kept far above the real job duration (~40 ms for
-MemAlign n=16384) so only the *injected* hangs ever trip it.
+``jobs=2`` runs use real local worker processes.  Injected crash and
+hang faults are simulated inside them; real deaths and hangs come from
+jobs monkeypatched to exit or to sleep with ``SIGALRM`` blocked (forked
+workers inherit the patch).  The job timeout of the chaos tests is kept
+far above the real job duration (~40 ms for MemAlign n=16384).
 """
+
+import os
+import signal
+import time
 
 import pytest
 
-from repro.common.errors import BackendDivergenceError, ReproError
+from repro.common.errors import BackendDivergenceError
 from repro.prof.activity import ActivityHub
 from repro.resilience import (
     JobTimeout,
     QuarantineError,
     ResilienceConfig,
-    RunJournal,
+    fleet_dir,
     parse_chaos,
-    run_supervised,
     wall_clock_limit,
 )
 from repro.sched import JobSpec, ResultCache, run_jobs
@@ -30,7 +35,7 @@ SPECS = [
     JobSpec(benchmark="MemAlign", params={"n": 32768}),
 ]
 
-#: generous against the ~40 ms real job, tight against the 60 s hang
+#: generous against the ~40 ms real job
 TIMEOUT_S = 20.0
 
 
@@ -41,7 +46,32 @@ def clean():
 
 def supervised(specs, *, jobs=1, cache=None, **kw):
     config = ResilienceConfig(**kw)
-    return run_supervised(specs, jobs=jobs, cache=cache, config=config), config
+    return run_jobs(specs, jobs=jobs, cache=cache, config=config), config
+
+
+def journaled(root, run_id):
+    """The payloads journaled in a run directory, by fingerprint."""
+    from repro.resilience.fleet import _scan_completed
+
+    return _scan_completed(fleet_dir(root, run_id))
+
+
+def first_call_only(tmp_path, specs, action):
+    """An ``execute_job`` that runs ``action`` on the first call for each
+    of ``specs`` in any process (a marker file remembers it), and runs
+    every job normally otherwise."""
+    import repro.sched.runner as runner
+
+    execute = runner.execute_job
+
+    def job(spec):
+        marker = tmp_path / f"seen-{spec.params['n']}"
+        if spec in specs and not marker.exists():
+            marker.touch()
+            action()
+        return execute(spec)
+
+    return job
 
 
 class TestCleanRuns:
@@ -55,7 +85,7 @@ class TestCleanRuns:
     def test_pool_matches_serial(self, clean):
         payloads, config = supervised(SPECS, jobs=2)
         assert payloads == clean
-        assert config.telemetry.mode == "pool"
+        assert config.telemetry.mode == "fleet"
 
     def test_single_job_stays_serial(self, clean):
         payloads, config = supervised(SPECS[:1], jobs=4)
@@ -72,12 +102,19 @@ class TestCrashIsolation:
         assert config.telemetry.crashes == 2
         assert config.telemetry.retries == 2
 
-    def test_pool_real_crash_fails_only_its_job(self, clean):
-        # every first attempt hard-exits (os._exit) in a real worker
-        payloads, config = supervised(
-            SPECS, jobs=2,
-            chaos=parse_chaos("seed=3,crash=1.0,max-fault-attempts=1"),
+    def test_pool_real_crash_fails_only_its_job(
+        self, clean, tmp_path, monkeypatch
+    ):
+        # each job's first attempt hard-exits its worker process: the
+        # coordinator charges the death to the job and a replacement
+        # steals its lease
+        import repro.sched.runner as runner
+
+        monkeypatch.setattr(
+            runner, "execute_job",
+            first_call_only(tmp_path, SPECS, lambda: os._exit(17)),
         )
+        payloads, config = supervised(SPECS, jobs=2)
         assert payloads == clean
         assert config.telemetry.crashes == 2
         assert config.telemetry.completed == 2
@@ -94,7 +131,8 @@ class TestTimeouts:
         assert config.telemetry.retries == 2
 
     def test_hang_chaos_without_timeout_gets_implicit_budget(self, clean):
-        # a hang fault with no --job-timeout must not deadlock the run
+        # a hang fault with no --job-timeout must not deadlock the run:
+        # injected hangs are simulated, each charged as a timeout
         payloads, config = supervised(
             SPECS, jobs=2,
             chaos=parse_chaos("seed=2,hang=1.0,max-fault-attempts=1"),
@@ -104,15 +142,40 @@ class TestTimeouts:
 
     def test_serial_job_past_its_budget_times_out(self, monkeypatch):
         # in-process attempts run under the same per-job budget
-        import time
-
         import repro.sched.runner as runner
 
         monkeypatch.setattr(runner, "execute_job", lambda spec: time.sleep(1))
         config = ResilienceConfig(job_timeout_s=0.1, max_retries=0)
         with pytest.raises(QuarantineError):
-            run_supervised(SPECS[:1], config=config)
+            run_jobs(SPECS[:1], config=config)
         assert config.telemetry.timeouts == 1
+
+    def test_coordinator_kills_an_attempt_the_alarm_cannot_end(
+        self, clean, tmp_path, monkeypatch
+    ):
+        # a hang that blocks SIGALRM escapes the in-process limit; the
+        # coordinator kills its worker and a replacement runs the job
+        import repro.sched.runner as runner
+
+        def blocked_hang():
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+            time.sleep(60)
+
+        monkeypatch.setattr(
+            runner, "execute_job",
+            first_call_only(tmp_path, SPECS[:1], blocked_hang),
+        )
+        timeout = 0.5
+        start = time.monotonic()
+        payloads, config = supervised(
+            SPECS, jobs=2, job_timeout_s=timeout, lease_ttl_s=1.0,
+            heartbeat_s=0.2,
+        )
+        elapsed = time.monotonic() - start
+        assert payloads == clean
+        assert config.telemetry.timeouts == 1
+        assert config.telemetry.retries == 1
+        assert elapsed < 10 * timeout + 5
 
 
 class TestPayloadCorruption:
@@ -133,12 +196,12 @@ class TestQuarantine:
             )
 
     def test_other_jobs_complete_before_raise(self, tmp_path, clean):
-        # job 0 diverges forever on the reference backend -> generic
-        # error -> quarantine; job 1 must still finish and journal
+        # job 0 crashes on every attempt -> quarantine; job 1 must still
+        # finish and journal
         config = ResilienceConfig(
             max_retries=1,
             chaos=parse_chaos("seed=3,crash=1.0"),
-            journal=RunJournal.create(tmp_path, run_id="q1"),
+            run_id="q1", journal_root=tmp_path,
         )
         chaos = config.chaos
         # disarm chaos for job 1 only: crash decisions are per-ordinal,
@@ -148,13 +211,38 @@ class TestQuarantine:
             lambda ordinal, attempt: "ok" if ordinal == 1 else orig(ordinal, attempt)
         )
         with pytest.raises(QuarantineError, match="q1"):
-            run_supervised(SPECS, config=config)
+            run_jobs(SPECS, config=config)
         assert config.telemetry.quarantined[0]["job"] == 0
         assert config.telemetry.completed == 1
-        config.journal.close()
-        resumed = RunJournal.resume(tmp_path, "q1")
-        assert len(resumed) == 1  # job 1's payload survived
-        resumed.close()
+        assert len(journaled(tmp_path, "q1")) == 1  # job 1's payload survived
+
+    def test_job_killing_every_worker_is_quarantined(
+        self, tmp_path, clean, monkeypatch
+    ):
+        # every worker that runs job 0 hard-exits: each death is charged
+        # to the job, and max_retries + 1 deaths quarantine it while job
+        # 1 finishes and is journaled
+        import repro.sched.runner as runner
+
+        execute = runner.execute_job
+
+        def poisoned(spec):
+            if spec == SPECS[0]:
+                os._exit(17)
+            return execute(spec)
+
+        monkeypatch.setattr(runner, "execute_job", poisoned)
+        config = ResilienceConfig(
+            max_retries=1, run_id="q2", journal_root=tmp_path,
+            lease_ttl_s=1.0, heartbeat_s=0.2,
+        )
+        with pytest.raises(QuarantineError, match="q2"):
+            run_jobs(SPECS, jobs=2, config=config)
+        tele = config.telemetry
+        assert tele.crashes == 2
+        assert [q["job"] for q in tele.quarantined] == [0]
+        assert tele.completed == 1
+        assert list(journaled(tmp_path, "q2").values())[0][1] == clean[1]
 
 
 class TestDivergenceFallback:
@@ -185,15 +273,6 @@ class TestDivergenceFallback:
 
 
 class TestSerialFallbackLadder:
-    def test_repeated_deaths_degrade_to_serial(self, clean):
-        payloads, config = supervised(
-            SPECS, jobs=2, serial_fallback_after=1,
-            chaos=parse_chaos("seed=7,crash=1.0,max-fault-attempts=1"),
-        )
-        assert payloads == clean
-        assert config.telemetry.mode == "serial-fallback"
-        assert config.telemetry.degraded
-
     def test_pool_creation_failure_degrades(self, clean, monkeypatch):
         import multiprocessing
 
@@ -205,30 +284,30 @@ class TestSerialFallbackLadder:
         monkeypatch.setattr(type(ctx), "Process", broken_process)
         payloads, config = supervised(SPECS, jobs=2)
         assert payloads == clean
-        assert config.telemetry.mode == "serial-fallback"
+        assert config.telemetry.mode == "fleet-fallback"
+        assert config.telemetry.degraded
+        assert config.telemetry.fallbacks[0]["to"] == "in-process"
 
 
 class TestJournalIntegration:
     def test_cache_hits_are_journaled(self, tmp_path, clean):
         cache = ResultCache(tmp_path / "cache")
         run_jobs(SPECS, cache=cache)
-        journal = RunJournal.create(tmp_path, run_id="r1")
-        payloads, config = supervised(SPECS, cache=cache, journal=journal)
+        payloads, config = supervised(
+            SPECS, cache=cache, run_id="r1", journal_root=tmp_path
+        )
         assert payloads == clean
         assert cache.hits == 2
-        assert len(journal.completed) == 2
-        journal.close()
+        assert len(journaled(tmp_path, "r1")) == 2
 
     def test_resume_skips_journaled_jobs(self, tmp_path, clean):
-        journal = RunJournal.create(tmp_path, run_id="r1")
-        supervised(SPECS[:1], journal=journal)
-        journal.close()
-        resumed = RunJournal.resume(tmp_path, "r1")
-        payloads, config = supervised(SPECS, journal=resumed)
+        supervised(SPECS[:1], run_id="r1", journal_root=tmp_path)
+        payloads, config = supervised(
+            SPECS, run_id="r1", journal_root=tmp_path
+        )
         assert payloads == clean
         assert config.telemetry.resume_skips == 1
         assert config.telemetry.completed == 1
-        resumed.close()
 
 
 class TestHealthEvents:
@@ -255,8 +334,6 @@ class TestHealthEvents:
 
 class TestWallClockLimit:
     def test_block_past_budget_raises(self):
-        import time
-
         with pytest.raises(JobTimeout, match="wall clock"):
             with wall_clock_limit(0.05, "unit"):
                 time.sleep(1.0)

@@ -75,9 +75,13 @@ def test_kill9_recover_byte_identical_drain(workdir):
         })
         request_id = sub["id"]
 
-        # let the journal accumulate at least one checkpoint, then
-        # murder the daemon mid-sweep
-        journal = workdir / "data" / "journals" / f"{request_id}.ndjson"
+        # let the request's run directory checkpoint at least one job
+        # (its in-process worker's journal is named after the run),
+        # then murder the daemon mid-sweep
+        journal = (
+            workdir / "data" / "journals" / f"{request_id}.fleet"
+            / "journals" / f"{request_id}.ndjson"
+        )
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             if journal.exists() and len(journal.read_bytes().splitlines()) >= 2:

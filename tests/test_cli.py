@@ -305,6 +305,32 @@ class TestSchedulerFlags:
         doc = json.loads((tmp_path / "stats.json").read_text())
         assert doc["cache"]["hits"] == 2 and doc["cache"]["misses"] == 0
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--fleet"])
+    def test_warm_run_executes_no_job(self, flag, capsys, tmp_path):
+        import json
+
+        from repro.obs import parse_prometheus_text
+
+        argv = [
+            "sweep", "MemAlign", "--values", "16384,32768", flag, "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--journal-dir", str(tmp_path / "journal"),
+            "--stats", str(tmp_path / "stats.json"),
+            "--metrics", str(tmp_path / "m.prom"),
+        ]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "stats.json").read_text())
+        assert doc["cache"]["hits"] == 2 and doc["cache"]["misses"] == 0
+        assert doc["execution"]["completed"] == 0
+        samples = {
+            s.name: s.value
+            for s in parse_prometheus_text((tmp_path / "m.prom").read_text())
+        }
+        assert samples["repro_cache_hits_total"] == 2
+        assert samples["repro_jobs_remaining"] == 0
+
     def test_no_cache_disables_lookup(self, capsys, tmp_path):
         argv = [
             "sweep", "BankRedux", "--values", "65536", "--jobs", "2",
@@ -388,6 +414,24 @@ class TestResilienceFlags:
         ])
         assert rc == 2
         assert "quarantined" in capsys.readouterr().err
+
+    def test_run_id_refuses_an_existing_run(self, capsys, tmp_path):
+        argv = [
+            "sweep", "MemAlign", "--values", "8192", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"), "--run-id", "r1",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "--resume r1" in capsys.readouterr().err
+
+    def test_no_journal_holds_for_fleet_runs(self, capsys, tmp_path):
+        assert main([
+            "sweep", "MemAlign", "--values", "8192,16384", "--fleet", "2",
+            "--no-journal", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"),
+        ]) == 0
+        assert not (tmp_path / "journal").exists()
 
     def test_interrupted_no_journal_mentions_discard(self, capsys, tmp_path):
         rc = main([
@@ -804,20 +848,22 @@ class TestJournalCLI:
 
         self._seed_run(tmp_path)
         old = time.time() - 10 * 86400.0
-        os.utime(tmp_path / "jd" / "r1.ndjson", (old, old))
+        run_dir = tmp_path / "jd" / "r1.fleet"
+        for path in (run_dir, *run_dir.rglob("*")):
+            os.utime(path, (old, old))
         capsys.readouterr()
         assert main([
             "journal", "gc", "--older-than", "7", "--dry-run",
             "--journal-dir", str(tmp_path / "jd"),
         ]) == 0
         assert "would remove 1" in capsys.readouterr().out
-        assert (tmp_path / "jd" / "r1.ndjson").exists()
+        assert run_dir.exists()
         assert main([
             "journal", "gc", "--older-than", "7",
             "--journal-dir", str(tmp_path / "jd"),
         ]) == 0
         assert "removed 1" in capsys.readouterr().out
-        assert not (tmp_path / "jd" / "r1.ndjson").exists()
+        assert not run_dir.exists()
 
 
 class TestObsCLI:
@@ -865,7 +911,8 @@ class TestObsCLI:
         samples = parse_prometheus_text(metrics_path.read_text())
         by_name = {s.name: s for s in samples}
         assert by_name["repro_jobs_completed_total"].value == 2.0
-        assert by_name["repro_run_info"].labels["mode"] == "fleet"
+        # one worker runs in-process
+        assert by_name["repro_run_info"].labels["mode"] == "serial"
 
         doc = json.loads(trace_path.read_text())
         spans = [
@@ -889,7 +936,7 @@ class TestObsCLI:
             "--run-id", "r1",
             "--trace", str(trace_path), "--metrics", str(metrics_path),
         ]) == 0
-        assert "journal trace written to" in capsys.readouterr().out
+        assert "stitched fleet trace written to" in capsys.readouterr().out
         samples = parse_prometheus_text(metrics_path.read_text())
         by_name = {s.name: s for s in samples}
         assert by_name["repro_run_info"].labels["run_id"] == "r1"
@@ -920,17 +967,6 @@ class TestObsCLI:
 
         assert main(base + ["--span", "ffffffffffffffff"]) == 0
         assert "0/1 job(s) matched" in capsys.readouterr().out
-
-    def test_journal_gc_sweeps_orphan_flightrec(self, capsys, tmp_path):
-        jd = tmp_path / "jd"
-        orphan = jd / "flightrec" / "gone-run"
-        orphan.mkdir(parents=True)
-        (orphan / "worker-crash.json").write_text("{}")
-        assert main([
-            "journal", "gc", "--older-than", "7", "--journal-dir", str(jd),
-        ]) == 0
-        assert "1 flight-dump dir(s)" in capsys.readouterr().out
-        assert not orphan.exists()
 
     def test_monitor_does_not_perturb_merge(self, capsys, tmp_path):
         import threading
@@ -978,7 +1014,7 @@ class TestObsCLI:
             "--journal-dir", str(tmp_path / "jd"), "--run-id", "q1",
         ]) == 2
         capsys.readouterr()
-        dump = tmp_path / "jd" / "flightrec" / "q1" / "pool-quarantine.json"
+        dump = tmp_path / "jd" / "q1.fleet" / "flightrec" / "q1-quarantine-0.json"
         doc = json.loads(dump.read_text())
         assert doc["format"] == "repro-flight/1"
         assert {r["name"] for r in doc["records"]} >= {"retry", "quarantine"}
@@ -987,7 +1023,7 @@ class TestObsCLI:
             "journal", "show", "q1", "--journal-dir", str(tmp_path / "jd"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "pool-quarantine.json" in out and "reason=quarantine" in out
+        assert "q1-quarantine-0.json" in out and "reason=quarantine" in out
 
 
 class TestTable1Trace:

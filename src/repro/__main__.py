@@ -106,8 +106,8 @@ def _make_config(args: argparse.Namespace, *, command: str):
 
     ``--run-id X`` starts a run X, ``--resume X`` reopens one and
     ``--join X`` adds this process to one; ``--no-journal`` runs
-    without a journal.  A ``check`` run journals to ``<run-id>.ndjson``,
-    every other command to the run directory ``<run-id>.fleet/``.
+    without a journal.  Every command journals to the run directory
+    ``<run-id>.fleet/``.
     """
     from repro.resilience import (
         ResilienceConfig, fleet_dir, new_run_id, parse_chaos,
@@ -134,10 +134,7 @@ def _make_config(args: argparse.Namespace, *, command: str):
         run_id = new_run_id()
     if run_id is not None and not join:
         root = Path(args.journal_dir)
-        path = (
-            root / f"{run_id}.ndjson" if command == "check"
-            else fleet_dir(root, run_id)
-        )
+        path = fleet_dir(root, run_id)
         if args.resume and not path.exists():
             raise ReproError(
                 f"no journal for run {run_id!r} under {root} "
@@ -242,9 +239,9 @@ class _RunSession:
         return {"jobs": self.jobs, "cache": self.cache, "config": self.config}
 
     def _run_dir(self) -> Path | None:
-        """The run directory of a journaled job list, once it exists."""
+        """The run directory of a journaled run, once it exists."""
         config = self.config
-        if config is None or config.run_id is None or self.command == "check":
+        if config is None or config.run_id is None:
             return None
         from repro.resilience.fleet import fleet_dir
 
@@ -942,7 +939,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_per_client=args.max_per_client,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
-        lease_ttl_s=args.lease_ttl if args.lease_ttl is not None else 30.0,
         cache=_make_cache(args),
     )
     stop = threading.Event()
@@ -963,7 +959,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if rec is not None and rec.requests:
         print(
             f"serve: recovered {rec.requests} request(s): "
-            f"{rec.requeued} requeued, {rec.releases} re-leased, "
+            f"{rec.requeued} requeued ({rec.releases} interrupted mid-run), "
             f"{rec.completed} already complete",
             file=sys.stderr,
         )
@@ -1033,113 +1029,71 @@ def cmd_journal_ls(args: argparse.Namespace) -> int:
         print(f"no journaled runs under {args.journal_dir}")
         return 0
     now = time.time()
-    print(f"{'RUN':<14} {'KIND':<6} {'COMMAND':<8} {'JOBS':>6}  AGE")
+    print(f"{'RUN':<14} {'COMMAND':<8} {'JOBS':>6}  AGE")
     for entry in runs:
         jobs = str(entry["jobs"])
-        if entry.get("total"):
+        if entry["total"]:
             jobs = f"{entry['jobs']}/{entry['total']}"
         print(
-            f"{entry['run_id']:<14} {entry['kind']:<6} "
-            f"{entry['command'] or '-':<8} {jobs:>6}  "
+            f"{entry['run_id']:<14} {entry['command'] or '-':<8} {jobs:>6}  "
             f"{_age(now - entry['mtime'])}"
         )
     return 0
 
 
 def cmd_journal_show(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        list_flight_dumps,
-        read_flight_dump,
-        read_journal_entries,
-        trace_id_for_run,
+    from repro.obs import read_flight_dump, trace_id_for_run
+    from repro.resilience.fleet import (
+        fleet_dir,
+        fleet_status,
+        flight_dumps,
+        read_journals,
+        read_manifest,
     )
-    from repro.resilience import list_runs
-    from repro.resilience.fleet import fleet_dir, read_manifest
 
-    root = Path(args.journal_dir)
-    entry = next(
-        (e for e in list_runs(root) if e["run_id"] == args.run_id), None
-    )
-    if entry is None:
+    run_dir = fleet_dir(args.journal_dir, args.run_id)
+    if not run_dir.is_dir():
         raise ReproError(
-            f"no journaled run {args.run_id!r} under {root}; "
+            f"no journaled run {args.run_id!r} under {args.journal_dir}; "
             "see 'repro journal ls'"
         )
-    filtering = bool(args.trace or args.span)
-
-    def matches(meta: dict[str, Any]) -> bool:
-        if args.trace and not str(
-            meta.get("trace_id") or ""
-        ).startswith(args.trace):
-            return False
-        if args.span and not str(
-            meta.get("span_id") or ""
-        ).startswith(args.span):
-            return False
-        return True
-
-    if entry["kind"] == "run":
-        header, entries = read_journal_entries(Path(entry["path"]))
-        print(
-            f"run {args.run_id}: command={header.get('command', '-')} "
-            f"jobs={len(entries)} trace={trace_id_for_run(args.run_id)}"
-        )
-        shown = 0
-        for e in entries:
-            meta = e.get("meta") or {}
-            if not matches(meta):
-                continue
-            shown += 1
-            kind = (e.get("payload") or {}).get("kind", "?")
-            bench = meta.get("benchmark") or "?"
-            span = (meta.get("span_id") or "-")[:16]
-            print(f"  {e['job'][:16]}  {kind:<6} {bench:<14} span={span}")
-        if filtering:
-            print(f"  {shown}/{len(entries)} job(s) matched")
-        return 0
-    run_dir = fleet_dir(root, args.run_id)
     manifest = read_manifest(run_dir)
-    total = len(manifest.get("jobs", []))
+    status = fleet_status(run_dir)
+    total = status["jobs_total"]
     print(
         f"fleet run {args.run_id}: command={manifest.get('command', '-')} "
         f"jobs={total} trace={trace_id_for_run(args.run_id)}"
     )
-    resolved: set[str] = set()
-    shown = scanned = 0
-    for jf in sorted((run_dir / "journals").glob("*.ndjson")):
-        _, entries = read_journal_entries(jf)
-        resolved.update(e["job"] for e in entries)
-        scanned += len(entries)
-        if filtering:
-            for e in entries:
-                meta = e.get("meta") or {}
-                if not matches(meta):
+    if args.trace or args.span:
+        current = set(manifest.get("jobs", []))
+        shown = scanned = 0
+        for worker, records in read_journals(run_dir).items():
+            for fp, rec in records.items():
+                if fp not in current:
+                    continue
+                scanned += 1
+                meta = rec.get("meta") or {}
+                if not (
+                    str(meta.get("trace_id") or "").startswith(args.trace or "")
+                    and str(meta.get("span_id") or "").startswith(args.span or "")
+                ):
                     continue
                 shown += 1
                 bench = meta.get("benchmark") or "?"
                 span = (meta.get("span_id") or "-")[:16]
-                print(
-                    f"  {e['job'][:16]}  {bench:<14} span={span}  "
-                    f"worker={jf.stem}"
-                )
-        else:
-            print(f"  worker {jf.stem}: {len(entries)} completed")
-    if filtering:
+                print(f"  {fp[:16]}  {bench:<14} span={span}  worker={worker}")
         print(f"  {shown}/{scanned} job(s) matched")
-    quarantined = list((run_dir / "quarantine").glob("*.json")) if (
-        run_dir / "quarantine"
-    ).is_dir() else []
-    leases = [
-        p for p in (run_dir / "leases").glob("*")
-        if p.is_file() and not p.name.endswith(".tmp")
-    ] if (run_dir / "leases").is_dir() else []
+    else:
+        for w in status["workers"]:
+            print(f"  worker {w['worker']}: {w['completed']} completed")
     print(
-        f"  completed {len(resolved)}/{total}, "
-        f"quarantined {len(quarantined)}, live leases {len(leases)}"
+        f"  completed {status['jobs_completed']}/{total}, "
+        f"quarantined {status['quarantined']}, "
+        f"live leases {len(status['active_leases'])}"
     )
-    if len(resolved) < total:
+    if status["jobs_completed"] < total:
         print(f"  finish with: repro <command> ... --resume {args.run_id}")
-    dumps = list_flight_dumps(run_dir / "flightrec")
+    dumps = flight_dumps(run_dir)
     if dumps:
         print(f"  flight dumps ({len(dumps)}):")
     for p in dumps:
@@ -1169,7 +1123,7 @@ def cmd_journal_gc(args: argparse.Namespace) -> int:
         f"{verb} {len(summary['removed'])} run(s), kept {summary['kept']}"
     )
     for entry in summary["removed"]:
-        print(f"  {entry['run_id']} ({entry['kind']})")
+        print(f"  {entry['run_id']}")
     if not args.dry_run:
         print(
             f"swept {summary['stale_leases_evicted']} stale lease(s), "
@@ -1451,10 +1405,6 @@ _COMMANDS: tuple[_Command, ...] = (
                 "--breaker-cooldown", type=float, default=None, metavar="SECONDS",
                 help="open-circuit cool-down before a half-open probe "
                 "(default 30)",
-            ),
-            _opt(
-                "--lease-ttl", type=float, default=None, metavar="SECONDS",
-                help="execution-lease staleness bound (default 30)",
             ),
             _opt(
                 "--drain-grace", type=float, default=30.0, metavar="SECONDS",

@@ -11,6 +11,7 @@ from repro.check.claims import (
     load_claim_file,
     load_claims,
     load_claims_dir,
+    parse_claims,
 )
 from repro.check.engine import check_all, check_benchmark
 from repro.check.invariants import (
@@ -51,6 +52,7 @@ __all__ = [
     "load_claim_file",
     "load_claims",
     "load_claims_dir",
+    "parse_claims",
     "relation",
     "run_relations",
 ]

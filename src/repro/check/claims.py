@@ -81,6 +81,7 @@ __all__ = [
     "load_claim_file",
     "load_claims_dir",
     "load_claims",
+    "parse_claims",
     "evaluate_result_claim",
     "evaluate_sweep_claim",
     "evaluate_claims_on_document",
@@ -223,17 +224,24 @@ def _parse_claim(raw: Mapping[str, Any], where: str) -> Claim:
 
 
 def load_claim_file(path: str | Path) -> ClaimSpec:
-    """Parse one TOML claim file into a :class:`ClaimSpec`."""
+    """Read one TOML claim file and parse it into a :class:`ClaimSpec`."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise ReproError(f"claim file not found: {path}") from None
+    return parse_claims(text, path=str(path))
+
+
+def parse_claims(text: str, *, path: str = "") -> ClaimSpec:
+    """Parse the text of one claim file; ``path`` names it in errors."""
     if tomllib is None:
         raise ReproError(
             "claim files need a TOML parser: Python 3.11+ (stdlib tomllib) "
             "or the tomli package"
         )
-    path = Path(path)
     try:
-        raw = tomllib.loads(path.read_text())
-    except FileNotFoundError:
-        raise ReproError(f"claim file not found: {path}") from None
+        raw = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ReproError(f"{path} is not valid TOML: {exc}") from None
     if raw.get("schema") != CLAIMS_SCHEMA:
@@ -255,7 +263,7 @@ def load_claim_file(path: str | Path) -> ClaimSpec:
         run_params=dict(raw.get("run", {})),
         system=raw.get("system"),
         claims=claims,
-        path=str(path),
+        path=path,
     )
 
 

@@ -12,6 +12,7 @@ jit backend still reproduce the paper.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.arch.presets import get_system
@@ -104,115 +105,6 @@ def check_benchmark(
     return outcomes
 
 
-def _unit_fingerprint(
-    spec: ClaimSpec, *, backend: str, quick: bool, system: str | None
-) -> str:
-    """Stable identity of one (claim file × backend) conformance unit.
-
-    Hashes the benchmark's source fingerprint alongside the unit's
-    switches, so a ``--resume`` never replays outcomes across a code,
-    backend, or configuration change.
-    """
-    import hashlib
-
-    from repro.sched.cache import _canonical, source_fingerprint
-
-    sysname = system or spec.system
-    bench = get_benchmark(
-        spec.benchmark, get_system(sysname) if sysname else None
-    )
-    material = {
-        "domain": "repro-check-unit",
-        "benchmark": spec.benchmark,
-        "sources": source_fingerprint(type(bench)),
-        "backend": backend,
-        "quick": quick,
-        "system": sysname,
-    }
-    return hashlib.sha256(_canonical(material).encode()).hexdigest()
-
-
-def _check_supervised(
-    report: ConformanceReport,
-    selected: Sequence[ClaimSpec],
-    backends: Sequence[str],
-    *,
-    quick: bool,
-    system: str | None,
-    config: "ResilienceConfig",
-) -> None:
-    """Run the (backend × claim file) units under the resilience policy.
-
-    Conformance outcomes are built in-process and are not job specs, so
-    the multi-process engine does not run them: each unit climbs the
-    supervision :class:`~repro.resilience.supervisor.Ladder` in-process,
-    with :func:`~repro.resilience.supervisor.wall_clock_limit` for the
-    per-unit timeout, checkpoints (one outcome list per unit) in the
-    single-file journal ``<run-id>.ndjson`` for ``--resume``, and
-    simulated chaos keyed on the unit ordinal.  A unit has no backend to
-    fall back from: it verifies its backend.
-    """
-    from functools import partial
-
-    from repro.check.report import CheckOutcome
-    from repro.resilience.journal import RunJournal
-    from repro.resilience.supervisor import Ladder
-
-    tele = config.telemetry
-    tele.mode = "serial"
-    chaos = config.chaos
-    journal = None
-    if config.run_id is not None:
-        journal = RunJournal.attach(
-            config.journal_root, run_id=config.run_id,
-            meta={"command": "check"},
-        )
-        tele.journal_run_id = config.run_id
-
-    units = [(be, spec) for be in backends for spec in selected]
-    try:
-        for ordinal, (be, spec) in enumerate(units):
-            fp = (
-                _unit_fingerprint(spec, backend=be, quick=quick, system=system)
-                if journal is not None
-                else None
-            )
-            if fp is not None and fp in journal.completed:
-                config.report(
-                    "resume-skip", benchmark=spec.benchmark, job=ordinal
-                )
-                report.extend(
-                    CheckOutcome.from_dict(d) for d in journal.completed[fp]
-                )
-                continue
-            ladder = Ladder(
-                ordinal, spec.benchmark, None, config, config.report
-            )
-            outcomes = ladder.run(
-                partial(
-                    check_benchmark, spec, backend=be, quick=quick,
-                    system=system,
-                ),
-                config.job_timeout_s,
-            )
-            if outcomes is None:
-                continue
-            report.extend(outcomes)
-            if journal is not None:
-                journal.record(
-                    fp,
-                    [o.as_dict() for o in outcomes],
-                    meta={"benchmark": spec.benchmark, "backend": be},
-                )
-            tele.completed += 1
-            if chaos is not None and chaos.interrupts_after(tele.completed):
-                raise KeyboardInterrupt
-    finally:
-        if journal is not None:
-            journal.close()
-    config.raise_quarantined("check unit(s)")
-
-
 def check_all(
     *,
     benchmarks: Sequence[str] | None = None,
@@ -228,10 +120,12 @@ def check_all(
     ``benchmarks`` restricts the pass to named Table I entries (all
     entries with claim files otherwise); ``backend`` is ``reference``,
     ``jit``, or ``None``/``both`` for the two-backend matrix.
-    ``resilience`` supervises the per-(backend × claim file) units:
-    retries with backoff, per-unit wall-clock timeouts, and journal
-    checkpoints so an interrupted pass resumes without re-running
-    completed units.
+    ``resilience`` runs the (backend × claim file) units as ``check``
+    jobs through :func:`~repro.sched.runner.run_jobs`, the engine of
+    every supervised run: retries with backoff, per-unit wall-clock
+    timeouts, and a run directory whose journal lets an interrupted
+    pass resume without re-running completed units.  A unit's job
+    carries its claim file's text, so an edited claim file re-runs it.
     """
     specs = load_claims_dir(claims_dir)
     if benchmarks:
@@ -250,10 +144,25 @@ def check_all(
         title=f"paper-claims conformance ({', '.join(backends)})"
     )
     if resilience is not None:
-        _check_supervised(
-            report, selected, backends,
-            quick=quick, system=system, config=resilience,
-        )
+        from repro.sched.runner import JobSpec, run_jobs
+
+        jobs = [
+            JobSpec(
+                benchmark=spec.benchmark,
+                kind="check",
+                params={
+                    "claims": Path(spec.path).read_text(),
+                    "backend": be,
+                    "quick": quick,
+                },
+                system=system or spec.system,
+                backend=None,
+            )
+            for be in backends
+            for spec in selected
+        ]
+        for payload in run_jobs(jobs, config=resilience):
+            report.extend(CheckOutcome.from_dict(d) for d in payload["outcomes"])
     else:
         for be in backends:
             for spec in selected:

@@ -9,7 +9,9 @@ run journals of :mod:`repro.resilience`:
   onto every activity record, and stitched across fleet workers into
   one Chrome trace with per-worker lanes;
 * **live monitoring** (:mod:`~repro.obs.top`) — ``repro top``, a
-  read-only view over a running fleet's shared directory;
+  read-only view of the snapshot
+  :func:`~repro.resilience.fleet.fleet_status` reads from a run
+  directory;
 * **metrics exposition** (:mod:`~repro.obs.metrics`,
   :mod:`~repro.obs.server`) — Prometheus text-format samples over the
   scheduler telemetry, written as a ``--metrics`` sidecar or served
@@ -40,17 +42,17 @@ from repro.obs.server import MetricsServer
 from repro.obs.stitch import (
     ActivitySink,
     fleet_chrome_trace,
-    read_journal_entries,
     read_worker_activity,
     write_fleet_trace,
 )
-from repro.obs.top import fleet_status, render_fleet_status
+from repro.obs.top import render_fleet_status
 from repro.obs.trace import (
     ROOT_SPAN_KEY,
     TraceContext,
     job_span_key,
     trace_id_for_run,
 )
+from repro.resilience.fleet import fleet_status
 
 __all__ = [
     # trace
@@ -61,7 +63,6 @@ __all__ = [
     # stitch
     "ActivitySink",
     "read_worker_activity",
-    "read_journal_entries",
     "fleet_chrome_trace",
     "write_fleet_trace",
     # metrics

@@ -369,7 +369,7 @@ def fleet_samples(
     quarantine, flight dumps), so serving a scrape never touches the
     run's own state.
     """
-    from repro.obs.top import fleet_status
+    from repro.resilience.fleet import fleet_status
 
     status = fleet_status(run_dir)
     out = [

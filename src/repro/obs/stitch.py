@@ -13,7 +13,8 @@ Two halves:
   activity goes to be seen.)
 
 * **stitch** — :func:`fleet_chrome_trace` reads the *finished* run
-  directory (manifest + journals + activity) and lays every worker out
+  directory (manifest + journals + activity, through the readers of
+  :mod:`repro.resilience.fleet`) and lays every worker out
   as its own process lane in one Trace Event Format document: per-job
   wrapper spans carrying span identity, the device records inside
   them, flow arrows linking the run's root span to every job span.
@@ -34,16 +35,20 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.common.durable import Appender, make_dirs, read_records
+from repro.common.durable import Appender, make_dirs
 from repro.common.errors import ReproError
 from repro.obs.trace import TraceContext
 from repro.prof.activity import ActivityRecord
 from repro.prof.ndjson import record_to_json
+from repro.resilience.fleet import (
+    read_manifest,
+    read_worker_activity,
+    scan_completed,
+)
 
 __all__ = [
     "ActivitySink",
     "read_worker_activity",
-    "read_journal_entries",
     "fleet_chrome_trace",
     "write_fleet_trace",
 ]
@@ -119,19 +124,6 @@ class ActivitySink:
         self._out.close()
 
 
-def read_worker_activity(run_dir: str | Path) -> dict[str, list[dict[str, Any]]]:
-    """worker -> its published activity lines, in append order.
-
-    Tolerates a torn tail (a worker killed mid-publish): unparsable
-    lines are skipped (:func:`~repro.common.durable.read_records`).
-    """
-    adir = Path(run_dir) / "activity"
-    return {
-        path.stem: read_records(path)
-        for path in sorted(adir.glob("*.ndjson"))
-    }
-
-
 # ----------------------------------------------------------------------
 # stitch helpers
 
@@ -156,26 +148,6 @@ def _trace_args(obj: dict[str, Any], ctx: TraceContext) -> dict[str, Any]:
     return out
 
 
-def _load_manifest(run_dir: Path) -> dict[str, Any]:
-    path = run_dir / "manifest.json"
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(
-            f"cannot stitch fleet run: manifest {path} unreadable: {exc}"
-        ) from None
-    if not isinstance(doc.get("jobs"), list):
-        raise ReproError(f"fleet manifest {path} has no job list")
-    return doc
-
-
-def _scan_winners(run_dir: Path) -> dict[str, str]:
-    """fingerprint -> winning worker, the merge's first-write-wins pick."""
-    from repro.resilience.fleet import _scan_completed
-
-    return {fp: w for fp, (w, _) in _scan_completed(run_dir).items()}
-
-
 # ----------------------------------------------------------------------
 # fleet stitch
 
@@ -190,13 +162,14 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
     whenever the payload merge would succeed.
     """
     run_dir = Path(run_dir)
-    manifest = _load_manifest(run_dir)
+    manifest = read_manifest(run_dir)
     run_id = manifest.get("run_id", run_dir.name.removesuffix(".fleet"))
-    fingerprints: list[str] = manifest["jobs"]
+    fingerprints: list[str] = manifest.get("jobs", [])
     spec_meta: list[dict[str, Any]] = manifest.get("specs") or [
         {} for _ in fingerprints
     ]
-    winners = _scan_winners(run_dir)
+    # the merge's first-write-wins pick
+    winners = {fp: w for fp, (w, _) in scan_completed(run_dir).items()}
     missing = [fp for fp in fingerprints if fp not in winners]
     if missing:
         raise ReproError(
@@ -341,34 +314,3 @@ def write_fleet_trace(run_dir: str | Path, path: str | Path) -> Path:
     make_dirs(path.parent)
     path.write_text(json.dumps(fleet_chrome_trace(run_dir)))
     return path
-
-
-# ----------------------------------------------------------------------
-# journal entries
-
-def read_journal_entries(
-    journal_path: str | Path,
-) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """``(header, entries)`` of one journal file, keeping ``meta``.
-
-    Unlike :meth:`RunJournal._load` — which keeps only the payloads the
-    scheduler replays — this preserves each entry's full record (``job``
-    fingerprint, ``payload``, ``meta`` with benchmark/ordinal/span
-    identity), which is what ``repro journal show`` and the trace
-    stitcher render.  The header is the first record carrying
-    ``schema``; duplicate fingerprints keep the first record (the
-    merge's first-write-wins pick); torn lines are skipped.
-    """
-    journal_path = Path(journal_path)
-    if not journal_path.exists():
-        raise ReproError(f"no journal at {journal_path}")
-    header: dict[str, Any] = {}
-    entries: list[dict[str, Any]] = []
-    seen: set[str] = set()
-    for obj in read_records(journal_path):
-        if "schema" in obj and not header:
-            header = obj
-        elif "job" in obj and obj["job"] not in seen:
-            seen.add(obj["job"])
-            entries.append(obj)
-    return header, entries

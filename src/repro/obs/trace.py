@@ -17,8 +17,8 @@ joining from another machine mints exactly the ids the coordinator
 minted, a ``--resume`` re-derives the ids of the original run, and a
 re-merge of a finished fleet directory reproduces the previous trace
 byte for byte.  Nothing needs to ship ids across processes, though
-:class:`~repro.sched.runner.JobSpec` carries them anyway so journal
-records and activity logs are self-describing.
+journal records and activity logs carry them anyway so they are
+self-describing.
 
 Wire format (journal meta, NDJSON activity, ``--trace`` headers)::
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["TraceContext", "trace_id_for_run", "ROOT_SPAN_KEY", "job_span_key"]
 
@@ -88,27 +88,9 @@ class TraceContext:
         return self.child(job_span_key(ordinal))
 
     # ------------------------------------------------------------------
-    @property
-    def is_root(self) -> bool:
-        return self.parent_span_id is None
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_span_id": self.parent_span_id,
         }
-
-    @classmethod
-    def from_dict(cls, obj: Mapping[str, Any] | None) -> "TraceContext | None":
-        """Rebuild from a journal/NDJSON projection; None-tolerant."""
-        if not obj or not obj.get("trace_id") or not obj.get("span_id"):
-            return None
-        return cls(
-            trace_id=str(obj["trace_id"]),
-            span_id=str(obj["span_id"]),
-            parent_span_id=(
-                str(obj["parent_span_id"])
-                if obj.get("parent_span_id") else None
-            ),
-        )

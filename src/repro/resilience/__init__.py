@@ -3,10 +3,11 @@
 The production-hardening layer over :mod:`repro.sched`: one
 multi-process engine (:mod:`~repro.resilience.fleet`, over the atomic
 leases of :mod:`~repro.resilience.lease`) that runs every supervised
-job list, locally or across machines sharing a directory; the
-per-job supervision ladder and its config
-(:mod:`~repro.resilience.supervisor`); an append-only NDJSON run
-journal for checkpoint/resume (:mod:`~repro.resilience.journal`); and
+job list, locally or across machines sharing a directory, and reads
+its run directories back for every tool; the per-job supervision
+ladder and its config (:mod:`~repro.resilience.supervisor`); an
+append-only NDJSON run journal for checkpoint/resume
+(:mod:`~repro.resilience.journal`); and
 the ``--chaos`` grammar that drives deterministic scheduler- and
 fleet-layer fault injection (:mod:`~repro.resilience.chaos`).  See
 ``docs/resilience.md`` and ``docs/fleet.md``.
@@ -18,8 +19,11 @@ from repro.resilience.fleet import (
     FleetMergeError,
     ensure_manifest,
     fleet_dir,
+    fleet_status,
     fleet_worker,
+    gc_runs,
     join_fleet,
+    list_runs,
     merge_fleet,
     run_jobs,
 )
@@ -27,9 +31,7 @@ from repro.resilience.journal import (
     DEFAULT_JOURNAL_DIR,
     JOURNAL_SCHEMA,
     RunJournal,
-    gc_runs,
     job_fingerprint,
-    list_runs,
     new_run_id,
 )
 from repro.resilience.lease import LEASE_SCHEMA, Lease, LeaseDir
@@ -60,6 +62,7 @@ __all__ = [
     "WorkerCrash",
     "ensure_manifest",
     "fleet_dir",
+    "fleet_status",
     "fleet_worker",
     "gc_runs",
     "job_fingerprint",

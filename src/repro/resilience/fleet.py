@@ -32,7 +32,11 @@ same run.  Nothing coordinates the workers except the filesystem:
 
 Subdirectories are created when first written, and every file is
 published or appended through :mod:`repro.common.durable` (the
-"Durability" section of ``docs/resilience.md``).
+"Durability" section of ``docs/resilience.md``).  This module is also
+the only reader of a run directory: the merge, the trace stitcher,
+``repro top``, ``repro journal ls/show/gc`` and the ``--metrics``
+samples all go through the readers below, and :func:`fleet_status`,
+the one snapshot they share, counts only the manifest's current jobs.
 
 The **merge** is deterministic and idempotent: payloads are collected
 per fingerprint across all worker journals in sorted worker order,
@@ -91,6 +95,16 @@ __all__ = [
     "fleet_dir",
     "ensure_manifest",
     "read_manifest",
+    "read_journals",
+    "scan_duplicates",
+    "scan_completed",
+    "scan_quarantined",
+    "read_events",
+    "read_worker_activity",
+    "flight_dumps",
+    "fleet_status",
+    "list_runs",
+    "gc_runs",
     "fleet_worker",
     "run_jobs",
     "join_fleet",
@@ -181,44 +195,56 @@ def ensure_manifest(
     return published
 
 
-def read_manifest(run_dir: Path) -> dict[str, Any]:
+def read_manifest(run_dir: Path, *, missing_ok: bool = False) -> dict[str, Any]:
     """The published manifest; a :class:`ReproError` naming it when it
-    is missing (a crash before publication) or unreadable."""
-    path = run_dir / "manifest.json"
+    is missing (a crash before publication) or unreadable.  With
+    ``missing_ok`` either reads as ``{}``: a run that is still starting
+    has no manifest yet."""
+    path = Path(run_dir) / "manifest.json"
     try:
         return json.loads(path.read_text())
     except (OSError, ValueError) as exc:
+        if missing_ok:
+            return {}
         raise ReproError(
             f"fleet manifest {path} is unreadable: {exc}"
         ) from None
 
 
 # ----------------------------------------------------------------------
-# shared-state scans
+# shared-state readers
 
-def _scan_duplicates(run_dir: Path) -> dict[str, list[tuple[str, Any]]]:
-    """fingerprint -> every (worker journal name, payload) recorded.
+def read_journals(run_dir: Path) -> dict[str, dict[str, dict[str, Any]]]:
+    """worker -> (fingerprint -> journal record with its ``payload`` and
+    ``meta``), workers in sorted order and records in append order.
 
-    Worker journals are visited in sorted filename order and each file
-    in append order, so the first record of a duplicated fingerprint —
-    the merge's winner — is the same for every scanning process.
+    Sorted order makes the first record of a fingerprint journaled by
+    several workers — the merge's winner — the same for every reader.
     """
+    return {
+        path.stem: RunJournal._load(path)[1]
+        for path in sorted(Path(run_dir, "journals").glob("*.ndjson"))
+    }
+
+
+def scan_duplicates(run_dir: Path) -> dict[str, list[tuple[str, Any]]]:
+    """fingerprint -> every (worker journal name, payload) recorded."""
     out: dict[str, list[tuple[str, Any]]] = {}
-    for path in sorted((run_dir / "journals").glob("*.ndjson")):
-        _, completed = RunJournal._load(path)
-        for fp, payload in completed.items():
-            out.setdefault(fp, []).append((path.stem, payload))
+    for worker, records in read_journals(run_dir).items():
+        for fp, rec in records.items():
+            out.setdefault(fp, []).append((worker, rec.get("payload")))
     return out
 
 
-def _scan_completed(run_dir: Path) -> dict[str, tuple[str, Any]]:
+def scan_completed(run_dir: Path) -> dict[str, tuple[str, Any]]:
     """fingerprint -> (worker journal name, payload), first write wins."""
-    return {fp: recs[0] for fp, recs in _scan_duplicates(run_dir).items()}
+    return {fp: recs[0] for fp, recs in scan_duplicates(run_dir).items()}
 
 
-def _scan_quarantined(run_dir: Path) -> dict[str, dict[str, Any]]:
+def scan_quarantined(run_dir: Path) -> dict[str, dict[str, Any]]:
+    """fingerprint -> quarantine marker of every poisoned job."""
     out: dict[str, dict[str, Any]] = {}
-    for path in sorted((run_dir / "quarantine").glob("*.json")):
+    for path in sorted(Path(run_dir, "quarantine").glob("*.json")):
         try:
             out[path.stem] = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
@@ -228,9 +254,53 @@ def _scan_quarantined(run_dir: Path) -> dict[str, dict[str, Any]]:
 
 def _resolved(run_dir: Path) -> set[str]:
     """Fingerprints nobody should claim anymore: completed or poisoned."""
-    done = set(_scan_completed(run_dir))
-    done.update(_scan_quarantined(run_dir))
+    done = set(scan_completed(run_dir))
+    done.update(scan_quarantined(run_dir))
     return done
+
+
+def _ndjson_logs(log_dir: Path) -> dict[str, list[dict[str, Any]]]:
+    """log name -> its records, logs in sorted order; a torn tail (a
+    worker killed mid-append) is skipped."""
+    return {
+        path.stem: read_records(path)
+        for path in sorted(log_dir.glob("*.ndjson"))
+    }
+
+
+def read_events(
+    run_dir: Path, after: dict[str, int] | None = None
+) -> list[dict[str, Any]]:
+    """Every event log's records, logs in sorted order; ``after`` maps a
+    log's name to how many leading records to skip (an earlier
+    invocation's, see :func:`_event_counts`)."""
+    after = after or {}
+    return [
+        ev
+        for name, records in _ndjson_logs(Path(run_dir, "events")).items()
+        for ev in records[after.get(name, 0):]
+    ]
+
+
+def _event_counts(run_dir: Path) -> dict[str, int]:
+    """log name -> records so far: the events a resumed run replayed."""
+    return {
+        name: len(records)
+        for name, records in _ndjson_logs(Path(run_dir, "events")).items()
+    }
+
+
+def read_worker_activity(run_dir: Path) -> dict[str, list[dict[str, Any]]]:
+    """worker -> its published activity lines
+    (:class:`~repro.obs.stitch.ActivitySink`), in append order."""
+    return _ndjson_logs(Path(run_dir, "activity"))
+
+
+def flight_dumps(run_dir: Path) -> list[Path]:
+    """The run's flight-recorder dumps, sorted by name."""
+    from repro.obs.flight import list_flight_dumps
+
+    return list_flight_dumps(Path(run_dir, "flightrec"))
 
 
 # ----------------------------------------------------------------------
@@ -254,28 +324,6 @@ class _EventLog:
 
     def close(self) -> None:
         self._out.close()
-
-
-def _read_events(
-    run_dir: Path, after: dict[str, int] | None = None
-) -> list[dict[str, Any]]:
-    """Every event log's records, logs in sorted order; ``after`` maps a
-    log's name to how many leading records to skip (an earlier
-    invocation's, see :func:`_event_counts`)."""
-    after = after or {}
-    return [
-        ev
-        for path in sorted((run_dir / "events").glob("*.ndjson"))
-        for ev in read_records(path)[after.get(path.name, 0):]
-    ]
-
-
-def _event_counts(run_dir: Path) -> dict[str, int]:
-    """log name -> records so far: the events a resumed run replayed."""
-    return {
-        path.name: len(read_records(path))
-        for path in (run_dir / "events").glob("*.ndjson")
-    }
 
 
 # ----------------------------------------------------------------------
@@ -577,11 +625,11 @@ def merge_fleet(
 
     tele = cfg.telemetry
     hub = cfg.hub
-    for ev in _read_events(run_dir, events_after):
+    for ev in read_events(run_dir, events_after):
         name = ev.pop("event", "event")
         tele.observe(name, **ev)
         _emit(hub, name, **ev)
-    all_records = _scan_duplicates(run_dir)
+    all_records = scan_duplicates(run_dir)
     fingerprints = read_manifest(run_dir)["jobs"]
     payloads: list[dict[str, Any] | None] = []
     winners: list[tuple[int, str]] = []
@@ -619,7 +667,7 @@ def merge_fleet(
                     "disagrees with the result cache; refusing to merge"
                 )
         payloads.append(winner)
-    quarantined = _scan_quarantined(run_dir)
+    quarantined = scan_quarantined(run_dir)
     if quarantined:
         for info in quarantined.values():
             tele.observe("quarantine", **info)
@@ -645,7 +693,6 @@ def merge_fleet(
         # thread each winning worker's published activity records into
         # the caller's hub — device timelines and span identities
         # survive the merge instead of collapsing into event summaries
-        from repro.obs.stitch import read_worker_activity
         from repro.prof.ndjson import record_from_json
 
         by_worker_job: dict[tuple[str, int], list[dict[str, Any]]] = {}
@@ -670,15 +717,247 @@ def merge_fleet(
                         "fleet_job": ordinal,
                     },
                 ))
-    if (run_dir / "leases").is_dir():
-        # the run is merged: expired leases and steal remnants are garbage
-        LeaseDir(run_dir / "leases", ttl_s=cfg.lease_ttl_s).sweep_stale()
+    # the run is merged: expired leases and steal remnants are garbage
+    _sweep_leases(run_dir, cfg.lease_ttl_s)
     _emit(
         hub, "fleet-merge", jobs=len(payloads),
         duplicates=tele.duplicate_completions,
         steals=tele.leases_stolen,
     )
     return payloads  # type: ignore[return-value]
+
+
+# ----------------------------------------------------------------------
+# the one snapshot: repro top, journal ls/show/gc, --metrics
+
+def _sweep_leases(run_dir: Path, ttl_s: float = 5.0) -> dict[str, int]:
+    """Drop the run's expired leases and steal remnants."""
+    if not Path(run_dir, "leases").is_dir():
+        return {"evicted": 0, "remnants": 0}
+    return LeaseDir(Path(run_dir, "leases"), ttl_s=ttl_s).sweep_stale()
+
+
+def _worker_row(worker: str) -> dict[str, Any]:
+    return {
+        "worker": worker,
+        "completed": 0,
+        "leases": 0,
+        "stolen": 0,
+        "heartbeats": 0,
+        "retries": 0,
+        "errors": 0,
+        "quarantined": 0,
+        "last_seen": None,       #: wall-clock of the newest event
+        "state": "live",
+    }
+
+
+def fleet_status(
+    run_dir: str | Path,
+    *,
+    ttl_s: float = 5.0,
+    now: float | None = None,
+) -> dict[str, Any]:
+    """One read-only snapshot of a run directory.
+
+    Overall progress and ETA, per-worker health and counters, and the
+    leases currently held.  Every count — the run's and each worker's —
+    covers only the manifest's current jobs, so a run resumed with a
+    narrower job list reads the same to every tool.  A run still
+    starting (no manifest yet) reads as zero jobs.  Nothing is written:
+    watching a run cannot perturb it.  A worker is ``done`` once it
+    logged ``worker-exit``, ``stale`` when its newest event is older
+    than ``ttl_s``, ``live`` otherwise.
+    """
+    run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise ReproError(f"no fleet run directory at {run_dir}")
+    now = time.time() if now is None else now
+    manifest = read_manifest(run_dir, missing_ok=True)
+    fingerprints: list[str] = manifest.get("jobs") or []
+    current = set(fingerprints)
+
+    workers: dict[str, dict[str, Any]] = {}
+    completed: set[str] = set()
+    for worker, records in read_journals(run_dir).items():
+        done = current.intersection(records)
+        workers[worker] = _worker_row(worker)
+        workers[worker]["completed"] = len(done)
+        completed |= done
+
+    first_event_t: float | None = None
+    for worker, records in _ndjson_logs(run_dir / "events").items():
+        row = workers.setdefault(worker, _worker_row(worker))
+        tele = SchedTelemetry()
+        for ev in records:
+            name = ev.pop("event", "")
+            tele.observe(name, **ev)
+            t = ev.get("t")
+            if isinstance(t, (int, float)):
+                row["last_seen"] = (
+                    t if row["last_seen"] is None else max(row["last_seen"], t)
+                )
+                first_event_t = (
+                    t if first_event_t is None else min(first_event_t, t)
+                )
+            if name == "worker-exit":
+                row["state"] = "done"
+        row.update(
+            leases=tele.leases_acquired, stolen=tele.leases_stolen,
+            heartbeats=tele.heartbeats, retries=tele.retries,
+            errors=tele.timeouts + tele.crashes + tele.payload_faults
+            + tele.job_errors, quarantined=len(tele.quarantined),
+        )
+    for row in workers.values():
+        if row["state"] != "done":
+            seen = row["last_seen"]
+            row["state"] = (
+                "stale" if seen is not None and now - seen > ttl_s else "live"
+            )
+
+    leases: list[dict[str, Any]] = []
+    if (run_dir / "leases").is_dir():
+        lease_dir = LeaseDir(run_dir / "leases", ttl_s=ttl_s, now=lambda: now)
+        for path in sorted(lease_dir.root.glob("*.lease")):
+            job = path.name[: -len(".lease")]
+            try:
+                lease = lease_dir.read(job)
+            except ValueError:
+                leases.append({
+                    "job": job[:12], "owner": "<corrupt>", "epoch": None,
+                    "age_s": None, "stale": True,
+                })
+                continue
+            if lease is None:
+                continue
+            leases.append({
+                "job": job[:12],
+                "ordinal": fingerprints.index(job) if job in current else None,
+                "owner": lease.owner,
+                "epoch": lease.epoch,
+                "age_s": max(0.0, now - lease.heartbeat_at),
+                "stale": lease_dir.is_stale(lease),
+            })
+
+    quarantined = len(current.intersection(scan_quarantined(run_dir)))
+    jobs_total = len(fingerprints)
+    remaining = max(0, jobs_total - len(completed) - quarantined)
+    eta_s: float | None = None
+    if remaining == 0 and jobs_total:
+        eta_s = 0.0
+    elif completed and first_event_t is not None:
+        rate = len(completed) / max(1e-6, now - first_event_t)
+        eta_s = remaining / rate
+    return {
+        "run_id": manifest.get("run_id", run_dir.name.removesuffix(".fleet")),
+        "command": manifest.get("command", ""),
+        "jobs_total": jobs_total,
+        "jobs_completed": len(completed),
+        "jobs_remaining": remaining,
+        "quarantined": quarantined,
+        "flight_dumps": len(flight_dumps(run_dir)),
+        "eta_s": eta_s,
+        "leases_acquired": sum(w["leases"] for w in workers.values()),
+        "leases_stolen": sum(w["stolen"] for w in workers.values()),
+        "heartbeats": sum(w["heartbeats"] for w in workers.values()),
+        "active_leases": leases,
+        "workers": [workers[w] for w in sorted(workers)],
+    }
+
+
+def _dir_mtime(path: Path) -> float:
+    """Newest mtime under a run directory (activity, not creation)."""
+    newest = path.stat().st_mtime
+    for child in path.rglob("*"):
+        try:
+            newest = max(newest, child.stat().st_mtime)
+        except OSError:
+            continue
+    return newest
+
+
+def list_runs(root: str | Path) -> list[dict[str, Any]]:
+    """Every run directory under a journal directory, newest first.
+
+    Each entry carries ``run_id``, ``command``, ``jobs`` (the manifest's
+    completed jobs), ``total`` (None before the manifest is published),
+    ``mtime`` and ``path``.
+    """
+    root = Path(root)
+    out: list[dict[str, Any]] = []
+    for path in root.glob("*.fleet") if root.is_dir() else ():
+        if not path.is_dir():
+            continue
+        status = fleet_status(path)
+        out.append({
+            "run_id": path.name[: -len(".fleet")],
+            "command": status["command"],
+            "jobs": status["jobs_completed"],
+            "total": status["jobs_total"] or None,
+            "mtime": _dir_mtime(path),
+            "path": str(path),
+        })
+    out.sort(key=lambda e: (-e["mtime"], e["run_id"]))
+    return out
+
+
+def gc_runs(
+    root: str | Path,
+    *,
+    older_than_days: float | None = None,
+    now: float | None = None,
+    dry_run: bool = False,
+) -> dict[str, Any]:
+    """Prune a journal directory so long-lived ones stay bounded.
+
+    Two passes:
+
+    * **age-based** (only with ``older_than_days``): delete every run
+      directory whose newest mtime is older than the cutoff, flight
+      dumps included;
+    * **stale-artifact cleanup** (always): expired lease files of every
+      surviving run, ``stolen/`` steal remnants, and orphaned ``*.tmp``
+      files from interrupted atomic writes.
+
+    Returns a summary dict; with ``dry_run`` nothing is deleted and
+    ``removed`` lists what would have been.
+    """
+    import shutil
+
+    now = time.time() if now is None else now
+    cutoff = (
+        now - older_than_days * 86400.0
+        if older_than_days is not None else None
+    )
+    runs = list_runs(root)
+    removed: list[dict[str, Any]] = []
+    leases_evicted = remnants = tmps = 0
+    for entry in runs:
+        path = Path(entry["path"])
+        if cutoff is not None and entry["mtime"] < cutoff:
+            removed.append({"run_id": entry["run_id"]})
+            if not dry_run:
+                shutil.rmtree(path, ignore_errors=True)
+            continue
+        if dry_run:
+            continue
+        swept = _sweep_leases(path)
+        leases_evicted += swept["evicted"]
+        remnants += swept["remnants"]
+        for tmp in path.rglob("*.tmp"):
+            try:
+                tmp.unlink()
+                tmps += 1
+            except OSError:
+                pass
+    return {
+        "removed": removed,
+        "kept": len(runs) - len(removed),
+        "stale_leases_evicted": leases_evicted,
+        "steal_remnants_removed": remnants,
+        "tmp_files_removed": tmps,
+        "dry_run": dry_run,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -734,8 +1013,8 @@ def _coordinate(
         run_dir, specs, run_id=cfg.run_id, command=cfg.command,
         republish=True,
     )["jobs"]
-    journaled = _scan_completed(run_dir)
-    quarantined = _scan_quarantined(run_dir)
+    journaled = scan_completed(run_dir)
+    quarantined = scan_quarantined(run_dir)
     events_after = _event_counts(run_dir)
     root_ctx = TraceContext.root(cfg.run_id)
     # the in-process worker's id derives from the run id, so a resumed
@@ -789,7 +1068,7 @@ def _coordinate(
             tele.fleet_workers = 1
             fleet_worker(specs, local, lethal=False)
     finally:
-        done = _scan_completed(run_dir)
+        done = scan_completed(run_dir)
         tele.completed = sum(fingerprints[i] in done for i in todo)
     return merge_fleet(
         run_dir, specs, cfg=cfg, cache=cache, stores=stores,
@@ -864,8 +1143,8 @@ def _supervise(
             # who is dead is settled before the lease scan, so a dead
             # worker's last claim is always seen
             dead = [w for w, p in procs.items() if not p.is_alive()]
-            journaled = set(_scan_completed(run_dir))
-            resolved = journaled.union(_scan_quarantined(run_dir))
+            journaled = set(scan_completed(run_dir))
+            resolved = journaled.union(scan_quarantined(run_dir))
             pending = [fp for fp in ordinal_of if fp not in resolved]
             if chaos is not None and chaos.interrupts_after(
                 len(journaled.intersection(ordinal_of))

@@ -1,10 +1,10 @@
 """Supervision policy: the per-job ladder, its telemetry and its config.
 
-Every supervised run — the multi-process engine of
-:mod:`repro.resilience.fleet` (``table1``/``sweep``/``run`` with
+Every supervised run — ``table1``/``sweep``/``run``/``check`` with
 ``--jobs``, ``--fleet``, ``--join``, ``--resume`` or a resilience flag,
-and ``repro serve`` requests) and ``repro check`` units — climbs the
-same ladder, configured by one :class:`ResilienceConfig`:
+and ``repro serve`` requests, all run by the multi-process engine of
+:mod:`repro.resilience.fleet` — climbs the same ladder, configured by
+one :class:`ResilienceConfig`:
 
 * **bounded retries** — failed attempts retry with the exponential
   backoff + deterministic jitter of
@@ -151,7 +151,7 @@ class SchedTelemetry:
     duplicate_completions: int = 0
 
     def observe(self, name: str, /, **args: Any) -> None:
-        """Fold one supervision event (a ``check`` unit's, or one replayed
+        """Fold one supervision event (the coordinator's, or one replayed
         from a run's event logs) into the telemetry.  Two workers may
         run a job, and jobs finish in any order, so ``fallbacks`` and
         ``quarantined`` keep one entry per job, in job order."""
@@ -198,14 +198,13 @@ class SchedTelemetry:
 
 @dataclass
 class ResilienceConfig:
-    """Policy and identity of one supervised run, ``check`` included.
+    """Policy and identity of one supervised run.
 
     The defaults give every run two retries at zero configuration;
     chaos, journaling and health-event emission are opt-in.
     ``telemetry`` is filled in during the run and read back by the
-    caller afterwards.  ``run_id`` names the run's journal under
-    ``journal_root`` (``<run-id>.fleet/`` for job lists,
-    ``<run-id>.ndjson`` for ``check``); None runs unjournaled.
+    caller afterwards.  ``run_id`` names the run directory
+    ``<run-id>.fleet/`` under ``journal_root``; None runs unjournaled.
     ``worker_id`` names this process when it joins a run (``--join``)
     and prefixes the local workers the engine spawns; the lease TTL and
     heartbeat govern how fast a dead worker's job is stolen.
@@ -242,22 +241,6 @@ class ResilienceConfig:
         self.telemetry.observe(name, **args)
         if self.hub is not None and self.hub.wants("sched"):
             self.hub.emit("sched", name, track="scheduler", **args)
-
-    def raise_quarantined(self, units: str = "job(s)") -> None:
-        """Raise :class:`QuarantineError` if the ladder quarantined any
-        of the run's ``units``; called once everything else finished."""
-        quarantined = self.telemetry.quarantined
-        if not quarantined:
-            return
-        names = ", ".join(f"{q['benchmark']}#{q['job']}" for q in quarantined)
-        hint = (
-            f"; completed work is journaled as run {self.run_id}"
-            if self.run_id is not None else ""
-        )
-        raise QuarantineError(
-            f"{len(quarantined)} {units} quarantined after retry "
-            f"exhaustion: {names}{hint}"
-        )
 
 
 class Ladder:

@@ -1,14 +1,15 @@
 """Supervised sweep/suite scheduler with incremental caching.
 
 The unit of work is a :class:`JobSpec` — one benchmark comparison
-(``kind="run"``) or one sweep point (``kind="sweep"`` with a single
-value).  :func:`run_jobs` is the engine of :mod:`repro.resilience.fleet`:
-it resolves each job against the run journal (``--resume``) and the
-:class:`~repro.sched.cache.ResultCache` first, then runs the misses
-in-process or on supervised local worker processes — per-attempt
-wall-clock timeouts, crash isolation, bounded retries with backoff +
-jitter, poisoned-job quarantine, and a journal checkpoint after every
-completed job.  Results come back as the
+(``kind="run"``), one sweep point (``kind="sweep"`` with a single
+value), or one ``repro check`` unit (``kind="check"``: one claim file
+verified on one backend).  :func:`run_jobs` is the engine of
+:mod:`repro.resilience.fleet`: it resolves each job against the run
+journal (``--resume``) and the :class:`~repro.sched.cache.ResultCache`
+first, then runs the misses in-process or on supervised local worker
+processes — per-attempt wall-clock timeouts, crash isolation, bounded
+retries with backoff + jitter, poisoned-job quarantine, and a journal
+checkpoint after every completed job.  Results come back as the
 JSON-ready payloads the result types round-trip through, so a journal
 replay, a cached replay, and a fresh computation are byte-for-byte
 interchangeable.
@@ -36,7 +37,6 @@ from repro.resilience.fleet import run_jobs
 from repro.sched.cache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import TraceContext
     from repro.resilience.supervisor import ResilienceConfig
 
 __all__ = ["JobSpec", "execute_job", "run_jobs", "parallel_sweep", "parallel_suite"]
@@ -44,21 +44,22 @@ __all__ = ["JobSpec", "execute_job", "run_jobs", "parallel_sweep", "parallel_sui
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One self-contained, picklable unit of benchmark work."""
+    """One self-contained, picklable unit of benchmark work.
+
+    A ``check`` job carries its claim file's text, the backend it
+    verifies and ``quick`` in ``params``; its ``backend`` is None, as
+    the unit has no reference backend to fall back to.
+    """
 
     benchmark: str
-    kind: str = "run"                    #: "run" or "sweep" (one value)
+    kind: str = "run"                    #: "run", "sweep" (one value) or "check"
     params: dict[str, Any] = field(default_factory=dict)
     values: tuple[Any, ...] | None = None
     system: str | None = None            #: preset name; None = paper default
-    backend: str = "reference"
-    #: span identity of this job (repro.obs); excluded from comparison —
-    #: and from job_fingerprint / cache keys, which enumerate the work-
-    #: defining fields explicitly — so tracing never perturbs identity
-    trace: "TraceContext | None" = field(default=None, compare=False)
+    backend: str | None = "reference"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("run", "sweep"):
+        if self.kind not in ("run", "sweep", "check"):
             raise ReproError(f"unknown job kind {self.kind!r}")
         if self.kind == "sweep" and not self.values:
             raise ReproError("sweep jobs need at least one value")
@@ -71,6 +72,15 @@ def _resolve(spec: JobSpec):
 
 def execute_job(spec: JobSpec) -> dict[str, Any]:
     """Run one job and return its JSON-ready payload."""
+    if spec.kind == "check":
+        from repro.check import check_benchmark, parse_claims
+
+        p = spec.params
+        outcomes = check_benchmark(
+            parse_claims(p["claims"], path=f"{spec.benchmark} claims"),
+            backend=p["backend"], quick=p["quick"], system=spec.system,
+        )
+        return {"kind": "check", "outcomes": [o.as_dict() for o in outcomes]}
     bench = _resolve(spec)
     with use_backend(spec.backend):
         if spec.kind == "run":

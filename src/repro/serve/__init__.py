@@ -12,7 +12,7 @@ per-benchmark circuit breakers, and graceful SIGTERM drain.
 Layering::
 
     request.py    validation + fingerprints (the idempotency keys)
-    queue.py      fsync'd intake journal + atomic state files + leases
+    queue.py      fsync'd intake journal + atomic state files + FIFO
     admission.py  queue-depth / per-client caps, Retry-After estimator
     breaker.py    per-benchmark closed/open/half-open circuits
     executor.py   one request → the same code path the CLI runs

@@ -10,7 +10,6 @@ was acknowledged.  Layout under the data dir::
 
     intake.ndjson            append-only accept log (fsync per line)
     requests/<id>.json       per-request state, atomic publish
-    leases/<id>.lease        execution leases (repro.resilience.lease)
     journals/<id>.fleet/     per-request run directory (checkpoint/resume)
     results/<fp>.json        finished result documents, content-addressed
 
@@ -22,12 +21,12 @@ never landed.  State files carry the full request plus its lifecycle
 state; they are republished on every transition, so a reader sees
 either the old state or the new one, never a torn file.
 
-Execution claims go through the same :class:`~repro.resilience.lease.
-LeaseDir` the distributed fleet uses: a worker thread (or, after a
-crash, the restarted daemon's recovery pass) claims a request by
-exclusively publishing its lease; a request whose lease heartbeat went
-stale — the daemon was SIGKILL'd mid-job — is steal-eligible and
-re-enqueued by recovery, resuming from its per-request run directory.
+One daemon owns a data dir, so claiming a request needs no lock on
+disk: a worker thread pops it from the in-memory FIFO under the queue's
+lock, and the ``running`` state it publishes is the crash marker.  A
+request found ``running`` at startup — the daemon was SIGKILL'd
+mid-job — is re-enqueued by recovery and resumes from its per-request
+run directory.
 
 Idempotency rides on the same store: the queue indexes request
 fingerprints, so a duplicate submission maps to the original request
@@ -48,7 +47,6 @@ from typing import Any, Callable
 from repro.common.durable import Appender, atomic_write, make_dirs, read_records
 from repro.common.errors import ReproError
 from repro.resilience.journal import new_run_id
-from repro.resilience.lease import Lease, LeaseDir
 from repro.serve.request import STATES, ServeRequest, parse_request
 
 __all__ = ["INTAKE_SCHEMA", "STATE_SCHEMA", "QueueEntry", "DurableQueue"]
@@ -137,7 +135,6 @@ class DurableQueue:
         self,
         data_dir: str | Path,
         *,
-        lease_ttl_s: float = 30.0,
         now: Callable[[], float] = time.time,
     ) -> None:
         self.data_dir = Path(data_dir)
@@ -150,9 +147,6 @@ class DurableQueue:
                 f"serve data dir {self.data_dir} is not writable: {exc}; "
                 "pick another --data-dir"
             ) from None
-        self.leases = LeaseDir(
-            self.data_dir / "leases", ttl_s=lease_ttl_s, now=now
-        )
         self._lock = threading.RLock()
         self._ready = threading.Condition(self._lock)
         self._entries: dict[str, QueueEntry] = {}
@@ -273,46 +267,20 @@ class DurableQueue:
             self._client_open[client] = self._client_open.get(client, 0) + delta
 
     # -- dispatch -------------------------------------------------------
-    def claim(
-        self, owner: str, *, timeout: float | None = None
-    ) -> QueueEntry | None:
-        """Pop the next pending request and lease it; None on timeout.
-
-        The lease is the crash marker: held while the request executes,
-        released on completion.  A daemon killed mid-execution leaves
-        the lease behind; the restarted daemon's recovery pass finds
-        the stale lease, steals it, and re-enqueues the request.
-        """
+    def claim(self, *, timeout: float | None = None) -> QueueEntry | None:
+        """Pop the next pending request and mark it ``running``; None on
+        timeout.  The published ``running`` state is the crash marker
+        recovery looks for."""
         with self._lock:
             if not self._pending:
                 self._ready.wait(timeout)
             if not self._pending:
                 return None
             entry = self._entries[self._pending.popleft()]
-            lease = self.leases.claim(entry.id, owner)
-            if lease is None:
-                # a leftover lease (e.g. crash between lease-create and
-                # the state write) that is not yet stale: put the entry
-                # back rather than losing it; it becomes claimable once
-                # the TTL lapses
-                self._pending.appendleft(entry.id)
-                return None
             entry.attempts += 1
             entry.started_at = self.now()
             self._transition(entry, "running")
             return entry
-
-    def heartbeat(self, entry: QueueEntry, owner: str) -> None:
-        """Refresh the execution lease of a long-running request."""
-        lease = self._read_lease(entry.id)
-        if lease is not None and lease.owner == owner:
-            self.leases.heartbeat(lease)
-
-    def _read_lease(self, request_id: str) -> Lease | None:
-        try:
-            return self.leases.read(request_id)
-        except ValueError:
-            return None
 
     # -- transitions ----------------------------------------------------
     def _transition(
@@ -340,9 +308,6 @@ class DurableQueue:
                 entry, state, error=error,
                 result_fingerprint=result_fingerprint,
             )
-            lease = self._read_lease(entry.id)
-            if lease is not None:
-                self.leases.release(lease)
 
     def complete(self, entry: QueueEntry, result_fingerprint: str) -> None:
         self._finish(entry, "done", result_fingerprint=result_fingerprint)
@@ -356,9 +321,6 @@ class DurableQueue:
     def requeue(self, entry: QueueEntry) -> None:
         """Put a claimed-but-unfinished request back (drain checkpoint)."""
         with self._lock:
-            lease = self._read_lease(entry.id)
-            if lease is not None:
-                self.leases.release(lease)
             self._transition(entry, "queued")
             self._pending.append(entry.id)
             self._ready.notify()

@@ -12,12 +12,12 @@ this completes):
    state write, or mid-replace) is rebuilt as a fresh ``queued``
    entry: accepted means persisted, so the 202 the client got is
    honoured.
-3. **re-lease the incomplete** — entries found ``running`` were
-   in-flight when the previous incarnation died.  Their execution
-   leases are reclaimed (the previous owner is dead by construction —
-   one daemon owns a data dir), the entries flip back to ``queued``,
-   and re-execution resumes from the per-request run journal's
-   checkpoints, so finished sweep points are replayed, not recomputed.
+3. **requeue the incomplete** — entries found ``running`` were
+   in-flight when the previous incarnation died (one daemon owns a
+   data dir, so nothing else is running them).  They flip back to
+   ``queued``, and re-execution resumes from the per-request run
+   directory's checkpoints, so finished sweep points are replayed, not
+   recomputed.
 4. **completed stay completed** — ``done`` entries keep pointing at
    their content-addressed result files, which are served
    byte-identically after restart.
@@ -43,7 +43,7 @@ class RecoverySummary:
 
     requests: int = 0            #: entries rebuilt in memory
     requeued: int = 0            #: queued entries put back on the queue
-    releases: int = 0            #: running entries re-leased → queued
+    releases: int = 0            #: running entries requeued at startup
     completed: int = 0           #: terminal entries indexed
     rebuilt_from_intake: int = 0  #: state file lost; intake line used
 
@@ -95,23 +95,14 @@ def recover(queue: DurableQueue) -> RecoverySummary:
         for entry in sorted(entries.values(), key=lambda e: e.seq):
             summary.requests += 1
             if entry.state == "running":
-                # the previous incarnation died holding the lease;
-                # reclaim it and put the request back in line — its run
-                # journal replays whatever finished before the crash
-                lease = queue._read_lease(entry.id)
-                if lease is not None:
-                    queue.leases.release(lease)
+                # the previous incarnation died running it: put the
+                # request back in line — its run directory replays
+                # whatever finished before the crash
                 entry.state = "queued"
                 entry.started_at = None
                 queue._persist(entry)
                 summary.releases += 1
             if entry.state == "queued":
-                # a crash between lease-create and the running-state
-                # write can orphan a lease on a still-queued entry;
-                # reclaim it so the first post-restart claim succeeds
-                lease = queue._read_lease(entry.id)
-                if lease is not None:
-                    queue.leases.release(lease)
                 queue._pending.append(entry.id)
                 summary.requeued += 1
             elif entry.terminal:

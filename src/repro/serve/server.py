@@ -82,7 +82,6 @@ class ServeDaemon:
         max_per_client: int | None = None,
         breaker_threshold: int | None = None,
         breaker_cooldown_s: float | None = None,
-        lease_ttl_s: float = 30.0,
         cache=None,
         now: Callable[[], float] = time.time,
     ) -> None:
@@ -90,7 +89,7 @@ class ServeDaemon:
         self.workers = max(1, workers)
         self.jobs = max(1, jobs)
         self.cache = cache
-        self.queue = DurableQueue(data_dir, lease_ttl_s=lease_ttl_s, now=now)
+        self.queue = DurableQueue(data_dir, now=now)
         admission_kwargs = {}
         if max_queue is not None:
             admission_kwargs["max_queue"] = max_queue
@@ -131,8 +130,7 @@ class ServeDaemon:
         self.recovery = recover(self.queue)
         for n in range(self.workers):
             t = threading.Thread(
-                target=self._worker_loop, args=(f"worker-{n}",),
-                name=f"repro-serve-{n}", daemon=True,
+                target=self._worker_loop, name=f"repro-serve-{n}", daemon=True,
             )
             t.start()
             self._threads.append(t)
@@ -181,14 +179,14 @@ class ServeDaemon:
             self._counters[key] = self._counters.get(key, 0) + 1
 
     # -- worker loop -----------------------------------------------------
-    def _worker_loop(self, owner: str) -> None:
+    def _worker_loop(self) -> None:
         while not self._draining.is_set():
-            entry = self.queue.claim(owner, timeout=0.5)
+            entry = self.queue.claim(timeout=0.5)
             if entry is None:
                 continue
-            self._run_one(entry, owner)
+            self._run_one(entry)
 
-    def _run_one(self, entry: QueueEntry, owner: str) -> None:
+    def _run_one(self, entry: QueueEntry) -> None:
         req = entry.request
         if self._draining.is_set():
             # claimed in the race with drain: hand it back durably
@@ -196,16 +194,12 @@ class ServeDaemon:
             return
         began = self.now()
 
-        def on_event(event: dict[str, Any]) -> None:
-            self.queue.record_event(entry, event)
-            self.queue.heartbeat(entry, owner)
-
         outcome = execute_request(
             entry,
             data_dir=self.queue.data_dir,
             cache=self.cache,
             jobs=self.jobs,
-            on_event=on_event,
+            on_event=lambda event: self.queue.record_event(entry, event),
             now=self.now,
         )
         self.admission.observe_service_time(self.now() - began)
@@ -319,7 +313,7 @@ class ServeDaemon:
             out.append(Sample(
                 "repro_serve_recovered_releases",
                 float(self.recovery.releases),
-                help="in-flight requests re-leased at startup",
+                help="in-flight requests requeued at startup",
             ))
         with self._counter_lock:
             counters = dict(self._counters)

@@ -124,9 +124,63 @@ class TestSupervisedUnits:
                 run_id="c1", journal_root=tmp_path / "jd",
                 chaos=parse_chaos("interrupt-after=1"),
             ))
-        assert (tmp_path / "jd" / "c1.ndjson").exists()
+        # one run format: the run directory, never a single-file journal
+        assert (tmp_path / "jd" / "c1.fleet").is_dir()
+        assert not list((tmp_path / "jd").glob("*.ndjson"))
         config = ResilienceConfig(run_id="c1", journal_root=tmp_path / "jd")
         report = self._check(tmp_path, config)
         assert report.as_dict() == clean.as_dict()
         assert config.telemetry.resume_skips == 1
         assert config.telemetry.completed == 1
+
+    def test_supervised_and_resumed_reports_match_unsupervised(self, tmp_path):
+        from repro.resilience import ResilienceConfig, parse_chaos
+
+        def both(report):
+            return report.as_dict(), report.render()
+
+        clean = both(self._check(tmp_path))
+        assert both(self._check(tmp_path, ResilienceConfig())) == clean
+        journal = tmp_path / "jd"
+        with pytest.raises(KeyboardInterrupt):
+            self._check(tmp_path, ResilienceConfig(
+                run_id="p1", journal_root=journal,
+                chaos=parse_chaos("interrupt-after=1"),
+            ))
+        config = ResilienceConfig(run_id="p1", journal_root=journal)
+        assert both(self._check(tmp_path, config)) == clean
+        assert config.telemetry.mode == "serial"
+
+    def test_diverge_chaos_never_touches_a_check_unit(self, tmp_path):
+        from repro.resilience import ResilienceConfig, parse_chaos
+
+        config = ResilienceConfig(chaos=parse_chaos("diverge=0;1"))
+        report = self._check(tmp_path, config)
+        assert report.ok
+        assert config.telemetry.fallbacks == []
+        assert not config.telemetry.degraded
+
+    def test_edited_claim_file_reruns_its_unit_on_resume(self, tmp_path):
+        from repro.resilience import ResilienceConfig
+
+        claims = tmp_path / "m.toml"
+        claims.write_text(FAST_SPEC)
+
+        def check(run_id):
+            config = ResilienceConfig(
+                run_id=run_id, journal_root=tmp_path / "jd"
+            )
+            report = check_all(
+                claims_dir=str(tmp_path), backend="reference",
+                relations=False, resilience=config,
+            )
+            return report, config.telemetry
+
+        report, tele = check("r1")
+        assert report.ok and tele.completed == 1
+        claims.write_text(BROKEN_SPEC)
+        report, tele = check("r1")
+        # the job carries the claim text: no stale verdict is replayed
+        assert (tele.resume_skips, tele.completed) == (0, 1)
+        assert not report.ok
+        assert [o.name for o in report.outcomes if not o.passed] == ["speedup"]

@@ -340,7 +340,7 @@ def _queue_put_result(root):
 
 def _queue_complete(root):
     queue, entry = _queue(root)
-    claimed = queue.claim("w0", timeout=0)
+    claimed = queue.claim(timeout=0)
     queue.complete(claimed, entry.request.fingerprint)
     queue.close()
     return [queue._state_path(entry.id)]
@@ -372,7 +372,7 @@ def _quarantine_marker(root):
 
 
 def _journal(root):
-    with RunJournal.create(root / "journal", run_id="r1") as journal:
+    with RunJournal.attach(root / "journal", run_id="r1") as journal:
         journal.record("fp0", {"x": 1})
     return [journal.path]
 

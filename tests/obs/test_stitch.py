@@ -9,11 +9,11 @@ from repro.obs import (
     ActivitySink,
     TraceContext,
     fleet_chrome_trace,
-    read_journal_entries,
     read_worker_activity,
     write_fleet_trace,
 )
 from repro.prof.activity import ActivityHub
+from repro.resilience.fleet import read_journals, scan_completed, scan_duplicates
 
 HEADER = {"schema": "repro-journal/1", "run_id": "r1", "command": "sweep"}
 
@@ -134,27 +134,30 @@ class TestReadWorkerActivity:
 
 
 class TestReadJournalEntries:
+    """The run directory's journal readers, which the stitcher and
+    ``repro journal show`` read through."""
+
     def test_header_and_meta_preserved(self, tmp_path):
-        path = tmp_path / "r1.ndjson"
-        write_journal(path, ["fp0"], metas=[{"benchmark": "MemAlign", "job": 0}])
-        header, entries = read_journal_entries(path)
-        assert header["run_id"] == "r1"
-        assert entries[0]["meta"]["benchmark"] == "MemAlign"
+        run_dir = tmp_path / "r1.fleet"
+        write_journal(
+            run_dir / "journals" / "w0.ndjson", ["fp0"],
+            metas=[{"benchmark": "MemAlign", "job": 0}],
+        )
+        records = read_journals(run_dir)["w0"]
+        # the header line is not a job; each job keeps its meta
+        assert list(records) == ["fp0"]
+        assert records["fp0"]["meta"]["benchmark"] == "MemAlign"
 
     def test_duplicate_fingerprint_first_wins(self, tmp_path):
-        path = tmp_path / "r1.ndjson"
-        path.write_text(
-            json.dumps(HEADER) + "\n"
-            + json.dumps({"job": "fp0", "payload": {"v": 1}}) + "\n"
-            + json.dumps({"job": "fp0", "payload": {"v": 2}}) + "\n"
-        )
-        _, entries = read_journal_entries(path)
-        assert len(entries) == 1
-        assert entries[0]["payload"] == {"v": 1}
-
-    def test_missing_journal_raises(self, tmp_path):
-        with pytest.raises(ReproError, match="no journal"):
-            read_journal_entries(tmp_path / "ghost.ndjson")
+        run_dir = tmp_path / "r1.fleet"
+        for worker, value in (("w1", 2), ("w0", 1)):
+            (run_dir / "journals").mkdir(parents=True, exist_ok=True)
+            (run_dir / "journals" / f"{worker}.ndjson").write_text(
+                json.dumps(HEADER) + "\n"
+                + json.dumps({"job": "fp0", "payload": {"v": value}}) + "\n"
+            )
+        assert scan_completed(run_dir) == {"fp0": ("w0", {"v": 1})}
+        assert [w for w, _ in scan_duplicates(run_dir)["fp0"]] == ["w0", "w1"]
 
 
 class TestFleetStitch:

@@ -25,7 +25,6 @@ class TestTraceIds:
 class TestTraceContext:
     def test_root_has_no_parent(self):
         root = TraceContext.root("r1")
-        assert root.is_root
         assert root.parent_span_id is None
         assert root.trace_id == trace_id_for_run("r1")
 
@@ -34,7 +33,6 @@ class TestTraceContext:
         child = root.child("phase:merge")
         assert child.trace_id == root.trace_id
         assert child.parent_span_id == root.span_id
-        assert not child.is_root
 
     def test_job_is_child_keyed_by_ordinal(self):
         root = TraceContext.root("r1")
@@ -66,18 +64,6 @@ class TestDictRoundTrip:
     def test_as_dict_keys(self):
         d = TraceContext.root("r1").job(1).as_dict()
         assert set(d) == {"trace_id", "span_id", "parent_span_id"}
-
-    def test_round_trip(self):
-        ctx = TraceContext.root("r1").job(1)
-        assert TraceContext.from_dict(ctx.as_dict()) == ctx
-
-    def test_from_dict_tolerates_missing(self):
-        assert TraceContext.from_dict({}) is None
-        assert TraceContext.from_dict({"benchmark": "CoMem"}) is None
-
-    def test_from_dict_root(self):
-        root = TraceContext.root("r1")
-        assert TraceContext.from_dict(root.as_dict()) == root
 
     def test_root_key_stable(self):
         # ROOT_SPAN_KEY is part of the persisted-trace contract

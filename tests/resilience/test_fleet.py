@@ -16,11 +16,11 @@ from repro.resilience import QuarantineError, ResilienceConfig, RunJournal
 from repro.resilience.fleet import (
     FleetMergeError,
     _EventLog,
-    _read_events,
     ensure_manifest,
     fleet_dir,
     join_fleet,
     merge_fleet,
+    read_events,
     run_jobs,
 )
 from repro.resilience.journal import job_fingerprint
@@ -370,7 +370,7 @@ class TestEventLog:
         log = _EventLog(path, "w0")
         log.emit("job-complete", job=0)
         log.close()
-        assert [ev["event"] for ev in _read_events(tmp_path)] == [
+        assert [ev["event"] for ev in read_events(tmp_path)] == [
             "lease-acquire", "job-complete",
         ]
 

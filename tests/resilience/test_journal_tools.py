@@ -1,13 +1,13 @@
 """Journal-directory tools: ``list_runs``, ``gc_runs``, ``attach``.
 
 These back ``repro journal ls/show/gc``; the CLI wrappers are covered
-in ``tests/test_cli.py``.
+in ``tests/test_cli.py``.  Every run is a run directory.
 """
 
 import os
 import time
 
-from repro.resilience import RunJournal, gc_runs, list_runs
+from repro.resilience import RunJournal, gc_runs, job_fingerprint, list_runs
 from repro.resilience.fleet import ensure_manifest, fleet_dir
 from repro.resilience.lease import LeaseDir
 from repro.sched import JobSpec
@@ -16,9 +16,18 @@ SPEC = JobSpec(benchmark="MemAlign", params={"n": 8192})
 
 
 def _make_run(root, run_id: str, jobs: int = 2) -> None:
-    journal = RunJournal.create(root, run_id=run_id, meta={"command": "sweep"})
-    for i in range(jobs):
-        journal.record(f"fp{i:02d}", {"kind": "run", "result": {"i": i}})
+    """A finished serial run: its one worker is named after the run."""
+    specs = [
+        JobSpec(benchmark="MemAlign", params={"n": 8192 * (i + 1)})
+        for i in range(jobs)
+    ]
+    run_dir = fleet_dir(root, run_id)
+    ensure_manifest(run_dir, specs, run_id=run_id, command="sweep")
+    journal = RunJournal.attach(
+        run_dir / "journals", run_id=run_id, meta={"command": "sweep"}
+    )
+    for i, spec in enumerate(specs):
+        journal.record(job_fingerprint(spec), {"kind": "run", "result": {"i": i}})
     journal.close()
 
 
@@ -26,7 +35,8 @@ def _make_fleet_run(root, run_id: str) -> None:
     run_dir = fleet_dir(root, run_id)
     ensure_manifest(run_dir, [SPEC], run_id=run_id, command="sweep")
     journal = RunJournal.attach(run_dir / "journals", run_id="w-1", meta={})
-    journal.record("fp00", {"kind": "run", "result": {}})
+    journal.record(job_fingerprint(SPEC), {"kind": "run", "result": {}})
+    journal.record("fp-not-in-manifest", {"kind": "run", "result": {}})
     journal.close()
 
 
@@ -44,16 +54,17 @@ class TestListRuns:
     def test_lists_runs_and_fleets(self, tmp_path):
         _make_run(tmp_path, "r1")
         _make_fleet_run(tmp_path, "f1")
+        (tmp_path / "stray.ndjson").write_text("")  # not a run directory
         runs = {e["run_id"]: e for e in list_runs(tmp_path)}
-        assert runs["r1"]["kind"] == "run"
-        assert runs["r1"]["jobs"] == 2
-        assert runs["f1"]["kind"] == "fleet"
-        assert runs["f1"]["jobs"] == 1
-        assert runs["f1"]["total"] == 1
+        assert set(runs) == {"r1", "f1"}
+        assert (runs["r1"]["jobs"], runs["r1"]["total"]) == (2, 2)
+        # only the manifest's jobs count
+        assert (runs["f1"]["jobs"], runs["f1"]["total"]) == (1, 1)
+        assert all("kind" not in e for e in runs.values())
 
     def test_sorted_newest_first(self, tmp_path):
         _make_run(tmp_path, "old")
-        _backdate(tmp_path / "old.ndjson", 3)
+        _backdate(fleet_dir(tmp_path, "old"), 3)
         _make_run(tmp_path, "new")
         assert [e["run_id"] for e in list_runs(tmp_path)] == ["new", "old"]
 
@@ -61,21 +72,21 @@ class TestListRuns:
 class TestGcRuns:
     def test_age_based_removal(self, tmp_path):
         _make_run(tmp_path, "old")
-        _backdate(tmp_path / "old.ndjson", 10)
+        _backdate(fleet_dir(tmp_path, "old"), 10)
         _make_run(tmp_path, "new")
         summary = gc_runs(tmp_path, older_than_days=7)
         assert [e["run_id"] for e in summary["removed"]] == ["old"]
         assert summary["kept"] == 1
-        assert not (tmp_path / "old.ndjson").exists()
-        assert (tmp_path / "new.ndjson").exists()
+        assert not fleet_dir(tmp_path, "old").exists()
+        assert fleet_dir(tmp_path, "new").exists()
 
     def test_dry_run_touches_nothing(self, tmp_path):
         _make_run(tmp_path, "old")
-        _backdate(tmp_path / "old.ndjson", 10)
+        _backdate(fleet_dir(tmp_path, "old"), 10)
         summary = gc_runs(tmp_path, older_than_days=7, dry_run=True)
         assert summary["dry_run"] is True
         assert [e["run_id"] for e in summary["removed"]] == ["old"]
-        assert (tmp_path / "old.ndjson").exists()
+        assert fleet_dir(tmp_path, "old").exists()
 
     def test_removes_old_fleet_dirs(self, tmp_path):
         _make_fleet_run(tmp_path, "oldfleet")
@@ -99,7 +110,7 @@ class TestGcRuns:
 
     def test_no_cutoff_keeps_everything(self, tmp_path):
         _make_run(tmp_path, "old")
-        _backdate(tmp_path / "old.ndjson", 100)
+        _backdate(fleet_dir(tmp_path, "old"), 100)
         summary = gc_runs(tmp_path)
         assert summary["removed"] == []
         assert summary["kept"] == 1
@@ -114,5 +125,5 @@ class TestAttach:
         assert "fp00" in j2.completed
         j2.record("fp01", {"kind": "run", "result": {}})
         j2.close()
-        _, completed = RunJournal._load(tmp_path / "w1.ndjson")
-        assert set(completed) == {"fp00", "fp01"}
+        _, records = RunJournal._load(tmp_path / "w1.ndjson")
+        assert set(records) == {"fp00", "fp01"}

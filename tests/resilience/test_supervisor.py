@@ -51,9 +51,9 @@ def supervised(specs, *, jobs=1, cache=None, **kw):
 
 def journaled(root, run_id):
     """The payloads journaled in a run directory, by fingerprint."""
-    from repro.resilience.fleet import _scan_completed
+    from repro.resilience.fleet import scan_completed
 
-    return _scan_completed(fleet_dir(root, run_id))
+    return scan_completed(fleet_dir(root, run_id))
 
 
 def first_call_only(tmp_path, specs, action):

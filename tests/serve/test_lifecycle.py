@@ -92,7 +92,7 @@ def test_kill9_recover_byte_identical_drain(workdir):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
 
-        # restart over the same data dir: recovery must re-lease the
+        # restart over the same data dir: recovery must requeue the
         # in-flight request and finish it
         proc = spawn(port, workdir)
         wait_ready(client)

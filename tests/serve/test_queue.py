@@ -50,7 +50,7 @@ class TestSubmit:
 
     def test_failed_duplicate_rearms(self, queue):
         entry, _ = queue.submit(sweep_request())
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         queue.fail(claimed, "boom")
         assert entry.state == "failed"
         again, dup = queue.submit(sweep_request())
@@ -61,7 +61,7 @@ class TestSubmit:
 
     def test_done_duplicate_stays_done(self, queue):
         queue.submit(sweep_request())
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         queue.complete(claimed, claimed.request.fingerprint)
         again, dup = queue.submit(sweep_request())
         assert dup
@@ -73,19 +73,17 @@ class TestClaimAndTransitions:
     def test_claim_is_fifo_and_leases(self, queue):
         a, _ = queue.submit(sweep_request())
         queue.submit(sweep_request(values=[1024]))
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         assert claimed.id == a.id
         assert claimed.state == "running"
         assert claimed.attempts == 1
-        assert queue.leases.read(claimed.id) is not None
 
     def test_complete_releases_lease_and_persists(self, queue):
         queue.submit(sweep_request())
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         queue.complete(claimed, "fp123")
         assert claimed.state == "done"
         assert claimed.result_fingerprint == "fp123"
-        assert queue.leases.read(claimed.id) is None
         doc = json.loads(
             (queue.data_dir / "requests" / f"{claimed.id}.json").read_text()
         )
@@ -94,21 +92,20 @@ class TestClaimAndTransitions:
 
     def test_expire_is_terminal_with_error(self, queue):
         queue.submit(sweep_request())
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         queue.expire(claimed, "deadline of 10ms expired")
         assert claimed.state == "expired"
         assert "deadline" in claimed.error
 
     def test_requeue_returns_to_pending(self, queue):
         queue.submit(sweep_request())
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         queue.requeue(claimed)
         assert claimed.state == "queued"
         assert queue.depth() == 1
-        assert queue.leases.read(claimed.id) is None
 
     def test_claim_timeout_returns_none(self, queue):
-        assert queue.claim("w0", timeout=0.01) is None
+        assert queue.claim(timeout=0.01) is None
 
 
 class TestDurability:
@@ -156,7 +153,7 @@ class TestAccounting:
     def test_counts_and_client_load(self, queue):
         queue.submit(sweep_request())
         queue.submit(sweep_request(values=[1024]))
-        claimed = queue.claim("w0")
+        claimed = queue.claim()
         counts = queue.counts()
         assert counts["running"] == 1
         assert counts["queued"] == 1
@@ -203,7 +200,7 @@ class TestCountsMatchScan:
                 doc = rng.choice(submitted)
                 queue.submit(parse_request(doc, client=rng.choice(cls.CLIENTS)))
             elif op == "claim":
-                entry = queue.claim("w0", timeout=0)
+                entry = queue.claim(timeout=0)
                 if entry is not None:
                     running.append(entry)
             elif running:
@@ -223,7 +220,7 @@ class TestCountsMatchScan:
         first = DurableQueue(tmp_path / "data")
         self.random_steps(first, rng, submitted, 80)
         assert first.counts()["running"] and first.counts()["done"]
-        first.close()  # as if killed: running entries still hold leases
+        first.close()  # as if killed: running entries stay running
         second = DurableQueue(tmp_path / "data")
         recover(second)
         self.assert_counts_match_scan(second)

@@ -36,23 +36,22 @@ class TestRecovery:
         assert summary.requests == 2
         assert summary.requeued == 2
         assert summary.releases == 0
-        assert queue.claim("w0").id == a.id
-        assert queue.claim("w0").id == b.id
+        assert queue.claim().id == a.id
+        assert queue.claim().id == b.id
         queue.close()
 
     def test_running_entry_released_and_requeued(self, data_dir):
         first = DurableQueue(data_dir)
         first.submit(sweep_request())
-        claimed = first.claim("w0")
-        assert first.leases.read(claimed.id) is not None
-        # crash: no release, no close bookkeeping
+        claimed = first.claim()
+        # crash: no close bookkeeping
 
         queue, summary = restart(data_dir)
         assert summary.releases == 1
         assert summary.requeued == 1
         entry = queue.get(claimed.id)
         assert entry.state == "queued"
-        reclaimed = queue.claim("w0")
+        reclaimed = queue.claim()
         assert reclaimed.id == claimed.id
         assert reclaimed.attempts == 2  # persisted attempt survived
         queue.close()
@@ -60,7 +59,7 @@ class TestRecovery:
     def test_terminal_entries_stay_done_with_results(self, data_dir):
         first = DurableQueue(data_dir)
         first.submit(sweep_request())
-        claimed = first.claim("w0")
+        claimed = first.claim()
         text = '{"schema": "repro-prof-bench/1"}\n'
         first.put_result(claimed.request.fingerprint, text)
         first.complete(claimed, claimed.request.fingerprint)
@@ -88,20 +87,7 @@ class TestRecovery:
         rebuilt = queue.get(entry.id)
         assert rebuilt.state == "queued"
         assert rebuilt.request.fingerprint == entry.request.fingerprint
-        assert queue.claim("w0").id == entry.id
-        queue.close()
-
-    def test_orphaned_lease_on_queued_entry_reclaimed(self, data_dir):
-        first = DurableQueue(data_dir)
-        entry, _ = first.submit(sweep_request())
-        # crash between lease-create and the running-state write
-        assert first.leases.claim(entry.id, "dead-worker") is not None
-        first.close()
-
-        queue, summary = restart(data_dir)
-        assert summary.requeued == 1
-        assert queue.leases.read(entry.id) is None
-        assert queue.claim("w0") is not None
+        assert queue.claim().id == entry.id
         queue.close()
 
     def test_duplicate_submission_after_restart_maps_to_recovered(

@@ -492,6 +492,15 @@ class TestCliErrorPaths:
         assert "error:" in capsys.readouterr().err
 
 
+#: a one-benchmark claim file quick enough for CLI round trips
+_FAST_CLAIMS = (
+    'schema = "repro-claims/1"\nbenchmark = "MemAlign"\n'
+    "[run]\nn = 65536\n"
+    '[[claims]]\nkind = "speedup"\nmin = 1.0\nmax = 1.2\n'
+    '[[claims]]\nkind = "verified"\n'
+)
+
+
 class TestCheckCommand:
     @staticmethod
     def _write_doc(path, *, speedup=14.0, verified=True):
@@ -568,6 +577,22 @@ class TestCheckCommand:
         ])
         assert rc == 0
         assert "conformance: OK" in capsys.readouterr().out
+
+    def test_resume_after_a_claim_edit_reruns_the_unit(self, capsys, tmp_path):
+        claims = tmp_path / "memalign.toml"
+        claims.write_text(_FAST_CLAIMS)
+        check = [
+            "check", "MemAlign", "--claims-dir", str(tmp_path),
+            "--backend", "reference", "--no-relations",
+            "--journal-dir", str(tmp_path / "jd"),
+        ]
+        assert main(check + ["--run-id", "r1"]) == 0
+        claims.write_text(_FAST_CLAIMS.replace("min = 1.0", "min = 2.0"))
+        capsys.readouterr()
+        assert main(check + ["--resume", "r1"]) == 1
+        assert "FAIL claim MemAlign [reference]: speedup" in (
+            capsys.readouterr().out
+        )
 
     def test_missing_claims_dir_exits_two(self, capsys, tmp_path):
         rc = main(["check", "--all", "--claims-dir", str(tmp_path / "nope")])
@@ -864,6 +889,44 @@ class TestJournalCLI:
         ]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert not run_dir.exists()
+
+    def test_show_and_top_on_a_supervised_check_run(self, capsys, tmp_path):
+        (tmp_path / "memalign.toml").write_text(_FAST_CLAIMS)
+        check = [
+            "check", "MemAlign", "--claims-dir", str(tmp_path),
+            "--no-relations", "--journal-dir", str(tmp_path / "jd"),
+        ]
+        assert main(
+            check + ["--run-id", "chk", "--chaos", "interrupt-after=1"]
+        ) == 4
+        assert main(check + ["--resume", "chk"]) == 0
+        assert (tmp_path / "jd" / "chk.fleet").is_dir()
+        assert not list((tmp_path / "jd").glob("*.ndjson"))
+        capsys.readouterr()
+        show = ["journal", "show", "chk", "--journal-dir", str(tmp_path / "jd")]
+        assert main(show) == 0
+        out = capsys.readouterr().out
+        assert "command=check" in out and "completed 2/2" in out
+        assert main([
+            "top", "chk", "--once", "--journal-dir", str(tmp_path / "jd"),
+        ]) == 0
+        assert "2/2 jobs" in capsys.readouterr().out
+
+    def test_readers_agree_after_a_narrower_resume(self, capsys, tmp_path):
+        jd = ["--journal-dir", str(tmp_path / "jd")]
+        sweep = ["sweep", "MemAlign", "--no-cache", *jd]
+        assert main(sweep + ["--values", "8192,16384", "--run-id", "r"]) == 0
+        # the resumed run's manifest lists one job; the journal holds two
+        assert main(sweep + ["--values", "8192", "--resume", "r"]) == 0
+        capsys.readouterr()
+        assert main(["journal", "ls", *jd]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[:3] == ["r", "sweep", "1/1"]
+        assert main(["journal", "show", "r", *jd]) == 0
+        out = capsys.readouterr().out
+        assert "worker r: 1 completed" in out and "completed 1/1" in out
+        assert main(["top", "r", "--once", *jd]) == 0
+        assert "1/1 jobs" in capsys.readouterr().out
 
 
 class TestObsCLI:

@@ -548,15 +548,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [int(v, 0) for v in args.values.split(",")] if args.values else None
     )
     params = _parse_params(args.param)
+    system = get_system(args.system) if args.system else None
+    bench = get_benchmark(args.benchmark, system)
     session = _RunSession(
         args, "sweep", benchmark=args.benchmark, params=params,
-        jobs_total=len(values) if values else None,
+        jobs_total=len(bench.sweep_points(values, params)),
     )
-    if session.supervised and values is None:
-        raise SystemExit(
-            "--jobs, --fleet/--join, and the resilience flags need "
-            "explicit --values to decompose the sweep into jobs"
-        )
     with session.scope():
         if session.supervised:
             from repro.sched import parallel_sweep
@@ -569,8 +566,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 **session.scheduler,
             )
         else:
-            system = get_system(args.system) if args.system else None
-            sweep = get_benchmark(args.benchmark, system).sweep(values, **params)
+            sweep = bench.sweep(values, **params)
 
     def document() -> dict[str, Any]:
         from repro.prof.metrics import sweep_document
@@ -885,10 +881,9 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.resilience.fleet import fleet_dir
 
     run_dir = fleet_dir(args.journal_dir, args.run_id)
-    ttl = args.lease_ttl if args.lease_ttl is not None else 5.0
     try:
         while True:
-            status = fleet_status(run_dir, ttl_s=ttl)
+            status = fleet_status(run_dir)
             if not args.once and sys.stdout.isatty():
                 print("\x1b[2J\x1b[H", end="")
             print(render_fleet_status(status))
@@ -1444,10 +1439,6 @@ _COMMANDS: tuple[_Command, ...] = (
             _opt(
                 "--once", action="store_true",
                 help="print one snapshot and exit instead of refreshing",
-            ),
-            _opt(
-                "--lease-ttl", type=float, default=None, metavar="SECONDS",
-                help="staleness threshold for worker health (default 5)",
             ),
         ),
     ),

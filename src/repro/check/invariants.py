@@ -414,7 +414,7 @@ def check_cache_dir(cache_dir: str | Path) -> list[CheckOutcome]:
     Cached payloads replay byte-identically into results, so a corrupt
     or physically-impossible entry would silently poison future warm
     runs; this walks the content-addressed store and applies the same
-    result/sweep invariants a live run gets.
+    result invariants a live run gets.
     """
     root = Path(cache_dir)
     if not root.is_dir():
@@ -461,7 +461,4 @@ def check_cache_dir(cache_dir: str | Path) -> list[CheckOutcome]:
         result = payload.get("result")
         if isinstance(result, Mapping):
             outcomes.extend(check_bench_row(result, subject=label))
-        sweep = payload.get("sweep")
-        if isinstance(sweep, Mapping):
-            outcomes.extend(check_sweep(sweep, subject=label))
     return outcomes

@@ -9,12 +9,12 @@ The paper measures ~1.3x, growing with array size (Fig. 13).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.reduction import reduce_interleaved_bc, reduce_sequential
 from repro.timing.model import estimate_kernel_time
@@ -44,6 +44,9 @@ class BankRedux(Microbenchmark):
     technique = "Change the algorithm to avoid bank conflicts"
     paper_speedup = "1.3 (average)"
     programmability = 5
+    figure = "Fig. 13: reduction with and without bank conflicts"
+    sweep_values = tuple(1 << k for k in range(16, 22))
+    series = (("with conflicts", "baseline"), ("without conflicts", "optimized"))
 
     def run(self, n: int = 1 << 20, block: int = 256, **_: Any) -> BenchResult:
         hx = make_rng(label="bankredux").random(n, dtype=np.float32)
@@ -71,24 +74,4 @@ class BankRedux(Microbenchmark):
                 "seq_shared_efficiency": s_seq.shared_efficiency,
                 "bc_conflict_extra_passes": s_bc.bank_conflict_extra,
             },
-        )
-
-    def sweep(
-        self, values: Sequence[int] | None = None, block: int = 256, **_: Any
-    ) -> SweepResult:
-        """Fig. 13: reduction time with and without bank conflicts."""
-        sizes = list(values or [1 << k for k in range(16, 22)])
-        bc_t: list[float] = []
-        seq_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n, block=block)
-            bc_t.append(res.baseline_time)
-            seq_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"with conflicts": bc_t, "without conflicts": seq_t},
-            title="Fig. 13: reduction with and without bank conflicts",
         )

@@ -146,23 +146,17 @@ class SweepResult:
             "series": {k: list(v) for k, v in self.series.items()},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any], *, title: str = "") -> "SweepResult":
-        """Inverse of :meth:`as_dict` (cache replay / parallel merge)."""
-        return cls(
-            benchmark=d["benchmark"],
-            system=d["system"],
-            x_name=d["x_name"],
-            x_values=list(d["x_values"]),
-            series={k: list(v) for k, v in d["series"].items()},
-            title=title,
-        )
-
 
 class Microbenchmark(abc.ABC):
     """Base class for the fourteen CUDAMicroBench entries.
 
-    Class attributes mirror the columns of the paper's Table I.
+    The first class attributes mirror the columns of the paper's Table
+    I.  The rest declare the benchmark's figure as data: a figure is one
+    :meth:`run` per x-value, the x-value set as the ``sweep_param``
+    keyword, and each series reads one number from every point's
+    result.  :meth:`sweep` builds it in-process;
+    :func:`repro.sched.parallel_sweep` runs the same points as ordinary
+    ``run`` jobs and rebuilds it with :meth:`sweep_result`.
     """
 
     #: short name, as in Table I (e.g. "CoMem")
@@ -179,6 +173,16 @@ class Microbenchmark(abc.ABC):
     programmability: int = 0
     #: default system the paper measured this benchmark on
     default_system: SystemSpec = CARINA
+    #: the figure's title
+    figure: str = ""
+    #: the :meth:`run` keyword the figure's x-axis sets, and its label
+    sweep_param: str = "n"
+    x_name: str = "n"
+    #: the figure's default x-values
+    sweep_values: tuple[Any, ...] = ()
+    #: ``(label, source)`` per series; ``source`` is ``"baseline"``,
+    #: ``"optimized"`` or a key of the result's ``metrics``
+    series: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, system: SystemSpec | None = None) -> None:
         self.system = system or self.default_system
@@ -189,12 +193,38 @@ class Microbenchmark(abc.ABC):
         """Run the default comparison and return the result."""
 
     def sweep(self, values: Sequence[Any] | None = None, **params: Any) -> SweepResult:
-        """Regenerate the paper figure's sweep.
+        """Regenerate the paper figure: one :meth:`run` per x-value
+        (``values``, else the figure's defaults), each with ``params``."""
+        points = self.sweep_points(values, params)
+        return self.sweep_result(points, [self.run(**p) for p in points])
 
-        Subclasses with a figure override this; the default runs
-        :meth:`run` per value of the subclass's ``sweep_param``.
-        """
-        raise NotImplementedError(f"{self.name} has no sweep/figure")
+    def sweep_points(
+        self, values: Sequence[Any] | None, params: dict[str, Any]
+    ) -> list[dict[str, Any]]:
+        """The :meth:`run` parameters of each figure point, in x order."""
+        return [{**params, self.sweep_param: x} for x in values or self.sweep_values]
+
+    def sweep_result(
+        self, points: Sequence[dict[str, Any]], results: Sequence[BenchResult]
+    ) -> SweepResult:
+        """The figure from each point's :meth:`run` result, in point order."""
+
+        def read(result: BenchResult, source: str) -> float:
+            if source in ("baseline", "optimized"):
+                return getattr(result, f"{source}_time")
+            return result.metrics[source]
+
+        return SweepResult(
+            benchmark=self.name,
+            system=self.system.name,
+            x_name=self.x_name,
+            x_values=[p[self.sweep_param] for p in points],
+            series={
+                label: [read(r, source) for r in results]
+                for label, source in self.series
+            },
+            title=self.figure,
+        )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -10,12 +10,12 @@ measures ~18x with ``<<<1024, 256>>>`` on a V100 (Fig. 9).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.axpy import axpy_block, axpy_cyclic
 from repro.timing.model import estimate_kernel_time
@@ -32,6 +32,9 @@ class CoMem(Microbenchmark):
     technique = "Consecutive memory access across threads"
     paper_speedup = "18 (average)"
     programmability = 3
+    figure = "Fig. 9: AXPY block vs cyclic distribution"
+    sweep_values = tuple(1 << k for k in range(18, 23))
+    series = (("BLOCK", "baseline"), ("CYCLIC", "optimized"))
 
     #: the paper's kernel configuration for Fig. 9
     GRID = 1024
@@ -76,22 +79,4 @@ class CoMem(Microbenchmark):
                 "block_gld_efficiency": s_block.gld_efficiency,
                 "cyclic_gld_efficiency": s_cyclic.gld_efficiency,
             },
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **_: Any) -> SweepResult:
-        """Fig. 9: BLOCK vs CYCLIC kernel time over problem sizes."""
-        sizes = list(values or [1 << k for k in range(18, 23)])
-        block_t: list[float] = []
-        cyclic_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n)
-            block_t.append(res.baseline_time)
-            cyclic_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"BLOCK": block_t, "CYCLIC": cyclic_t},
-            title="Fig. 9: AXPY block vs cyclic distribution",
         )

@@ -13,12 +13,12 @@ and renders the two timelines.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.simt.kernel import kernel
 
@@ -55,6 +55,11 @@ class Conkernels(Microbenchmark):
     technique = "Concurrent kernels via streams"
     paper_speedup = "7 (average)"
     programmability = 4
+    figure = "Fig. 6: concurrent kernel execution"
+    sweep_param = "n_kernels"
+    x_name = "kernels"
+    sweep_values = (1, 2, 4, 8, 16)
+    series = (("serial", "baseline"), ("concurrent", "optimized"))
 
     def run(
         self,
@@ -110,22 +115,4 @@ class Conkernels(Microbenchmark):
                 "Fig. 6(b) serial timeline:\n" + serial_timeline +
                 "\n\nFig. 6(a) concurrent timeline:\n" + conc_timeline
             ),
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **kw: Any) -> SweepResult:
-        """Speedup vs number of concurrently launched kernels."""
-        counts = list(values or [1, 2, 4, 8, 16])
-        serial_t: list[float] = []
-        conc_t: list[float] = []
-        for k in counts:
-            res = self.run(n_kernels=k, **kw)
-            serial_t.append(res.baseline_time)
-            conc_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="kernels",
-            x_values=counts,
-            series={"serial": serial_t, "concurrent": conc_t},
-            title="Fig. 6: concurrent kernel execution",
         )

@@ -22,12 +22,12 @@ sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.arch.presets import RTX3080_SYSTEM
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.host.stream import Op
 from repro.kernels.mandelbrot import (
@@ -256,6 +256,11 @@ class DynParallel(Microbenchmark):
     paper_speedup = "3.26 (best)"
     programmability = 4
     default_system = RTX3080_SYSTEM
+    figure = "Fig. 5: dynamic parallelism (Mandelbrot)"
+    sweep_param = "size"
+    x_name = "image size"
+    sweep_values = (128, 256, 512, 1024)
+    series = (("escape time", "baseline"), ("Mariani-Silver", "optimized"))
 
     def run(
         self,
@@ -304,22 +309,4 @@ class DynParallel(Microbenchmark):
                 "fill_fraction": info["pixels_filled"] / (w * h),
                 "image_mismatch_fraction": mismatch,
             },
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **kw: Any) -> SweepResult:
-        """Fig. 5: escape vs Mariani-Silver over image sizes."""
-        sizes = list(values or [128, 256, 512, 1024])
-        esc: list[float] = []
-        ms: list[float] = []
-        for s in sizes:
-            res = self.run(size=s, **kw)
-            esc.append(res.baseline_time)
-            ms.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="image size",
-            x_values=sizes,
-            series={"escape time": esc, "Mariani-Silver": ms},
-            title="Fig. 5: dynamic parallelism (Mandelbrot)",
         )

@@ -10,13 +10,13 @@ AXPY that stages x through shared memory.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.arch.presets import RTX3080_SYSTEM
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.axpy import axpy_shared_async, axpy_shared_staged
 from repro.timing.model import estimate_kernel_time
@@ -34,6 +34,9 @@ class GSOverlap(Microbenchmark):
     paper_speedup = "1.04 (best)"
     programmability = 3
     default_system = RTX3080_SYSTEM
+    figure = "GSOverlap: shared-memory staging with memcpy_async"
+    sweep_values = tuple(1 << k for k in range(18, 23))
+    series = (("register-staged", "baseline"), ("memcpy_async", "optimized"))
 
     def run(self, n: int = 1 << 22, a: float = 2.0, block: int = 256, **_: Any) -> BenchResult:
         rt = CudaLite(self.system)
@@ -70,21 +73,4 @@ class GSOverlap(Microbenchmark):
                 "async_issue_cycles": s_async.issue_cycles,
                 "async_copy_bytes": s_async.async_copy_bytes,
             },
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **kw: Any) -> SweepResult:
-        sizes = list(values or [1 << k for k in range(18, 23)])
-        sync_t: list[float] = []
-        async_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n, **kw)
-            sync_t.append(res.baseline_time)
-            async_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"register-staged": sync_t, "memcpy_async": async_t},
-            title="GSOverlap: shared-memory staging with memcpy_async",
         )

@@ -13,12 +13,12 @@ crossover toward larger wins can be explored.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.simt.kernel import kernel
 
@@ -56,6 +56,9 @@ class HDOverlap(Microbenchmark):
     technique = "cudaMemcpyAsync + streams to overlap the transfer"
     paper_speedup = "1.036 (best)"
     programmability = 1
+    figure = "Fig. 14: overlapping copies with computation"
+    sweep_values = tuple(1 << k for k in range(18, 23))
+    series = (("synchronous", "baseline"), ("async streams", "optimized"))
 
     def run(
         self,
@@ -115,24 +118,6 @@ class HDOverlap(Microbenchmark):
             optimized_time=t_async.elapsed,
             verified=ok_sync and ok_async,
             params={"n": n, "rounds": rounds, "n_chunks": n_chunks},
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **kw: Any) -> SweepResult:
-        """Fig. 14: sync vs async offload over problem sizes."""
-        sizes = list(values or [1 << k for k in range(18, 23)])
-        sync_t: list[float] = []
-        async_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n, **kw)
-            sync_t.append(res.baseline_time)
-            async_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"synchronous": sync_t, "async streams": async_t},
-            title="Fig. 14: overlapping copies with computation",
         )
 
 

@@ -11,12 +11,12 @@ larger.  The deliberately misaligned allocation uses the simulator's
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.axpy import axpy_aligned, axpy_misaligned
 from repro.timing.model import estimate_kernel_time
@@ -33,6 +33,9 @@ class MemAlign(Microbenchmark):
     technique = "Use aligned malloc"
     paper_speedup = "1.1 (average)"
     programmability = 1
+    figure = "MemAlign: aligned vs misaligned AXPY"
+    sweep_values = tuple(1 << k for k in range(18, 23))
+    series = (("misaligned", "baseline"), ("aligned", "optimized"))
 
     def run(self, n: int = 1 << 22, a: float = 2.0, block: int = 256, **_: Any) -> BenchResult:
         rt = CudaLite(self.system)
@@ -78,21 +81,4 @@ class MemAlign(Microbenchmark):
                     s_mis.transactions / s_mis.global_requests
                 ),
             },
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **_: Any) -> SweepResult:
-        sizes = list(values or [1 << k for k in range(18, 23)])
-        mis_t: list[float] = []
-        al_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n)
-            mis_t.append(res.baseline_time)
-            al_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"misaligned": mis_t, "aligned": al_t},
-            title="MemAlign: aligned vs misaligned AXPY",
         )

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.spmv import spmv_csr, spmv_dense_row
 from repro.sparse.csr import CSRMatrix, random_sparse
@@ -36,6 +36,10 @@ class MiniTransfer(Microbenchmark):
     technique = "Compressed (CSR) layout avoids useless transfer"
     paper_speedup = "190 (best)"
     programmability = 5
+    figure = "Fig. 17: SpMV dense vs CSR offload"
+    sweep_param = "nnz"
+    x_name = "nnz"
+    series = (("dense", "baseline"), ("CSR", "optimized"))
 
     def _offload_dense(self, csr: CSRMatrix, hx: np.ndarray, block: int):
         n = csr.n_rows
@@ -94,22 +98,12 @@ class MiniTransfer(Microbenchmark):
             },
         )
 
-    def sweep(
-        self, values: Sequence[int] | None = None, n: int = 2048, **kw: Any
-    ) -> SweepResult:
-        """Fig. 17: dense vs CSR offload as nnz decreases."""
-        nnzs = list(values or [n * 64, n * 16, n * 4, n, n // 4])
-        dense_t: list[float] = []
-        csr_t: list[float] = []
-        for nnz in nnzs:
-            res = self.run(n=n, nnz=int(nnz), **kw)
-            dense_t.append(res.baseline_time)
-            csr_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="nnz",
-            x_values=[int(v) for v in nnzs],
-            series={"dense": dense_t, "CSR": csr_t},
-            title="Fig. 17: SpMV dense vs CSR offload",
-        )
+    def sweep_points(
+        self, values: Sequence[Any] | None, params: dict[str, Any]
+    ) -> list[dict[str, Any]]:
+        """Fig. 17's matrix order defaults to 2048 (:meth:`run`'s to
+        1024) and its default nnz values scale with it.  Each nnz is cast
+        to ``int``: a served sweep's values may be floats."""
+        n = params.get("n", 2048)
+        nnzs = values or [n * 64, n * 16, n * 4, n, n // 4]
+        return [{**params, "n": n, "nnz": int(x)} for x in nnzs]

@@ -11,13 +11,13 @@ that data-placement advice is architecture-dependent.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.arch.presets import FORNAX
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.matadd import (
     matadd_global,
@@ -39,6 +39,12 @@ class ReadOnlyMem(Microbenchmark):
     paper_speedup = "4.3 (best)"
     programmability = 1
     default_system = FORNAX  # the effect shows on the K80
+    figure = "Fig. 15: read-only data placement"
+    x_name = "matrix order"
+    sweep_values = (256, 512, 1024, 1536)
+    series = (
+        ("global", "baseline"), ("tex1D", "tex1d_time"), ("tex2D", "tex2d_time"),
+    )
 
     BLOCK = (16, 16)
 
@@ -94,24 +100,4 @@ class ReadOnlyMem(Microbenchmark):
                 "On V100-class systems the texture and global paths share "
                 "the unified L1, so the speedup collapses to ~1x."
             ),
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **_: Any) -> SweepResult:
-        """Fig. 15: global vs 1-D vs 2-D texture over matrix sizes."""
-        sizes = list(values or [256, 512, 1024, 1536])
-        glob: list[float] = []
-        tex1: list[float] = []
-        tex2: list[float] = []
-        for n in sizes:
-            g, t1, t2, _ = self._launch_all(n)
-            glob.append(g)
-            tex1.append(t1)
-            tex2.append(t2)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="matrix order",
-            x_values=sizes,
-            series={"global": glob, "tex1D": tex1, "tex2D": tex2},
-            title="Fig. 15: read-only data placement",
         )

@@ -9,12 +9,12 @@ the naive kernel's reuse.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.matmul import matmul_grid_for, matmul_naive, matmul_tiled
 from repro.timing.model import estimate_kernel_time
@@ -31,6 +31,10 @@ class Shmem(Microbenchmark):
     technique = "Use shared memory for repeatedly accessed data"
     paper_speedup = "1.25 (average)"
     programmability = 2
+    figure = "Shmem: matmul with and without shared-memory tiling"
+    x_name = "matrix order"
+    sweep_values = (64, 128, 256, 384)
+    series = (("global-only", "baseline"), ("shared-tiled", "optimized"))
 
     def run(self, n: int = 256, **_: Any) -> BenchResult:
         rt = CudaLite(self.system)
@@ -68,21 +72,4 @@ class Shmem(Microbenchmark):
                 "tiled_dram_bytes": t_tiled.traffic.dram_bytes,
                 "tiled_shared_bytes": s_tiled.shared_bytes,
             },
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **_: Any) -> SweepResult:
-        sizes = list(values or [64, 128, 256, 384])
-        naive_t: list[float] = []
-        tiled_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n)
-            naive_t.append(res.baseline_time)
-            tiled_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="matrix order",
-            x_values=sizes,
-            series={"global-only": naive_t, "shared-tiled": tiled_t},
-            title="Shmem: matmul with and without shared-memory tiling",
         )

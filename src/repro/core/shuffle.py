@@ -9,12 +9,12 @@ problem size.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.core.bankredux import run_block_reduction
 from repro.kernels.reduction import reduce_sequential, reduce_shuffle
 from repro.timing.model import estimate_kernel_time
@@ -31,6 +31,9 @@ class Shuffle(Microbenchmark):
     technique = "Warp shuffle shares results between registers"
     paper_speedup = "1.25 (average)"
     programmability = 5
+    figure = "Fig. 11: reduction using shuffle"
+    sweep_values = tuple(1 << k for k in range(16, 23))
+    series = (("traditional", "baseline"), ("shuffle", "optimized"))
 
     def run(self, n: int = 1 << 22, block: int = 256, **_: Any) -> BenchResult:
         hx = make_rng(label="shuffle").random(n, dtype=np.float32)
@@ -60,24 +63,4 @@ class Shuffle(Microbenchmark):
                 "seq_shared_requests": s_seq.shared_requests,
                 "shfl_shared_requests": s_shfl.shared_requests,
             },
-        )
-
-    def sweep(
-        self, values: Sequence[int] | None = None, block: int = 256, **_: Any
-    ) -> SweepResult:
-        """Fig. 11: reduction time, shared-memory vs shuffle tail."""
-        sizes = list(values or [1 << k for k in range(16, 23)])
-        seq_t: list[float] = []
-        shfl_t: list[float] = []
-        for n in sizes:
-            res = self.run(n=n, block=block)
-            seq_t.append(res.baseline_time)
-            shfl_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"traditional": seq_t, "shuffle": shfl_t},
-            title="Fig. 11: reduction using shuffle",
         )

@@ -11,12 +11,12 @@ launch.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.simt.kernel import kernel
 
@@ -39,6 +39,11 @@ class TaskGraphBench(Microbenchmark):
     technique = "Pre-define the task graph; run repeatedly"
     paper_speedup = "programmability (no perf study in the paper)"
     programmability = 3
+    figure = "TaskGraph: repeated short chains"
+    sweep_param = "chain_len"
+    x_name = "chain length"
+    sweep_values = (2, 4, 8, 16, 32)
+    series = (("launches", "baseline"), ("graph", "optimized"))
 
     def run(
         self,
@@ -103,22 +108,4 @@ class TaskGraphBench(Microbenchmark):
                 "re-execution is available via graph_launch(functional=True) "
                 "semantics in examples"
             ),
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, **kw: Any) -> SweepResult:
-        """Launch-bound speedup vs chain length."""
-        lens = list(values or [2, 4, 8, 16, 32])
-        base_t: list[float] = []
-        graph_t: list[float] = []
-        for c in lens:
-            res = self.run(chain_len=c, **kw)
-            base_t.append(res.baseline_time)
-            graph_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="chain length",
-            x_values=lens,
-            series={"launches": base_t, "graph": graph_t},
-            title="TaskGraph: repeated short chains",
         )

@@ -11,12 +11,12 @@ paper).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.kernels.axpy import axpy_strided
 
@@ -32,6 +32,11 @@ class UniMem(Microbenchmark):
     technique = "Unified memory copies only the necessary pages"
     paper_speedup = "3 (average)"
     programmability = 3
+    figure = "Fig. 16: memory access density"
+    sweep_param = "stride"
+    x_name = "stride (1/density)"
+    sweep_values = (1, 1 << 4, 1 << 8, 1 << 12, 1 << 14, 1 << 16)
+    series = (("explicit copy", "baseline"), ("unified memory", "optimized"))
 
     def _offload_explicit(self, hx, hy, n, a, stride, block):
         """Full-buffer copies + kernel + copy-back."""
@@ -95,22 +100,4 @@ class UniMem(Microbenchmark):
                 "um_touched_pages_per_array": float(touched_pages),
                 "access_density": 1.0 / stride,
             },
-        )
-
-    def sweep(self, values: Sequence[int] | None = None, n: int = 1 << 22, **kw: Any) -> SweepResult:
-        """Fig. 16: explicit vs unified memory over access density."""
-        strides = list(values or [1, 1 << 4, 1 << 8, 1 << 12, 1 << 14, 1 << 16])
-        exp_t: list[float] = []
-        um_t: list[float] = []
-        for s in strides:
-            res = self.run(n=n, stride=s, **kw)
-            exp_t.append(res.baseline_time)
-            um_t.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="stride (1/density)",
-            x_values=strides,
-            series={"explicit copy": exp_t, "unified memory": um_t},
-            title="Fig. 16: memory access density",
         )

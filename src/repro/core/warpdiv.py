@@ -11,12 +11,12 @@ kernel is memory-bound, so doubled issue work costs little).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.core.base import BenchResult, Microbenchmark, SweepResult
+from repro.core.base import BenchResult, Microbenchmark
 from repro.host.runtime import CudaLite
 from repro.simt.kernel import kernel
 from repro.timing.model import estimate_kernel_time
@@ -62,6 +62,9 @@ class WarpDivRedux(Microbenchmark):
     technique = "Change the algorithm: take the warp size as the step"
     paper_speedup = "1.1 (average)"
     programmability = 3
+    figure = "Fig. 3: warp divergence kernel time"
+    sweep_values = tuple(1 << k for k in range(16, 23))
+    series = (("WD", "baseline"), ("noWD", "optimized"))
 
     def run(self, n: int = 1 << 20, block: int = 256, **_: Any) -> BenchResult:
         rt = CudaLite(self.system)
@@ -99,24 +102,4 @@ class WarpDivRedux(Microbenchmark):
                 "wd_branch_efficiency": s_wd.branch_efficiency,
                 "nowd_branch_efficiency": s_nowd.branch_efficiency,
             },
-        )
-
-    def sweep(
-        self, values: Sequence[int] | None = None, block: int = 256, **_: Any
-    ) -> SweepResult:
-        """Fig. 3: WD vs noWD execution time over problem sizes."""
-        sizes = list(values or [1 << k for k in range(16, 23)])
-        wd_times: list[float] = []
-        nowd_times: list[float] = []
-        for n in sizes:
-            res = self.run(n=n, block=block)
-            wd_times.append(res.baseline_time)
-            nowd_times.append(res.optimized_time)
-        return SweepResult(
-            benchmark=self.name,
-            system=self.system.name,
-            x_name="n",
-            x_values=sizes,
-            series={"WD": wd_times, "noWD": nowd_times},
-            title="Fig. 3: warp divergence kernel time",
         )

@@ -13,10 +13,12 @@ same run.  Nothing coordinates the workers except the filesystem:
 
 * the **manifest** (``manifest.json``) pins the run's job list — one
   :func:`~repro.resilience.journal.job_fingerprint` per spec, in spec
-  order.  The first arrival creates it atomically (hard-link publish);
-  a joining worker validates its own job list against it, so two
-  operators who typed different sweeps into the same run id fail
-  loudly instead of merging garbage;
+  order — and the lease TTL of the invocation that created it, by
+  which every reader judges the run's leases and workers.  The first
+  arrival creates it atomically (hard-link publish); a joining worker
+  validates its own job list against it, so two operators who typed
+  different sweeps into the same run id fail loudly instead of
+  merging garbage;
 * each job is claimed through an atomic **lease**
   (:mod:`~repro.resilience.lease`): exclusive atomic publish, atomic
   heartbeats, rename-based stealing once a lease outlives its TTL;
@@ -139,7 +141,6 @@ def _spec_as_dict(spec: "JobSpec") -> dict[str, Any]:
         "benchmark": spec.benchmark,
         "kind": spec.kind,
         "params": spec.params,
-        "values": list(spec.values) if spec.values is not None else None,
         "system": spec.system,
         "backend": spec.backend,
     }
@@ -151,6 +152,7 @@ def ensure_manifest(
     *,
     run_id: str,
     command: str,
+    lease_ttl_s: float,
     republish: bool = False,
 ) -> dict[str, Any]:
     """Create (first arrival) or validate (everyone else) the manifest.
@@ -161,8 +163,10 @@ def ensure_manifest(
     manifest.  A joining worker whose own spec list hashes
     differently fails loudly: half a fleet computing a different sweep
     must not share journals with this one.  With ``republish`` (the
-    coordinator of ``--resume``) a different job list replaces the
-    manifest instead: journaled jobs are matched by fingerprint.
+    coordinator of ``--resume``) a different job list or lease TTL
+    replaces the manifest instead: journaled jobs are matched by
+    fingerprint.  A joining worker keeps its own ``lease_ttl_s`` for
+    its own leases; the manifest keeps the creator's.
     """
     fingerprints = [job_fingerprint(s) for s in specs]
     path = run_dir / "manifest.json"
@@ -170,6 +174,7 @@ def ensure_manifest(
         "schema": FLEET_SCHEMA,
         "run_id": run_id,
         "command": command,
+        "lease_ttl_s": lease_ttl_s,
         "jobs": fingerprints,
         "specs": [_spec_as_dict(s) for s in specs],
     }
@@ -182,10 +187,11 @@ def ensure_manifest(
             f"fleet manifest {path} has schema "
             f"{published.get('schema')!r}, expected {FLEET_SCHEMA}"
         )
-    if published.get("jobs") != fingerprints:
-        if republish:
-            atomic_write(path, json.dumps(doc, indent=1))
-            return doc
+    stale = published.get("jobs") != fingerprints
+    if republish and (stale or _lease_ttl(published) != lease_ttl_s):
+        atomic_write(path, json.dumps(doc, indent=1))
+        return doc
+    if stale:
         raise ReproError(
             f"fleet run {run_id!r} was created for a different job list "
             f"({len(published.get('jobs', []))} job(s) vs {len(fingerprints)} "
@@ -193,6 +199,12 @@ def ensure_manifest(
             "arguments, or pick a fresh --run-id"
         )
     return published
+
+
+def _lease_ttl(manifest: dict[str, Any]) -> float:
+    """The run's lease TTL; a manifest that predates the field means
+    the default 5 s."""
+    return manifest.get("lease_ttl_s", 5.0)
 
 
 def read_manifest(run_dir: Path, *, missing_ok: bool = False) -> dict[str, Any]:
@@ -405,7 +417,8 @@ def fleet_worker(
     chaos = cfg.chaos
     run_dir = fleet_dir(cfg.journal_root, cfg.run_id)
     manifest = ensure_manifest(
-        run_dir, specs, run_id=cfg.run_id, command=cfg.command
+        run_dir, specs, run_id=cfg.run_id, command=cfg.command,
+        lease_ttl_s=cfg.lease_ttl_s,
     )
     fingerprints: list[str] = manifest["jobs"]
     spec_by_fp = dict(zip(fingerprints, specs))
@@ -718,7 +731,7 @@ def merge_fleet(
                     },
                 ))
     # the run is merged: expired leases and steal remnants are garbage
-    _sweep_leases(run_dir, cfg.lease_ttl_s)
+    _sweep_leases(run_dir)
     _emit(
         hub, "fleet-merge", jobs=len(payloads),
         duplicates=tele.duplicate_completions,
@@ -730,10 +743,12 @@ def merge_fleet(
 # ----------------------------------------------------------------------
 # the one snapshot: repro top, journal ls/show/gc, --metrics
 
-def _sweep_leases(run_dir: Path, ttl_s: float = 5.0) -> dict[str, int]:
-    """Drop the run's expired leases and steal remnants."""
+def _sweep_leases(run_dir: Path) -> dict[str, int]:
+    """Drop the run's expired leases (by the manifest's TTL) and steal
+    remnants."""
     if not Path(run_dir, "leases").is_dir():
         return {"evicted": 0, "remnants": 0}
+    ttl_s = _lease_ttl(read_manifest(run_dir, missing_ok=True))
     return LeaseDir(Path(run_dir, "leases"), ttl_s=ttl_s).sweep_stale()
 
 
@@ -753,10 +768,7 @@ def _worker_row(worker: str) -> dict[str, Any]:
 
 
 def fleet_status(
-    run_dir: str | Path,
-    *,
-    ttl_s: float = 5.0,
-    now: float | None = None,
+    run_dir: str | Path, *, now: float | None = None
 ) -> dict[str, Any]:
     """One read-only snapshot of a run directory.
 
@@ -767,13 +779,14 @@ def fleet_status(
     starting (no manifest yet) reads as zero jobs.  Nothing is written:
     watching a run cannot perturb it.  A worker is ``done`` once it
     logged ``worker-exit``, ``stale`` when its newest event is older
-    than ``ttl_s``, ``live`` otherwise.
+    than the manifest's lease TTL, ``live`` otherwise.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ReproError(f"no fleet run directory at {run_dir}")
     now = time.time() if now is None else now
     manifest = read_manifest(run_dir, missing_ok=True)
+    ttl_s = _lease_ttl(manifest)
     fingerprints: list[str] = manifest.get("jobs") or []
     current = set(fingerprints)
 
@@ -1011,7 +1024,7 @@ def _coordinate(
     run_dir = fleet_dir(cfg.journal_root, cfg.run_id)
     fingerprints = ensure_manifest(
         run_dir, specs, run_id=cfg.run_id, command=cfg.command,
-        republish=True,
+        lease_ttl_s=cfg.lease_ttl_s, republish=True,
     )["jobs"]
     journaled = scan_completed(run_dir)
     quarantined = scan_quarantined(run_dir)

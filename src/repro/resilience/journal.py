@@ -24,9 +24,10 @@ refusing the whole journal, so a SIGKILL'd run still resumes from its
 last complete checkpoint.
 
 A job's *fingerprint* hashes the same dependency closure the result
-cache keys on — benchmark sources, resolved system spec, parameters,
-sweep value, and requested backend — so a resume never replays stale
-work across a code or configuration change.
+cache keys on — benchmark sources, resolved system spec, parameters
+(a figure point's include its x-value), and requested backend — so a
+resume never replays stale work across a code or configuration
+change.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def job_fingerprint(spec) -> str:
     """Stable identity of one :class:`~repro.sched.runner.JobSpec`.
 
     Shares the result cache's key material (sources × system × params ×
-    value × backend) so journal identity and cache identity invalidate
+    backend) so journal identity and cache identity invalidate
     together; the two hashes differ only by a domain prefix, keeping a
     journal line from ever being mistaken for a cache key.  A ``check``
     job's params hold its claim file's text, so editing the claims
@@ -79,7 +80,6 @@ def job_fingerprint(spec) -> str:
         "system": asdict(bench.system),
         "kind": spec.kind,
         "params": spec.params,
-        "values": list(spec.values) if spec.values is not None else None,
         "backend": spec.backend,
     }
     return hashlib.sha256(_canonical(material).encode()).hexdigest()
@@ -118,19 +118,24 @@ class RunJournal:
         meta: dict[str, Any] | None = None,
     ) -> "RunJournal":
         """Open ``<root>/<run_id>.ndjson``, creating it (header line
-        first) when it does not exist and loading its completed jobs
-        when it does.
+        first) when it holds no complete record and loading its
+        completed jobs when it does.
 
         A worker re-joining a run under the same id, or a resumed serial
-        run, keeps appending to its own journal.  The run-level
+        run, keeps appending to its own journal.  A file with no
+        complete record is what a kill between creating it and appending
+        its header leaves, so it is new; one with job records but no
+        header, or another schema's header, is refused.  The run-level
         refusals (an existing ``--run-id``, a missing ``--resume``) are
         the CLI's, made before any journal opens.
         """
         path = Path(root) / f"{run_id}.ndjson"
         header: dict[str, Any] = {}
+        records: dict[str, Any] = {}
         completed: dict[str, Any] = {}
         if path.exists():
             header, records = cls._load(path)
+        if header or records:
             if header.get("schema") != JOURNAL_SCHEMA:
                 raise ReproError(
                     f"journal {path} has schema {header.get('schema')!r}, "

@@ -4,11 +4,11 @@ A cache entry's key is the SHA-256 of everything the result can depend
 on: the *source code* of the benchmark's module and of every module
 defining a :class:`~repro.simt.kernel.KernelDef` it references, the
 fully-resolved :class:`~repro.arch.spec.SystemSpec`, the run
-parameters, the sweep value, and the execution backend.  Editing a
-kernel, switching GPUs, or changing a parameter therefore changes the
-key; re-running an unchanged configuration is a cache hit that replays
-the stored JSON payload — which round-trips floats exactly, so a warm
-run is byte-identical to a cold one.
+parameters (a figure point's include its x-value), and the execution
+backend.  Editing a kernel, switching GPUs, or changing a parameter
+therefore changes the key; re-running an unchanged configuration is a
+cache hit that replays the stored JSON payload — which round-trips
+floats exactly, so a warm run is byte-identical to a cold one.
 
 Entries live under ``.repro-cache/`` (git-ignored) as one JSON file per
 key, published with :func:`~repro.common.durable.atomic_write` (the
@@ -133,7 +133,6 @@ class ResultCache:
         system: SystemSpec,
         kind: str,
         params: dict[str, Any],
-        values: list[Any] | None,
         backend: str,
     ) -> str:
         """Content hash of one job's full dependency closure."""
@@ -144,7 +143,6 @@ class ResultCache:
             "system": asdict(system),
             "kind": kind,
             "params": params,
-            "values": values,
             "backend": backend,
         }
         return hashlib.sha256(_canonical(material).encode()).hexdigest()

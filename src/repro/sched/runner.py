@@ -1,9 +1,8 @@
 """Supervised sweep/suite scheduler with incremental caching.
 
 The unit of work is a :class:`JobSpec` — one benchmark comparison
-(``kind="run"``), one sweep point (``kind="sweep"`` with a single
-value), or one ``repro check`` unit (``kind="check"``: one claim file
-verified on one backend).  :func:`run_jobs` is the engine of
+(``kind="run"``) or one ``repro check`` unit (``kind="check"``: one
+claim file verified on one backend).  :func:`run_jobs` is the engine of
 :mod:`repro.resilience.fleet`: it resolves each job against the run
 journal (``--resume``) and the :class:`~repro.sched.cache.ResultCache`
 first, then runs the misses in-process or on supervised local worker
@@ -15,11 +14,13 @@ replay, a cached replay, and a fresh computation are byte-for-byte
 interchangeable.
 
 :func:`parallel_sweep` and :func:`parallel_suite` are the two shapes
-the CLI uses: a figure sweep decomposes into one job per x-value
-(every benchmark's ``sweep`` runs its comparison independently per
-value, so concatenating single-value sweeps in value order reproduces
-the serial result exactly), and Table I decomposes into one job per
-benchmark.
+the CLI uses: a figure sweep decomposes into one ``run`` job per point
+(:func:`sweep_specs`, the figure's own
+:meth:`~repro.core.base.Microbenchmark.sweep_points`), rebuilt by the
+same :meth:`~repro.core.base.Microbenchmark.sweep_result` the serial
+sweep uses, and Table I decomposes into one job per benchmark.  A
+figure point and the equal ``run`` are therefore one job, with one
+journal fingerprint and one cache entry.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ from repro.sched.cache import ResultCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import ResilienceConfig
 
-__all__ = ["JobSpec", "execute_job", "run_jobs", "parallel_sweep", "parallel_suite"]
+__all__ = [
+    "JobSpec",
+    "execute_job",
+    "run_jobs",
+    "sweep_specs",
+    "parallel_sweep",
+    "parallel_suite",
+]
 
 
 @dataclass(frozen=True)
@@ -52,17 +60,14 @@ class JobSpec:
     """
 
     benchmark: str
-    kind: str = "run"                    #: "run", "sweep" (one value) or "check"
+    kind: str = "run"                    #: "run" or "check"
     params: dict[str, Any] = field(default_factory=dict)
-    values: tuple[Any, ...] | None = None
     system: str | None = None            #: preset name; None = paper default
     backend: str | None = "reference"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("run", "sweep", "check"):
+        if self.kind not in ("run", "check"):
             raise ReproError(f"unknown job kind {self.kind!r}")
-        if self.kind == "sweep" and not self.values:
-            raise ReproError("sweep jobs need at least one value")
 
 
 def _resolve(spec: JobSpec):
@@ -83,11 +88,8 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
         return {"kind": "check", "outcomes": [o.as_dict() for o in outcomes]}
     bench = _resolve(spec)
     with use_backend(spec.backend):
-        if spec.kind == "run":
-            result = bench.run(**spec.params)
-            return {"kind": "run", "result": result.as_dict()}
-        sweep = bench.sweep(list(spec.values), **spec.params)
-        return {"kind": "sweep", "sweep": sweep.as_dict(), "title": sweep.title}
+        result = bench.run(**spec.params)
+    return {"kind": "run", "result": result.as_dict()}
 
 
 def _cache_key(cache: ResultCache, spec: JobSpec) -> str:
@@ -97,14 +99,30 @@ def _cache_key(cache: ResultCache, spec: JobSpec) -> str:
         system=bench.system,
         kind=spec.kind,
         params=spec.params,
-        values=list(spec.values) if spec.values is not None else None,
         backend=spec.backend,
     )
 
 
+def sweep_specs(
+    benchmark: str,
+    values: Sequence[Any] | None = None,
+    *,
+    params: dict[str, Any] | None = None,
+    system: str | None = None,
+    backend: str | None = None,
+) -> list[JobSpec]:
+    """A figure sweep as one ``run`` job per point, in x order."""
+    resolved = current_backend_name(backend)
+    points = get_benchmark(benchmark).sweep_points(values, params or {})
+    return [
+        JobSpec(benchmark=benchmark, params=p, system=system, backend=resolved)
+        for p in points
+    ]
+
+
 def parallel_sweep(
     benchmark: str,
-    values: Sequence[Any],
+    values: Sequence[Any] | None = None,
     *,
     params: dict[str, Any] | None = None,
     system: str | None = None,
@@ -113,40 +131,19 @@ def parallel_sweep(
     cache: ResultCache | None = None,
     config: "ResilienceConfig | None" = None,
 ) -> SweepResult:
-    """A figure sweep as one job per value, merged in value order.
-
-    Identical to ``bench.sweep(values, **params)`` — byte-for-byte on
-    the exported document — because each sweep point is computed by the
-    same per-value comparison the serial loop runs.
-    """
-    if not values:
-        raise ReproError("parallel_sweep needs explicit sweep values")
-    resolved = current_backend_name(backend)
-    specs = [
-        JobSpec(
-            benchmark=benchmark,
-            kind="sweep",
-            params=dict(params or {}),
-            values=(v,),
-            system=system,
-            backend=resolved,
-        )
-        for v in values
-    ]
+    """A figure sweep through the scheduler: :func:`sweep_specs`, then
+    the benchmark's :meth:`~repro.core.base.Microbenchmark.sweep_result`
+    over the replayed results — byte-for-byte
+    ``bench.sweep(values, **params)``, since ``BenchResult`` documents
+    round-trip their floats exactly."""
+    specs = sweep_specs(
+        benchmark, values, params=params, system=system, backend=backend
+    )
     payloads = run_jobs(specs, jobs=jobs, cache=cache, config=config)
-    first = payloads[0]["sweep"]
-    merged = SweepResult.from_dict(first, title=payloads[0].get("title", ""))
-    for payload in payloads[1:]:
-        part = payload["sweep"]
-        if set(part["series"]) != set(merged.series):
-            raise ReproError(
-                f"sweep series mismatch across values: {sorted(part['series'])} "
-                f"vs {sorted(merged.series)}"
-            )
-        merged.x_values.extend(part["x_values"])
-        for name, points in part["series"].items():
-            merged.series[name].extend(points)
-    return merged
+    return _resolve(specs[0]).sweep_result(
+        [s.params for s in specs],
+        [BenchResult.from_dict(p["result"]) for p in payloads],
+    )
 
 
 def parallel_suite(

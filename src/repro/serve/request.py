@@ -20,7 +20,7 @@ Every request has a deterministic **fingerprint** — the idempotency
 key.  For ``run``/``sweep``/``profile`` it is derived from the same
 :func:`~repro.resilience.journal.job_fingerprint` material the run
 journal and result cache key on (benchmark sources × resolved system ×
-params × values × backend), so a retried submission after a client
+params × backend, per job), so a retried submission after a client
 timeout maps onto the original request instead of re-running, and a
 code or configuration change mints a fresh key.  A client may override
 it with an ``Idempotency-Key`` header.
@@ -101,27 +101,20 @@ class ServeRequest:
     def job_specs(self) -> list:
         """The :class:`~repro.sched.runner.JobSpec` decomposition.
 
-        Only meaningful for ``run``/``sweep``/``profile``; mirrors the
-        CLI's decomposition exactly (one job per sweep value) so the
-        executed work — and therefore the result document — is
-        byte-identical to the serial command line.
+        Only meaningful for ``run``/``sweep``/``profile``; a sweep is
+        the CLI's decomposition (:func:`~repro.sched.runner.sweep_specs`,
+        one ``run`` job per point), so the executed work — and therefore
+        the result document — is byte-identical to the command line.
         """
         from repro.exec.dispatch import current_backend_name
-        from repro.sched.runner import JobSpec
+        from repro.sched.runner import JobSpec, sweep_specs
 
         backend = current_backend_name(self.backend)
         if self.kind == "sweep":
-            return [
-                JobSpec(
-                    benchmark=self.benchmark,
-                    kind="sweep",
-                    params=dict(self.params),
-                    values=(v,),
-                    system=self.system,
-                    backend=backend,
-                )
-                for v in self.values
-            ]
+            return sweep_specs(
+                self.benchmark, self.values, params=self.params,
+                system=self.system, backend=backend,
+            )
         return [
             JobSpec(
                 benchmark=self.benchmark,
@@ -259,7 +252,7 @@ def request_fingerprint(req: ServeRequest) -> str:
     ``run``/``sweep``/``profile`` hash the
     :func:`~repro.resilience.journal.job_fingerprint` of every job the
     request decomposes into — the same sources × system × params ×
-    values × backend closure the journal and cache key on — prefixed
+    backend closure the journal and cache key on — prefixed
     with the request kind, so a ``profile`` of the same work is a
     distinct key from its ``run``.  ``check`` requests hash their
     canonical request document (claims are re-evaluated per

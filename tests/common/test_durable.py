@@ -361,7 +361,7 @@ def _fleet_manifest(root):
     run_dir = root / "r1.fleet"
     ensure_manifest(
         run_dir, [JobSpec(benchmark="MemAlign", params={"n": 8192})],
-        run_id="r1", command="test",
+        run_id="r1", command="test", lease_ttl_s=5.0,
     )
     return [run_dir / "manifest.json"]
 

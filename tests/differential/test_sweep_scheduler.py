@@ -1,9 +1,9 @@
 """Scheduler differential: parallel and cached runs replay the serial result.
 
-The sweep scheduler decomposes a figure sweep into one job per x-value
-and Table I into one job per benchmark; both must reproduce the serial
-documents exactly — including through a worker pool and through a warm
-content-addressed cache.
+The sweep scheduler decomposes a figure sweep into one ``run`` job per
+x-value and Table I into one job per benchmark; both must reproduce the
+serial documents exactly — including through a worker pool and through
+a warm content-addressed cache.
 """
 
 import json
@@ -36,10 +36,15 @@ class TestSweepEquivalence:
         assert cache.hits == len(SWEEP_VALUES)
         assert json.dumps(cold.as_dict()) == json.dumps(warm.as_dict())
 
+    def test_figure_point_and_equal_run_share_a_cache_entry(self, cache):
+        run_jobs([JobSpec(benchmark="MemAlign", params={"n": 65536})], cache=cache)
+        parallel_sweep("MemAlign", [65536], cache=cache)
+        assert cache.hits == 1 and cache.stores == 1
+
     def test_backends_cache_separately(self, cache):
-        spec_ref = JobSpec(benchmark="CoMem", kind="sweep", values=(1 << 19,))
+        spec_ref = JobSpec(benchmark="CoMem", params={"n": 1 << 19})
         spec_jit = JobSpec(
-            benchmark="CoMem", kind="sweep", values=(1 << 19,), backend="jit"
+            benchmark="CoMem", params={"n": 1 << 19}, backend="jit"
         )
         run_jobs([spec_ref], cache=cache)
         run_jobs([spec_jit], cache=cache)

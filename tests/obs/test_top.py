@@ -55,19 +55,19 @@ class TestFleetStatus:
             fleet_status(tmp_path / "ghost.fleet")
 
     def test_progress_counts(self, run_dir):
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         assert status["run_id"] == "r1"
         assert status["jobs_total"] == 4
         assert status["jobs_completed"] == 3
         assert status["jobs_remaining"] == 1
 
     def test_worker_health_states(self, run_dir):
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         states = {w["worker"]: w["state"] for w in status["workers"]}
         assert states == {"w0": "done", "w1": "live", "w2": "stale"}
 
     def test_event_counters_aggregated(self, run_dir):
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         assert status["leases_acquired"] == 3
         assert status["leases_stolen"] == 1
         assert status["heartbeats"] == 2
@@ -79,7 +79,7 @@ class TestFleetStatus:
                 "retry",
             ):
                 fh.write(event(name, NOW - 1) + "\n")
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         w1 = next(w for w in status["workers"] if w["worker"] == "w1")
         assert (w1["errors"], w1["retries"]) == (4, 1)
         row = next(
@@ -91,13 +91,13 @@ class TestFleetStatus:
 
     def test_eta_from_completion_rate(self, run_dir):
         # 3 jobs in 120s of observed history -> 1 remaining ~= 40s out
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         assert status["eta_s"] == pytest.approx(40.0, rel=0.01)
 
     def test_corrupt_lease_surfaced_not_fatal(self, run_dir):
         (run_dir / "leases").mkdir()
         (run_dir / "leases" / "fp0.lease").write_text("not json {{")
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         assert status["active_leases"] == [{
             "job": "fp0", "owner": "<corrupt>", "epoch": None,
             "age_s": None, "stale": True,
@@ -109,7 +109,7 @@ class TestFleetStatus:
         (run_dir / "flightrec").mkdir()
         (run_dir / "flightrec" / "w2-crash.json").write_text("{}")
         (run_dir / "flightrec" / ".w2-crash.tmp").write_text("")
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         assert status["quarantined"] == 1
         assert status["flight_dumps"] == 1
         # quarantined jobs no longer count as remaining
@@ -118,7 +118,7 @@ class TestFleetStatus:
     def test_read_only(self, run_dir):
         before = sorted(p for p in run_dir.rglob("*") if p.is_file())
         mtimes = [p.stat().st_mtime_ns for p in before]
-        fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        fleet_status(run_dir, now=NOW)
         after = sorted(p for p in run_dir.rglob("*") if p.is_file())
         assert after == before
         assert [p.stat().st_mtime_ns for p in after] == mtimes
@@ -126,7 +126,7 @@ class TestFleetStatus:
 
 class TestRender:
     def test_screen_contents(self, run_dir):
-        status = fleet_status(run_dir, ttl_s=5.0, now=NOW)
+        status = fleet_status(run_dir, now=NOW)
         screen = render_fleet_status(status)
         assert "fleet r1" in screen
         assert "3/4 jobs (75%)" in screen

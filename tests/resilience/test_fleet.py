@@ -21,6 +21,7 @@ from repro.resilience.fleet import (
     join_fleet,
     merge_fleet,
     read_events,
+    read_manifest,
     run_jobs,
 )
 from repro.resilience.journal import job_fingerprint
@@ -207,7 +208,9 @@ class TestOneLadder:
         # a benign duplicate: two workers both ran job 0 and fell back;
         # w-a also fell back on job 2, before it ran job 0
         run_dir = fleet_dir(tmp_path, "ftest")
-        ensure_manifest(run_dir, SPECS, run_id="ftest", command="test")
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="test", lease_ttl_s=5.0
+        )
         fps = [job_fingerprint(s) for s in SPECS]
         payloads = {fp: {"kind": "run", "result": {"v": i}}
                     for i, fp in enumerate(fps)}
@@ -287,7 +290,9 @@ class TestMergeValidation:
 
     def test_disagreeing_journals_refuse_to_merge(self, tmp_path):
         run_dir = fleet_dir(tmp_path, "ftest")
-        ensure_manifest(run_dir, SPECS, run_id="ftest", command="test")
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="test", lease_ttl_s=5.0
+        )
         fps = [job_fingerprint(s) for s in SPECS]
         good = {fp: {"kind": "run", "result": {"v": i}}
                 for i, fp in enumerate(fps)}
@@ -314,7 +319,9 @@ class TestMergeValidation:
 
     def test_incomplete_run_refuses_to_merge(self, tmp_path):
         run_dir = fleet_dir(tmp_path, "ftest")
-        ensure_manifest(run_dir, SPECS, run_id="ftest", command="test")
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="test", lease_ttl_s=5.0
+        )
         with pytest.raises(ReproError, match="incomplete"):
             merge_fleet(run_dir, SPECS, cfg=make_cfg(tmp_path))
 
@@ -322,16 +329,37 @@ class TestMergeValidation:
 class TestManifest:
     def test_mismatched_job_list_fails_loudly(self, tmp_path):
         run_dir = fleet_dir(tmp_path, "ftest")
-        ensure_manifest(run_dir, SPECS, run_id="ftest", command="test")
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="test", lease_ttl_s=5.0
+        )
         other = [JobSpec(benchmark="MemAlign", params={"n": 1024})]
         with pytest.raises(ReproError, match="different job list"):
-            ensure_manifest(run_dir, other, run_id="ftest", command="test")
+            ensure_manifest(
+                run_dir, other, run_id="ftest", command="test", lease_ttl_s=5.0
+            )
 
     def test_same_job_list_validates(self, tmp_path):
         run_dir = fleet_dir(tmp_path, "ftest")
-        first = ensure_manifest(run_dir, SPECS, run_id="ftest", command="t")
-        second = ensure_manifest(run_dir, SPECS, run_id="ftest", command="t")
+        first = ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="t", lease_ttl_s=5.0
+        )
+        # a joiner with its own TTL validates; the creator's TTL stays
+        second = ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="t", lease_ttl_s=30.0
+        )
         assert first["jobs"] == second["jobs"]
+        assert second["lease_ttl_s"] == 5.0
+
+    def test_resume_republishes_its_lease_ttl(self, tmp_path):
+        run_dir = fleet_dir(tmp_path, "ftest")
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="t", lease_ttl_s=5.0
+        )
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="t", lease_ttl_s=30.0,
+            republish=True,
+        )
+        assert read_manifest(run_dir)["lease_ttl_s"] == 30.0
 
 
 class TestStaleSnapshot:

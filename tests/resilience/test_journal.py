@@ -58,6 +58,23 @@ class TestLifecycle:
         with pytest.raises(ReproError, match="schema"):
             RunJournal.attach(tmp_path, run_id="r1")
 
+    def test_attach_to_an_empty_journal_writes_its_header(self, tmp_path):
+        # a kill between creating the file and appending the header
+        # leaves it empty: the journal is new
+        (tmp_path / "r1.ndjson").write_text("")
+        with RunJournal.attach(tmp_path, run_id="r1", meta={"command": "x"}) as j:
+            j.record("fp-a", {"x": 1.5})
+        header, records = RunJournal._load(tmp_path / "r1.ndjson")
+        assert (header["schema"], header["command"]) == (JOURNAL_SCHEMA, "x")
+        assert set(records) == {"fp-a"}
+
+    def test_job_records_without_a_header_rejected(self, tmp_path):
+        (tmp_path / "r1.ndjson").write_text(
+            json.dumps({"job": "fp-a", "payload": {}}) + "\n"
+        )
+        with pytest.raises(ReproError, match="schema None"):
+            RunJournal.attach(tmp_path, run_id="r1")
+
     def test_unwritable_dir_is_repro_error(self, tmp_path):
         blocker = tmp_path / "journal"
         blocker.write_text("not a directory")

@@ -4,11 +4,12 @@ These back ``repro journal ls/show/gc``; the CLI wrappers are covered
 in ``tests/test_cli.py``.  Every run is a run directory.
 """
 
+import json
 import os
 import time
 
 from repro.resilience import RunJournal, gc_runs, job_fingerprint, list_runs
-from repro.resilience.fleet import ensure_manifest, fleet_dir
+from repro.resilience.fleet import ensure_manifest, fleet_dir, fleet_status
 from repro.resilience.lease import LeaseDir
 from repro.sched import JobSpec
 
@@ -22,7 +23,9 @@ def _make_run(root, run_id: str, jobs: int = 2) -> None:
         for i in range(jobs)
     ]
     run_dir = fleet_dir(root, run_id)
-    ensure_manifest(run_dir, specs, run_id=run_id, command="sweep")
+    ensure_manifest(
+        run_dir, specs, run_id=run_id, command="sweep", lease_ttl_s=5.0
+    )
     journal = RunJournal.attach(
         run_dir / "journals", run_id=run_id, meta={"command": "sweep"}
     )
@@ -33,7 +36,9 @@ def _make_run(root, run_id: str, jobs: int = 2) -> None:
 
 def _make_fleet_run(root, run_id: str) -> None:
     run_dir = fleet_dir(root, run_id)
-    ensure_manifest(run_dir, [SPEC], run_id=run_id, command="sweep")
+    ensure_manifest(
+        run_dir, [SPEC], run_id=run_id, command="sweep", lease_ttl_s=5.0
+    )
     journal = RunJournal.attach(run_dir / "journals", run_id="w-1", meta={})
     journal.record(job_fingerprint(SPEC), {"kind": "run", "result": {}})
     journal.record("fp-not-in-manifest", {"kind": "run", "result": {}})
@@ -107,6 +112,25 @@ class TestGcRuns:
         assert summary["stale_leases_evicted"] == 1
         assert summary["steal_remnants_removed"] == 1
         assert summary["tmp_files_removed"] >= 1
+
+    def test_keeps_live_leases_of_a_run_with_a_longer_ttl(self, tmp_path):
+        run_dir = fleet_dir(tmp_path, "g1")
+        ensure_manifest(
+            run_dir, [SPEC], run_id="g1", command="sweep", lease_ttl_s=30.0
+        )
+        now = time.time()
+        # a 6 s old heartbeat: stale under the default 5 s, live under 30 s
+        LeaseDir(run_dir / "leases", now=lambda: now - 6.0).acquire(
+            job_fingerprint(SPEC), "w-1"
+        )
+        (run_dir / "events").mkdir()
+        (run_dir / "events" / "w-1.ndjson").write_text(
+            json.dumps({"event": "heartbeat", "t": now - 6.0}) + "\n"
+        )
+        assert gc_runs(tmp_path)["stale_leases_evicted"] == 0
+        status = fleet_status(run_dir, now=now)
+        assert [w["state"] for w in status["workers"]] == ["live"]
+        assert [lease["stale"] for lease in status["active_leases"]] == [False]
 
     def test_no_cutoff_keeps_everything(self, tmp_path):
         _make_run(tmp_path, "old")

@@ -18,9 +18,8 @@ def key(cache, **over):
     base = dict(
         bench_cls=type(get_benchmark("CoMem")),
         system=CARINA,
-        kind="sweep",
-        params={"n": 64},
-        values=[1 << 19],
+        kind="run",
+        params={"n": 1 << 19},
         backend="reference",
     )
     base.update(over)
@@ -32,10 +31,11 @@ class TestKeying:
         assert key(cache) == key(cache)
 
     def test_params_change_key(self, cache):
-        assert key(cache) != key(cache, params={"n": 128})
+        assert key(cache) != key(cache, params={"n": 1 << 19, "a": 3.0})
 
     def test_values_change_key(self, cache):
-        assert key(cache) != key(cache, values=[1 << 20])
+        # a figure point's x-value is one of its run parameters
+        assert key(cache) != key(cache, params={"n": 1 << 20})
 
     def test_backend_changes_key(self, cache):
         assert key(cache) != key(cache, backend="jit")
@@ -48,7 +48,7 @@ class TestKeying:
         assert key(cache) != key(cache, bench_cls=other)
 
     def test_kind_changes_key(self, cache):
-        assert key(cache) != key(cache, kind="run", values=None)
+        assert key(cache) != key(cache, kind="check")
 
     def test_source_fingerprint_stable(self):
         cls = type(get_benchmark("CoMem"))

@@ -32,13 +32,6 @@ class TestExecuteJob:
         assert payload["result"]["benchmark"] == "Shmem"
         assert payload["result"]["verified"] is True
 
-    def test_sweep_payload(self):
-        payload = execute_job(
-            JobSpec(benchmark="Shmem", kind="sweep", values=(64,))
-        )
-        assert payload["kind"] == "sweep"
-        assert payload["sweep"]["x_values"] == [64]
-
     def test_backend_applied(self):
         ref = execute_job(JobSpec(benchmark="Shmem", params=dict(n=64)))
         jit = execute_job(
@@ -66,10 +59,6 @@ class TestRunJobs:
 
 
 class TestParallelSweepValidation:
-    def test_empty_values_rejected(self):
-        with pytest.raises(ReproError):
-            parallel_sweep("Shmem", [])
-
     def test_serial_merge_matches_sweep(self):
         serial = get_sweep()
         merged = parallel_sweep("Shmem", [64, 128])

@@ -131,8 +131,8 @@ class TestFingerprints:
 class TestJobSpecs:
     def test_sweep_decomposes_one_job_per_value(self):
         specs = parse_request(sweep_doc()).job_specs()
-        assert [s.values for s in specs] == [(4096,), (8192,)]
-        assert all(s.kind == "sweep" for s in specs)
+        assert [s.params for s in specs] == [{"n": 4096}, {"n": 8192}]
+        assert all(s.kind == "run" for s in specs)
 
     def test_run_is_one_job(self):
         specs = parse_request(

@@ -347,9 +347,18 @@ class TestSchedulerFlags:
         assert doc["cache"]["enabled"] is False
         assert doc["cache"]["hits"] == 0 and doc["cache"]["stores"] == 0
 
-    def test_jobs_without_values_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "BankRedux", "--jobs", "2"])
+    def test_default_sweep_under_jobs_matches_serial(self, capsys, tmp_path):
+        # the scheduler decomposes the figure's default x-values itself
+        argv = ["sweep", "TaskGraph", "-p", "iterations=2"]
+        serial = tmp_path / "serial.json"
+        par = tmp_path / "par.json"
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert main(argv + [
+            "--jobs", "2", "--no-journal",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(par),
+        ]) == 0
+        capsys.readouterr()
+        assert serial.read_bytes() == par.read_bytes()
 
 
 class TestResilienceFlags:
@@ -396,6 +405,27 @@ class TestResilienceFlags:
         doc = json.loads(stats.read_text())
         assert doc["execution"]["resume_skips"] == 1
         assert doc["execution"]["completed"] == 2
+
+    def test_resume_after_a_kill_before_the_journal_header(
+        self, capsys, tmp_path
+    ):
+        # a kill between creating the worker journal and appending its
+        # header leaves an empty file; resuming must treat it as new
+        values = "8192,16384"
+        serial = tmp_path / "serial.json"
+        resumed = tmp_path / "resumed.json"
+        assert main(
+            ["sweep", "MemAlign", "--values", values, "--out", str(serial)]
+        ) == 0
+        base = [
+            "sweep", "MemAlign", "--values", values, "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"),
+        ]
+        assert main(base + ["--run-id", "r1", "--chaos", "interrupt-after=1"]) == 4
+        (tmp_path / "journal" / "r1.fleet" / "journals" / "r1.ndjson").write_text("")
+        assert main(base + ["--resume", "r1", "--out", str(resumed)]) == 0
+        capsys.readouterr()
+        assert serial.read_bytes() == resumed.read_bytes()
 
     def test_degraded_fallback_exits_three(self, capsys, tmp_path):
         rc = main([
@@ -729,14 +759,6 @@ class TestFleetCLI:
             tmp_path, "--fleet", "2", "--resume", "old"
         ) == 2
         assert "--join" in capsys.readouterr().err
-
-    def test_fleet_requires_values(self, tmp_path):
-        with pytest.raises(SystemExit, match="--values"):
-            main([
-                "sweep", "MemAlign", "--fleet", "2",
-                "--journal-dir", str(tmp_path / "jd"),
-                "--cache-dir", str(tmp_path / "cd"),
-            ])
 
 
 class TestResumeNothingToDo:

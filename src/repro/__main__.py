@@ -12,7 +12,7 @@ Usage examples::
     python -m repro sweep CoMem --values 262144,1048576 --jobs 2 --out f9.json
     python -m repro sweep CoMem --values 262144,1048576 --jobs 2 \
         --chaos seed=7,crash=0.4,hang=0.2,max-fault-attempts=2 --job-timeout 10
-    python -m repro sweep CoMem --values 262144,1048576 --fleet 2 \
+    python -m repro sweep CoMem --values 262144,1048576 --jobs 2 \
         --trace fleet_trace.json --metrics metrics.prom
     python -m repro top <run-id> --once
     python -m repro journal show <run-id> --trace <trace-id-prefix>
@@ -36,7 +36,7 @@ finding is reported, ``prof diff`` exits 1 when a metric regresses
 beyond its threshold (or a ``--claims`` claim fails), ``check`` exits 1
 when any conformance check fails; every command exits 2 on a runtime
 error and 0 otherwise.  Supervised runs (``run``/``sweep``/``table1``/
-``check`` with ``--jobs``, ``--fleet`` or any resilience flag) add two
+``check`` with ``--jobs``, ``--join`` or any resilience flag) add two
 more: 3 when the run completed only through a degradation fallback (jit
 backend re-run on the reference oracle, or local workers that could not
 be started leaving the run to finish in-process), and 4 when the run
@@ -113,20 +113,12 @@ def _make_config(args: argparse.Namespace, *, command: str):
         ResilienceConfig, fleet_dir, new_run_id, parse_chaos,
     )
 
-    fleet, join = getattr(args, "fleet", None), getattr(args, "join", None)
-    if fleet is not None and join:
+    join = getattr(args, "join", None)
+    if join and args.resume:
         raise ReproError(
-            "--fleet and --join are mutually exclusive: --fleet spawns "
-            "local workers for a new run, --join adds this process to an "
-            "existing one"
+            "--resume does not apply to --join; re-join an interrupted "
+            "run with --join <run-id> instead"
         )
-    if (fleet is not None or join) and args.resume:
-        raise ReproError(
-            "--resume does not apply to fleet runs; re-join an "
-            "interrupted fleet with --join <run-id> instead"
-        )
-    if fleet is not None and fleet <= 0:
-        raise ReproError(f"--fleet needs a positive worker count, got {fleet}")
     run_id = join or args.resume or args.run_id
     if not join and args.no_journal:
         run_id = None
@@ -178,8 +170,8 @@ class _RunSession:
     """The lifecycle that ``table1``, ``sweep``, ``run`` and ``check`` share.
 
     Built once from the parsed arguments, the session picks the mode:
-    in-process, or supervised (``--jobs > 1``, ``--fleet``/``--join``
-    or any resilience flag), which runs the job list through the engine
+    in-process, or supervised (``--jobs > 1``, ``--join`` or any
+    resilience flag), which runs the job list through the engine
     of :mod:`repro.resilience.fleet`.  Building it only validates
     arguments.  :meth:`scope` opens the cache and runs the command's
     work inside ``--backend``, SIGTERM handled as Ctrl-C, the
@@ -209,11 +201,9 @@ class _RunSession:
         #: ``check_all`` sets up both per backend itself (``--backend
         #: both``), and ``check``'s ``--json`` is its report
         self.scope_runtimes = scope_runtimes
-        fleet = getattr(args, "fleet", None)
         # any resilience flag asks for supervision, even at --jobs 1
         self.supervised = (
-            fleet is not None
-            or getattr(args, "join", None) is not None
+            getattr(args, "join", None) is not None
             or getattr(args, "jobs", 1) > 1
             or any(
                 getattr(args, name, None) is not None
@@ -225,10 +215,9 @@ class _RunSession:
         self.config = (
             _make_config(args, command=command) if self.supervised else None
         )
-        #: worker processes: ``--fleet N`` or ``--jobs N``; 0 joins a run
+        #: worker processes: ``--jobs N``; 0 joins a run
         self.jobs = (
-            0 if getattr(args, "join", None)
-            else fleet if fleet is not None else getattr(args, "jobs", 1)
+            0 if getattr(args, "join", None) else getattr(args, "jobs", 1)
         )
         self.telemetry = self.config.telemetry if self.config else None
         self.cache = self.prof = None
@@ -259,7 +248,7 @@ class _RunSession:
                 if getattr(args, "metrics_port", None) is not None:
                     print(
                         "note: --metrics-port needs the scheduler; add "
-                        "--jobs, --fleet, or a resilience flag",
+                        "--jobs or a resilience flag",
                         file=sys.stderr,
                     )
                 if self.scope_runtimes and any(
@@ -276,7 +265,7 @@ class _RunSession:
             ):
                 print(
                     "note: --json/--ndjson are not collected when a run is "
-                    "supervised; rerun without --jobs, --fleet or resilience "
+                    "supervised; rerun without --jobs, --join or resilience "
                     "flags to profile (--trace is stitched from the run "
                     "journal instead)",
                     file=sys.stderr,
@@ -298,9 +287,7 @@ class _RunSession:
                 yield
             except KeyboardInterrupt:
                 run_id = self.config.run_id
-                if run_id is not None and (
-                    self.jobs == 0 or getattr(args, "fleet", None)
-                ):
+                if run_id is not None and self.jobs == 0:
                     message = (
                         f"interrupted: fleet run {run_id} keeps each worker's "
                         f"completed jobs in its own journal; finish with "
@@ -401,8 +388,8 @@ class _RunSession:
             return
         if not self.supervised:
             print(
-                "note: --metrics needs the scheduler; add --jobs, --fleet, "
-                "or a resilience flag",
+                "note: --metrics needs the scheduler; add --jobs or a "
+                "resilience flag",
                 file=sys.stderr,
             )
             return
@@ -1037,7 +1024,7 @@ def cmd_journal_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_journal_show(args: argparse.Namespace) -> int:
-    from repro.obs import read_flight_dump, trace_id_for_run
+    from repro.obs import TraceContext, read_flight_dump
     from repro.resilience.fleet import (
         fleet_dir,
         fleet_status,
@@ -1055,27 +1042,30 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
     manifest = read_manifest(run_dir)
     status = fleet_status(run_dir)
     total = status["jobs_total"]
+    # span identity is derived from the run id and the current manifest
+    root = TraceContext.root(args.run_id)
     print(
         f"fleet run {args.run_id}: command={manifest.get('command', '-')} "
-        f"jobs={total} trace={trace_id_for_run(args.run_id)}"
+        f"jobs={total} trace={root.trace_id}"
     )
     if args.trace or args.span:
-        current = set(manifest.get("jobs", []))
+        span_of: dict[str, str] = {}
+        for i, fp in enumerate(manifest.get("jobs", [])):
+            span_of.setdefault(fp, root.job(i).span_id)
         shown = scanned = 0
         for worker, records in read_journals(run_dir).items():
             for fp, rec in records.items():
-                if fp not in current:
+                if fp not in span_of:
                     continue
                 scanned += 1
-                meta = rec.get("meta") or {}
+                span = span_of[fp]
                 if not (
-                    str(meta.get("trace_id") or "").startswith(args.trace or "")
-                    and str(meta.get("span_id") or "").startswith(args.span or "")
+                    root.trace_id.startswith(args.trace or "")
+                    and span.startswith(args.span or "")
                 ):
                     continue
                 shown += 1
-                bench = meta.get("benchmark") or "?"
-                span = (meta.get("span_id") or "-")[:16]
+                bench = (rec.get("meta") or {}).get("benchmark") or "?"
                 print(f"  {fp[:16]}  {bench:<14} span={span}  worker={worker}")
         print(f"  {shown}/{scanned} job(s) matched")
     else:
@@ -1223,19 +1213,14 @@ def _option_groups() -> dict[str, tuple[_Option, ...]]:
             _opt(
                 "--chaos", metavar="SPEC",
                 help="deterministic scheduler fault injection, e.g. "
-                "'seed=7,crash=0.4,hang=0.2,payload=0.3,max-fault-attempts=2'",
+                "'seed=7,crash=0.4,hang=0.2,max-fault-attempts=2'",
             ),
         ),
         "fleet": (
             _opt(
-                "--fleet", type=int, default=None, metavar="N",
-                help="run via the work-stealing fleet: spawn N worker "
-                "processes cooperating through a shared journal directory",
-            ),
-            _opt(
                 "--join", default=None, metavar="RUN_ID",
                 help="become one worker of an existing fleet run (started "
-                "elsewhere with --fleet or another --join) and merge when "
+                "elsewhere with --jobs or another --join) and merge when "
                 "the run completes",
             ),
             _opt(

@@ -102,8 +102,7 @@ class MiniTransfer(Microbenchmark):
         self, values: Sequence[Any] | None, params: dict[str, Any]
     ) -> list[dict[str, Any]]:
         """Fig. 17's matrix order defaults to 2048 (:meth:`run`'s to
-        1024) and its default nnz values scale with it.  Each nnz is cast
-        to ``int``: a served sweep's values may be floats."""
+        1024) and its default nnz values scale with it."""
         n = params.get("n", 2048)
         nnzs = values or [n * 64, n * 16, n * 4, n, n // 4]
-        return [{**params, "n": n, "nnz": int(x)} for x in nnzs]
+        return [{**params, "n": n, "nnz": x} for x in nnzs]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
 from repro.common.errors import LaunchConfigError
@@ -50,7 +51,8 @@ __all__ = [
 BACKENDS = ("reference", "jit")
 
 _ENV_VAR = "REPRO_BACKEND"
-_ambient: list[str] = []
+#: the innermost :func:`use_backend` scope of this thread (or task)
+_ambient: ContextVar[str | None] = ContextVar("repro_backend", default=None)
 
 
 def _validate(name: str) -> str:
@@ -64,19 +66,20 @@ def _validate(name: str) -> str:
 @contextmanager
 def use_backend(name: str):
     """Select the execution backend for runtimes created in this scope."""
-    _ambient.append(_validate(name))
+    token = _ambient.set(_validate(name))
     try:
         yield
     finally:
-        _ambient.pop()
+        _ambient.reset(token)
 
 
 def current_backend_name(explicit: str | None = None) -> str:
     """Resolve the backend: explicit > ambient context > env > reference."""
     if explicit is not None:
         return _validate(explicit)
-    if _ambient:
-        return _ambient[-1]
+    ambient = _ambient.get()
+    if ambient is not None:
+        return ambient
     env = os.environ.get(_ENV_VAR)
     if env:
         return _validate(env)

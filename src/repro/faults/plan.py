@@ -33,7 +33,6 @@ _DOMAINS = {
     "corrupt": 3,
     "stall": 5,
     "worker": 7,
-    "payload": 11,
     "cache": 13,
     "jitter": 17,
     "fleet": 19,
@@ -129,10 +128,6 @@ class FaultPlan:
         fails as a worker crash or as a timeout (both simulated
         in-process).  Decisions are keyed on ``(job ordinal, attempt)``
         so they are independent of which worker runs a job, and when.
-    payload_corrupt_prob:
-        Per-attempt probability the worker's result payload arrives
-        truncated or corrupted (torn-IPC analog); the supervisor
-        discards it and retries.
     cache_corrupt_prob:
         Per-read probability that a result-cache entry is torn on disk
         before the read (the quarantine-and-recompute path).
@@ -188,7 +183,6 @@ class FaultPlan:
         watchdog_cycles: float | None = None,
         worker_crash_prob: float = 0.0,
         worker_hang_prob: float = 0.0,
-        payload_corrupt_prob: float = 0.0,
         cache_corrupt_prob: float = 0.0,
         sched_fault_attempts: int | None = None,
         interrupt_after_jobs: int | None = None,
@@ -204,7 +198,6 @@ class FaultPlan:
             ("corrupt_prob", corrupt_prob),
             ("worker_crash_prob", worker_crash_prob),
             ("worker_hang_prob", worker_hang_prob),
-            ("payload_corrupt_prob", payload_corrupt_prob),
             ("cache_corrupt_prob", cache_corrupt_prob),
             ("fleet_kill_prob", fleet_kill_prob),
             ("heartbeat_stall_prob", heartbeat_stall_prob),
@@ -240,7 +233,6 @@ class FaultPlan:
         self.watchdog_cycles = watchdog_cycles
         self.worker_crash_prob = worker_crash_prob
         self.worker_hang_prob = worker_hang_prob
-        self.payload_corrupt_prob = payload_corrupt_prob
         self.cache_corrupt_prob = cache_corrupt_prob
         self.sched_fault_attempts = sched_fault_attempts
         self.interrupt_after_jobs = interrupt_after_jobs
@@ -341,15 +333,6 @@ class FaultPlan:
             return "crash"
         if u < self.worker_crash_prob + self.worker_hang_prob:
             return "hang"
-        return "ok"
-
-    def payload_outcome(self, ordinal: int, attempt: int) -> str:
-        """``"ok"`` | ``"truncate"`` | ``"corrupt"`` for one result payload."""
-        if self.payload_corrupt_prob == 0.0 or not self._sched_armed(attempt):
-            return "ok"
-        u = self._keyed("payload", ordinal, attempt)
-        if u < self.payload_corrupt_prob:
-            return "truncate" if u < self.payload_corrupt_prob / 2 else "corrupt"
         return "ok"
 
     def cache_read_corrupts(self, ordinal: int) -> bool:

@@ -4,10 +4,11 @@ Four pieces, built on the activity hub of :mod:`repro.prof` and the
 run journals of :mod:`repro.resilience`:
 
 * **distributed tracing** (:mod:`~repro.obs.trace`,
-  :mod:`~repro.obs.stitch`) — deterministic
-  :class:`~repro.obs.trace.TraceContext` ids minted per run, stamped
-  onto every activity record, and stitched across fleet workers into
-  one Chrome trace with per-worker lanes;
+  :mod:`~repro.obs.stitch`) — workers publish each job's activity
+  under its fingerprint, and the stitcher lays it out as one Chrome
+  trace with per-worker lanes, deriving deterministic
+  :class:`~repro.obs.trace.TraceContext` span ids from the run id and
+  the manifest;
 * **live monitoring** (:mod:`~repro.obs.top`) — ``repro top``, a
   read-only view of the snapshot
   :func:`~repro.resilience.fleet.fleet_status` reads from a run

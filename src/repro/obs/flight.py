@@ -30,8 +30,12 @@ Document format (``repro-flight/1``)::
       "run_id": "…",
       "capacity": 64,
       "dropped": 123,          // records that aged out of the ring
-      "records": [ <NDJSON projection of each record> ]
+      "records": [ {"job": <fingerprint>, <NDJSON projection>}, … ]
     }
+
+Each record names the job that was in flight when it was recorded
+(:attr:`FlightRecorder.job`, the job's fingerprint; ``null`` outside a
+job).
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ class FlightRecorder:
 
         rec = FlightRecorder(worker="w0", run_id=run_id)
         hub.subscribe(rec)                  # all kinds
+        rec.job = fingerprint               # at each claim
         ...
         rec.dump(dump_dir, reason="crash")  # on the way down
     """
@@ -84,20 +89,24 @@ class FlightRecorder:
         self.run_id = run_id
         self.capacity = capacity
         self.dropped = 0
-        self._ring: deque[ActivityRecord] = deque(maxlen=capacity)
+        #: fingerprint of the job in flight, kept with each record
+        self.job: str | None = None
+        self._ring: deque[tuple[str | None, ActivityRecord]] = deque(
+            maxlen=capacity
+        )
 
     # ------------------------------------------------------------------
     def __call__(self, rec: ActivityRecord) -> None:
         if len(self._ring) == self.capacity:
             self.dropped += 1
-        self._ring.append(rec)
+        self._ring.append((self.job, rec))
 
     def __len__(self) -> int:
         return len(self._ring)
 
     @property
     def records(self) -> list[ActivityRecord]:
-        return list(self._ring)
+        return [rec for _, rec in self._ring]
 
     # ------------------------------------------------------------------
     def as_document(self, reason: str) -> dict[str, Any]:
@@ -108,7 +117,9 @@ class FlightRecorder:
             "run_id": self.run_id,
             "capacity": self.capacity,
             "dropped": self.dropped,
-            "records": [record_to_json(r) for r in self._ring],
+            "records": [
+                {"job": job, **record_to_json(rec)} for job, rec in self._ring
+            ],
         }
 
     def dump(self, dump_dir: str | Path, *, reason: str) -> Path:

@@ -26,7 +26,6 @@ Metric name registry (all prefixed ``repro_``; see
 ``repro_retries_total``             failed attempts retried
 ``repro_timeouts_total``            jobs past their wall-clock budget
 ``repro_worker_crashes_total``      worker processes that died
-``repro_payload_faults_total``      corrupted result payloads
 ``repro_job_errors_total``          other per-attempt errors
 ``repro_quarantined_total``         jobs abandoned after retries
 ``repro_fallbacks_total``           degradation-ladder steps taken
@@ -284,10 +283,6 @@ def telemetry_samples(
         _counter(
             "repro_worker_crashes_total", tele.crashes,
             "Worker processes that died without delivering a result.",
-        ),
-        _counter(
-            "repro_payload_faults_total", tele.payload_faults,
-            "Result payloads that arrived truncated or corrupted.",
         ),
         _counter(
             "repro_job_errors_total", tele.job_errors,

@@ -9,8 +9,10 @@ Two halves:
   job *succeeds* — failed attempts never land, so the published
   activity of a job is a deterministic function of its spec alone, no
   matter how many retries, steals, or duplicate executions happened on
-  the way.  (The flight recorder, not the sink, is where failed-attempt
-  activity goes to be seen.)
+  the way.  Each line is keyed by the job's fingerprint, which no
+  ``--resume`` with another job list can reassign.  (The flight
+  recorder, not the sink, is where failed-attempt activity goes to be
+  seen.)
 
 * **stitch** — :func:`fleet_chrome_trace` reads the *finished* run
   directory (manifest + journals + activity, through the readers of
@@ -18,6 +20,8 @@ Two halves:
   as its own process lane in one Trace Event Format document: per-job
   wrapper spans carrying span identity, the device records inside
   them, flow arrows linking the run's root span to every job span.
+  Span ids are derived here, from the run id and each job's position
+  in the current manifest; no record stores them.
   The winner of each job is the same first-write-wins choice the
   payload merge makes, and every timestamp is derived from the
   simulated device clock plus fixed padding — so re-stitching the same
@@ -77,12 +81,13 @@ class ActivitySink:
 
         sink = ActivitySink(path, worker="w0")
         hub.subscribe(sink)
-        sink.begin(ordinal)      # before each attempt: reset the buffer
+        sink.begin(fingerprint)  # before each attempt: reset the buffer
         ...                      # records buffer during execution
         sink.commit()            # after journaling the success
 
     Lines are the standard NDJSON record projection prefixed with
-    ``worker`` and ``job`` keys.  Each commit is one fsync'd
+    ``worker`` and ``job`` (the job's fingerprint) keys.  Each commit
+    is one fsync'd
     :class:`~repro.common.durable.Appender` append, and reopening the
     file (a re-joined worker) heals a torn tail first.
     """
@@ -90,7 +95,7 @@ class ActivitySink:
     def __init__(self, path: str | Path, *, worker: str) -> None:
         self.worker = worker
         self._out = Appender(path)
-        self._job: int | None = None
+        self._job: str | None = None
         self._buf: list[ActivityRecord] = []
 
     # -- hub callback --------------------------------------------------
@@ -99,9 +104,10 @@ class ActivitySink:
             self._buf.append(rec)
 
     # -- commit protocol -----------------------------------------------
-    def begin(self, ordinal: int) -> None:
-        """Start buffering for job ``ordinal`` (drops any prior buffer)."""
-        self._job = ordinal
+    def begin(self, job: str) -> None:
+        """Start buffering for the job with fingerprint ``job`` (drops
+        any prior buffer)."""
+        self._job = job
         self._buf = []
 
     def commit(self) -> None:
@@ -134,14 +140,8 @@ def _meta(name: str, pid: int, tid: int, label: str) -> dict[str, Any]:
     }
 
 
-def _trace_args(obj: dict[str, Any], ctx: TraceContext) -> dict[str, Any]:
-    """Span identity for one stitched event: the record's own ids when
-    it was stamped, the job span's otherwise."""
-    if obj.get("trace_id"):
-        out = {"trace_id": obj["trace_id"], "span_id": obj["span_id"]}
-        if obj.get("parent_span_id"):
-            out["parent_span_id"] = obj["parent_span_id"]
-        return out
+def _trace_args(ctx: TraceContext) -> dict[str, Any]:
+    """The span identity every stitched event of one span carries."""
     out = {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
     if ctx.parent_span_id:
         out["parent_span_id"] = ctx.parent_span_id
@@ -156,10 +156,13 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
 
     Deterministic in the run directory's contents: sorted workers, jobs
     in manifest (ordinal) order, device-clock timestamps offset by
-    fixed padding, span ids derived from the run id.  Jobs whose winner
-    published no activity (pre-observability runs, torn activity
-    files) still get their wrapper span, so the span tree is complete
-    whenever the payload merge would succeed.
+    fixed padding, span ids derived from the run id and the manifest.
+    A job's records are its winner's activity lines under its
+    fingerprint; a fingerprint listed twice shows them in its first
+    span.  Jobs whose winner published no activity (runs written before
+    activity was keyed by fingerprint, torn activity files) still get
+    their wrapper span, so the span tree is complete whenever the
+    payload merge would succeed.
     """
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
@@ -177,14 +180,10 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
             f"{len(missing)}/{len(fingerprints)} job(s) never journaled"
         )
     activity = read_worker_activity(run_dir)
-    by_worker_job: dict[tuple[str, int], list[dict[str, Any]]] = {}
+    by_worker_job: dict[tuple[str, Any], list[dict[str, Any]]] = {}
     for worker, lines in activity.items():
         for obj in lines:
-            try:
-                ordinal = int(obj.get("job"))
-            except (TypeError, ValueError):
-                continue
-            by_worker_job.setdefault((worker, ordinal), []).append(obj)
+            by_worker_job.setdefault((worker, obj.get("job")), []).append(obj)
 
     root = TraceContext.root(run_id)
     workers = sorted(set(winners.values()) | set(activity))
@@ -215,7 +214,7 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
         worker = winners[fp]
         pid = pid_of[worker]
         ctx = root.job(ordinal)
-        recs = by_worker_job.get((worker, ordinal), [])
+        recs = by_worker_job.pop((worker, fp), [])
         timed = [
             r for r in recs
             if r.get("start_s") is not None and r.get("end_s") is not None
@@ -249,7 +248,7 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
                 "benchmark": benchmark,
                 "fingerprint": fp[:12],
                 "worker": worker,
-                **_trace_args({}, ctx),
+                **_trace_args(ctx),
             },
         })
         # flow arrow: root span -> this job span
@@ -270,7 +269,7 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
                 "dur": max(0.0, (rec["end_s"] - rec["start_s"]) * _S_TO_US),
                 "pid": pid,
                 "tid": track_tid(worker, rec.get("track") or "device"),
-                "args": {**(rec.get("args") or {}), **_trace_args(rec, ctx)},
+                "args": {**(rec.get("args") or {}), **_trace_args(ctx)},
             })
         for i, rec in enumerate(untimed):
             events.append({
@@ -281,7 +280,7 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
                 "ts": base + i * _INSTANT_TICK_US,
                 "pid": pid,
                 "tid": track_tid(worker, "driver"),
-                "args": {**(rec.get("args") or {}), **_trace_args(rec, ctx)},
+                "args": {**(rec.get("args") or {}), **_trace_args(ctx)},
             })
         lane_clock[worker] = base + span_us + _JOB_GAP_US
     total_us = max(lane_clock.values(), default=_JOB_GAP_US)
@@ -298,7 +297,7 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
             "command": manifest.get("command", ""),
             "jobs": len(fingerprints),
             "workers": len(workers),
-            **_trace_args({}, root),
+            **_trace_args(root),
         },
     })
     events.sort(key=lambda e: (e["pid"], e["tid"], e["ts"]))

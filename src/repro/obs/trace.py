@@ -4,23 +4,24 @@ One *trace* is one scheduler run — a ``repro sweep``/``table1``/
 ``check`` invocation, however many processes end up executing it.  One
 *span* is one unit of work inside that run: the run itself (the root
 span), or one :class:`~repro.sched.runner.JobSpec` (a job span, child
-of the root).  Every :class:`~repro.prof.activity.ActivityRecord`
-emitted while a span is current carries the span's identity, so a
-fleet merge can stitch activity produced by independent worker
-processes back into one coherent tree.
+of the root, keyed by the job's position in the run's manifest).
+Identity is derived when a trace or a ``repro journal show`` filter is
+read, never stored: workers key what they write by the job's
+fingerprint, and the stitcher (:mod:`~repro.obs.stitch`) maps each
+fingerprint to its span through the current manifest, so a
+``--resume`` with another job list cannot file one job's activity
+under another job's span.
 
 Identities are **deterministic**, not random: the trace id is a hash
 of the run id, and every span id is a hash of ``(trace id, parent
 span id, span key)``.  Determinism is what makes the observability
-plane compatible with the repo's byte-identity guarantees — a worker
-joining from another machine mints exactly the ids the coordinator
-minted, a ``--resume`` re-derives the ids of the original run, and a
-re-merge of a finished fleet directory reproduces the previous trace
-byte for byte.  Nothing needs to ship ids across processes, though
-journal records and activity logs carry them anyway so they are
-self-describing.
+plane compatible with the repo's byte-identity guarantees — every
+reader derives the same ids from the same run directory, a
+``--resume`` of an unchanged job list keeps the ids of the original
+run, and a re-stitch of a finished run reproduces the previous trace
+byte for byte.  Nothing ships ids across processes.
 
-Wire format (journal meta, NDJSON activity, ``--trace`` headers)::
+Wire format (the ``args`` of every stitched ``--trace`` event)::
 
     {"trace_id": "6fd1…", "span_id": "a3c2…", "parent_span_id": "09b7…"}
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
 
 __all__ = ["TraceContext", "trace_id_for_run", "ROOT_SPAN_KEY", "job_span_key"]
 
@@ -86,11 +86,3 @@ class TraceContext:
     def job(self, ordinal: int) -> "TraceContext":
         """The span of job ``ordinal`` under this span."""
         return self.child(job_span_key(ordinal))
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-        }

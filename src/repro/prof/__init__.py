@@ -28,7 +28,7 @@ from repro.prof.metrics import (
     render_metrics,
     write_metrics,
 )
-from repro.prof.ndjson import read_ndjson, record_from_json, record_to_json, write_ndjson
+from repro.prof.ndjson import read_ndjson, record_to_json, write_ndjson
 from repro.prof.roofline import RooflinePoint, classify_kernel, peak_lane_ops, render_roofline
 from repro.prof.session import Profiler, profile_session
 
@@ -56,7 +56,6 @@ __all__ = [
     "render_metrics",
     "write_metrics",
     "read_ndjson",
-    "record_from_json",
     "record_to_json",
     "write_ndjson",
     "RooflinePoint",

@@ -46,12 +46,8 @@ and rely on ``seq``, the global emission ordinal, for ordering.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import TraceContext
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = ["ActivityRecord", "ActivityHub", "ActivityLog", "KINDS"]
 
@@ -87,11 +83,6 @@ class ActivityRecord:
     end: float | None = None
     seq: int = 0                  #: global emission ordinal (hub-assigned)
     args: Mapping[str, Any] = field(default_factory=dict)
-    # distributed-trace identity (repro.obs.trace); None when the hub
-    # had no span current at emission — exporters omit the fields then
-    trace_id: str | None = None
-    span_id: str | None = None
-    parent_span_id: str | None = None
 
     @property
     def timed(self) -> bool:
@@ -119,8 +110,6 @@ class ActivityHub:
         self._next_id = 0
         self._seq = 0
         self._wanted: frozenset | None = frozenset()  # None = wants all
-        #: ambient span stamped onto every emission (see :meth:`span`)
-        self.trace: "TraceContext | None" = None
 
     # ------------------------------------------------------------------
     def subscribe(
@@ -185,7 +174,6 @@ class ActivityHub:
         if not self.wants(kind):
             return None
         self._seq += 1
-        ctx = self.trace
         rec = ActivityRecord(
             kind=kind,
             name=name,
@@ -194,27 +182,9 @@ class ActivityHub:
             end=end,
             seq=self._seq,
             args=args,
-            trace_id=ctx.trace_id if ctx is not None else None,
-            span_id=ctx.span_id if ctx is not None else None,
-            parent_span_id=ctx.parent_span_id if ctx is not None else None,
         )
         self.dispatch(rec)
         return rec
-
-    @contextmanager
-    def span(self, ctx: "TraceContext | None"):
-        """Make ``ctx`` the ambient span for emissions inside the block.
-
-        Nests: the previous span is restored on exit, so a job span
-        pushed around one job leaves the run's root span current for
-        scheduler-level records emitted between jobs.
-        """
-        prev = self.trace
-        self.trace = ctx
-        try:
-            yield ctx
-        finally:
-            self.trace = prev
 
     def dispatch(self, rec: ActivityRecord) -> None:
         """Deliver an already-built record to interested subscribers."""

@@ -54,17 +54,6 @@ def _jsonable(args: dict) -> dict:
     return out
 
 
-def _args_with_trace(rec: ActivityRecord) -> dict:
-    """The event args payload, with span identity appended when carried."""
-    args = _jsonable(dict(rec.args))
-    if rec.trace_id is not None:
-        args["trace_id"] = rec.trace_id
-        args["span_id"] = rec.span_id
-        if rec.parent_span_id is not None:
-            args["parent_span_id"] = rec.parent_span_id
-    return args
-
-
 def chrome_trace(
     records: Sequence[ActivityRecord] | Iterable[ActivityRecord],
     *,
@@ -134,7 +123,7 @@ def chrome_trace(
                 "dur": rec.duration * _S_TO_US,
                 "pid": DEVICE_PID,
                 "tid": tids[rec.track or "device"],
-                "args": _args_with_trace(rec),
+                "args": _jsonable(dict(rec.args)),
             }
         )
 
@@ -186,7 +175,7 @@ def chrome_trace(
                 "ts": rec.seq * _DRIVER_TICK_US,
                 "pid": DRIVER_PID,
                 "tid": driver_tids[track],
-                "args": _args_with_trace(rec),
+                "args": _jsonable(dict(rec.args)),
             }
         )
 

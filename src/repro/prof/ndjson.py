@@ -16,7 +16,6 @@ from repro.prof.activity import ActivityRecord
 
 __all__ = [
     "record_to_json",
-    "record_from_json",
     "iter_ndjson",
     "write_ndjson",
     "read_ndjson",
@@ -24,12 +23,8 @@ __all__ = [
 
 
 def record_to_json(rec: ActivityRecord) -> dict:
-    """The stable NDJSON projection of one record.
-
-    Trace identity is appended only when the record carries it, so logs
-    produced without the observability plane stay byte-stable.
-    """
-    doc = {
+    """The stable NDJSON projection of one record."""
+    return {
         "seq": rec.seq,
         "kind": rec.kind,
         "name": rec.name,
@@ -40,27 +35,6 @@ def record_to_json(rec: ActivityRecord) -> dict:
         "args": {k: v if isinstance(v, (str, int, float, bool)) or v is None else str(v)
                  for k, v in rec.args.items()},
     }
-    if rec.trace_id is not None:
-        doc["trace_id"] = rec.trace_id
-        doc["span_id"] = rec.span_id
-        doc["parent_span_id"] = rec.parent_span_id
-    return doc
-
-
-def record_from_json(obj: dict) -> ActivityRecord:
-    """Rebuild a record from its NDJSON projection (stitching/tests)."""
-    return ActivityRecord(
-        kind=obj["kind"],
-        name=obj["name"],
-        track=obj.get("track", ""),
-        start=obj.get("start_s"),
-        end=obj.get("end_s"),
-        seq=int(obj.get("seq", 0)),
-        args=dict(obj.get("args") or {}),
-        trace_id=obj.get("trace_id"),
-        span_id=obj.get("span_id"),
-        parent_span_id=obj.get("parent_span_id"),
-    )
 
 
 def iter_ndjson(records: Iterable[ActivityRecord]) -> Iterator[str]:

@@ -37,7 +37,6 @@ from repro.resilience.journal import (
 from repro.resilience.lease import LEASE_SCHEMA, Lease, LeaseDir
 from repro.resilience.supervisor import (
     JobTimeout,
-    PayloadCorruption,
     QuarantineError,
     ResilienceConfig,
     SchedTelemetry,
@@ -54,7 +53,6 @@ __all__ = [
     "JobTimeout",
     "Lease",
     "LeaseDir",
-    "PayloadCorruption",
     "QuarantineError",
     "ResilienceConfig",
     "RunJournal",

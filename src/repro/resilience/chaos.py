@@ -3,7 +3,7 @@
 CI and the command line describe a seeded scheduler-layer
 :class:`~repro.faults.plan.FaultPlan` as a compact ``key=value`` list::
 
-    --chaos seed=7,crash=0.4,hang=0.2,payload=0.3,max-fault-attempts=2
+    --chaos seed=7,crash=0.4,hang=0.2,max-fault-attempts=2
     --chaos interrupt-after=1
     --chaos diverge=0;2,cache=0.5
     --chaos seed=3,fleet-kill=0.5,hb-stall=0.25,max-fault-attempts=1
@@ -15,7 +15,6 @@ Keys
 ``seed``             root of every chaos decision (default 0)
 ``crash``            per-attempt worker-crash probability
 ``hang``             per-attempt worker-hang probability
-``payload``          per-attempt truncated/corrupted-result probability
 ``cache``            per-read torn-cache-entry probability
 ``max-fault-attempts``  attempts eligible for chaos per job (see
                      ``FaultPlan.sched_fault_attempts``)
@@ -43,7 +42,6 @@ __all__ = ["parse_chaos"]
 _FLOAT_KEYS = {
     "crash": "worker_crash_prob",
     "hang": "worker_hang_prob",
-    "payload": "payload_corrupt_prob",
     "cache": "cache_corrupt_prob",
     "fleet-kill": "fleet_kill_prob",
     "hb-stall": "heartbeat_stall_prob",

@@ -1,8 +1,8 @@
 """One multi-process engine for every supervised job list.
 
 :func:`run_jobs` runs a list of :class:`~repro.sched.runner.JobSpec` s
-— ``table1``, ``sweep`` and ``run`` under ``--jobs``, ``--fleet``,
-``--resume`` or a resilience flag, and every ``repro serve`` request —
+— ``table1``, ``sweep`` and ``run`` under ``--jobs``, ``--resume`` or
+a resilience flag, and every ``repro serve`` request —
 through one *run directory*, ``<journal-dir>/<run-id>.fleet/``.  A
 coordinator resolves each job once, against the run's journals
 (``--resume``) and then the :class:`~repro.sched.cache.ResultCache`,
@@ -409,7 +409,6 @@ def fleet_worker(
     """
     from repro.obs.flight import FlightRecorder
     from repro.obs.stitch import ActivitySink
-    from repro.obs.trace import TraceContext
     from repro.prof.activity import ActivityHub
     from repro.sanitize.session import sanitize_session
     from repro.sched.runner import execute_job
@@ -438,10 +437,8 @@ def fleet_worker(
     # own activity (kernels, copies, launches) through the ambient
     # session, publishes successful jobs' records for trace stitching,
     # and keeps a flight-recorder ring (ladder events included) for
-    # post-mortems
+    # post-mortems; both key each record by the job's fingerprint
     hub = ActivityHub()
-    root_ctx = TraceContext.root(cfg.run_id)
-    hub.trace = root_ctx
     sink = ActivitySink(
         run_dir / "activity" / f"{cfg.worker_id}.ndjson",
         worker=cfg.worker_id,
@@ -505,14 +502,14 @@ def fleet_worker(
                         path.write_bytes(data[: max(1, len(data) // 2)])
                     except OSError:
                         pass
-                job_ctx = root_ctx.job(ordinal)
+                recorder.job = fp
                 spec = spec_by_fp[fp]
                 ladder = Ladder(
                     ordinal, spec.benchmark, spec.backend, cfg, report
                 )
 
                 def attempt():
-                    sink.begin(ordinal)
+                    sink.begin(fp)
                     if ladder.attempts or ladder.backend != spec.backend:
                         # a retry: publish when it started, so the
                         # coordinator times the attempt, not the claim
@@ -528,7 +525,7 @@ def fleet_worker(
                         "heartbeat-stall", job=ordinal, epoch=lease.epoch
                     )
                     time.sleep(cfg.lease_ttl_s + 2 * cfg.heartbeat_s)
-                    with hub.span(job_ctx), sanitize_session(hub=hub):
+                    with sanitize_session(hub=hub):
                         payload = ladder.run(attempt, cfg.job_timeout_s)
                 else:
                     with _Heartbeat(
@@ -536,7 +533,7 @@ def fleet_worker(
                     ) as hb:
                         if corrupt:
                             hb._stop.set()
-                        with hub.span(job_ctx), sanitize_session(hub=hub):
+                        with sanitize_session(hub=hub):
                             payload = ladder.run(attempt, cfg.job_timeout_s)
                 if payload is None:
                     sink.abort()
@@ -552,9 +549,7 @@ def fleet_worker(
                 journal.record(fp, payload, meta={
                     "benchmark": spec.benchmark,
                     "worker": cfg.worker_id,
-                    "job": ordinal,
                     "epoch": lease.epoch,
-                    **job_ctx.as_dict(),
                 })
                 sink.commit()
                 completed_here += 1
@@ -645,14 +640,12 @@ def merge_fleet(
     all_records = scan_duplicates(run_dir)
     fingerprints = read_manifest(run_dir)["jobs"]
     payloads: list[dict[str, Any] | None] = []
-    winners: list[tuple[int, str]] = []
     for ordinal, (fp, spec) in enumerate(zip(fingerprints, specs)):
         records = all_records.get(fp)
         if not records:
             payloads.append(None)
             continue
         winner_worker, winner = records[0]
-        winners.append((ordinal, winner_worker))
         checksum = _payload_checksum(winner)
         for other_worker, other in records[1:]:
             tele.observe("duplicate-completion")
@@ -702,34 +695,6 @@ def merge_fleet(
             f"fleet run under {run_dir} is incomplete: "
             f"{missing}/{len(fingerprints)} job(s) never journaled"
         )
-    if hub is not None and hub.subscriber_count:
-        # thread each winning worker's published activity records into
-        # the caller's hub — device timelines and span identities
-        # survive the merge instead of collapsing into event summaries
-        from repro.prof.ndjson import record_from_json
-
-        by_worker_job: dict[tuple[str, int], list[dict[str, Any]]] = {}
-        for worker, lines in read_worker_activity(run_dir).items():
-            for obj in lines:
-                try:
-                    j = int(obj.get("job"))
-                except (TypeError, ValueError):
-                    continue
-                by_worker_job.setdefault((worker, j), []).append(obj)
-        for ordinal, worker in winners:
-            for obj in by_worker_job.get((worker, ordinal), []):
-                rec = record_from_json(obj)
-                if not hub.wants(rec.kind):
-                    continue
-                track = f"{worker}:{rec.track}" if rec.track else worker
-                hub.dispatch(replace(
-                    rec, track=track,
-                    args={
-                        **rec.args,
-                        "fleet_worker": worker,
-                        "fleet_job": ordinal,
-                    },
-                ))
     # the run is merged: expired leases and steal remnants are garbage
     _sweep_leases(run_dir)
     _emit(
@@ -818,8 +783,8 @@ def fleet_status(
         row.update(
             leases=tele.leases_acquired, stolen=tele.leases_stolen,
             heartbeats=tele.heartbeats, retries=tele.retries,
-            errors=tele.timeouts + tele.crashes + tele.payload_faults
-            + tele.job_errors, quarantined=len(tele.quarantined),
+            errors=tele.timeouts + tele.crashes + tele.job_errors,
+            quarantined=len(tele.quarantined),
         )
     for row in workers.values():
         if row["state"] != "done":
@@ -1014,7 +979,6 @@ def _coordinate(
     cache: "ResultCache | None",
     cfg: ResilienceConfig,
 ) -> list[dict[str, Any]]:
-    from repro.obs.trace import TraceContext
     from repro.sched.runner import _cache_key
 
     tele = cfg.telemetry
@@ -1029,7 +993,6 @@ def _coordinate(
     journaled = scan_completed(run_dir)
     quarantined = scan_quarantined(run_dir)
     events_after = _event_counts(run_dir)
-    root_ctx = TraceContext.root(cfg.run_id)
     # the in-process worker's id derives from the run id, so a resumed
     # serial run appends to the same journal and stitches the same trace
     local = replace(cfg, worker_id=cfg.run_id)
@@ -1059,8 +1022,7 @@ def _coordinate(
                     meta={"command": cfg.command, "fleet_run": cfg.run_id},
                 )
             journal.record(fp, hit, meta={
-                "benchmark": spec.benchmark, "job": i, "source": "cache",
-                **root_ctx.job(i).as_dict(),
+                "benchmark": spec.benchmark, "source": "cache",
             })
     finally:
         if journal is not None:

@@ -1,7 +1,7 @@
 """Supervision policy: the per-job ladder, its telemetry and its config.
 
 Every supervised run — ``table1``/``sweep``/``run``/``check`` with
-``--jobs``, ``--fleet``, ``--join``, ``--resume`` or a resilience flag,
+``--jobs``, ``--join``, ``--resume`` or a resilience flag,
 and ``repro serve`` requests, all run by the multi-process engine of
 :mod:`repro.resilience.fleet` — climbs the same ladder, configured by
 one :class:`ResilienceConfig`:
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "WorkerCrash",
     "JobTimeout",
-    "PayloadCorruption",
     "QuarantineError",
     "SchedTelemetry",
     "ResilienceConfig",
@@ -81,10 +80,6 @@ class JobTimeout(ReproError):
     """A job attempt exceeded its wall-clock budget."""
 
 
-class PayloadCorruption(ReproError):
-    """A worker's result payload arrived truncated or corrupted."""
-
-
 class QuarantineError(ReproError):
     """One or more jobs kept failing and were quarantined.
 
@@ -100,7 +95,6 @@ _COUNTERS = {
     "retry": "retries",
     "timeout": "timeouts",
     "worker-crash": "crashes",
-    "payload-fault": "payload_faults",
     "job-error": "job_errors",
     "resume-skip": "resume_skips",
     "lease-acquire": "leases_acquired",
@@ -137,7 +131,6 @@ class SchedTelemetry:
     retries: int = 0
     timeouts: int = 0
     crashes: int = 0
-    payload_faults: int = 0
     job_errors: int = 0
     resume_skips: int = 0
     fallbacks: list[dict[str, Any]] = field(default_factory=list)
@@ -178,7 +171,6 @@ class SchedTelemetry:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "crashes": self.crashes,
-            "payload_faults": self.payload_faults,
             "job_errors": self.job_errors,
             "resume_skips": self.resume_skips,
             "fallbacks": list(self.fallbacks),
@@ -281,18 +273,6 @@ class Ladder:
         outcome = chaos.worker_outcome(self.ordinal, self.attempts)
         return outcome if outcome != "ok" else "run"
 
-    def check_payload(self) -> None:
-        """Raise :class:`PayloadCorruption` when chaos tears this
-        attempt's result."""
-        if self.chaos is None:
-            return
-        kind = self.chaos.payload_outcome(self.ordinal, self.attempts)
-        if kind != "ok":
-            raise PayloadCorruption(
-                f"{kind}d result payload (job {self.ordinal}, "
-                f"attempt {self.attempts})"
-            )
-
     def failed(self, exc: BaseException) -> bool:
         """Route one failed attempt: False once the job is quarantined,
         True (after sleeping out any backoff) to attempt it again."""
@@ -311,8 +291,6 @@ class Ladder:
             name = "timeout"
         elif isinstance(exc, WorkerCrash):
             name = "worker-crash"
-        elif isinstance(exc, PayloadCorruption):
-            name = "payload-fault"
         else:
             name = "job-error"
         self.report(name, **what, error=str(exc))
@@ -355,9 +333,7 @@ class Ladder:
                         f"({self.benchmark})"
                     )
                 with wall_clock_limit(timeout, subject):
-                    result = work()
-                self.check_payload()
-                return result
+                    return work()
             except ReproError as exc:
                 if not self.failed(exc):
                     return None

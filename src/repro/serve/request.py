@@ -206,8 +206,9 @@ def parse_request(
         if not isinstance(values, list) or not values:
             raise BadRequest("sweep requests need a non-empty 'values' list")
         for v in values:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise BadRequest(f"sweep value {v!r} is not a number")
+            # as the CLI's --values parse: every figure's x-value is an int
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise BadRequest(f"sweep value {v!r} is not an integer")
         req.values = list(values)
     elif doc.get("values") is not None:
         raise BadRequest("'values' only applies to sweep requests")

@@ -30,6 +30,34 @@ class TestSelection:
             assert current_backend_name() == "jit"
         assert current_backend_name() == "reference"
 
+    def test_scopes_are_per_thread(self):
+        # serve runs each request's use_backend on its own worker thread
+        import threading
+
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with use_backend("jit"):
+                a_in.set()
+                b_in.wait(5)
+                seen["a"] = current_backend_name()
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5)
+            with use_backend("reference"):
+                b_in.set()
+                a_out.wait(5)      # A left its scope first
+                seen["b"] = current_backend_name()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == {"a": "jit", "b": "reference"}
+
     def test_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "jit")
         assert current_backend_name() == "jit"

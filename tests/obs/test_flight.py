@@ -63,6 +63,16 @@ class TestDump:
         assert doc["dropped"] == 2
         assert [r["name"] for r in doc["records"]] == ["k2", "k3", "k4", "k5"]
 
+    def test_records_keep_the_job_in_flight(self, tmp_path):
+        fr = FlightRecorder(worker="w0")
+        fr(rec(0))                    # before the first claim
+        for job in ("fp-a", "fp-b"):
+            fr.job = job
+            fr(rec(1))
+        doc = read_flight_dump(fr.dump(tmp_path, reason="fatal"))
+        assert [r["job"] for r in doc["records"]] == [None, "fp-a", "fp-b"]
+        assert not any("trace_id" in r for r in doc["records"])
+
     def test_dump_creates_dir_and_leaves_no_tmp(self, tmp_path):
         target = tmp_path / "flightrec" / "deep"
         FlightRecorder(worker="w0").dump(target, reason="crash")

@@ -45,12 +45,12 @@ def make_fleet_dir(tmp_path, *, activity=True):
         adir = run_dir / "activity"
         adir.mkdir()
         (adir / "w0.ndjson").write_text(json.dumps({
-            "worker": "w0", "job": 0, "seq": 1, "kind": "kernel",
+            "worker": "w0", "job": "fp0", "seq": 1, "kind": "kernel",
             "name": "copy_k", "track": "stream0",
             "start_s": 0.0, "end_s": 0.001, "dur_s": 0.001, "args": {},
         }) + "\n")
         (adir / "w1.ndjson").write_text(json.dumps({
-            "worker": "w1", "job": 1, "seq": 1, "kind": "launch",
+            "worker": "w1", "job": "fp1", "seq": 1, "kind": "launch",
             "name": "launch_k", "track": "driver",
             "start_s": None, "end_s": None, "dur_s": None, "args": {},
         }) + "\n")
@@ -68,24 +68,24 @@ class TestActivitySink:
         sink = ActivitySink(path, worker="w0")
         hub.subscribe(sink)
         hub.emit("kernel", "outside")          # before begin: dropped
-        sink.begin(0)
+        sink.begin("fp0")
         hub.emit("kernel", "inside")
         sink.commit()
         sink.close()
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert [l["name"] for l in lines] == ["inside"]
         assert lines[0]["worker"] == "w0"
-        assert lines[0]["job"] == 0
+        assert lines[0]["job"] == "fp0"
 
     def test_abort_drops_failed_attempt(self, tmp_path):
         path = tmp_path / "w0.ndjson"
         hub = ActivityHub()
         sink = ActivitySink(path, worker="w0")
         hub.subscribe(sink)
-        sink.begin(0)
+        sink.begin("fp0")
         hub.emit("kernel", "doomed")
         sink.abort()                           # failed attempt
-        sink.begin(0)
+        sink.begin("fp0")
         hub.emit("kernel", "winner")
         sink.commit()
         sink.close()
@@ -107,7 +107,7 @@ class TestReadWorkerActivity:
     def test_torn_tail_skipped(self, tmp_path):
         adir = tmp_path / "activity"
         adir.mkdir()
-        good = json.dumps({"worker": "w0", "job": 0, "name": "k"})
+        good = json.dumps({"worker": "w0", "job": "fp0", "name": "k"})
         (adir / "w0.ndjson").write_text(good + "\n" + '{"torn": ')
         lines = read_worker_activity(tmp_path)["w0"]
         assert [l["name"] for l in lines] == ["k"]
@@ -116,7 +116,7 @@ class TestReadWorkerActivity:
         # a re-joined worker with a stable --worker-id reopens the file
         # its killed predecessor tore mid-publish
         path = tmp_path / "activity" / "w0.ndjson"
-        for job, name in ((0, "first"), (2, "after-rejoin")):
+        for job, name in (("fp0", "first"), ("fp2", "after-rejoin")):
             hub = ActivityHub()
             sink = ActivitySink(path, worker="w0")
             hub.subscribe(sink)
@@ -124,12 +124,12 @@ class TestReadWorkerActivity:
             hub.emit("kernel", name)
             sink.commit()
             sink.close()
-            if job == 0:
+            if job == "fp0":
                 with path.open("a") as fh:
-                    fh.write('{"worker": "w0", "job": 1, "na')
+                    fh.write('{"worker": "w0", "job": "fp1", "na')
         lines = read_worker_activity(tmp_path)["w0"]
         assert [(l["job"], l["name"]) for l in lines] == [
-            (0, "first"), (2, "after-rejoin"),
+            ("fp0", "first"), ("fp2", "after-rejoin"),
         ]
 
 

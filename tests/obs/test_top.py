@@ -75,19 +75,18 @@ class TestFleetStatus:
     def test_errors_count_every_failure_class(self, run_dir):
         with (run_dir / "events" / "w1.ndjson").open("a") as fh:
             for name in (
-                "timeout", "worker-crash", "payload-fault", "job-error",
-                "retry",
+                "timeout", "worker-crash", "job-error", "retry",
             ):
                 fh.write(event(name, NOW - 1) + "\n")
         status = fleet_status(run_dir, now=NOW)
         w1 = next(w for w in status["workers"] if w["worker"] == "w1")
-        assert (w1["errors"], w1["retries"]) == (4, 1)
+        assert (w1["errors"], w1["retries"]) == (3, 1)
         row = next(
             line for line in render_fleet_status(status).splitlines()
             if line.strip().startswith("w1")
         )
         # ... RETRY ERR  <n>s ago
-        assert row.split()[-4:-2] == ["1", "4"]
+        assert row.split()[-4:-2] == ["1", "3"]
 
     def test_eta_from_completion_rate(self, run_dir):
         # 3 jobs in 120s of observed history -> 1 remaining ~= 40s out

@@ -61,10 +61,6 @@ class TestTraceContext:
 
 
 class TestDictRoundTrip:
-    def test_as_dict_keys(self):
-        d = TraceContext.root("r1").job(1).as_dict()
-        assert set(d) == {"trace_id", "span_id", "parent_span_id"}
-
     def test_root_key_stable(self):
         # ROOT_SPAN_KEY is part of the persisted-trace contract
         assert ROOT_SPAN_KEY == "run"

@@ -10,13 +10,12 @@ from repro.resilience import parse_chaos
 class TestParseChaos:
     def test_full_spec(self):
         plan = parse_chaos(
-            "seed=7,crash=0.4,hang=0.2,payload=0.3,cache=0.5,"
+            "seed=7,crash=0.4,hang=0.2,cache=0.5,"
             "max-fault-attempts=2,interrupt-after=1,diverge=0;2"
         )
         assert plan.seed == 7
         assert plan.worker_crash_prob == 0.4
         assert plan.worker_hang_prob == 0.2
-        assert plan.payload_corrupt_prob == 0.3
         assert plan.cache_corrupt_prob == 0.5
         assert plan.sched_fault_attempts == 2
         assert plan.interrupt_after_jobs == 1
@@ -67,13 +66,6 @@ class TestSchedFaultDecisions:
         plan = FaultPlan(1, worker_crash_prob=1.0, sched_fault_attempts=1)
         assert plan.worker_outcome(0, 0) == "crash"
         assert plan.worker_outcome(0, 1) == "ok"
-
-    def test_payload_outcomes(self):
-        plan = FaultPlan(2, payload_corrupt_prob=1.0)
-        assert {plan.payload_outcome(i, 0) for i in range(8)} <= {
-            "truncate", "corrupt"
-        }
-        assert FaultPlan(2).payload_outcome(0, 0) == "ok"
 
     def test_divergence_jobs(self):
         plan = FaultPlan(0, divergence_jobs=(1, 3))

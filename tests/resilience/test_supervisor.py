@@ -178,16 +178,6 @@ class TestTimeouts:
         assert elapsed < 10 * timeout + 5
 
 
-class TestPayloadCorruption:
-    def test_corrupted_payload_retried(self, clean):
-        payloads, config = supervised(
-            SPECS, jobs=2,
-            chaos=parse_chaos("seed=6,payload=1.0,max-fault-attempts=1"),
-        )
-        assert payloads == clean
-        assert config.telemetry.payload_faults == 2
-
-
 class TestQuarantine:
     def test_retry_exhaustion_quarantines(self):
         with pytest.raises(QuarantineError, match="quarantined"):

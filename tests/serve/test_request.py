@@ -44,8 +44,9 @@ class TestValidation:
             parse_request({"kind": "sweep", "benchmark": "MemAlign"})
 
     def test_sweep_values_must_be_numbers(self):
-        with pytest.raises(BadRequest, match="not a number"):
-            parse_request(sweep_doc(values=[4096, "big"]))
+        for bad in ("big", 8192.0):
+            with pytest.raises(BadRequest, match="is not an integer"):
+                parse_request(sweep_doc(values=[4096, bad]))
 
     def test_values_rejected_on_run(self):
         with pytest.raises(BadRequest, match="only applies to sweep"):

@@ -305,7 +305,7 @@ class TestSchedulerFlags:
         doc = json.loads((tmp_path / "stats.json").read_text())
         assert doc["cache"]["hits"] == 2 and doc["cache"]["misses"] == 0
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--fleet"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--max-retries"])
     def test_warm_run_executes_no_job(self, flag, capsys, tmp_path):
         import json
 
@@ -372,7 +372,7 @@ class TestResilienceFlags:
         assert main(
             [
                 "sweep", "MemAlign", "--values", values, "--out", str(chaotic),
-                "--chaos", "seed=7,crash=0.6,payload=0.3,max-fault-attempts=2",
+                "--chaos", "seed=7,crash=0.6,max-fault-attempts=2",
                 "--max-retries", "4", "--no-cache",
                 "--journal-dir", str(tmp_path / "journal"),
             ]
@@ -457,7 +457,7 @@ class TestResilienceFlags:
 
     def test_no_journal_holds_for_fleet_runs(self, capsys, tmp_path):
         assert main([
-            "sweep", "MemAlign", "--values", "8192,16384", "--fleet", "2",
+            "sweep", "MemAlign", "--values", "8192,16384", "--jobs", "2",
             "--no-journal", "--no-cache",
             "--journal-dir", str(tmp_path / "journal"),
         ]) == 0
@@ -698,7 +698,7 @@ class TestProfDiffBenchDocs:
 
 
 class TestFleetCLI:
-    """``sweep --fleet/--join`` and their argument validation."""
+    """``sweep --jobs/--join`` and their argument validation."""
 
     def _sweep(self, tmp_path, *extra):
         return main([
@@ -712,7 +712,7 @@ class TestFleetCLI:
         out_fleet = tmp_path / "fleet.json"
         out_serial = tmp_path / "serial.json"
         assert self._sweep(
-            tmp_path, "--fleet", "2", "--run-id", "clifleet",
+            tmp_path, "--jobs", "2", "--run-id", "clifleet",
             "--out", str(out_fleet),
         ) == 0
         assert main([
@@ -726,9 +726,7 @@ class TestFleetCLI:
         assert a["sweep"] == b["sweep"]
 
     def test_join_of_complete_run_merges(self, capsys, tmp_path):
-        assert self._sweep(
-            tmp_path, "--fleet", "1", "--run-id", "clifleet"
-        ) == 0
+        assert self._sweep(tmp_path, "--run-id", "clifleet") == 0
         capsys.readouterr()
         assert self._sweep(tmp_path, "--join", "clifleet") == 0
         assert "MemAlign" in capsys.readouterr().out
@@ -736,7 +734,7 @@ class TestFleetCLI:
     def test_stats_carry_fleet_section(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
         assert self._sweep(
-            tmp_path, "--fleet", "2", "--stats", str(stats)
+            tmp_path, "--jobs", "2", "--stats", str(stats)
         ) == 0
         import json
 
@@ -744,21 +742,12 @@ class TestFleetCLI:
         assert fleet["workers"] == 2
         assert fleet["leases_acquired"] == 2
 
-    def test_fleet_and_join_are_exclusive(self, capsys, tmp_path):
-        assert self._sweep(
-            tmp_path, "--fleet", "2", "--join", "x"
-        ) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_fleet_rejects_nonpositive_workers(self, capsys, tmp_path):
-        assert self._sweep(tmp_path, "--fleet", "0") == 2
-        assert "positive worker count" in capsys.readouterr().err
-
     def test_fleet_rejects_resume(self, capsys, tmp_path):
+        # a joining worker re-joins its run; only a coordinator resumes
         assert self._sweep(
-            tmp_path, "--fleet", "2", "--resume", "old"
+            tmp_path, "--join", "old", "--resume", "old"
         ) == 2
-        assert "--join" in capsys.readouterr().err
+        assert "--resume does not apply to --join" in capsys.readouterr().err
 
 
 class TestResumeNothingToDo:
@@ -859,7 +848,7 @@ class TestJournalCLI:
             "sweep", "MemAlign", "--values", "8192",
             "--journal-dir", str(tmp_path / "jd"),
             "--cache-dir", str(tmp_path / "cd"),
-            "--fleet", "1", "--run-id", "f1",
+            "--run-id", "f1",
         ]) == 0
         capsys.readouterr()
         assert main([
@@ -959,7 +948,7 @@ class TestObsCLI:
             "sweep", "MemAlign", "--values", "8192,16384",
             "--journal-dir", str(tmp_path / "jd"),
             "--cache-dir", str(tmp_path / "cd"),
-            "--fleet", "1", "--run-id", run_id, *extra,
+            "--run-id", run_id, *extra,
         ])
 
     def test_top_once_renders_completed_run(self, capsys, tmp_path):
@@ -1053,6 +1042,107 @@ class TestObsCLI:
         assert main(base + ["--span", "ffffffffffffffff"]) == 0
         assert "0/1 job(s) matched" in capsys.readouterr().out
 
+    #: sha256 of the stitched ``--trace`` of ``sweep MemAlign --values
+    #: 8192,16384 --run-id g1 --no-cache``, straight or interrupted and
+    #: resumed; it predates deriving span ids when the trace is read
+    TRACE_SHA256 = (
+        "00670076ef68cd3a95653c2e3198a566524ec290948870ffa5fc6c815fbbf61f"
+    )
+
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_stitched_trace_is_golden(self, interrupted, capsys, tmp_path):
+        import hashlib
+
+        trace = tmp_path / "trace.json"
+        sweep = [
+            "sweep", "MemAlign", "--values", "8192,16384", "--no-cache",
+            "--journal-dir", str(tmp_path / "jd"),
+        ]
+        if interrupted:
+            assert main(
+                sweep + ["--run-id", "g1", "--chaos", "interrupt-after=1"]
+            ) == 4
+            assert main(sweep + ["--resume", "g1", "--trace", str(trace)]) == 0
+        else:
+            assert main(sweep + ["--run-id", "g1", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        assert digest == self.TRACE_SHA256
+
+    @staticmethod
+    def _span_kernels(trace):
+        """job span name -> its (kernel, duration) events, in order."""
+        import json
+
+        events = json.loads(trace.read_text())["traceEvents"]
+        names = {
+            e["args"]["span_id"]: e["name"] for e in events
+            if e.get("cat") == "span" and "job" in e["args"]
+        }
+        out = {name: [] for name in names.values()}
+        for e in events:
+            if e.get("cat") == "kernel":
+                out[names[e["args"]["span_id"]]].append((e["name"], e["dur"]))
+        return out
+
+    def _narrower_resume(self, tmp_path):
+        """Interrupt a 3-point run after 2 jobs, resume it on its last 2
+        points with ``--trace``, and trace a straight run of those 2."""
+        sweep = [
+            "sweep", "MemAlign", "--no-cache",
+            "--journal-dir", str(tmp_path / "jd"),
+        ]
+        assert main(sweep + [
+            "--values", "8192,16384,32768", "--run-id", "r",
+            "--chaos", "interrupt-after=2",
+        ]) == 4
+        for flag, run_id in (("--resume", "r"), ("--run-id", "s")):
+            assert main(sweep + [
+                "--values", "16384,32768", flag, run_id,
+                "--trace", str(tmp_path / f"{run_id}.json"),
+            ]) == 0
+
+    def test_narrower_resume_keeps_each_job_in_its_span(
+        self, capsys, tmp_path
+    ):
+        self._narrower_resume(tmp_path)
+        capsys.readouterr()
+        resumed = self._span_kernels(tmp_path / "r.json")
+        straight = self._span_kernels(tmp_path / "s.json")
+        assert resumed == straight
+        assert [len(kernels) for kernels in straight.values()] == [2, 2]
+
+    def test_narrower_resume_span_filter_reads_the_manifest(
+        self, capsys, tmp_path
+    ):
+        from repro.obs import TraceContext
+        from repro.resilience.fleet import read_manifest
+
+        self._narrower_resume(tmp_path)
+        capsys.readouterr()
+        jd = tmp_path / "jd"
+        fps = read_manifest(jd / "r.fleet")["jobs"]
+        root = TraceContext.root("r")
+        for i, fp in enumerate(fps):
+            span = root.job(i).span_id
+            assert main([
+                "journal", "show", "r", "--journal-dir", str(jd),
+                "--span", span[:8],
+            ]) == 0
+            out = capsys.readouterr().out
+            assert "1/2 job(s) matched" in out
+            assert f"{fp[:16]}  MemAlign" in out and f"span={span}" in out
+
+    def test_activity_lines_carry_the_job_fingerprint(self, capsys, tmp_path):
+        from repro.resilience.fleet import read_manifest, read_worker_activity
+
+        assert self._fleet_sweep(tmp_path, extra=("--no-cache",)) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "jd" / "f1.fleet"
+        lines = read_worker_activity(run_dir)["f1"]
+        jobs = [line["job"] for line in lines]
+        assert sorted(set(jobs)) == sorted(read_manifest(run_dir)["jobs"])
+
     def test_monitor_does_not_perturb_merge(self, capsys, tmp_path):
         import threading
 
@@ -1092,6 +1182,8 @@ class TestObsCLI:
     def test_quarantine_writes_flight_dump(self, capsys, tmp_path):
         import json
 
+        from repro.resilience.fleet import read_manifest
+
         assert main([
             "sweep", "MemAlign", "--values", "16384",
             "--chaos", "seed=3,crash=1.0,max-fault-attempts=99",
@@ -1103,7 +1195,8 @@ class TestObsCLI:
         doc = json.loads(dump.read_text())
         assert doc["format"] == "repro-flight/1"
         assert {r["name"] for r in doc["records"]} >= {"retry", "quarantine"}
-        assert all(r.get("trace_id") for r in doc["records"])
+        fp = read_manifest(tmp_path / "jd" / "q1.fleet")["jobs"][0]
+        assert all(r["job"] == fp for r in doc["records"])
         assert main([
             "journal", "show", "q1", "--journal-dir", str(tmp_path / "jd"),
         ]) == 0

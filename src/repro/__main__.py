@@ -36,7 +36,8 @@ finding is reported, ``prof diff`` exits 1 when a metric regresses
 beyond its threshold (or a ``--claims`` claim fails), ``check`` exits 1
 when any conformance check fails; every command exits 2 on a runtime
 error and 0 otherwise.  Supervised runs (``run``/``sweep``/``table1``/
-``check`` with ``--jobs``, ``--join`` or any resilience flag) add two
+``check`` with ``--jobs``, ``--join`` or any resilience flag, and
+``table1``/``sweep`` with ``--metrics`` or ``--metrics-port``) add two
 more: 3 when the run completed only through a degradation fallback (jit
 backend re-run on the reference oracle, or local workers that could not
 be started leaving the run to finish in-process), and 4 when the run
@@ -170,15 +171,15 @@ class _RunSession:
     """The lifecycle that ``table1``, ``sweep``, ``run`` and ``check`` share.
 
     Built once from the parsed arguments, the session picks the mode:
-    in-process, or supervised (``--jobs > 1``, ``--join`` or any
-    resilience flag), which runs the job list through the engine
-    of :mod:`repro.resilience.fleet`.  Building it only validates
-    arguments.  :meth:`scope` opens the cache and runs the command's
-    work inside ``--backend``, SIGTERM handled as Ctrl-C, the
-    ``--metrics-port`` endpoint, and the profiler when an in-process run
-    asked for an export; an interrupted scheduled run says how to
-    finish it and exits 4.  :meth:`finish` then renders the result and
-    writes every artifact, once.
+    in-process, or supervised (``--jobs > 1``, ``--join``, any
+    resilience flag, ``--metrics`` or ``--metrics-port``), which runs
+    the job list through the engine of :mod:`repro.resilience.fleet`.
+    Building it only validates arguments.  :meth:`scope` opens the
+    cache and runs the command's work inside ``--backend``, SIGTERM
+    handled as Ctrl-C, the ``--metrics-port`` endpoint, and the
+    profiler when an in-process run asked for an export; an interrupted
+    scheduled run says how to finish it and exits 4.  :meth:`finish`
+    then renders the result and writes every artifact, once.
     """
 
     def __init__(
@@ -188,27 +189,31 @@ class _RunSession:
         *,
         benchmark: str | None = None,
         params: dict[str, Any] | None = None,
-        jobs_total: int | None = None,
         scope_runtimes: bool = True,
     ) -> None:
+        if getattr(args, "jobs", 1) < 1:
+            raise ReproError(
+                f"--jobs must be at least 1 (got {args.jobs}); to add this "
+                "process to a running run, use --join <run-id>"
+            )
         self.args = args
         self.command = command
         #: the run's name in the ``--stats`` sidecar and ``--json`` metrics
         self.benchmark = benchmark or command
         self.params = params
-        self.jobs_total = jobs_total
         #: wrap the work in ``--backend`` and, in-process, the profiler;
         #: ``check_all`` sets up both per backend itself (``--backend
         #: both``), and ``check``'s ``--json`` is its report
         self.scope_runtimes = scope_runtimes
-        # any resilience flag asks for supervision, even at --jobs 1
+        # a resilience or metrics flag asks for supervision, even at --jobs 1
         self.supervised = (
             getattr(args, "join", None) is not None
             or getattr(args, "jobs", 1) > 1
             or any(
                 getattr(args, name, None) is not None
                 for name in (
-                    "max_retries", "job_timeout", "resume", "run_id", "chaos"
+                    "max_retries", "job_timeout", "resume", "run_id", "chaos",
+                    "metrics", "metrics_port",
                 )
             )
         )
@@ -245,12 +250,6 @@ class _RunSession:
             if self.scope_runtimes:
                 stack.enter_context(_backend_scope(args))
             if not self.supervised:
-                if getattr(args, "metrics_port", None) is not None:
-                    print(
-                        "note: --metrics-port needs the scheduler; add "
-                        "--jobs or a resilience flag",
-                        file=sys.stderr,
-                    )
                 if self.scope_runtimes and any(
                     getattr(args, name, None)
                     for name in ("trace", "json", "ndjson")
@@ -280,7 +279,7 @@ class _RunSession:
                 from repro.obs import MetricsServer
 
                 server = stack.enter_context(
-                    MetricsServer(self._live_samples, port=args.metrics_port)
+                    MetricsServer(self._samples, port=args.metrics_port)
                 )
                 print(f"metrics: serving on {server.url}", file=sys.stderr)
             try:
@@ -382,52 +381,30 @@ class _RunSession:
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"scheduler stats written to {path}")
 
+    def _samples(self):
+        """The sample set of ``--metrics`` and ``--metrics-port``: the run
+        directory scanned read-only (so a scrape from any thread cannot
+        perturb the run's byte-identical merge), this process's
+        telemetry, and the cache counters."""
+        from repro.obs import fleet_status, run_samples
+
+        run_dir = self._run_dir()
+        return run_samples(
+            fleet_status(run_dir) if run_dir is not None else None,
+            self.telemetry,
+            run_id=self.config.run_id,
+            command=self.command,
+            cache_stats=self.cache.stats() if self.cache is not None else None,
+        )
+
     def _write_metrics(self) -> None:
         """Write the ``--metrics`` exposition sidecar."""
         if not getattr(self.args, "metrics", None):
             return
-        if not self.supervised:
-            print(
-                "note: --metrics needs the scheduler; add --jobs or a "
-                "resilience flag",
-                file=sys.stderr,
-            )
-            return
-        from repro.obs import fleet_status, telemetry_samples, write_metrics_text
+        from repro.obs import write_metrics_text
 
-        run_dir = self._run_dir()
-        status = fleet_status(run_dir) if run_dir is not None else {}
-        samples = telemetry_samples(
-            self.telemetry,
-            cache_stats=self.cache.stats() if self.cache is not None else None,
-            run_id=self.config.run_id,
-            command=self.command,
-            jobs_total=self.jobs_total,
-            # a finished merge resolved every job (an unjournaled run's
-            # directory is gone by now)
-            jobs_remaining=status.get("jobs_remaining", 0),
-            flight_dumps=status.get("flight_dumps"),
-        )
-        path = write_metrics_text(self.args.metrics, samples)
+        path = write_metrics_text(self.args.metrics, self._samples())
         print(f"metrics written to {path}")
-
-    def _live_samples(self):
-        """The ``--metrics-port`` sample set: the run directory scanned
-        read-only — safe from any thread at any time, and incapable of
-        perturbing the run's byte-identical merge — or the still-zero
-        telemetry before the directory exists."""
-        from repro.obs import fleet_samples, telemetry_samples
-
-        run_dir = self._run_dir()
-        if run_dir is None:
-            return telemetry_samples(
-                self.telemetry, run_id=self.config.run_id,
-                command=self.command,
-            )
-        return fleet_samples(
-            run_dir, run_id=self.config.run_id, command=self.command,
-            mode=self.telemetry.mode,
-        )
 
     def _write_exports(self) -> None:
         """``--trace``, ``--ndjson`` and ``--json``: the profiler's for an
@@ -480,7 +457,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    session = _RunSession(args, "table1", jobs_total=len(ALL_BENCHMARKS))
+    session = _RunSession(args, "table1")
     with session.scope():
         if session.supervised:
             from repro.sched import parallel_suite
@@ -538,8 +515,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     system = get_system(args.system) if args.system else None
     bench = get_benchmark(args.benchmark, system)
     session = _RunSession(
-        args, "sweep", benchmark=args.benchmark, params=params,
-        jobs_total=len(bench.sweep_points(values, params)),
+        args, "sweep", benchmark=args.benchmark, params=params
     )
     with session.scope():
         if session.supervised:
@@ -1242,7 +1218,7 @@ def _option_groups() -> dict[str, tuple[_Option, ...]]:
             _opt(
                 "--metrics", metavar="PATH",
                 help="write a Prometheus text-format metrics sidecar here "
-                "when the run finishes (scheduled runs only)",
+                "when the run finishes",
             ),
             _opt(
                 "--metrics-port", type=int, default=None, metavar="PORT",

@@ -14,9 +14,10 @@ run journals of :mod:`repro.resilience`:
   :func:`~repro.resilience.fleet.fleet_status` reads from a run
   directory;
 * **metrics exposition** (:mod:`~repro.obs.metrics`,
-  :mod:`~repro.obs.server`) — Prometheus text-format samples over the
-  scheduler telemetry, written as a ``--metrics`` sidecar or served
-  live on ``--metrics-port``;
+  :mod:`~repro.obs.server`) — one Prometheus text-format sample set,
+  :func:`~repro.obs.metrics.run_samples`, over the ``fleet_status``
+  snapshot, the scheduler telemetry and the result cache, written as a
+  ``--metrics`` sidecar or served live on ``--metrics-port``;
 * **flight recorder** (:mod:`~repro.obs.flight`) — a bounded ring of
   recent activity per worker, dumped atomically on the way down.
 
@@ -33,10 +34,9 @@ from repro.obs.flight import (
 )
 from repro.obs.metrics import (
     Sample,
-    fleet_samples,
     parse_prometheus_text,
     prometheus_text,
-    telemetry_samples,
+    run_samples,
     write_metrics_text,
 )
 from repro.obs.server import MetricsServer
@@ -70,8 +70,7 @@ __all__ = [
     "Sample",
     "prometheus_text",
     "parse_prometheus_text",
-    "telemetry_samples",
-    "fleet_samples",
+    "run_samples",
     "write_metrics_text",
     "MetricsServer",
     # flight recorder

@@ -1,45 +1,47 @@
 """Prometheus text-format metrics exposition.
 
-The scrape surface of one scheduler run: the supervision counters of
-:class:`~repro.resilience.supervisor.SchedTelemetry`, the
-:class:`~repro.sched.cache.ResultCache` hit/miss/store/quarantine
-counters, and — for a live run — progress scanned read-only from its
-run directory.  Rendered in the `Prometheus text
-exposition format`_ (version 0.0.4: ``# HELP``/``# TYPE`` comment
-lines, one ``name{labels} value`` sample per line), the format every
-scraper, ``promtool``, and ``curl | grep`` already speak.
+The scrape surface of one supervised run, built by one function,
+:func:`run_samples`, from three sources: the run directory's
+:func:`~repro.resilience.fleet.fleet_status` snapshot (``status``), the
+:class:`~repro.resilience.supervisor.SchedTelemetry` of this process
+(``tele``), and the open :class:`~repro.sched.cache.ResultCache`
+(``cache``).  Rendered in the `Prometheus text exposition format`_
+(version 0.0.4: ``# HELP``/``# TYPE`` comment lines, one
+``name{labels} value`` sample per line), the format every scraper,
+``promtool``, and ``curl | grep`` already speak.
 
-Written as a ``--metrics <path>`` sidecar at the end of a run, and
-served live from the stdlib HTTP endpoint of
+The same sample set is written as a ``--metrics <path>`` sidecar at the
+end of a run and served live from the stdlib HTTP endpoint of
 :mod:`repro.obs.server` during ``--metrics-port`` runs.
 
 Metric name registry (all prefixed ``repro_``; see
 ``docs/observability.md``):
 
-==================================  ==================================
-``repro_run_info``                  1, labeled run/command/mode
-``repro_jobs_total``                jobs in the run's manifest
-``repro_jobs_completed_total``      jobs finished (journaled)
-``repro_jobs_remaining``            manifest jobs not yet resolved
-``repro_run_degraded``              1 when a fallback was taken
-``repro_resume_skips_total``        jobs replayed from the journal
-``repro_retries_total``             failed attempts retried
-``repro_timeouts_total``            jobs past their wall-clock budget
-``repro_worker_crashes_total``      worker processes that died
-``repro_job_errors_total``          other per-attempt errors
-``repro_quarantined_total``         jobs abandoned after retries
-``repro_fallbacks_total``           degradation-ladder steps taken
-``repro_fleet_workers``             cooperating worker processes
-``repro_leases_acquired_total``     fresh job leases claimed
-``repro_leases_stolen_total``       stale/corrupt leases stolen
-``repro_heartbeats_total``          lease heartbeats written
-``repro_duplicate_completions_total``  jobs finished by >1 worker
-``repro_cache_hits_total``          result-cache hits
-``repro_cache_misses_total``        result-cache misses
-``repro_cache_stores_total``        result-cache writes
-``repro_cache_quarantines_total``   corrupt cache entries quarantined
-``repro_flight_dumps_total``        flight-recorder dumps on disk
-==================================  ==================================
+=====================================  ======  =======================
+``repro_run_info``                     tele    1, labeled run/command/mode
+``repro_run_degraded``                 tele    1 when a fallback was taken
+``repro_jobs_total``                   status  jobs in the run's manifest
+``repro_jobs_completed_total``         status  manifest jobs journaled
+``repro_jobs_remaining``               status  manifest jobs not resolved
+``repro_quarantined_total``            status  manifest jobs quarantined
+``repro_leases_acquired_total``        status  fresh job leases claimed
+``repro_leases_stolen_total``          status  stale/corrupt leases stolen
+``repro_heartbeats_total``             status  lease heartbeats written
+``repro_flight_dumps_total``           status  flight-recorder dumps
+``repro_worker_jobs_completed_total``  status  per-worker completions
+``repro_resume_skips_total``           tele    jobs replayed from journal
+``repro_retries_total``                tele    failed attempts retried
+``repro_timeouts_total``               tele    jobs past their budget
+``repro_worker_crashes_total``         tele    worker processes that died
+``repro_job_errors_total``             tele    other per-attempt errors
+``repro_fallbacks_total``              tele    degradation steps taken
+``repro_fleet_workers``                tele    workers this process ran
+``repro_duplicate_completions_total``  tele    jobs finished by >1 worker
+``repro_cache_hits_total``             cache   result-cache hits
+``repro_cache_misses_total``           cache   result-cache misses
+``repro_cache_stores_total``           cache   result-cache writes
+``repro_cache_quarantines_total``      cache   corrupt entries quarantined
+=====================================  ======  =======================
 
 .. _Prometheus text exposition format:
    https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -62,8 +64,7 @@ __all__ = [
     "Sample",
     "prometheus_text",
     "parse_prometheus_text",
-    "telemetry_samples",
-    "fleet_samples",
+    "run_samples",
     "write_metrics_text",
 ]
 
@@ -238,187 +239,121 @@ def _gauge(name: str, value: float, help_: str, **labels: str) -> Sample:
     return Sample(name, float(value), labels, help=help_, type="gauge")
 
 
-def telemetry_samples(
-    tele: "SchedTelemetry",
+def run_samples(
+    status: Mapping[str, Any] | None,
+    telemetry: "SchedTelemetry",
     *,
+    run_id: str | None,
+    command: str,
     cache_stats: Mapping[str, Any] | None = None,
-    run_id: str | None = None,
-    command: str = "",
-    jobs_total: int | None = None,
-    jobs_remaining: int | None = None,
-    flight_dumps: int | None = None,
 ) -> list[Sample]:
-    """The standard sample set of one scheduler run.
+    """The sample set of one supervised run, live or finished.
 
-    ``jobs_remaining`` counts from the run directory's resolved set,
-    which includes the jobs resolved from the result cache.
+    Each series has one source.  ``status`` is the run directory's
+    :func:`~repro.resilience.fleet.fleet_status` snapshot (None when the
+    run has no directory: an unjournaled run after its merge, or a
+    scrape before the directory exists), and the series it feeds are
+    left out without it.  ``telemetry`` is what this process did, and
+    ``cache_stats`` the open result cache's counters.
     """
-    run = run_id or tele.journal_run_id or ""
     out = [
         _gauge(
             "repro_run_info", 1.0,
             "Run identity; value is always 1.",
-            run_id=run, command=command, mode=tele.mode,
+            run_id=run_id or "", command=command, mode=telemetry.mode,
         ),
         _gauge(
-            "repro_run_degraded", 1.0 if tele.degraded else 0.0,
+            "repro_run_degraded", 1.0 if telemetry.degraded else 0.0,
             "1 when the run finished only through a degradation fallback.",
         ),
-        _counter(
-            "repro_jobs_completed_total", tele.completed,
-            "Jobs finished and journaled this run.",
-        ),
-        _counter(
-            "repro_resume_skips_total", tele.resume_skips,
-            "Jobs replayed from the run journal instead of executed.",
-        ),
-        _counter(
-            "repro_retries_total", tele.retries,
-            "Failed job attempts that were retried.",
-        ),
-        _counter(
-            "repro_timeouts_total", tele.timeouts,
-            "Jobs killed past their wall-clock budget.",
-        ),
-        _counter(
-            "repro_worker_crashes_total", tele.crashes,
-            "Worker processes that died without delivering a result.",
-        ),
-        _counter(
-            "repro_job_errors_total", tele.job_errors,
-            "Per-attempt job errors outside the crash/timeout classes.",
-        ),
-        _counter(
-            "repro_quarantined_total", len(tele.quarantined),
-            "Jobs abandoned after retry exhaustion.",
-        ),
-        _counter(
-            "repro_fallbacks_total", len(tele.fallbacks),
-            "Degradation-ladder steps taken (reference/in-process).",
-        ),
     ]
-    if jobs_total is not None:
-        out.append(
+    if status is not None:
+        out += [
             _gauge(
-                "repro_jobs_total", jobs_total,
+                "repro_jobs_total", status["jobs_total"],
                 "Jobs in this run's manifest.",
-            )
-        )
-    if jobs_remaining is not None:
-        out.append(
-            _gauge(
-                "repro_jobs_remaining", jobs_remaining,
-                "Manifest jobs not yet resolved.",
-            )
-        )
-    if tele.fleet_workers:
-        out.extend([
-            _gauge(
-                "repro_fleet_workers", tele.fleet_workers,
-                "Worker processes cooperating on this run.",
             ),
             _counter(
-                "repro_leases_acquired_total", tele.leases_acquired,
+                "repro_jobs_completed_total", status["jobs_completed"],
+                "Manifest jobs journaled, cache hits and earlier "
+                "invocations included.",
+            ),
+            _gauge(
+                "repro_jobs_remaining", status["jobs_remaining"],
+                "Manifest jobs not yet resolved.",
+            ),
+            _counter(
+                "repro_quarantined_total", status["quarantined"],
+                "Manifest jobs abandoned after retry exhaustion.",
+            ),
+            _counter(
+                "repro_leases_acquired_total", status["leases_acquired"],
                 "Fresh job leases claimed.",
             ),
             _counter(
-                "repro_leases_stolen_total", tele.leases_stolen,
+                "repro_leases_stolen_total", status["leases_stolen"],
                 "Stale or corrupt leases stolen from peers.",
             ),
             _counter(
-                "repro_heartbeats_total", tele.heartbeats,
+                "repro_heartbeats_total", status["heartbeats"],
                 "Lease heartbeats written.",
             ),
             _counter(
-                "repro_duplicate_completions_total",
-                tele.duplicate_completions,
-                "Jobs completed by more than one worker.",
-            ),
-        ])
-    if cache_stats:
-        for key in ("hits", "misses", "stores", "quarantines"):
-            out.append(
-                _counter(
-                    f"repro_cache_{key}_total",
-                    float(cache_stats.get(key, 0)),
-                    f"Result-cache {key}.",
-                )
-            )
-    if flight_dumps is not None:
-        out.append(
-            _counter(
-                "repro_flight_dumps_total", flight_dumps,
+                "repro_flight_dumps_total", status["flight_dumps"],
                 "Flight-recorder dumps written for this run.",
-            )
-        )
-    return out
-
-
-def fleet_samples(
-    run_dir: Path, *, run_id: str, command: str = "", mode: str = "fleet"
-) -> list[Sample]:
-    """Live samples scanned read-only from a run directory.
-
-    The ``--metrics-port`` scrape surface of an in-flight run: built
-    entirely from the shared directory (manifest, journals, leases,
-    quarantine, flight dumps), so serving a scrape never touches the
-    run's own state.
-    """
-    from repro.resilience.fleet import fleet_status
-
-    status = fleet_status(run_dir)
-    out = [
-        _gauge(
-            "repro_run_info", 1.0,
-            "Run identity; value is always 1.",
-            run_id=run_id, command=command or status.get("command", ""),
-            mode=mode,
-        ),
-        _gauge(
-            "repro_jobs_total", status["jobs_total"],
-            "Jobs in this run's manifest.",
-        ),
-        _counter(
-            "repro_jobs_completed_total", status["jobs_completed"],
-            "Jobs finished and journaled this run.",
-        ),
-        _gauge(
-            "repro_jobs_remaining", status["jobs_remaining"],
-            "Manifest jobs not yet resolved.",
-        ),
-        _counter(
-            "repro_quarantined_total", status["quarantined"],
-            "Jobs abandoned after retry exhaustion.",
-        ),
-        _gauge(
-            "repro_fleet_workers", len(status["workers"]),
-            "Worker processes observed on this run.",
-        ),
-        _counter(
-            "repro_leases_acquired_total", status["leases_acquired"],
-            "Fresh job leases claimed.",
-        ),
-        _counter(
-            "repro_leases_stolen_total", status["leases_stolen"],
-            "Stale or corrupt leases stolen from peers.",
-        ),
-        _counter(
-            "repro_heartbeats_total", status["heartbeats"],
-            "Lease heartbeats written.",
-        ),
-        _counter(
-            "repro_flight_dumps_total", status["flight_dumps"],
-            "Flight-recorder dumps written for this run.",
-        ),
-    ]
-    for w in status["workers"]:
-        out.append(
+            ),
+        ]
+        out += [
             _counter(
                 "repro_worker_jobs_completed_total", w["completed"],
-                "Jobs completed per worker.",
+                "Manifest jobs journaled per worker.",
                 worker=w["worker"],
             )
-        )
+            for w in status["workers"]
+        ]
+    out += [
+        _counter(
+            "repro_resume_skips_total", telemetry.resume_skips,
+            "Jobs replayed from the run journal instead of executed.",
+        ),
+        _counter(
+            "repro_retries_total", telemetry.retries,
+            "Failed job attempts that were retried.",
+        ),
+        _counter(
+            "repro_timeouts_total", telemetry.timeouts,
+            "Jobs killed past their wall-clock budget.",
+        ),
+        _counter(
+            "repro_worker_crashes_total", telemetry.crashes,
+            "Worker processes that died without delivering a result.",
+        ),
+        _counter(
+            "repro_job_errors_total", telemetry.job_errors,
+            "Per-attempt job errors outside the crash/timeout classes.",
+        ),
+        _counter(
+            "repro_fallbacks_total", len(telemetry.fallbacks),
+            "Degradation-ladder steps taken (reference/in-process).",
+        ),
+        _gauge(
+            "repro_fleet_workers", telemetry.fleet_workers,
+            "Worker processes this invocation ran.",
+        ),
+        _counter(
+            "repro_duplicate_completions_total",
+            telemetry.duplicate_completions,
+            "Jobs completed by more than one worker.",
+        ),
+    ]
+    if cache_stats is not None:
+        out += [
+            _counter(
+                f"repro_cache_{key}_total", float(cache_stats.get(key, 0)),
+                f"Result-cache {key}.",
+            )
+            for key in ("hits", "misses", "stores", "quarantines")
+        ]
     return out
 
 

@@ -4,10 +4,11 @@
 daemon thread: ``--metrics-port`` starts it before the sweep and stops
 it after, so a scraper (Prometheus, ``curl``, the CI ``obs-smoke``
 job) can hit ``GET /metrics`` while jobs are still in flight.  The
-handler calls a *snapshot function* per request — for fleet runs
-that's a read-only scan of the coordination directory
-(:func:`repro.obs.metrics.fleet_samples`), so serving a scrape never
-mutates the run and cannot perturb its byte-identical merge.
+handler calls a *snapshot function* per request — for a CLI run that
+is :func:`repro.obs.metrics.run_samples` over a read-only
+``fleet_status`` scan of the run directory, the run's telemetry and its
+cache counters, so serving a scrape never mutates the run and cannot
+perturb its byte-identical merge.
 
 Routes::
 

@@ -31,12 +31,11 @@ Record kinds
 ``sanitizer``  a compute-sanitizer analog finding was raised
 ``sched``      the supervised scheduler acted: a retry, a job timeout,
                a worker crash, a degradation fallback, a resume skip,
-               or a quarantine.  Fleet runs re-emit their coordination
-               history here at merge time as ``fleet-*`` names on the
-               ``"fleet"`` track — ``fleet-lease-acquire``,
-               ``fleet-lease-steal``, ``fleet-lease-lost``,
-               ``fleet-heartbeat``, ``fleet-job-complete``,
-               ``fleet-worker-exit``, and the final ``fleet-merge``
+               or a quarantine.  The merge re-emits each run's event
+               logs here under their own names on the ``scheduler``
+               track — ``lease-acquire``, ``lease-steal``,
+               ``heartbeat``, ``job-complete``, ``worker-exit``, … —
+               and ends with ``fleet-merge``
 =============  ======================================================
 
 Timed kinds carry device-clock ``start``/``end`` seconds; driver-phase

@@ -625,8 +625,10 @@ def merge_fleet(
     ``stores`` (job ordinal -> cache key) the coordinator stores the
     jobs it executed without a second lookup; otherwise every payload
     is cross-checked against any result-cache entry and stored when
-    absent.  Quarantined jobs raise :class:`QuarantineError` once
-    everything else is stored.
+    absent.  The manifest's quarantined jobs raise
+    :class:`QuarantineError`, named by their current ordinals, once
+    everything else is stored; a marker of a job a narrower ``--resume``
+    dropped is not this run's.
     """
     from repro.sched.cache import _payload_checksum
     from repro.sched.runner import _cache_key
@@ -673,13 +675,16 @@ def merge_fleet(
                     "disagrees with the result cache; refusing to merge"
                 )
         payloads.append(winner)
-    quarantined = scan_quarantined(run_dir)
+    markers = scan_quarantined(run_dir)
+    quarantined = [
+        {**markers[fp], "job": ordinal}
+        for ordinal, fp in enumerate(fingerprints) if fp in markers
+    ]
     if quarantined:
-        for info in quarantined.values():
+        for info in quarantined:
             tele.observe("quarantine", **info)
         names = ", ".join(
-            f"{q.get('benchmark', '?')}#{q.get('job', '?')}"
-            for q in quarantined.values()
+            f"{q.get('benchmark', '?')}#{q['job']}" for q in quarantined
         )
         hint = (
             f"; completed work is journaled as run {tele.journal_run_id}"

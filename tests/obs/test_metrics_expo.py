@@ -5,10 +5,9 @@ import pytest
 from repro.common.errors import ReproError
 from repro.obs import (
     Sample,
-    fleet_samples,
     parse_prometheus_text,
     prometheus_text,
-    telemetry_samples,
+    run_samples,
     write_metrics_text,
 )
 from repro.resilience.supervisor import SchedTelemetry
@@ -88,12 +87,31 @@ class TestParse:
             parse_prometheus_text("a one\n")
 
 
+def snapshot(**counts):
+    """A ``fleet_status`` snapshot: zero counts unless given."""
+    doc = dict.fromkeys((
+        "jobs_total", "jobs_completed", "jobs_remaining", "quarantined",
+        "leases_acquired", "leases_stolen", "heartbeats", "flight_dumps",
+    ), 0)
+    return {**doc, "workers": [], **counts}
+
+
+#: the series ``run_samples`` reads from the snapshot
+STATUS_SERIES = {
+    "repro_jobs_total", "repro_jobs_completed_total",
+    "repro_jobs_remaining", "repro_quarantined_total",
+    "repro_leases_acquired_total", "repro_leases_stolen_total",
+    "repro_heartbeats_total", "repro_flight_dumps_total",
+    "repro_worker_jobs_completed_total",
+}
+
+
 class TestTelemetrySamples:
     def test_registry_prefix_and_core_names(self):
         tele = SchedTelemetry(mode="fleet", completed=3, retries=1)
-        samples = telemetry_samples(
-            tele, run_id="r1", command="sweep", jobs_total=4,
-            jobs_remaining=1,
+        samples = run_samples(
+            snapshot(jobs_total=4, jobs_completed=3, jobs_remaining=1),
+            tele, run_id="r1", command="sweep",
         )
         names = {s.name for s in samples}
         assert all(n.startswith("repro_") for n in names)
@@ -103,17 +121,11 @@ class TestTelemetrySamples:
             "repro_jobs_remaining", "repro_run_degraded",
         } <= names
 
-    def test_fleet_counters_gated_on_workers(self):
-        lean = telemetry_samples(SchedTelemetry())
-        full = telemetry_samples(SchedTelemetry(fleet_workers=2))
-        assert "repro_fleet_workers" not in {s.name for s in lean}
-        assert "repro_fleet_workers" in {s.name for s in full}
-
     def test_cache_and_flight_sections(self):
-        samples = telemetry_samples(
-            SchedTelemetry(),
+        samples = run_samples(
+            snapshot(flight_dumps=3), SchedTelemetry(),
+            run_id="r1", command="sweep",
             cache_stats={"hits": 2, "misses": 1, "stores": 1, "quarantines": 0},
-            flight_dumps=3,
         )
         by_name = {s.name: s.value for s in samples}
         assert by_name["repro_cache_hits_total"] == 2
@@ -121,13 +133,55 @@ class TestTelemetrySamples:
 
     def test_output_is_valid_exposition(self):
         tele = SchedTelemetry(mode="fleet", completed=1)
-        parse_prometheus_text(prometheus_text(telemetry_samples(tele)))
+        workers = [{"worker": "w0", "completed": 1}]
+        parse_prometheus_text(prometheus_text(run_samples(
+            snapshot(workers=workers), tele, run_id=None, command="",
+        )))
 
 
-class TestFleetSamples:
-    def test_missing_run_dir_raises(self, tmp_path):
-        with pytest.raises(ReproError, match="no fleet run directory"):
-            fleet_samples(tmp_path / "ghost.fleet", run_id="ghost")
+class TestRunSamples:
+    def test_each_series_has_one_source(self):
+        # this invocation executed nothing and saw no lease; the run
+        # directory holds two journaled jobs and a quarantined one
+        tele = SchedTelemetry(mode="serial", fleet_workers=2, retries=1)
+        status = snapshot(
+            jobs_total=3, jobs_completed=2, quarantined=1,
+            leases_acquired=5, heartbeats=7,
+            workers=[{"worker": "w0", "completed": 2}],
+        )
+        samples = run_samples(
+            status, tele, run_id="r1", command="sweep", cache_stats={},
+        )
+        by_name = {s.name: s for s in samples}
+        assert by_name["repro_jobs_completed_total"].value == 2
+        assert by_name["repro_quarantined_total"].value == 1
+        assert by_name["repro_leases_acquired_total"].value == 5
+        assert by_name["repro_heartbeats_total"].value == 7
+        assert by_name["repro_retries_total"].value == 1
+        assert by_name["repro_fleet_workers"].value == 2
+        assert by_name["repro_cache_hits_total"].value == 0
+        worker = by_name["repro_worker_jobs_completed_total"]
+        assert (dict(worker.labels), worker.value) == ({"worker": "w0"}, 2)
+        assert dict(by_name["repro_run_info"].labels) == {
+            "run_id": "r1", "command": "sweep", "mode": "serial",
+        }
+
+    def test_status_series_need_a_snapshot(self):
+        tele = SchedTelemetry()
+        with_dir = {
+            s.name for s in run_samples(
+                snapshot(workers=[{"worker": "w0", "completed": 0}]), tele,
+                run_id="r1", command="sweep",
+            )
+        }
+        without = {
+            s.name for s in run_samples(None, tele, run_id="r1", command="")
+        }
+        assert with_dir - without == STATUS_SERIES
+        assert not without & STATUS_SERIES
+        # the telemetry series are always there, idle workers included
+        assert "repro_fleet_workers" in without
+        assert not any(n.startswith("repro_cache_") for n in with_dir)
 
 
 class TestWrite:

@@ -445,6 +445,44 @@ class TestResilienceFlags:
         assert rc == 2
         assert "quarantined" in capsys.readouterr().err
 
+    def test_narrower_resume_drops_a_stale_quarantine_marker(
+        self, capsys, tmp_path
+    ):
+        sweep = [
+            "sweep", "MemAlign", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"),
+        ]
+        assert main(sweep + [
+            "--values", "8192,16384", "--run-id", "q",
+            "--chaos", "seed=3,crash=0.5,max-fault-attempts=99",
+            "--max-retries", "0",
+        ]) == 2
+        assert "MemAlign#1" in capsys.readouterr().err
+        # the resume drops the quarantined job; its marker stays on disk
+        resumed = tmp_path / "resumed.json"
+        clean = tmp_path / "clean.json"
+        assert main(sweep + [
+            "--values", "8192", "--resume", "q", "--out", str(resumed),
+        ]) == 0
+        assert main(sweep + [
+            "--values", "8192", "--no-journal", "--out", str(clean),
+        ]) == 0
+        capsys.readouterr()
+        assert resumed.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [["--jobs", "0", "--run-id", "z"], ["--jobs", "-1"]],
+        ids=["zero", "negative"],
+    )
+    def test_jobs_below_one_is_refused(self, argv, capsys, tmp_path):
+        assert main([
+            "sweep", "MemAlign", "--values", "8192,16384", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"), *argv,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs must be at least 1" in err and "--join" in err
+        assert not (tmp_path / "journal").exists()
+
     def test_run_id_refuses_an_existing_run(self, capsys, tmp_path):
         argv = [
             "sweep", "MemAlign", "--values", "8192", "--no-cache",
@@ -1017,6 +1055,71 @@ class TestObsCLI:
         assert by_name["repro_jobs_completed_total"].value == 2.0
         doc = json.loads(trace_path.read_text())
         assert doc["otherData"]["run_id"] == "r1"
+
+    @staticmethod
+    def _series(samples):
+        return {(s.name, tuple(sorted(s.labels.items()))): s.value
+                for s in samples}
+
+    def test_sidecar_reads_the_run_directory_snapshot(self, capsys, tmp_path):
+        from repro.obs import fleet_status, parse_prometheus_text, run_samples
+        from repro.resilience.fleet import fleet_dir
+        from repro.resilience.supervisor import SchedTelemetry
+
+        # a cache-populating run, then a warm one that executes nothing
+        assert self._fleet_sweep(tmp_path, run_id="warm0") == 0
+        prom = tmp_path / "warm.prom"
+        assert self._fleet_sweep(
+            tmp_path, run_id="warm", extra=("--metrics", str(prom))
+        ) == 0
+        capsys.readouterr()
+        sidecar = self._series(parse_prometheus_text(prom.read_text()))
+        status = fleet_status(fleet_dir(tmp_path / "jd", "warm"))
+        kw = {"run_id": "warm", "command": "sweep"}
+        tele = SchedTelemetry()
+        direct = self._series(run_samples(status, tele, **kw))
+        run_dir_series = direct.keys() - self._series(
+            run_samples(None, tele, **kw)
+        ).keys()
+        assert run_dir_series
+        assert {k: sidecar[k] for k in run_dir_series} == {
+            k: direct[k] for k in run_dir_series
+        }
+        assert sidecar[("repro_jobs_completed_total", ())] == 2
+        assert sidecar[("repro_cache_hits_total", ())] == 2
+
+    def test_bare_metrics_supervises_the_run(self, capsys, tmp_path):
+        prom = tmp_path / "m.prom"
+        assert main([
+            "sweep", "MemAlign", "--values", "8192",
+            "--journal-dir", str(tmp_path / "jd"),
+            "--cache-dir", str(tmp_path / "cd"),
+            "--metrics", str(prom),
+        ]) == 0
+        assert "metrics written to" in capsys.readouterr().out
+        assert prom.stat().st_size > 0
+        assert len(list((tmp_path / "jd").glob("*.fleet"))) == 1
+
+    def test_scrape_and_sidecar_have_the_same_series(self, capsys, tmp_path):
+        from repro.__main__ import _RunSession, build_parser
+        from repro.obs import parse_prometheus_text
+
+        prom = tmp_path / "m.prom"
+        assert self._fleet_sweep(
+            tmp_path, run_id="r1", extra=("--metrics", str(prom))
+        ) == 0
+        capsys.readouterr()
+        # a session over the finished run, before it opens the cache
+        args = build_parser().parse_args([
+            "sweep", "MemAlign", "--values", "8192,16384",
+            "--journal-dir", str(tmp_path / "jd"), "--resume", "r1",
+        ])
+        scrape = {s.name for s in _RunSession(args, "sweep")._samples()}
+        sidecar = {
+            s.name for s in parse_prometheus_text(prom.read_text())
+            if not s.name.startswith("repro_cache_")
+        }
+        assert scrape == sidecar
 
     def test_journal_show_trace_and_span_filters(self, capsys, tmp_path):
         from repro.obs import TraceContext, trace_id_for_run

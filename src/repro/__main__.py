@@ -138,22 +138,19 @@ def _make_config(args: argparse.Namespace, *, command: str):
                 f"journal {path} already exists; pass --resume {run_id} "
                 "to continue it or pick another --run-id"
             )
-    ttl = getattr(args, "lease_ttl", None)
-    ttl = ttl if ttl is not None else 5.0
-    heartbeat = getattr(args, "heartbeat", None)
     kwargs: dict[str, Any] = {}
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
     if args.job_timeout is not None:
         kwargs["job_timeout_s"] = args.job_timeout
+    if getattr(args, "lease_ttl", None) is not None:
+        kwargs["lease_ttl_s"] = args.lease_ttl
     return ResilienceConfig(
         chaos=parse_chaos(args.chaos) if args.chaos else None,
         run_id=run_id,
         journal_root=args.journal_dir,
         command=command,
         worker_id=getattr(args, "worker_id", None) or "",
-        heartbeat_s=heartbeat if heartbeat is not None else max(ttl / 3.0, 1e-3),
-        lease_ttl_s=ttl,
         **kwargs,
     )
 
@@ -335,7 +332,7 @@ class _RunSession:
         if noop:
             print(
                 f"nothing to do: run {args.resume} already complete "
-                f"({tele.resume_skips} job(s) journaled); artifacts unchanged"
+                f"({tele.resume_skips} job(s) journaled)"
             )
         else:
             print(text)
@@ -1207,11 +1204,7 @@ def _option_groups() -> dict[str, tuple[_Option, ...]]:
             _opt(
                 "--lease-ttl", type=float, default=None, metavar="SECONDS",
                 help="missed-heartbeat window before another worker may "
-                "steal a job lease (default 5)",
-            ),
-            _opt(
-                "--heartbeat", type=float, default=None, metavar="SECONDS",
-                help="lease heartbeat interval (default: lease TTL / 3)",
+                "steal a job lease; workers beat every TTL / 3 (default 5)",
             ),
         ),
         "obs": (

@@ -6,12 +6,15 @@ The sub-classes mirror the CUDA error families a real runtime reports:
 configuration problems at launch time, invalid memory operations, and
 misuse of the stream/graph APIs.
 
-Each class maps to the ``cudaError_t`` code a real runtime would return
-(:func:`cuda_error_name`), and the code is appended to the rendered
-message so log lines read like driver output::
+Each CUDA error family maps to the ``cudaError_t`` code a real runtime
+would return (:func:`cuda_error_name`), and the code is appended to the
+rendered message so log lines read like the CUDA runtime's::
 
     >>> str(LaunchConfigError("block of 2048 threads"))
     'block of 2048 threads [cudaErrorInvalidConfiguration]'
+
+An error outside those families (a bad CLI argument, a supervision
+failure, a rejected request) renders its message alone.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ class ReproError(Exception):
 
     def __str__(self) -> str:
         base = super().__str__()
-        return f"{base} [{cuda_error_name(self)}]" if base else cuda_error_name(self)
+        code = _family_code(type(self))
+        if code is None:
+            return base
+        return f"{base} [{code}]" if base else code
 
 
 class SpecError(ReproError):
@@ -124,20 +130,25 @@ _CUDA_ERROR_NAMES: dict[type, str] = {
     GraphError: "cudaErrorStreamCaptureInvalidated",
     KernelRuntimeError: "cudaErrorLaunchFailure",
     SpecError: "cudaErrorInvalidDevice",
-    ReproError: "cudaErrorUnknown",
 }
+
+
+def _family_code(cls: type) -> str | None:
+    """The code of the nearest mapped ancestor of ``cls``; None when
+    none is mapped."""
+    for base in cls.__mro__:
+        name = _CUDA_ERROR_NAMES.get(base)
+        if name is not None:
+            return name
+    return None
 
 
 def cuda_error_name(error: ReproError | type[ReproError]) -> str:
     """The ``cudaError_t`` enumerator a real runtime would report.
 
     Accepts an exception instance or class; unknown subclasses resolve
-    through their nearest mapped ancestor (ultimately
-    ``cudaErrorUnknown``).
+    through their nearest mapped ancestor, and classes with none to
+    ``cudaErrorUnknown``.
     """
     cls = error if isinstance(error, type) else type(error)
-    for base in cls.__mro__:
-        name = _CUDA_ERROR_NAMES.get(base)
-        if name is not None:
-            return name
-    return "cudaErrorUnknown"
+    return _family_code(cls) or "cudaErrorUnknown"

@@ -29,13 +29,11 @@ Record kinds
 ``counter``    per-kernel metric sample (occupancy, efficiencies)
 ``fault``      the fault injector fired or recovered
 ``sanitizer``  a compute-sanitizer analog finding was raised
-``sched``      the supervised scheduler acted: a retry, a job timeout,
-               a worker crash, a degradation fallback, a resume skip,
-               or a quarantine.  The merge re-emits each run's event
-               logs here under their own names on the ``scheduler``
-               track — ``lease-acquire``, ``lease-steal``,
-               ``heartbeat``, ``job-complete``, ``worker-exit``, … —
-               and ends with ``fleet-merge``
+``sched``      an engine worker's supervision ladder acted: a retry,
+               a job timeout, a worker crash, a degradation fallback,
+               or a quarantine, on the ``scheduler`` track of the
+               worker's own hub (its flight recorder keeps them); the
+               run's event logs hold the rest of its coordination
 =============  ======================================================
 
 Timed kinds carry device-clock ``start``/``end`` seconds; driver-phase

@@ -29,8 +29,7 @@ same run.  Nothing coordinates the workers except the filesystem:
   completions, and the supervision ladder's failures, retries,
   fallbacks and quarantines) stream to per-worker NDJSON **event
   logs** under ``events/``, which the merge folds through
-  :meth:`~repro.resilience.supervisor.SchedTelemetry.observe` and
-  re-emits as ``sched`` activity records.
+  :meth:`~repro.resilience.supervisor.SchedTelemetry.observe`.
 
 Subdirectories are created when first written, and every file is
 published or appended through :mod:`repro.common.durable` (the
@@ -122,6 +121,10 @@ POLL_S = 0.05
 #: coordinator kills its worker; the worker's own SIGALRM limit
 #: (:func:`~repro.resilience.supervisor.wall_clock_limit`) fires at one
 _KILL_AFTER = 2.0
+
+#: how long the coordinator waits, once every job is resolved, for its
+#: idle workers to see it within one poll and log ``worker-exit``
+_EXIT_GRACE_S = 1.0
 
 
 class FleetMergeError(ReproError):
@@ -596,11 +599,6 @@ def _fleet_worker_entry(specs, cfg: ResilienceConfig) -> None:
 # ----------------------------------------------------------------------
 # merge
 
-def _emit(hub, name: str, **args: Any) -> None:
-    if hub is not None and hub.wants("sched"):
-        hub.emit("sched", name, track="scheduler", **args)
-
-
 def merge_fleet(
     run_dir: Path,
     specs: Sequence["JobSpec"],
@@ -615,17 +613,16 @@ def merge_fleet(
     published or validated the manifest first).
 
     First folds the run's event logs into ``cfg.telemetry`` through
-    :meth:`SchedTelemetry.observe` and re-emits each event as a
-    ``sched`` record (``events_after`` skips an earlier invocation's,
-    see :func:`_event_counts`), so even a quarantined run reports its
-    ladder counters.  Every duplicated completion is checksum-compared
-    against the winner; a mismatch raises :class:`FleetMergeError`
-    (deterministic jobs cannot legitimately disagree, so a conflict
-    means corruption or a code-version split across the fleet).  With
-    ``stores`` (job ordinal -> cache key) the coordinator stores the
-    jobs it executed without a second lookup; otherwise every payload
-    is cross-checked against any result-cache entry and stored when
-    absent.  The manifest's quarantined jobs raise
+    :meth:`SchedTelemetry.observe` (``events_after`` skips an earlier
+    invocation's, see :func:`_event_counts`), so even a quarantined run
+    reports its ladder counters.  Every duplicated completion is
+    checksum-compared against the winner; a mismatch raises
+    :class:`FleetMergeError` (deterministic jobs cannot legitimately
+    disagree, so a conflict means corruption or a code-version split
+    across the fleet).  With ``stores`` (job ordinal -> cache key) the
+    coordinator stores the jobs it executed without a second lookup;
+    otherwise every payload is cross-checked against any result-cache
+    entry and stored when absent.  The manifest's quarantined jobs raise
     :class:`QuarantineError`, named by their current ordinals, once
     everything else is stored; a marker of a job a narrower ``--resume``
     dropped is not this run's.
@@ -634,11 +631,8 @@ def merge_fleet(
     from repro.sched.runner import _cache_key
 
     tele = cfg.telemetry
-    hub = cfg.hub
     for ev in read_events(run_dir, events_after):
-        name = ev.pop("event", "event")
-        tele.observe(name, **ev)
-        _emit(hub, name, **ev)
+        tele.observe(ev.pop("event", "event"), **ev)
     all_records = scan_duplicates(run_dir)
     fingerprints = read_manifest(run_dir)["jobs"]
     payloads: list[dict[str, Any] | None] = []
@@ -651,10 +645,6 @@ def merge_fleet(
         checksum = _payload_checksum(winner)
         for other_worker, other in records[1:]:
             tele.observe("duplicate-completion")
-            _emit(
-                hub, "duplicate-completion", job=ordinal,
-                winner=winner_worker, duplicate=other_worker,
-            )
             if _payload_checksum(other) != checksum:
                 raise FleetMergeError(
                     f"fleet journals disagree on job {ordinal} "
@@ -702,11 +692,6 @@ def merge_fleet(
         )
     # the run is merged: expired leases and steal remnants are garbage
     _sweep_leases(run_dir)
-    _emit(
-        hub, "fleet-merge", jobs=len(payloads),
-        duplicates=tele.duplicate_completions,
-        steals=tele.leases_stolen,
-    )
     return payloads  # type: ignore[return-value]
 
 
@@ -1007,7 +992,7 @@ def _coordinate(
     try:
         for i, (spec, fp) in enumerate(zip(specs, fingerprints)):
             if fp in journaled:
-                cfg.report("resume-skip", benchmark=spec.benchmark, job=i)
+                tele.observe("resume-skip", benchmark=spec.benchmark, job=i)
                 continue
             key = _cache_key(cache, spec) if cache is not None else None
             hit = cache.get(key) if key is not None else None
@@ -1042,7 +1027,6 @@ def _coordinate(
                 tele.fallbacks.append({
                     "from": "fleet", "to": "in-process", "reason": reason,
                 })
-                _emit(cfg.hub, "fallback-fleet", reason=reason)
                 fleet_worker(specs, local, lethal=False)
         elif todo:
             tele.fleet_workers = 1
@@ -1076,8 +1060,9 @@ def _supervise(
 
     Returns once every one is journaled or quarantined (None), or with
     the reason the run must fall back in-process: a worker could not
-    be started, or died holding no lease.  Workers still running on
-    the way out are stopped and their leases expired.
+    be started, or died holding no lease.  Once the jobs are resolved,
+    the workers get :data:`_EXIT_GRACE_S` to exit on their own; workers
+    still running on the way out are stopped and their leases expired.
     """
     import multiprocessing
 
@@ -1132,6 +1117,9 @@ def _supervise(
                 # deterministic SIGINT analog for interrupt-and-resume
                 raise KeyboardInterrupt
             if not pending:
+                deadline = time.monotonic() + _EXIT_GRACE_S
+                for proc in procs.values():
+                    proc.join(max(0.0, deadline - time.monotonic()))
                 return None
             held = {lease.owner: lease for lease in leases.held()}
             for wid in dead:
@@ -1164,9 +1152,7 @@ def _supervise(
             while len(procs) < min(jobs, len(pending)):
                 wid = f"{cfg.worker_id}-{spawned:02d}"
                 spawned += 1
-                wcfg = replace(
-                    cfg, worker_id=wid, hub=None, telemetry=SchedTelemetry()
-                )
+                wcfg = replace(cfg, worker_id=wid, telemetry=SchedTelemetry())
                 try:
                     proc = ctx.Process(
                         target=_fleet_worker_entry, args=(list(specs), wcfg),

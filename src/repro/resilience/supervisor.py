@@ -21,10 +21,10 @@ one :class:`ResilienceConfig`:
 
 Every supervision action (retry, timeout, crash, fallback, resume
 skip, quarantine) is folded into :class:`SchedTelemetry` by
-:meth:`SchedTelemetry.observe` and emitted as a ``sched`` activity
-record through the configured :class:`~repro.prof.activity.ActivityHub`,
-so health events appear in Chrome traces and NDJSON exports next to the
-device timeline.
+:meth:`SchedTelemetry.observe`.  An engine worker also logs each
+ladder event to its event log in the run directory and emits it as a
+``sched`` activity record on its own hub, so its flight recorder holds
+health events next to the device timeline.
 
 Chaos faults come from the scheduler-layer extensions of
 :class:`~repro.faults.plan.FaultPlan`; decisions are keyed on the job
@@ -45,14 +45,11 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.common.errors import BackendDivergenceError, ReproError
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.resilience.journal import DEFAULT_JOURNAL_DIR
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.prof.activity import ActivityHub
 
 __all__ = [
     "WorkerCrash",
@@ -121,8 +118,8 @@ class SchedTelemetry:
     """What the supervisor did during one scheduler run.
 
     Exposed to the CLI for the ``--stats`` sidecar and the
-    degraded-run exit code; the same events stream through the
-    activity hub as ``sched`` records.
+    degraded-run exit code; the merge folds it from the run's event
+    logs.
     """
 
     #: "serial" | "fleet" | "fleet-fallback"
@@ -193,25 +190,22 @@ class ResilienceConfig:
     """Policy and identity of one supervised run.
 
     The defaults give every run two retries at zero configuration;
-    chaos, journaling and health-event emission are opt-in.
-    ``telemetry`` is filled in during the run and read back by the
-    caller afterwards.  ``run_id`` names the run directory
-    ``<run-id>.fleet/`` under ``journal_root``; None runs unjournaled.
-    ``worker_id`` names this process when it joins a run (``--join``)
-    and prefixes the local workers the engine spawns; the lease TTL and
-    heartbeat govern how fast a dead worker's job is stolen.
+    chaos and journaling are opt-in.  ``telemetry`` is filled in during
+    the run and read back by the caller afterwards.  ``run_id`` names
+    the run directory ``<run-id>.fleet/`` under ``journal_root``; None
+    runs unjournaled.  ``worker_id`` names this process when it joins a
+    run (``--join``) and prefixes the local workers the engine spawns;
+    the lease TTL governs how fast a dead worker's job is stolen.
     """
 
     max_retries: int = 2
     job_timeout_s: float | None = None
     chaos: FaultPlan | None = None
-    hub: "ActivityHub | None" = field(default=None, repr=False, compare=False)
     telemetry: SchedTelemetry = field(default_factory=SchedTelemetry)
     run_id: str | None = None
     journal_root: str | Path = DEFAULT_JOURNAL_DIR
     command: str = "run"
     worker_id: str = ""
-    heartbeat_s: float = 0.5
     lease_ttl_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -221,18 +215,11 @@ class ResilienceConfig:
             raise ReproError(
                 f"lease TTL must be positive, got {self.lease_ttl_s}"
             )
-        if self.heartbeat_s <= 0 or self.heartbeat_s >= self.lease_ttl_s:
-            raise ReproError(
-                f"heartbeat interval must be in (0, lease TTL); got "
-                f"{self.heartbeat_s} vs TTL {self.lease_ttl_s}"
-            )
 
-    def report(self, name: str, /, **args: Any) -> None:
-        """Fold one supervision event into the telemetry, then emit it
-        as a ``sched`` record on the hub's ``scheduler`` track."""
-        self.telemetry.observe(name, **args)
-        if self.hub is not None and self.hub.wants("sched"):
-            self.hub.emit("sched", name, track="scheduler", **args)
+    @property
+    def heartbeat_s(self) -> float:
+        """The lease heartbeat interval: three beats per TTL."""
+        return self.lease_ttl_s / 3
 
 
 class Ladder:

@@ -15,14 +15,11 @@ command line, which is the recovery story's acceptance test.
 
 Durability plumbing per request:
 
-* a per-request run directory ``<data-dir>/journals/<request-id>.fleet/``
-  (:mod:`repro.resilience.fleet`), reopened by a re-execution after a
+* a per-request run directory (:func:`request_run_dir`,
+  :mod:`repro.resilience.fleet`), reopened by a re-execution after a
   crash, which resumes from the completed checkpoints instead of
-  recomputing;
-* a per-request :class:`~repro.prof.activity.ActivityHub` whose
-  ``sched`` records (resume skips, and the run's events as it merges)
-  are forwarded to ``on_event``; the server streams them to
-  ``GET /v1/jobs/<id>`` watchers as NDJSON progress;
+  recomputing; ``GET /v1/jobs/<id>?watch=1`` streams its
+  :func:`~repro.resilience.fleet.fleet_status` counts as progress;
 * the request deadline threaded into the per-job timeout, with
   explicit deadline checks before the run, after a failure and after
   the run, so an expired request reports ``expired`` (HTTP 504), not a
@@ -45,7 +42,7 @@ from typing import Any, Callable
 from repro.common.errors import ReproError
 from repro.serve.queue import QueueEntry
 
-__all__ = ["ExecutionOutcome", "execute_request"]
+__all__ = ["ExecutionOutcome", "execute_request", "request_run_dir"]
 
 #: profile/check patch process-global state (the profiler's runtime
 #: hooks); one at a time across all worker threads
@@ -80,7 +77,6 @@ def execute_request(
     data_dir: str | Path,
     cache=None,
     jobs: int = 1,
-    on_event: Callable[[dict[str, Any]], None] | None = None,
     now: Callable[[], float] = time.time,
 ) -> ExecutionOutcome:
     """Run one claimed request to a terminal outcome.
@@ -99,8 +95,7 @@ def execute_request(
     try:
         if req.kind in ("run", "sweep"):
             outcome = _execute_scheduled(
-                entry, data_dir=data_dir, cache=cache, jobs=jobs,
-                on_event=on_event, now=now,
+                entry, data_dir=data_dir, cache=cache, jobs=jobs, now=now,
             )
         elif req.kind == "profile":
             outcome = _execute_profile(entry)
@@ -126,42 +121,29 @@ def execute_request(
 
 
 # ----------------------------------------------------------------------
-def _progress_hub(entry: QueueEntry, on_event):
-    """A per-request ActivityHub forwarding sched records as dicts."""
-    if on_event is None:
-        return None
-    from repro.prof.activity import ActivityHub
+def request_run_dir(data_dir: str | Path, request_id: str) -> Path:
+    """The run directory of a ``run``/``sweep`` request,
+    ``<data-dir>/journals/<request-id>.fleet/``."""
+    from repro.resilience.fleet import fleet_dir
 
-    hub = ActivityHub()
-
-    def forward(rec) -> None:
-        on_event({
-            "event": rec.name,
-            "kind": rec.kind,
-            "seq": rec.seq,
-            "args": dict(rec.args),
-        })
-
-    hub.subscribe(forward, kinds=("sched",))
-    return hub
+    return fleet_dir(Path(data_dir) / "journals", request_id)
 
 
-def _make_config(entry: QueueEntry, data_dir: Path, hub, now):
+def _make_config(entry: QueueEntry, data_dir, now):
     """The request's supervision config: the CLI's, with the request id
     as run id and the remaining deadline as the job timeout."""
     from repro.resilience.supervisor import ResilienceConfig
 
     return ResilienceConfig(
         run_id=entry.id,
-        journal_root=data_dir / "journals",
+        journal_root=request_run_dir(data_dir, entry.id).parent,
         command=f"serve-{entry.request.kind}",
-        hub=hub,
         job_timeout_s=_deadline_remaining(entry, now()),
     )
 
 
 def _execute_scheduled(
-    entry: QueueEntry, *, data_dir, cache, jobs, on_event, now
+    entry: QueueEntry, *, data_dir, cache, jobs, now
 ) -> ExecutionOutcome:
     from repro.core.base import BenchResult
     from repro.prof.metrics import (
@@ -173,8 +155,7 @@ def _execute_scheduled(
     from repro.sched.runner import parallel_sweep, run_jobs
 
     req = entry.request
-    hub = _progress_hub(entry, on_event)
-    config = _make_config(entry, Path(data_dir), hub, now)
+    config = _make_config(entry, data_dir, now)
     doc: dict[str, Any]
     if req.kind == "sweep":
         sweep = parallel_sweep(

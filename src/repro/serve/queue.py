@@ -66,7 +66,7 @@ class QueueEntry:
     __slots__ = (
         "id", "seq", "request", "state", "attempts", "error",
         "result_fingerprint", "submitted_at", "started_at", "finished_at",
-        "events", "cond",
+        "cond",
     )
 
     def __init__(self, id: str, seq: int, request: ServeRequest) -> None:
@@ -80,9 +80,7 @@ class QueueEntry:
         self.submitted_at: float = 0.0
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        #: live progress events (in-memory only; the durable record is
-        #: the state file + per-request run journal)
-        self.events: list[dict[str, Any]] = []
+        #: notified on every transition, which wakes ``?watch=1`` streams
         self.cond = threading.Condition()
 
     @property
@@ -324,13 +322,6 @@ class DurableQueue:
             self._transition(entry, "queued")
             self._pending.append(entry.id)
             self._ready.notify()
-
-    # -- events ---------------------------------------------------------
-    def record_event(self, entry: QueueEntry, event: dict[str, Any]) -> None:
-        """Append a live progress event and wake any streaming readers."""
-        with entry.cond:
-            entry.events.append(event)
-            entry.cond.notify_all()
 
     # -- lookups --------------------------------------------------------
     def get(self, request_id: str) -> QueueEntry | None:

@@ -43,7 +43,7 @@ from repro.common.httpd import HardenedHandler, HardenedHTTPServer
 from repro.obs.metrics import Sample
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import BreakerBoard
-from repro.serve.executor import execute_request
+from repro.serve.executor import execute_request, request_run_dir
 from repro.serve.queue import DurableQueue, QueueEntry
 from repro.serve.recovery import RecoverySummary, recover
 from repro.serve.request import BadRequest, parse_request
@@ -53,8 +53,13 @@ __all__ = ["ServeDaemon"]
 #: request-body bound for POST /v1/jobs (413 past this)
 MAX_BODY_BYTES = 1 << 20
 
-#: how long one watch poll waits before re-checking for events
+#: how long one watch poll waits before re-reading the run directory
 _WATCH_POLL_S = 0.5
+
+#: the ``fleet_status`` counts a watch stream's progress line carries
+_PROGRESS_KEYS = (
+    "jobs_total", "jobs_completed", "jobs_remaining", "quarantined",
+)
 
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
@@ -199,7 +204,6 @@ class ServeDaemon:
             data_dir=self.queue.data_dir,
             cache=self.cache,
             jobs=self.jobs,
-            on_event=lambda event: self.queue.record_event(entry, event),
             now=self.now,
         )
         self.admission.observe_service_time(self.now() - began)
@@ -501,28 +505,32 @@ class _ServeHandler(HardenedHandler):
 
 
 def _progress_lines(entry: QueueEntry, daemon: ServeDaemon) -> Iterator[bytes]:
-    """status line, live events as they arrive, terminal status line."""
+    """Status line, a ``progress`` line whenever the request's run
+    directory counts differently, terminal status line."""
+    from repro.resilience.fleet import fleet_status
 
     def dump(obj: dict[str, Any]) -> bytes:
         return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
 
     yield dump(entry.status_doc())
-    sent = 0
+    run_dir = request_run_dir(daemon.queue.data_dir, entry.id)
+    sent = None
     while True:
         with entry.cond:
-            events = entry.events[sent:]
-            if not events and not entry.terminal:
+            if not entry.terminal:
                 if daemon._draining.is_set():
-                    break
+                    return
                 entry.cond.wait(_WATCH_POLL_S)
-                events = entry.events[sent:]
-        for event in events:
-            yield dump(event)
-        sent += len(events)
-        if entry.terminal:
-            with entry.cond:
-                remaining = entry.events[sent:]
-            for event in remaining:
-                yield dump(event)
+        # the state is read before the run directory, so a terminal
+        # request's last progress line counts its finished run
+        terminal = entry.terminal
+        if run_dir.is_dir():
+            status = fleet_status(run_dir)
+            progress = {key: status[key] for key in _PROGRESS_KEYS}
+            # a run still starting has no manifest yet and reads 0 jobs
+            if progress["jobs_total"] and progress != sent:
+                yield dump({"progress": progress})
+                sent = progress
+        if terminal:
             yield dump(entry.status_doc())
             return

@@ -84,7 +84,6 @@ class TestFleetTraceProps:
             run_id=run_id,
             journal_root=tmp_path,
             lease_ttl_s=0.4,
-            heartbeat_s=0.1,
             chaos=chaos,
         )
         run_jobs(SPECS, jobs=workers, config=cfg)

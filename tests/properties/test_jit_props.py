@@ -124,7 +124,6 @@ class TestFleetJitByteIdentity:
             run_id=f"jit-prop-{seed}",
             journal_root=tmp_path,
             lease_ttl_s=0.4,
-            heartbeat_s=0.1,
         )
         payloads = run_jobs(JIT_SPECS, jobs=2, config=cfg)
         assert json.dumps(payloads) == serial_jit_bytes()

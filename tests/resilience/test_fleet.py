@@ -18,6 +18,7 @@ from repro.resilience.fleet import (
     _EventLog,
     ensure_manifest,
     fleet_dir,
+    fleet_status,
     join_fleet,
     merge_fleet,
     read_events,
@@ -44,7 +45,6 @@ def make_cfg(tmp_path, **kw) -> ResilienceConfig:
     kw.setdefault("run_id", "ftest")
     kw.setdefault("journal_root", tmp_path)
     kw.setdefault("lease_ttl_s", 0.5)
-    kw.setdefault("heartbeat_s", 0.1)
     return ResilienceConfig(**kw)
 
 
@@ -95,6 +95,21 @@ class TestCleanFleet:
             cfg=make_cfg(tmp_path), cache=cache,
         )
         assert json.dumps(again) == json.dumps(payloads)
+
+    def test_every_worker_logs_its_exit(self, tmp_path):
+        # a worker idling in its poll when the last job is journaled
+        # must log worker-exit before the coordinator stops it, or
+        # repro top reads it live (and, past the TTL, stale) forever
+        specs = [
+            JobSpec(benchmark="MemAlign", params={"n": n})
+            for n in (8192, 16384, 32768, 65536)
+        ]
+        for attempt in range(5):
+            cfg = make_cfg(tmp_path, run_id=f"exit{attempt}")
+            run_jobs(specs, jobs=2, config=cfg)
+            status = fleet_status(fleet_dir(tmp_path, cfg.run_id))
+            states = [row["state"] for row in status["workers"]]
+            assert states == ["done", "done"], (attempt, status["workers"])
 
 
 class TestChaosFleet:
@@ -403,10 +418,6 @@ class TestEventLog:
 
 
 class TestConfigValidation:
-    def test_heartbeat_must_beat_faster_than_ttl(self, tmp_path):
-        with pytest.raises(ReproError, match="heartbeat"):
-            make_cfg(tmp_path, heartbeat_s=1.0, lease_ttl_s=0.5)
-
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ReproError, match="TTL"):
             make_cfg(tmp_path, lease_ttl_s=0.0)

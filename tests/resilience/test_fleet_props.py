@@ -60,7 +60,6 @@ class TestFleetByteIdentity:
             run_id=f"prop-{workers}-{seed}-{flavor}",
             journal_root=tmp_path,
             lease_ttl_s=0.4,
-            heartbeat_s=0.1,
             chaos=chaos,
         )
         payloads = run_jobs(SPECS, jobs=workers, config=cfg)

@@ -19,7 +19,6 @@ import time
 import pytest
 
 from repro.common.errors import BackendDivergenceError
-from repro.prof.activity import ActivityHub
 from repro.resilience import (
     JobTimeout,
     QuarantineError,
@@ -169,7 +168,6 @@ class TestTimeouts:
         start = time.monotonic()
         payloads, config = supervised(
             SPECS, jobs=2, job_timeout_s=timeout, lease_ttl_s=1.0,
-            heartbeat_s=0.2,
         )
         elapsed = time.monotonic() - start
         assert payloads == clean
@@ -224,7 +222,7 @@ class TestQuarantine:
         monkeypatch.setattr(runner, "execute_job", poisoned)
         config = ResilienceConfig(
             max_retries=1, run_id="q2", journal_root=tmp_path,
-            lease_ttl_s=1.0, heartbeat_s=0.2,
+            lease_ttl_s=1.0,
         )
         with pytest.raises(QuarantineError, match="q2"):
             run_jobs(SPECS, jobs=2, config=config)
@@ -298,28 +296,6 @@ class TestJournalIntegration:
         assert payloads == clean
         assert config.telemetry.resume_skips == 1
         assert config.telemetry.completed == 1
-
-
-class TestHealthEvents:
-    def test_sched_records_through_hub(self, clean):
-        hub = ActivityHub()
-        records = []
-        hub.subscribe(records.append, kinds=["sched"])
-        payloads, config = supervised(
-            SPECS, hub=hub,
-            chaos=parse_chaos("seed=3,crash=1.0,max-fault-attempts=1"),
-        )
-        assert payloads == clean
-        names = [r.name for r in records]
-        assert "worker-crash" in names and "retry" in names
-        crash = next(r for r in records if r.name == "worker-crash")
-        assert crash.kind == "sched"
-        assert crash.args["benchmark"] == "MemAlign"
-
-    def test_no_subscriber_no_records(self, clean):
-        hub = ActivityHub()
-        payloads, _ = supervised(SPECS, hub=hub)
-        assert payloads == clean  # wants() gate: nothing to assert but no crash
 
 
 class TestWallClockLimit:

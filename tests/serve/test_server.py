@@ -135,7 +135,53 @@ class TestEndpoints:
         conn.close()
         assert lines[0]["id"] == sub["id"]
         assert lines[-1]["state"] == "done"
-        assert any("event" in line for line in lines)
+        assert lines[-2]["progress"] == {
+            "jobs_total": 1, "jobs_completed": 1,
+            "jobs_remaining": 0, "quarantined": 0,
+        }
+
+    def test_watch_streams_progress_while_the_run_works(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sched.runner as runner
+
+        execute = runner.execute_job
+        first_seen = threading.Event()
+        calls = []
+
+        def gated(spec):
+            # hold the second point until a watcher saw the first one
+            # done; bounded, so a stream without progress fails the test
+            calls.append(spec)
+            if len(calls) == 2:
+                first_seen.wait(timeout=10)
+            return execute(spec)
+
+        monkeypatch.setattr(runner, "execute_job", gated)
+        with ServeDaemon(tmp_path / "data", port=0, workers=1) as daemon:
+            sub = ServeClient(daemon.url).submit(
+                sweep_doc(values=[4096, 8192, 16384])
+            )
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", daemon.port, timeout=120
+            )
+            conn.request("GET", f"/v1/jobs/{sub['id']}?watch=1")
+            lines = []
+            for raw in conn.getresponse():
+                lines.append(json.loads(raw))
+                progress = lines[-1].get("progress", {})
+                if progress.get("jobs_completed") == 1:
+                    first_seen.set()
+            conn.close()
+        progress = [line["progress"] for line in lines if "progress" in line]
+        assert first_seen.is_set()
+        assert any(
+            0 < p["jobs_completed"] < p["jobs_total"] for p in progress
+        )
+        assert progress[-1]["jobs_completed"] == progress[-1]["jobs_total"] == 3
+        assert lines[0]["id"] == sub["id"]
+        assert lines[-1]["state"] == "done"
+        assert all("progress" in line for line in lines[1:-1])
 
     def test_unfinished_result_is_409_with_retry_after(self, tmp_path):
         # HTTP only, no workers: the queued request stays queued

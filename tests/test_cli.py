@@ -483,6 +483,21 @@ class TestResilienceFlags:
         assert "--jobs must be at least 1" in err and "--join" in err
         assert not (tmp_path / "journal").exists()
 
+    def test_argument_errors_carry_no_cuda_code(self, capsys, tmp_path):
+        # a bad flag is not a CUDA failure: no [cudaError...] suffix,
+        # while a CUDA error family keeps its code
+        base = [
+            "sweep", "MemAlign", "--values", "8192", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"),
+        ]
+        for argv in (["--resume", "nosuch"], ["--jobs", "0"]):
+            assert main(base + argv) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: ") and "[" not in err, err
+        main(["run", "MemAlign", "-p", "n=8192", "-p", "block=4096"])
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("[cudaErrorInvalidConfiguration]"), err
+
     def test_run_id_refuses_an_existing_run(self, capsys, tmp_path):
         argv = [
             "sweep", "MemAlign", "--values", "8192", "--no-cache",
@@ -815,6 +830,32 @@ class TestResumeNothingToDo:
         assert "r1 already complete" in printed
         assert out.read_text() == "sentinel: must not be re-written"
         assert first_bytes  # sanity: the first run did write the doc
+
+    def test_noop_resume_names_what_it_writes(self, capsys, tmp_path):
+        # after a quarantine, a narrower resume has nothing left to run
+        # but writes the missing --out and --stats: its summary must not
+        # claim the artifacts are unchanged
+        sweep = [
+            "sweep", "MemAlign", "--no-cache",
+            "--journal-dir", str(tmp_path / "jd"),
+        ]
+        assert main(sweep + [
+            "--values", "8192,16384", "--run-id", "q",
+            "--chaos", "seed=3,crash=0.5,max-fault-attempts=99",
+            "--max-retries", "0",
+        ]) == 2
+        capsys.readouterr()
+        out, stats = tmp_path / "q.json", tmp_path / "stats.json"
+        assert main(sweep + [
+            "--values", "8192", "--resume", "q", "--out", str(out),
+            "--stats", str(stats),
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert "nothing to do: run q already complete" in printed
+        assert "unchanged" not in printed
+        assert f"sweep results written to {out}" in printed
+        assert f"scheduler stats written to {stats}" in printed
+        assert out.exists() and stats.exists()
 
     def test_complete_resume_writes_missing_out(self, capsys, tmp_path):
         # a run killed after its last journal record but before --out

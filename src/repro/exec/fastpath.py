@@ -35,6 +35,7 @@ from repro.mem.coalesce import (
     MAX_ANALYZED_WARPS,
     AccessSummary,
     _select_sample,
+    distinct_count,
     lanes_to_warps,
     segment_distinct_counts,
 )
@@ -74,21 +75,14 @@ def _class_representatives(
 def _distinct_union(first: np.ndarray, last: np.ndarray) -> float:
     """Distinct count of ``first ∪ last`` keys over fully-active rows.
 
-    Equals the reference ``np.unique(keys[mask]).size`` for every
+    Equals the reference ``distinct_count(keys[mask])`` for every
     straddle-branch outcome: when no element straddles, ``last`` merely
     duplicates ``first``; when one does, the reference concatenates both
-    anyway.  A monotone flattened stream (the common affine case) is
-    counted with one diff pass instead of a sort.
+    anyway.
     """
-    if first.size == 0:
-        return 0.0
-    flat = first.reshape(-1)
     if np.array_equal(first, last):
-        d = np.diff(flat)
-        if d.size == 0 or (d >= 0).all():
-            return float(1 + int((d > 0).sum()))
-        return float(np.unique(flat).size)
-    return float(np.unique(np.concatenate([flat, last.reshape(-1)])).size)
+        return float(distinct_count(first))
+    return float(distinct_count(np.concatenate([first, last])))
 
 
 def analyze_access_fast(

@@ -10,8 +10,9 @@ for free.
 
 The analysis is fully vectorized: distinct ``(warp, word)`` pairs are
 identified with the same sort-and-diff trick as coalescing, then a
-``bincount`` over ``(warp, bank)`` keys yields per-bank multiplicities,
-whose per-warp maximum is the conflict degree.
+``bincount`` over the ``(warp, bank)`` keys of those distinct pairs
+alone (dead lanes and repeated words never enter it) yields per-bank
+multiplicities, whose per-warp maximum is the conflict degree.
 """
 
 from __future__ import annotations
@@ -70,23 +71,16 @@ def shared_pass_degrees(
     # can never break up a run of identical live words.
     words = np.where(m2d, o2d // bank_bytes, _SENTINEL)
     words.sort(axis=1)
-    live = words != _SENTINEL
-
-    distinct = live.copy()
+    distinct = words != _SENTINEL
     if words.shape[1] > 1:
         distinct[:, 1:] &= words[:, 1:] != words[:, :-1]
 
-    banks = np.where(live, words % nbanks, 0)
+    # each distinct live word counts once in its bank: repeats broadcast
     n_rows = words.shape[0]
-    warp_ids = np.repeat(np.arange(n_rows, dtype=np.int64), words.shape[1])
-    keys = warp_ids * nbanks + banks.reshape(-1)
-    counts = np.bincount(
-        keys,
-        weights=distinct.reshape(-1).astype(np.int64),
-        minlength=n_rows * nbanks,
-    ).reshape(n_rows, nbanks)
-
-    degree = counts.max(axis=1).astype(np.int64)
+    keys = np.nonzero(distinct)[0] * nbanks + words[distinct] % nbanks
+    degree = np.bincount(keys, minlength=n_rows * nbanks).reshape(
+        n_rows, nbanks
+    ).max(axis=1)
     active_rows = m2d.any(axis=1)
     return np.where(active_rows, np.maximum(degree, 1), 0)
 

@@ -13,9 +13,13 @@ module quantifies:
 Everything here is pure address arithmetic on NumPy arrays: lane
 addresses are reshaped to ``(warps, warp_size)``, masked lanes are
 replaced by a sentinel, rows are sorted, and distinct values per row are
-counted with a shifted comparison.  For very large grids a deterministic
-warp sample is analyzed and counts are rescaled, keeping cost bounded
-while preserving the statistics of regular access patterns.
+counted with a shifted comparison.  Whole-access distinct counts use the
+same sort-and-compare in :func:`distinct_count`, which skips the sort
+when the keys are already in order (a coalesced stream in warp order);
+``np.unique`` builds a hash set since NumPy 2.3, which is several times
+slower on these int64 keys.  For very large grids a deterministic warp
+sample is analyzed and counts are rescaled, keeping cost bounded while
+preserving the statistics of regular access patterns.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 __all__ = [
     "AccessSummary",
     "lanes_to_warps",
+    "distinct_count",
     "warp_distinct_counts",
     "segment_distinct_counts",
     "analyze_access",
@@ -122,6 +127,20 @@ def lanes_to_warps(
         values = np.concatenate([values, np.zeros(pad, dtype=values.dtype)])
         mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
     return values.reshape(n_warps, warp_size), mask.reshape(n_warps, warp_size)
+
+
+def distinct_count(keys: np.ndarray) -> int:
+    """Number of distinct values in ``keys`` (any shape), by sorting.
+
+    Equals ``np.unique(keys).size``.  Keys already in non-decreasing
+    order are counted without the sort.
+    """
+    flat = np.asarray(keys).reshape(-1)
+    if flat.size == 0:
+        return 0
+    if (flat[1:] < flat[:-1]).any():
+        flat = np.sort(flat)
+    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
 
 
 def warp_distinct_counts(keys2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
@@ -227,8 +246,8 @@ def analyze_access(
     b_counts, b_keys, b_mask = segment_distinct_counts(a, m, burst_bytes, itemsize)
     bursts = float(b_counts.sum())
 
-    unique_sectors = float(np.unique(sec_keys[sec_mask]).size)
-    unique_bursts = float(np.unique(b_keys[b_mask]).size)
+    unique_sectors = float(distinct_count(sec_keys[sec_mask]))
+    unique_bursts = float(distinct_count(b_keys[b_mask]))
 
     scale = 1.0 / fraction
     return AccessSummary(

@@ -198,11 +198,16 @@ class LeaseDir:
     def claim(self, job: str, owner: str) -> Lease | None:
         """Acquire ``job``, stealing a stale or corrupt lease if needed.
 
-        Returns None when the job is validly held by a live peer.  The
-        steal path renames the old lease into ``stolen/`` first —
-        rename is atomic, so two stealers racing on the same stale
-        lease resolve to exactly one winner (the loser sees
-        ``FileNotFoundError`` and reports the job as held).
+        Returns None when the job is validly held by a live peer.  A
+        lease held under ``owner``'s own id is taken over at once: a
+        worker id is live in at most one process (the worker also owns
+        ``journals/<id>.ndjson``), so such a lease is a dead
+        incarnation's — a killed serial run being resumed, or a
+        restarted server re-executing a request.  The steal path
+        renames the old lease into ``stolen/`` first — rename is
+        atomic, so two stealers racing on the same stale lease resolve
+        to exactly one winner (the loser sees ``FileNotFoundError`` and
+        reports the job as held).
         """
         got = self.acquire(job, owner)
         if got is not None:
@@ -218,7 +223,7 @@ class LeaseDir:
                 # released between our create attempt and the read —
                 # retry the plain acquire once
                 return self.acquire(job, owner)
-            if not self.is_stale(current):
+            if current.owner != owner and not self.is_stale(current):
                 return None
         if not self._evict(job):
             return None          # another stealer won the rename race

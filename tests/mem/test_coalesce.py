@@ -5,6 +5,7 @@ import pytest
 
 from repro.mem.coalesce import (
     analyze_access,
+    distinct_count,
     lanes_to_warps,
     warp_distinct_counts,
 )
@@ -39,6 +40,28 @@ class TestLanesToWarps:
     def test_mask_length_mismatch(self):
         with pytest.raises(ValueError):
             lanes_to_warps(np.arange(4), np.ones(5, dtype=bool), 32)
+
+
+class TestDistinctCount:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.array([1, 1, 2, 5, 5, 5, 9], dtype=np.int64),   # sorted
+            np.array([5, 1, 9, 1, 5, 2, 5], dtype=np.int64),   # unsorted
+            np.array([-3, 4, -3, -8, 0, 4], dtype=np.int64),   # negative
+            np.array([[3, 1, 3], [2, 1, 8]], dtype=np.int64),  # 2-D
+        ],
+        ids=["empty", "one", "sorted", "unsorted", "negative", "2d"],
+    )
+    def test_matches_np_unique(self, keys):
+        assert distinct_count(keys) == np.unique(keys).size
+
+    def test_unsorted_input_is_not_modified(self):
+        keys = np.array([3, 1, 2, 1], dtype=np.int64)
+        distinct_count(keys)
+        assert keys.tolist() == [3, 1, 2, 1]
 
 
 class TestWarpDistinctCounts:

@@ -55,6 +55,25 @@ class TestAgainstOracle:
         warps, passes, worst = brute_force_degree(words, mask)
         assert (s.n_warps, s.passes, s.max_degree) == (warps, passes, worst)
 
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_dead_warps_between_live_ones(self, data):
+        """Wholly masked warps between live ones cost no pass and leave
+        their neighbours' bank counts alone."""
+        words = data.draw(
+            st.lists(st.integers(0, 2048), min_size=97, max_size=200)
+        )
+        mask = np.array(data.draw(
+            st.lists(st.booleans(), min_size=len(words), max_size=len(words))
+        ))
+        mask[:32] = mask[64:96] = True   # live warps 0 and 2 ...
+        mask[32:64] = False              # ... around a dead warp 1
+        mask[96:128] = False
+        offsets = np.asarray(words, dtype=np.int64) * 4
+        s = analyze_shared_access(offsets, mask)
+        warps, passes, worst = brute_force_degree(words, mask)
+        assert (s.n_warps, s.passes, s.max_degree) == (warps, passes, worst)
+
 
 class TestInvariants:
     @given(words=words_strategy)

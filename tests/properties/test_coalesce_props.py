@@ -1,6 +1,7 @@
 """Property-based tests: coalescing analysis vs a brute-force oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,16 @@ def brute_force_counts(addrs, mask, itemsize, seg):
                 segs.add((a + itemsize - 1) // seg)
         total += len(segs)
     return total
+
+
+def brute_force_distinct(addrs, mask, itemsize, seg):
+    """Reference implementation: distinct segments of the whole access."""
+    segs = set()
+    for lane, a in enumerate(addrs):
+        if mask is None or mask[lane]:
+            segs.add(int(a) // seg)
+            segs.add((int(a) + itemsize - 1) // seg)
+    return len(segs)
 
 
 indices = st.lists(st.integers(0, 1 << 16), min_size=1, max_size=200)
@@ -55,6 +66,36 @@ class TestAgainstOracle:
         addrs = BASE + np.asarray(idx, dtype=np.int64) * itemsize
         s = analyze_access(addrs, mask, itemsize)
         assert s.transactions == brute_force_counts(addrs, mask, itemsize, 128)
+
+
+class TestWholeAccessAgainstOracle:
+    """Whole-access distinct sectors/bursts and per-warp bursts.
+
+    Sorted index lists reach the distinct count's already-ordered
+    branch, unsorted ones its sort; a misaligned base makes elements
+    straddle segments, which concatenates first and last keys.
+    """
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
+    @given(
+        data=st.data(), itemsize=itemsizes, misalign=st.sampled_from([0, 1, 6])
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_match_brute_force(self, ordered, masked, data, itemsize, misalign):
+        idx = data.draw(indices)
+        if ordered:
+            idx = sorted(idx)
+        mask = None
+        if masked:
+            mask = np.array(data.draw(
+                st.lists(st.booleans(), min_size=len(idx), max_size=len(idx))
+            ))
+        addrs = BASE + misalign + np.asarray(idx, dtype=np.int64) * itemsize
+        s = analyze_access(addrs, mask, itemsize)
+        assert s.unique_sectors == brute_force_distinct(addrs, mask, itemsize, 32)
+        assert s.unique_bursts == brute_force_distinct(addrs, mask, itemsize, 64)
+        assert s.bursts == brute_force_counts(addrs, mask, itemsize, 64)
 
 
 class TestInvariants:

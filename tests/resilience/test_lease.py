@@ -98,6 +98,19 @@ class TestClaimAndSteal:
         stolen = skewed.claim(FP, "w2")
         assert stolen is not None and stolen.epoch == 1
 
+    def test_own_id_lease_is_taken_over_at_once(self, tmp_path):
+        """A fresh lease under the claimant's own id belongs to a dead
+        incarnation of that worker: it is taken over without waiting
+        out the TTL, while a peer still respects it."""
+        leases = LeaseDir(tmp_path / "leases", ttl_s=60)
+        leases.acquire(FP, "r")
+        assert leases.claim(FP, "w2") is None
+        taken = leases.claim(FP, "r")
+        assert taken is not None
+        assert taken.epoch == 1
+        assert taken.stolen_from == "r"
+        assert leases.claim(FP, "w2") is None
+
     def test_evict_race_single_winner(self, leases, clock):
         leases.claim(FP, "w1")
         clock.advance(6.0)

@@ -11,6 +11,7 @@ directory's journals are replayed.
 import functools
 import json
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.resilience import ResilienceConfig
+from repro.resilience.fleet import fleet_dir, read_events
+from repro.resilience.journal import job_fingerprint
+from repro.resilience.lease import LeaseDir
 from repro.sched import JobSpec, run_jobs
 
 SPECS = [
@@ -34,6 +38,30 @@ def expected_bytes() -> str:
 
 def journaled(root, run_id="r1", **kw) -> ResilienceConfig:
     return ResilienceConfig(run_id=run_id, journal_root=root, **kw)
+
+
+class TestOwnLease:
+    def test_serial_run_takes_over_a_lease_under_its_run_id(self, tmp_path):
+        """A serial run killed mid-job leaves a fresh lease under its
+        run id, which is its worker's id; the resume takes that lease
+        over at once instead of waiting out the 30 s TTL."""
+        spec = SPECS[0]
+        run_dir = fleet_dir(tmp_path, "r1")
+        LeaseDir(run_dir / "leases", ttl_s=30).acquire(
+            job_fingerprint(spec), "r1"
+        )
+        config = journaled(tmp_path, lease_ttl_s=30)
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(run_jobs([spec], config=config)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive(), "the run waited on its own lease"
+        assert json.dumps(out[0]) == json.dumps(run_jobs([spec]))
+        steals = [e for e in read_events(run_dir) if e["event"] == "lease-steal"]
+        assert [e["stolen_from"] for e in steals] == ["r1"]
 
 
 class TestInterruptResume:

@@ -65,6 +65,7 @@ from typing import Any, Callable, Iterator
 from repro.arch.presets import get_system, list_gpus
 from repro.common.durable import make_dirs
 from repro.common.errors import ReproError
+from repro.common.heap import retain_freed_memory
 from repro.common.tables import render_table
 from repro.core.registry import ALL_BENCHMARKS, get_benchmark
 from repro.core.suite import run_suite
@@ -1565,6 +1566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    retain_freed_memory()
     try:
         return args.fn(args)
     except ReproError as exc:

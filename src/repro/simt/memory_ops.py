@@ -194,7 +194,6 @@ class MemoryOpsMixin:
         charge is one cycle per active lane on top of the store-like
         transaction cost, a simple upper-bound contention model.
         """
-        idx = self._index_data(index)
         idx_safe, mask = self._global_access(
             arr, index, space="global", is_store=True, label=label or "atomicAdd"
         )
@@ -216,7 +215,6 @@ class MemoryOpsMixin:
         st.issue_cycles += float(mask.sum())  # serialization cycles
         if arr.alloc.init_mask is not None:
             arr.mark_initialized(idx_safe[mask])
-        _ = idx
         return self._lv(pre)
 
     # ------------------------------------------------------------------

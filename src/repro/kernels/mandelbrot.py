@@ -41,8 +41,7 @@ def _dwell_loop(ctx, cr, ci, max_dwell):
     dwell = ctx.zeros(np.int64)
     live = ctx.const(1, np.int64) > 0  # all lanes start live
 
-    def body():
-        nonlocal zr, zi, dwell
+    def body(zr, zi, dwell, cr, ci):
         zr2 = zr * zr
         zi2 = zi * zi
         new_zi = 2.0 * zr * zi + ci
@@ -51,9 +50,12 @@ def _dwell_loop(ctx, cr, ci, max_dwell):
         zr = ctx.masked(zr, new_zr)
         zi = ctx.masked(zi, new_zi)
         dwell = ctx.masked(dwell, dwell + 1)
-        return ((zr * zr + zi * zi) < 4.0) & (dwell < max_dwell)
+        live = ((zr * zr + zi * zi) < 4.0) & (dwell < max_dwell)
+        return live, zr, zi, dwell, cr, ci
 
-    ctx.while_active(live, body, max_iterations=max_dwell + 1)
+    _, _, dwell, _, _ = ctx.while_active(
+        live, body, zr, zi, dwell, cr, ci, max_iterations=max_dwell + 1
+    )
     return dwell
 
 
@@ -117,25 +119,26 @@ def dwell_host_reference(
     dy: float,
     max_dwell: int = MAX_DWELL_DEFAULT,
 ) -> np.ndarray:
-    """Vectorized host reference for verifying both renderers."""
+    """Vectorized host reference for verifying both renderers.
+
+    Iterates only the pixels still running and writes each pixel's dwell
+    when it stops: the same arithmetic, in the same order, as running
+    every pixel to ``max_dwell`` under a mask.
+    """
     xs = np.arange(w, dtype=np.float64) * dx + x0
     ys = np.arange(h, dtype=np.float64) * dy + y0
-    cr = np.broadcast_to(xs, (h, w)).copy()
-    ci = np.broadcast_to(ys[:, None], (h, w)).copy()
-    zr = np.zeros_like(cr)
-    zi = np.zeros_like(ci)
-    dwell = np.zeros((h, w), dtype=np.int64)
-    live = np.ones((h, w), dtype=bool)
-    for _ in range(max_dwell):
-        if not live.any():
+    dwell = np.zeros(h * w, dtype=np.int64)
+    idx = np.arange(h * w)
+    cr = np.tile(xs, h)
+    ci = np.repeat(ys, w)
+    zr = np.zeros(idx.size)
+    zi = np.zeros(idx.size)
+    for d in range(1, max_dwell + 1):
+        if not idx.size:
             break
-        zr2 = zr * zr
-        zi2 = zi * zi
-        nzi = 2.0 * zr * zi + ci
-        nzr = zr2 - zi2 + cr
-        zr = np.where(live, nzr, zr)
-        zi = np.where(live, nzi, zi)
-        dwell[live] += 1
-        live &= (zr * zr + zi * zi) < 4.0
-        live &= dwell < max_dwell
-    return dwell
+        zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
+        go = (zr * zr + zi * zi) < 4.0
+        dwell[idx[~go]] = d
+        idx, cr, ci, zr, zi = idx[go], cr[go], ci[go], zr[go], zi[go]
+    dwell[idx] = max_dwell  # never escaped
+    return dwell.reshape(h, w)

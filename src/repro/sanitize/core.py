@@ -29,6 +29,7 @@ with :meth:`Sanitizer.report`.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -96,6 +97,9 @@ class Sanitizer:
         self.suppressed = 0
         self._seen: set[tuple] = set()
         self._per_kernel: dict[str, int] = {}
+        #: one token per runtime swept by leakcheck, so each runtime's
+        #: leaks are reported even where addresses repeat across runtimes
+        self._leak_scopes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: optional activity hub; each stored finding is forwarded as a
         #: driver-phase ``sanitizer`` activity record
         self.hub = None
@@ -120,12 +124,13 @@ class Sanitizer:
         lane: int | None = None,
         address: int | None = None,
         kernel: str | None = None,
+        scope: object = None,
     ) -> bool:
         kernel = kernel if kernel is not None else (ctx.stats.name if ctx else "")
         block = thread = None
         if ctx is not None and lane is not None:
             block, thread = _coords(ctx, lane)
-        key = (tool, rule, kernel, block, thread, address)
+        key = (tool, rule, kernel, block, thread, address, scope)
         if key in self._seen:
             return False
         if self._per_kernel.get(kernel, 0) >= self.max_findings_per_kernel:
@@ -406,10 +411,16 @@ class Sanitizer:
     # leakcheck
     # ==================================================================
     def check_leaks(self, runtime) -> None:
-        """Report allocations still live at context teardown."""
+        """Report allocations still live at context teardown.
+
+        Each runtime gets its own summary and per-allocation findings:
+        their deduplication key names the runtime, because two runtimes
+        hand out the same device addresses.
+        """
         live = runtime.allocator.iter_live()
         if not live:
             return
+        scope = self._leak_scopes.setdefault(runtime, object())
         total = sum(a.nbytes for a in live)
         self._emit(
             "leakcheck",
@@ -418,6 +429,7 @@ class Sanitizer:
             f"{len(live)} allocation(s) totalling {total} bytes never freed "
             "at context teardown",
             kernel="",
+            scope=scope,
         )
         for alloc in live[:8]:
             self._emit(
@@ -427,4 +439,5 @@ class Sanitizer:
                 f"leaked allocation of {alloc.nbytes} bytes",
                 kernel="",
                 address=alloc.addr,
+                scope=scope,
             )

@@ -27,10 +27,27 @@ from repro.common.errors import KernelRuntimeError, WatchdogTimeout
 from repro.mem.trace import AccessTrace
 from repro.simt.dim3 import Dim3
 from repro.simt.lanevec import LaneVec
-from repro.simt.memory_ops import MemoryOpsMixin
+from repro.simt.memory_ops import _CARRY_HINT, MemoryOpsMixin, full_grid
 from repro.simt.stats import KernelStats
 
-__all__ = ["ThreadContext"]
+__all__ = ["ThreadContext", "COMPACT_DEAD_FRACTION"]
+
+#: :meth:`ThreadContext.while_active` drops the warps with no live lane
+#: once they make up at least this fraction of the loop's current warps
+#: (0: whenever any warp is dead; above 1: never).
+COMPACT_DEAD_FRACTION = 0.5
+
+#: The per-lane layout a compacted :meth:`ThreadContext.while_active`
+#: gathers to its kept warps.  ``_lane_map`` holds each current lane's
+#: place in the launch's grid (None while every lane is present).
+_LAYOUT = (
+    "total_lanes",
+    "_base_mask",
+    "_lane_in_block",
+    "_block_of_lane",
+    "_geom_cache",
+    "_lane_map",
+)
 
 
 class ThreadContext(MemoryOpsMixin):
@@ -89,6 +106,10 @@ class ThreadContext(MemoryOpsMixin):
         self._refresh_active()
 
         self._geom_cache: dict[str, np.ndarray] = {}
+        self._lane_map: np.ndarray | None = None
+        #: the launch's own layout, which memory and barrier operations
+        #: run over inside a compacted loop
+        self._grid_layout = self._layout()
         self._shared_arrays: list = []
         self.shared_bytes_per_block = 0
         #: device-side child launches (dynamic parallelism), executed by
@@ -123,6 +144,22 @@ class ThreadContext(MemoryOpsMixin):
             )
         else:
             self._active_warps = 0
+
+    def _layout(self) -> tuple:
+        return tuple(getattr(self, name) for name in _LAYOUT)
+
+    def _set_layout(self, layout: tuple) -> None:
+        for name, value in zip(_LAYOUT, layout):
+            setattr(self, name, value)
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Gather the per-lane layout to the lanes ``keep`` (whole warps)."""
+        self.total_lanes = keep.size
+        self._base_mask = self._base_mask[keep]
+        self._lane_in_block = self._lane_in_block[keep]
+        self._block_of_lane = self._block_of_lane[keep]
+        self._geom_cache = {k: v[keep] for k, v in self._geom_cache.items()}
+        self._lane_map = keep if self._lane_map is None else self._lane_map[keep]
 
     def push_mask(self, mask: np.ndarray) -> None:
         self._mask_stack.append(self._mask)
@@ -311,35 +348,100 @@ class ThreadContext(MemoryOpsMixin):
     def while_active(
         self,
         cond: LaneVec,
-        body: Callable[[], LaneVec],
-        *,
+        body: Callable[..., tuple],
+        *carried: LaneVec,
         max_iterations: int = 1_000_000,
-    ) -> int:
+    ) -> tuple[LaneVec, ...]:
         """Run ``body`` while any lane's condition holds (lock-step loop).
 
-        ``body`` returns the next iteration's continue-condition.  A
-        warp keeps issuing until its *slowest* lane finishes — the
-        divergence behaviour that makes e.g. Mandelbrot dwell loops
-        expensive (paper §III-B).  Returns the iteration count.
+        ``body(*carried)`` returns ``(next_cond, *carried)``: the next
+        iteration's continue-condition and the new loop-carried lane
+        vectors.  Every lane vector the body reads must be carried (a
+        loop invariant is returned unchanged); the final carried vectors
+        are returned.  A warp keeps issuing until its *slowest* lane
+        finishes — the divergence behaviour that makes e.g. Mandelbrot
+        dwell loops expensive (paper §III-B).
+
+        A warp with no live lane issues nothing, so once such warps make
+        up :data:`COMPACT_DEAD_FRACTION` of the loop's lanes they are
+        dropped whole and the body runs over the kept warps only.  Every
+        charge and counter is unchanged, and memory and barrier
+        operations still run over the full grid.  In a dropped warp's
+        lanes a carried value keeps the value it had when the warp was
+        dropped, so only state committed through :meth:`masked` is
+        guaranteed to match a loop that recomputes every lane.
         """
+        ws = self.warp_size
+        vals = [self._loop_lanes(v) for v in carried]
+        entry = self._layout()
+        # the carried values at entry size, and each current lane's entry
+        # lane; both None until the first compaction
+        out = sel = None
         m = np.asarray(cond.data, dtype=bool) & self._mask
-        self.push_mask(m)
+        self._mask_stack.append(self._mask)
         iterations = 0
         try:
-            while self._active_lanes:
+            while True:
+                live = m.reshape(-1, ws).any(axis=1)
+                n_live = int(np.count_nonzero(live))
+                if not n_live:
+                    break
+                dead = live.size - n_live
+                if dead and dead >= COMPACT_DEAD_FRACTION * live.size:
+                    if out is None:
+                        out = [v.copy() for v in vals]
+                    else:
+                        _put(out, sel, vals)
+                    keep = (
+                        np.flatnonzero(live)[:, None] * ws + np.arange(ws)
+                    ).reshape(-1)
+                    sel = keep if sel is None else sel[keep]
+                    vals = [v[keep] for v in vals]
+                    m = m[keep]
+                    self._compact(keep)
+                self._mask = m
+                self._active_warps = n_live
+                self._active_lanes = int(np.count_nonzero(m))
                 if iterations >= max_iterations:
                     raise KernelRuntimeError(
                         f"while_active exceeded {max_iterations} iterations"
                     )
-                new_cond = body()
+                try:
+                    result = body(*(self._lv(v) for v in vals))
+                except ValueError as exc:
+                    if sel is None:
+                        raise
+                    raise KernelRuntimeError(
+                        f"while_active body failed on its compacted lanes "
+                        f"({exc}); {_CARRY_HINT}"
+                    ) from exc
+                if not isinstance(result, tuple) or len(result) != len(vals) + 1:
+                    raise KernelRuntimeError(
+                        f"while_active body must return (next_cond, *carried) "
+                        f"with {len(vals)} carried value(s)"
+                    )
                 self.charge("branch")
                 iterations += 1
-                m = self._mask & np.asarray(new_cond.data, dtype=bool)
-                self.pop_mask()
-                self.push_mask(m)
+                m = self._mask & self._loop_lanes(result[0]).astype(bool, copy=False)
+                vals = [self._loop_lanes(v) for v in result[1:]]
         finally:
+            self._set_layout(entry)
             self.pop_mask()
-        return iterations
+        if out is not None:
+            _put(out, sel, vals)
+            vals = out
+        return tuple(self._lv(v) for v in vals)
+
+    def _loop_lanes(self, value) -> np.ndarray:
+        """The lane data of a ``while_active`` value, checked against the
+        current lane set."""
+        data = self.as_lanevec(value).data
+        if data.shape != (self.total_lanes,):
+            raise KernelRuntimeError(
+                f"while_active value has {data.size} lanes, the loop "
+                f"{self.total_lanes}; {_CARRY_HINT}"
+            )
+        return data
 
     def strided_range(self, start, stop, step):
         """Per-lane counted loop: ``for (j = start; j < stop; j += step)``.
@@ -389,8 +491,7 @@ class ThreadContext(MemoryOpsMixin):
     # ------------------------------------------------------------------
     def _unary_math(self, v: LaneVec, fn, cls: str = "special") -> LaneVec:
         self.charge(cls)
-        with np.errstate(all="ignore"):
-            return self._lv(fn(v.data))
+        return self._lv(fn(v.data))
 
     def sqrt(self, v: LaneVec) -> LaneVec:
         return self._unary_math(v, np.sqrt)
@@ -527,6 +628,7 @@ class ThreadContext(MemoryOpsMixin):
     # ------------------------------------------------------------------
     # Barriers
     # ------------------------------------------------------------------
+    @full_grid
     def syncthreads(self, *, unsafe: bool = False) -> None:
         """``__syncthreads()``.
 
@@ -567,6 +669,7 @@ class ThreadContext(MemoryOpsMixin):
 
         return SharedArray(self, shape, dtype)
 
+    @full_grid
     def memcpy_async(self, dst_shared, dst_index, src_arr, src_index) -> None:
         """``cooperative_groups::memcpy_async`` / Ampere ``cp.async``.
 
@@ -628,3 +731,11 @@ class ThreadContext(MemoryOpsMixin):
             )
         self.charge("branch")  # the launch instruction itself
         self.pending_children.append((kdef, Dim3.of(grid), Dim3.of(block), args))
+
+
+def _put(out: list, sel: np.ndarray, vals: list) -> None:
+    """Scatter compacted carried values back to their entry lanes."""
+    for i, v in enumerate(vals):
+        if out[i].dtype != v.dtype:
+            out[i] = out[i].astype(v.dtype)
+        out[i][sel] = v

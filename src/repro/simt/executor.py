@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.arch.spec import GPUSpec
 from repro.common.errors import KernelRuntimeError, LaunchConfigError
 from repro.simt.context import ThreadContext
@@ -129,7 +131,10 @@ def run_kernel(
     completed = False
     try:
         try:
-            kdef(ctx, *args)
+            # IEEE semantics without warnings (x/0 = inf, sqrt(-1) = nan),
+            # set once for the whole body rather than per instruction
+            with np.errstate(all="ignore"):
+                kdef(ctx, *args)
         except RecursionError as exc:  # pragma: no cover - defensive
             raise KernelRuntimeError(
                 f"kernel {kdef.name} recursed too deep"

@@ -69,8 +69,7 @@ class LaneVec:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
-        with np.errstate(all="ignore"):
-            out = fn(o, self.data) if swap else fn(self.data, o)
+        out = fn(o, self.data) if swap else fn(self.data, o)
         self.ctx.charge(cost_class_for(np.asarray(out).dtype if op_kind != "cmp" else self.data.dtype, op_kind))
         return self._make(out)
 

@@ -14,9 +14,17 @@ things at once:
    transaction, so a fully uncoalesced access (32 transactions) costs
    a warp 32x the issue slots of a coalesced one, before any DRAM
    bandwidth effect.
+
+Inside a compacted :meth:`~repro.simt.context.ThreadContext.while_active`
+iteration the context holds only the kept warps' lanes; :func:`full_grid`
+runs each memory and barrier operation over the launch's full layout, so
+the analyzers, the access trace, the sanitizer and the JIT see the same
+lanes as in a loop that never compacts.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,7 +34,65 @@ from repro.mem.coalesce import lanes_to_warps, warp_distinct_counts
 from repro.simt.lanevec import LaneVec
 from repro.simt.texture import TextureView
 
-__all__ = ["MemoryOpsMixin"]
+__all__ = ["MemoryOpsMixin", "full_grid"]
+
+_CARRY_HINT = (
+    "a lane vector the body reads must be passed to while_active as a "
+    "carried value"
+)
+
+
+def full_grid(op):
+    """Run the memory or barrier operation ``op`` over the launch's lanes.
+
+    ``op`` is a method of the thread context or of a
+    :class:`~repro.simt.shared.SharedArray`.  While a ``while_active``
+    loop has dropped dead warps, the wrapper spreads the lane-vector
+    arguments and the activity mask back to the full layout (dropped
+    lanes inactive), runs ``op`` there and compacts a lane-vector
+    result; otherwise it calls ``op`` directly.
+    """
+
+    @functools.wraps(op)
+    def run(owner, *args, **kwargs):
+        ctx = owner if isinstance(owner, MemoryOpsMixin) else owner.ctx
+        lanes = ctx._lane_map
+        if lanes is None:
+            return op(owner, *args, **kwargs)
+        n = ctx.n_blocks * ctx.padded_block_size
+        spread = functools.partial(_spread, ctx, lanes, n)
+        args = tuple(map(spread, args))
+        kwargs = {k: spread(v) for k, v in kwargs.items()}
+        layout, mask = ctx._layout(), ctx._mask
+        full_mask = np.zeros(n, dtype=bool)
+        full_mask[lanes] = mask
+        ctx._set_layout(ctx._grid_layout)
+        ctx._mask = full_mask
+        try:
+            out = op(owner, *args, **kwargs)
+        finally:
+            ctx._set_layout(layout)
+            ctx._mask = mask
+        return LaneVec(ctx, out.data[lanes]) if isinstance(out, LaneVec) else out
+
+    return run
+
+
+def _spread(ctx, lanes: np.ndarray, n: int, value):
+    """``value`` with each lane vector in it scattered to ``n`` grid lanes."""
+    if isinstance(value, tuple):
+        return tuple(_spread(ctx, lanes, n, v) for v in value)
+    data = value.data if isinstance(value, LaneVec) else value
+    if not isinstance(data, np.ndarray) or data.ndim == 0:
+        return value
+    if data.shape != lanes.shape:
+        raise KernelRuntimeError(
+            f"memory operand of shape {data.shape} inside a compacted "
+            f"while_active loop of {lanes.size} lanes; {_CARRY_HINT}"
+        )
+    full = np.zeros(n, dtype=data.dtype)
+    full[lanes] = data
+    return LaneVec(ctx, full) if isinstance(value, LaneVec) else full
 
 
 class MemoryOpsMixin:
@@ -39,6 +105,8 @@ class MemoryOpsMixin:
     dispatch: object
     total_lanes: int
     warp_size: int
+    n_blocks: int
+    padded_block_size: int
 
     def _memcheck(self):
         """The active sanitizer if memcheck is enabled, else None."""
@@ -142,6 +210,7 @@ class MemoryOpsMixin:
     # ------------------------------------------------------------------
     # Global memory
     # ------------------------------------------------------------------
+    @full_grid
     def load(self, arr: DeviceArray, index, label: str = "") -> LaneVec:
         """Global-memory gather: ``value = arr[index]`` per lane."""
         idx_safe, mask = self._global_access(
@@ -156,6 +225,7 @@ class MemoryOpsMixin:
             values = np.where(mask, values, np.zeros((), dtype=arr.dtype))
         return self._lv(values)
 
+    @full_grid
     def store(self, arr: DeviceArray, index, value, label: str = "") -> None:
         """Global-memory scatter: ``arr[index] = value`` for active lanes."""
         idx_safe, mask = self._global_access(
@@ -169,6 +239,7 @@ class MemoryOpsMixin:
         if arr.alloc.init_mask is not None:
             arr.mark_initialized(idx_safe[mask])
 
+    @full_grid
     def load_readonly(self, arr: DeviceArray, index, label: str = "") -> LaneVec:
         """``__ldg``-style load through the read-only/texture data path.
 
@@ -187,6 +258,7 @@ class MemoryOpsMixin:
             values = np.where(mask, values, np.zeros((), dtype=arr.dtype))
         return self._lv(values)
 
+    @full_grid
     def atomic_add(self, arr: DeviceArray, index, value, label: str = "") -> LaneVec:
         """``atomicAdd``: returns the pre-update value per active lane.
 
@@ -220,6 +292,7 @@ class MemoryOpsMixin:
     # ------------------------------------------------------------------
     # Constant memory
     # ------------------------------------------------------------------
+    @full_grid
     def load_constant(self, arr: DeviceArray, index, label: str = "") -> LaneVec:
         """Constant-memory load.
 
@@ -260,12 +333,14 @@ class MemoryOpsMixin:
     # ------------------------------------------------------------------
     # Texture fetches
     # ------------------------------------------------------------------
+    @full_grid
     def tex1d(self, view: TextureView, x, label: str = "") -> LaneVec:
         """1-D texture fetch (clamp addressing)."""
         xi = self._index_data(x)
         flat = view.flat_index_1d(xi)
         return self._texture_fetch(view, flat, label or "tex1D")
 
+    @full_grid
     def tex2d(self, view: TextureView, x, y, label: str = "") -> LaneVec:
         """2-D texture fetch through the block-linear layout."""
         xi = self._index_data(x)

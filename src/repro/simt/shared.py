@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.common.errors import InvalidAddressError, LaunchConfigError
 from repro.simt.lanevec import LaneVec
+from repro.simt.memory_ops import full_grid
 
 __all__ = ["SharedArray"]
 
@@ -111,6 +112,7 @@ class SharedArray:
         return global_flat, mask
 
     # ------------------------------------------------------------------
+    @full_grid
     def load(self, index) -> LaneVec:
         """Shared-memory gather for active lanes."""
         flat = self._flatten_index(index)
@@ -120,6 +122,7 @@ class SharedArray:
             values = np.where(mask, values, np.zeros((), dtype=self.dtype))
         return self.ctx._lv(values)
 
+    @full_grid
     def store(self, index, value) -> None:
         """Shared-memory scatter for active lanes."""
         flat = self._flatten_index(index)

@@ -45,13 +45,12 @@ def dwell(ctx, x, steps, n):
     s = ctx.load(steps, i)
     cnt = ctx.zeros(np.int64)
 
-    def body():
-        nonlocal cnt
+    def body(i, s, cnt):
         ctx.store(x, i, ctx.load(x, i) + 1.0)
         cnt = ctx.masked(cnt, cnt + 1)
-        return cnt < s
+        return cnt < s, i, s, cnt
 
-    ctx.while_active(cnt < s, body)
+    ctx.while_active(cnt < s, body, i, s, cnt)
 
 
 @kernel

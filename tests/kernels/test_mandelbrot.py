@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynparallel import MandelView, mariani_silver
 from repro.host.runtime import CudaLite
@@ -115,6 +117,32 @@ class TestMarianiSilver:
         assert info["pixels_filled"] > 0
 
 
+def brute_force_dwell(w, h, x0, y0, dx, dy, max_dwell):
+    """Every pixel iterated under a live mask until all stop: the oracle
+    for :func:`dwell_host_reference`."""
+    xs = np.arange(w, dtype=np.float64) * dx + x0
+    ys = np.arange(h, dtype=np.float64) * dy + y0
+    cr = np.broadcast_to(xs, (h, w)).copy()
+    ci = np.broadcast_to(ys[:, None], (h, w)).copy()
+    zr = np.zeros_like(cr)
+    zi = np.zeros_like(ci)
+    dwell = np.zeros((h, w), dtype=np.int64)
+    live = np.ones((h, w), dtype=bool)
+    for _ in range(max_dwell):
+        if not live.any():
+            break
+        zr2 = zr * zr
+        zi2 = zi * zi
+        nzi = 2.0 * zr * zi + ci
+        nzr = zr2 - zi2 + cr
+        zr = np.where(live, nzr, zr)
+        zi = np.where(live, nzi, zi)
+        dwell[live] += 1
+        live &= (zr * zr + zi * zi) < 4.0
+        live &= dwell < max_dwell
+    return dwell
+
+
 class TestHostReference:
     def test_known_points(self):
         # c = 0 never escapes; c = 2 escapes immediately
@@ -126,3 +154,19 @@ class TestHostReference:
         a = dwell_host_reference(16, 16, -2, -1.5, 0.2, 0.2, 32)
         b = dwell_host_reference(16, 16, -2, -1.5, 0.2, 0.2, 32)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.integers(1, 24),
+        h=st.integers(1, 24),
+        x0=st.floats(-2.5, 1.0),
+        y0=st.floats(-1.5, 1.5),
+        span=st.floats(1e-6, 3.0),
+        max_dwell=st.integers(0, 600),
+    )
+    def test_equals_brute_force(self, w, h, x0, y0, span, max_dwell):
+        args = (w, h, x0, y0, span / w, span / h, max_dwell)
+        got = dwell_host_reference(*args)
+        want = brute_force_dwell(*args)
+        assert got.dtype == want.dtype and got.shape == (h, w)
+        assert np.array_equal(got, want)

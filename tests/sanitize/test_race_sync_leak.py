@@ -170,6 +170,26 @@ class TestSession:
             rt.malloc(512, np.float32)
         assert any(f.tool == "leakcheck" for f in san.report().findings)
 
+    def test_every_runtime_reports_its_leaks(self):
+        # both runtimes hand out the same first device address
+        san = Sanitizer("leakcheck")
+        with sanitize_session(sanitizer=san):
+            for _ in range(2):
+                CudaLite(CARINA).malloc(1024, np.float32)
+        findings = san.report().findings
+        summaries = [f for f in findings if f.rule == "leaked-allocations"]
+        leaks = [f for f in findings if f.rule == "leaked-allocation"]
+        assert len(summaries) == 2
+        assert len(leaks) == 2 and leaks[0].address == leaks[1].address
+
+    def test_runtime_swept_twice_reports_once(self):
+        san = Sanitizer("leakcheck")
+        rt = CudaLite(CARINA, sanitize=san)
+        rt.malloc(1024, np.float32)
+        rt.close()
+        rt.close()
+        assert len(san.report().findings) == 2
+
     def test_explicit_args_beat_session(self):
         outer = Sanitizer("memcheck")
         inner = Sanitizer("racecheck")

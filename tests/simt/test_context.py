@@ -154,36 +154,44 @@ class TestWhileActive:
     def test_iterates_until_all_done(self):
         c = ctx_for(grid=1, block=32)
         tid = c.global_thread_id()
-        count = c.zeros(np.int64)
 
-        def body():
-            nonlocal count
+        def body(count, tid):
             count = c.masked(count, count + 1)
-            return count < tid
+            return count < tid, count, tid
 
-        iters = c.while_active(count < tid, body)
-        # lane k needs k iterations; the loop runs to the slowest lane
-        assert iters == 31
+        zero = c.zeros(np.int64)
+        count, _ = c.while_active(zero < tid, body, zero, tid)
+        # lane k needs k iterations; the warp issues until the slowest lane
         assert np.array_equal(count.data, np.arange(32))
+        # 31 iterations: per iteration an add, a compare and the back-edge
+        # branch, plus the entry compare
+        assert c.stats.warp_instructions == 1 + 31 * 3
 
     def test_never_active(self):
         c = ctx_for(grid=1, block=32)
         cond = c.const(0, np.int64) > 1
-        iters = c.while_active(cond, lambda: cond)
-        assert iters == 0
+        calls = []
+        assert c.while_active(cond, lambda: calls.append(1) or (cond,)) == ()
+        assert calls == []
 
     def test_max_iterations_guard(self):
         c = ctx_for(grid=1, block=32)
         always = c.const(1, np.int64) > 0
         with pytest.raises(KernelRuntimeError):
-            c.while_active(always, lambda: always, max_iterations=10)
+            c.while_active(always, lambda a: (a, a), always, max_iterations=10)
+        assert not c._mask_stack and c.total_lanes == 32
 
     def test_mask_balanced(self):
         c = ctx_for(grid=1, block=32)
         cond = c.const(0, np.int64) > 1
-        c.while_active(cond, lambda: cond)
+        c.while_active(cond, lambda: (cond,))
         assert not c._mask_stack
 
+    def test_body_must_return_every_carried_value(self):
+        c = ctx_for(grid=1, block=32)
+        go = c.const(1, np.int64) > 0
+        with pytest.raises(KernelRuntimeError, match="carried value"):
+            c.while_active(go, lambda a, b: (a > 1, a), c.zeros(), c.zeros())
 
 class TestStridedRange:
     def test_uniform_trip(self):

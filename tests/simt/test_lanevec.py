@@ -1,11 +1,15 @@
 """LaneVec operator semantics and issue charging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.arch.presets import TESLA_V100
 from repro.simt.context import ThreadContext
 from repro.simt.dim3 import Dim3
+from repro.simt.executor import run_kernel
+from repro.simt.kernel import kernel
 from repro.simt.lanevec import cost_class_for
 
 
@@ -42,9 +46,23 @@ class TestArithmetic:
         assert np.all((lv(ctx, [6.0]) / 2.0).data == 3.0)
         assert np.all((6.0 / lv(ctx, [2.0])).data == 3.0)
 
-    def test_div_by_zero_no_warning(self, ctx):
-        out = lv(ctx, [1.0]) / lv(ctx, [0.0])
-        assert np.isinf(out.data).all()
+    def test_div_by_zero_no_warning(self):
+        # run_kernel sets NumPy's error state for the whole body, so IEEE
+        # results (inf, nan) come back without a RuntimeWarning
+        seen = {}
+
+        @kernel
+        def divide(ctx):
+            one = ctx.const(1.0)
+            zero = ctx.zeros()
+            seen["quotient"] = one / zero
+            seen["sqrt"] = ctx.sqrt(zero - one)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_kernel(divide, 1, 32, gpu=TESLA_V100)
+        assert np.isinf(seen["quotient"].data).all()
+        assert np.isnan(seen["sqrt"].data).all()
 
     def test_floordiv_mod(self, ctx):
         v = lv(ctx, [7], dtype=np.int64)

@@ -139,6 +139,18 @@ def _make_config(args: argparse.Namespace, *, command: str):
                 f"journal {path} already exists; pass --resume {run_id} "
                 "to continue it or pick another --run-id"
             )
+        if args.resume:
+            from repro.resilience.fleet import read_manifest
+            from repro.sched.cache import model_digest
+
+            manifest = read_manifest(path, missing_ok=True)
+            prior = manifest.get("model", "unrecorded")
+            if manifest and prior != model_digest():
+                print(
+                    f"note: run {run_id} was journaled by other code (model "
+                    f"{prior[:12]}, now {model_digest()[:12]}); its journaled "
+                    "jobs are recomputed", file=sys.stderr,
+                )
     kwargs: dict[str, Any] = {}
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries

@@ -32,7 +32,7 @@ from repro.exec import BACKENDS, use_backend
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import ResilienceConfig
 
-__all__ = ["check_benchmark", "check_all"]
+__all__ = ["check_benchmark", "check_jobs", "check_all"]
 
 
 def _resolve_backends(backend: str | None) -> tuple[str, ...]:
@@ -105,6 +105,46 @@ def check_benchmark(
     return outcomes
 
 
+def check_jobs(
+    *,
+    benchmarks: Sequence[str] | None = None,
+    claims_dir: str | None = None,
+    backend: str | None = None,
+    quick: bool = False,
+    system: str | None = None,
+) -> list:
+    """One ``check`` :class:`~repro.sched.runner.JobSpec` per (backend ×
+    claim file), in unit order: what :func:`check_all` runs and a served
+    ``check`` request keys on.  A unit's job carries its claim file's
+    text, so an edited claim file changes its identity.
+    """
+    from repro.sched.runner import JobSpec
+
+    specs = load_claims_dir(claims_dir)
+    missing = [b for b in benchmarks or () if b not in specs]
+    if missing:
+        raise ReproError(
+            f"no claim file for: {', '.join(missing)}; have "
+            f"{', '.join(sorted(specs))}"
+        )
+    selected = [specs[b] for b in benchmarks] if benchmarks else specs.values()
+    return [
+        JobSpec(
+            benchmark=spec.benchmark,
+            kind="check",
+            params={
+                "claims": Path(spec.path).read_text(),
+                "backend": be,
+                "quick": quick,
+            },
+            system=system or spec.system,
+            backend=None,
+        )
+        for be in _resolve_backends(backend)
+        for spec in selected
+    ]
+
+
 def check_all(
     *,
     benchmarks: Sequence[str] | None = None,
@@ -120,57 +160,28 @@ def check_all(
     ``benchmarks`` restricts the pass to named Table I entries (all
     entries with claim files otherwise); ``backend`` is ``reference``,
     ``jit``, or ``None``/``both`` for the two-backend matrix.
-    ``resilience`` runs the (backend × claim file) units as ``check``
-    jobs through :func:`~repro.sched.runner.run_jobs`, the engine of
-    every supervised run: retries with backoff, per-unit wall-clock
-    timeouts, and a run directory whose journal lets an interrupted
-    pass resume without re-running completed units.  A unit's job
-    carries its claim file's text, so an edited claim file re-runs it.
+    Each :func:`check_jobs` unit runs in-process, or with
+    ``resilience`` through :func:`~repro.sched.runner.run_jobs`, the
+    engine of every supervised run: retries with backoff, per-unit
+    wall-clock timeouts, and a run directory whose journal lets an
+    interrupted pass resume without re-running completed units.
     """
-    specs = load_claims_dir(claims_dir)
-    if benchmarks:
-        missing = [b for b in benchmarks if b not in specs]
-        if missing:
-            raise ReproError(
-                f"no claim file for: {', '.join(missing)}; have "
-                f"{', '.join(sorted(specs))}"
-            )
-        selected = [specs[b] for b in benchmarks]
-    else:
-        selected = list(specs.values())
+    from repro.sched.runner import execute_job, run_jobs
 
+    jobs = check_jobs(
+        benchmarks=benchmarks, claims_dir=claims_dir, backend=backend,
+        quick=quick, system=system,
+    )
     backends = _resolve_backends(backend)
     report = ConformanceReport(
         title=f"paper-claims conformance ({', '.join(backends)})"
     )
-    if resilience is not None:
-        from repro.sched.runner import JobSpec, run_jobs
-
-        jobs = [
-            JobSpec(
-                benchmark=spec.benchmark,
-                kind="check",
-                params={
-                    "claims": Path(spec.path).read_text(),
-                    "backend": be,
-                    "quick": quick,
-                },
-                system=system or spec.system,
-                backend=None,
-            )
-            for be in backends
-            for spec in selected
-        ]
-        for payload in run_jobs(jobs, config=resilience):
-            report.extend(CheckOutcome.from_dict(d) for d in payload["outcomes"])
+    if resilience is None:
+        payloads = map(execute_job, jobs)
     else:
-        for be in backends:
-            for spec in selected:
-                report.extend(
-                    check_benchmark(
-                        spec, backend=be, quick=quick, system=system
-                    )
-                )
+        payloads = run_jobs(jobs, config=resilience)
+    for payload in payloads:
+        report.extend(CheckOutcome.from_dict(d) for d in payload["outcomes"])
     if relations:
         report.extend(run_relations(backends=backends))
     return report

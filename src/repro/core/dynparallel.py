@@ -116,6 +116,7 @@ def mariani_silver(
     device_launches = init_subdiv * init_subdiv
     pixels_computed = 0
     pixels_filled = 0
+    scratch = []
 
     for depth in range(max_depth + 1):
         if rects.size == 0:
@@ -125,6 +126,7 @@ def mariani_silver(
         dxs = rt.to_device(xs.astype(np.int64))
         dys = rt.to_device(ys.astype(np.int64))
         dd = rt.malloc(n_pts, np.int64)
+        scratch += [dxs, dys, dd]
         rt.launch(
             mandel_points,
             -(-n_pts // block),
@@ -167,6 +169,7 @@ def mariani_silver(
             vals = np.concatenate(fill_val_parts)
             di = rt.to_device(idxs.astype(np.int64))
             dv = rt.to_device(vals)
+            scratch += [di, dv]
             rt.launch(
                 fill_indexed,
                 -(-idxs.size // block),
@@ -199,6 +202,7 @@ def mariani_silver(
             pixels_computed += lx.size
             # scatter results into the image
             dli = rt.to_device((ly * w + lx).astype(np.int64))
+            scratch += [dlx, dly, dld, dli]
             rt.launch(
                 fill_indexed,
                 -(-lx.size // block),
@@ -211,6 +215,7 @@ def mariani_silver(
 
         # write the border dwells themselves
         dbi = rt.to_device((ys * w + xs).astype(np.int64))
+        scratch.append(dbi)
         rt.launch(
             fill_indexed,
             -(-n_pts // block),
@@ -222,6 +227,11 @@ def mariani_silver(
 
         device_launches += len(children)
         rects = np.array(children, dtype=np.int64) if children else np.empty((0, 4), np.int64)
+
+    # freed after the last level only: an address reused inside the loop
+    # would move later levels' launch keys, traces and results
+    for buf in scratch:
+        rt.free(buf)
 
     # Charge the device-launch overheads the fused kernels absorbed:
     # the real recursion pays one launch per rectangle kernel, but
@@ -285,6 +295,7 @@ class DynParallel(Microbenchmark):
                 out1, w, h, view.x0, view.y0, dx, dy, max_dwell,
             )
         ok_escape = np.array_equal(out1.to_host().reshape(h, w), ref)
+        rt1.free(out1)
 
         # Mariani-Silver with dynamic parallelism
         rt2 = CudaLite(self.system)
@@ -292,6 +303,7 @@ class DynParallel(Microbenchmark):
         with rt2.timer() as t_ms:
             info = mariani_silver(rt2, out2, w, h, view=view, max_dwell=max_dwell)
         ms_img = out2.to_host().reshape(h, w)
+        rt2.free(out2)
         mismatch = float((ms_img != ref).mean())
 
         return BenchResult(

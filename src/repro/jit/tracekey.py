@@ -2,14 +2,15 @@
 
 A JIT artifact is only valid for launches whose analysis inputs are
 guaranteed to *start from* the same state the trace saw, so the key
-hashes everything the recorded address streams can depend on up front:
-the kernel's source and metadata, the launch geometry, the full
-:class:`~repro.arch.spec.GPUSpec` (warp size, bank layout, transaction
-granularities), and a per-argument signature — device arrays by base
-address/shape/dtype (the deterministic allocator makes addresses repeat
-across runs), scalars by exact value.  Anything the tracer cannot
-fingerprint makes the launch :class:`Untraceable` and it runs on the
-reference path instead.
+hashes everything the recorded summaries can depend on up front: the
+model digest (:func:`~repro.sched.cache.model_digest`: the analyzers),
+the kernel's source (which may lie outside the package) and metadata,
+the launch geometry, the full :class:`~repro.arch.spec.GPUSpec` (warp
+size, bank layout, transaction granularities), and a per-argument
+signature — device arrays by base address/shape/dtype (the
+deterministic allocator makes addresses repeat across runs), scalars
+by exact value.  Anything the tracer cannot fingerprint makes the
+launch :class:`Untraceable` and it runs on the reference path instead.
 
 Data-dependent behaviour (gather indices read from device memory,
 value-dependent loop trip counts) is deliberately *not* part of the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import json
 from dataclasses import asdict
 from typing import Any, Callable
 
@@ -29,14 +29,12 @@ import numpy as np
 
 from repro.arch.spec import GPUSpec
 from repro.mem.buffer import DeviceArray
+from repro.sched.cache import _canonical, model_digest
 from repro.simt.dim3 import Dim3
 from repro.simt.kernel import KernelDef
 from repro.simt.texture import TextureView
 
 __all__ = ["Untraceable", "launch_key", "kernel_source"]
-
-#: bump to invalidate every persisted artifact (key-layout changes)
-_KEY_VERSION = 1
 
 _source_memo: dict[Callable[..., Any], str] = {}
 
@@ -97,7 +95,7 @@ def launch_key(
 ) -> str:
     """SHA-256 identity of one launch's analysis-relevant inputs."""
     material = {
-        "v": _KEY_VERSION,
+        "model": model_digest(),
         "kernel": {
             "name": kdef.name,
             "registers": kdef.registers,
@@ -108,7 +106,4 @@ def launch_key(
         "gpu": asdict(gpu),
         "args": [_arg_signature(a) for a in args],
     }
-    canonical = json.dumps(
-        material, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(material).encode()).hexdigest()

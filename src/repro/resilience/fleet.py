@@ -13,12 +13,13 @@ same run.  Nothing coordinates the workers except the filesystem:
 
 * the **manifest** (``manifest.json``) pins the run's job list — one
   :func:`~repro.resilience.journal.job_fingerprint` per spec, in spec
-  order — and the lease TTL of the invocation that created it, by
-  which every reader judges the run's leases and workers.  The first
-  arrival creates it atomically (hard-link publish); a joining worker
-  validates its own job list against it, so two operators who typed
-  different sweeps into the same run id fail loudly instead of
-  merging garbage;
+  order — the model digest of the code that computes them, and the
+  lease TTL of the invocation that created it, by which every reader
+  judges the run's leases and workers.  The first arrival creates it
+  atomically (hard-link publish); a joining worker validates its own
+  job list against it, so two operators who typed different sweeps
+  into the same run id, or a worker running other code, fail loudly
+  instead of merging garbage;
 * each job is claimed through an atomic **lease**
   (:mod:`~repro.resilience.lease`): exclusive atomic publish, atomic
   heartbeats, rename-based stealing once a lease outlives its TTL;
@@ -164,20 +165,25 @@ def ensure_manifest(
     :func:`~repro.common.durable.atomic_write` (a hard link): it fails
     for every worker but one, and no reader ever observes a partial
     manifest.  A joining worker whose own spec list hashes
-    differently fails loudly: half a fleet computing a different sweep
+    differently fails loudly: half a fleet computing a different sweep,
+    or running other code (the manifest's ``model`` digest names it),
     must not share journals with this one.  With ``republish`` (the
     coordinator of ``--resume``) a different job list or lease TTL
     replaces the manifest instead: journaled jobs are matched by
     fingerprint.  A joining worker keeps its own ``lease_ttl_s`` for
     its own leases; the manifest keeps the creator's.
     """
+    from repro.sched.cache import model_digest
+
     fingerprints = [job_fingerprint(s) for s in specs]
     path = run_dir / "manifest.json"
+    model = model_digest()
     doc = {
         "schema": FLEET_SCHEMA,
         "run_id": run_id,
         "command": command,
         "lease_ttl_s": lease_ttl_s,
+        "model": model,
         "jobs": fingerprints,
         "specs": [_spec_as_dict(s) for s in specs],
     }
@@ -194,6 +200,13 @@ def ensure_manifest(
     if republish and (stale or _lease_ttl(published) != lease_ttl_s):
         atomic_write(path, json.dumps(doc, indent=1))
         return doc
+    if stale and published.get("model") != model:
+        raise ReproError(
+            f"this worker runs other code than fleet run {run_id!r} was "
+            f"created with (model {model[:12]} here, "
+            f"{str(published.get('model'))[:12]} in the manifest); join "
+            "from a checkout of the same sources, or pick a fresh --run-id"
+        )
     if stale:
         raise ReproError(
             f"fleet run {run_id!r} was created for a different job list "
@@ -628,7 +641,6 @@ def merge_fleet(
     dropped is not this run's.
     """
     from repro.sched.cache import _payload_checksum
-    from repro.sched.runner import _cache_key
 
     tele = cfg.telemetry
     for ev in read_events(run_dir, events_after):
@@ -655,7 +667,7 @@ def merge_fleet(
             if ordinal in stores:
                 cache.put(stores[ordinal], winner)
         elif cache is not None:
-            key = _cache_key(cache, spec)
+            key = cache.key_for(spec)
             existing = cache.get(key)
             if existing is None:
                 cache.put(key, winner)
@@ -969,8 +981,6 @@ def _coordinate(
     cache: "ResultCache | None",
     cfg: ResilienceConfig,
 ) -> list[dict[str, Any]]:
-    from repro.sched.runner import _cache_key
-
     tele = cfg.telemetry
     chaos = cfg.chaos
     if cache is not None and chaos is not None and cache.chaos is None:
@@ -994,7 +1004,7 @@ def _coordinate(
             if fp in journaled:
                 tele.observe("resume-skip", benchmark=spec.benchmark, job=i)
                 continue
-            key = _cache_key(cache, spec) if cache is not None else None
+            key = cache.key_for(spec) if cache is not None else None
             hit = cache.get(key) if key is not None else None
             if hit is None:
                 todo.append(i)

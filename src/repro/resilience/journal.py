@@ -23,16 +23,16 @@ process died mid-append) and unparsable lines are skipped instead of
 refusing the whole journal, so a SIGKILL'd run still resumes from its
 last complete checkpoint.
 
-A job's *fingerprint* hashes the same dependency closure the result
-cache keys on — benchmark sources, resolved system spec, parameters
-(a figure point's include its x-value), and requested backend — so a
-resume never replays stale work across a code or configuration
-change.
+A job's *fingerprint* is the result cache's key under another domain:
+the model digest (:func:`~repro.sched.cache.model_digest`, every source
+file of the package and NumPy's version), the benchmark, the resolved
+system spec, the kind, the parameters (a figure point's include its
+x-value) and the requested backend — so a resume never replays stale
+work across a code or configuration change.
 """
 
 from __future__ import annotations
 
-import hashlib
 import uuid
 from pathlib import Path
 from typing import Any
@@ -60,29 +60,15 @@ def new_run_id() -> str:
 def job_fingerprint(spec) -> str:
     """Stable identity of one :class:`~repro.sched.runner.JobSpec`.
 
-    Shares the result cache's key material (sources × system × params ×
-    backend) so journal identity and cache identity invalidate
-    together; the two hashes differ only by a domain prefix, keeping a
-    journal line from ever being mistaken for a cache key.  A ``check``
+    The result cache's key material under the ``repro-journal`` domain,
+    so journal identity and cache identity invalidate together while a
+    journal line can never be mistaken for a cache key.  A ``check``
     job's params hold its claim file's text, so editing the claims
     changes the fingerprint too.
     """
-    from dataclasses import asdict
+    from repro.sched.cache import _job_key
 
-    from repro.sched.cache import _canonical, source_fingerprint
-    from repro.sched.runner import _resolve
-
-    bench = _resolve(spec)
-    material = {
-        "domain": "repro-journal",
-        "benchmark": spec.benchmark,
-        "sources": source_fingerprint(type(bench)),
-        "system": asdict(bench.system),
-        "kind": spec.kind,
-        "params": spec.params,
-        "backend": spec.backend,
-    }
-    return hashlib.sha256(_canonical(material).encode()).hexdigest()
+    return _job_key(spec, "repro-journal")
 
 
 class RunJournal:

@@ -5,7 +5,6 @@ from repro.sched.cache import (
     DEFAULT_CACHE_DIR,
     ResultCache,
     gc_cache,
-    source_fingerprint,
 )
 from repro.sched.runner import (
     JobSpec,
@@ -20,7 +19,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "gc_cache",
-    "source_fingerprint",
     "JobSpec",
     "execute_job",
     "parallel_suite",

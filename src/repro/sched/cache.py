@@ -1,11 +1,11 @@
 """Content-addressed result cache for benchmark jobs.
 
 A cache entry's key is the SHA-256 of everything the result can depend
-on: the *source code* of the benchmark's module and of every module
-defining a :class:`~repro.simt.kernel.KernelDef` it references, the
-fully-resolved :class:`~repro.arch.spec.SystemSpec`, the run
-parameters (a figure point's include its x-value), and the execution
-backend.  Editing a kernel, switching GPUs, or changing a parameter
+on: the :func:`model_digest` (every source file of the ``repro``
+package and NumPy's version), the canonical benchmark name, the
+fully-resolved :class:`~repro.arch.spec.SystemSpec`, the job kind, the
+run parameters (a figure point's include its x-value), and the
+execution backend.  Any code edit, another GPU or another parameter
 therefore changes the key; re-running an unchanged configuration is a
 cache hit that replays the stored JSON payload — which round-trips
 floats exactly, so a warm run is byte-identical to a cold one.
@@ -23,21 +23,20 @@ recomputes instead of crashing or replaying garbage.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import inspect
 import json
 import os
-import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.arch.spec import SystemSpec
 from repro.common.durable import atomic_write, make_dirs
 from repro.common.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
+    from repro.sched.runner import JobSpec
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -45,55 +44,59 @@ __all__ = [
     "CacheWriteError",
     "ResultCache",
     "gc_cache",
-    "source_fingerprint",
+    "model_digest",
 ]
 
 CACHE_SCHEMA = "repro-sched-cache/1"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: bump to invalidate every existing cache entry (layout changes)
-_KEY_VERSION = 1
-
 
 class CacheWriteError(ReproError):
     """The cache directory refused a write."""
 
-_fingerprint_memo: dict[str, str] = {}
 
+@functools.cache
+def model_digest() -> str:
+    """SHA-256 of the code every result depends on.
 
-def source_fingerprint(bench_cls: type) -> str:
-    """SHA-256 over the sources a benchmark's results derive from.
-
-    Covers the benchmark class's own module plus the module of every
-    :class:`KernelDef` reachable from that module's globals (kernels
-    are sometimes defined in shared helper modules).
+    Covers every ``.py`` file of the imported ``repro`` package (its
+    package-relative POSIX path and bytes, in path order) and NumPy's
+    version.  Computed on first use and memoized for the life of the
+    process, so a long-running process keys by the sources it read when
+    it first computed a key.
     """
-    cached = _fingerprint_memo.get(bench_cls.__module__)
-    if cached is not None:
-        return cached
-    from repro.simt.kernel import KernelDef
+    import numpy
 
-    modules = {bench_cls.__module__}
-    mod = sys.modules.get(bench_cls.__module__)
-    if mod is not None:
-        for value in vars(mod).values():
-            if isinstance(value, KernelDef):
-                modules.add(value.func.__module__)
+    root = Path(__file__).parent.parent       # the repro package
     digest = hashlib.sha256()
-    for name in sorted(modules):
-        digest.update(name.encode())
-        m = sys.modules.get(name)
-        try:
-            digest.update(inspect.getsource(m).encode())
-        except (TypeError, OSError):
-            digest.update(b"<source unavailable>")
-    out = digest.hexdigest()
-    _fingerprint_memo[bench_cls.__module__] = out
-    return out
+    for path in sorted(root.rglob("*.py")):
+        rel, data = path.relative_to(root).as_posix(), path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    digest.update(f"numpy {numpy.__version__}".encode())
+    return digest.hexdigest()
 
 
 def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def _job_key(spec: "JobSpec", domain: str) -> str:
+    """SHA-256 identity of one job under ``domain``: the model digest,
+    the canonical benchmark name, the resolved system, kind, params and
+    backend."""
+    from repro.sched.runner import _resolve
+
+    bench = _resolve(spec)
+    material = {
+        "domain": domain,
+        "model": model_digest(),
+        "benchmark": bench.name,
+        "system": asdict(bench.system),
+        "kind": spec.kind,
+        "params": spec.params,
+        "backend": spec.backend,
+    }
+    return hashlib.sha256(_canonical(material).encode()).hexdigest()
 
 
 def _payload_checksum(payload: Any) -> str:
@@ -126,26 +129,9 @@ class ResultCache:
         self._root_path = Path(self.root)
 
     # ------------------------------------------------------------------
-    def key_for(
-        self,
-        *,
-        bench_cls: type,
-        system: SystemSpec,
-        kind: str,
-        params: dict[str, Any],
-        backend: str,
-    ) -> str:
+    def key_for(self, spec: "JobSpec") -> str:
         """Content hash of one job's full dependency closure."""
-        material = {
-            "v": _KEY_VERSION,
-            "benchmark": bench_cls.name,
-            "sources": source_fingerprint(bench_cls),
-            "system": asdict(system),
-            "kind": kind,
-            "params": params,
-            "backend": backend,
-        }
-        return hashlib.sha256(_canonical(material).encode()).hexdigest()
+        return _job_key(spec, "repro-sched-cache")
 
     def _path(self, key: str) -> Path:
         return self._root_path / key[:2] / f"{key}.json"

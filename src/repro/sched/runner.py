@@ -92,17 +92,6 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
     return {"kind": "run", "result": result.as_dict()}
 
 
-def _cache_key(cache: ResultCache, spec: JobSpec) -> str:
-    bench = _resolve(spec)
-    return cache.key_for(
-        bench_cls=type(bench),
-        system=bench.system,
-        kind=spec.kind,
-        params=spec.params,
-        backend=spec.backend,
-    )
-
-
 def sweep_specs(
     benchmark: str,
     values: Sequence[Any] | None = None,

@@ -47,7 +47,7 @@ from typing import Any, Callable
 from repro.common.durable import Appender, atomic_write, make_dirs, read_records
 from repro.common.errors import ReproError
 from repro.resilience.journal import new_run_id
-from repro.serve.request import STATES, ServeRequest, parse_request
+from repro.serve.request import STATES, ServeRequest, validate_request
 
 __all__ = ["INTAKE_SCHEMA", "STATE_SCHEMA", "QueueEntry", "DurableQueue"]
 
@@ -194,16 +194,16 @@ class DurableQueue:
         if doc.get("schema") != STATE_SCHEMA:
             return None
         try:
-            request = parse_request(
+            request = validate_request(
                 doc["request"], client=doc.get("client") or None
             )
+            # the persisted fingerprint, not a re-derived one: it may be
+            # a user Idempotency-Key, and — after a source change — it is
+            # the key the original acceptance was made under
+            request.fingerprint = doc["fingerprint"]
             entry = QueueEntry(doc["id"], int(doc["seq"]), request)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
-        # the persisted fingerprint wins over the re-derived one: it may
-        # be a user Idempotency-Key, and — after a source change — it is
-        # the key the original acceptance was made under
-        request.fingerprint = doc.get("fingerprint", request.fingerprint)
         state = doc.get("state")
         entry.state = state if state in STATES else "queued"
         entry.attempts = int(doc.get("attempts", 0))

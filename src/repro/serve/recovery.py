@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.serve.queue import DurableQueue, QueueEntry
-from repro.serve.request import parse_request
+from repro.serve.request import validate_request
 
 __all__ = ["RecoverySummary", "recover"]
 
@@ -80,12 +80,12 @@ def recover(queue: DurableQueue) -> RecoverySummary:
         if rid in entries:
             continue
         try:
-            request = parse_request(
+            request = validate_request(
                 line.get("request"), client=line.get("client") or None
             )
+            request.fingerprint = line["fingerprint"]
         except Exception:  # noqa: BLE001 - unparseable backstop line
             continue
-        request.fingerprint = line.get("fingerprint", request.fingerprint)
         entry = QueueEntry(rid, int(line.get("seq", 0)), request)
         entry.submitted_at = float(line.get("submitted_at", 0.0))
         entries[rid] = entry

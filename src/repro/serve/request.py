@@ -17,13 +17,14 @@ message in the body — a misbehaving client can never enqueue work the
 executor would choke on.
 
 Every request has a deterministic **fingerprint** — the idempotency
-key.  For ``run``/``sweep``/``profile`` it is derived from the same
-:func:`~repro.resilience.journal.job_fingerprint` material the run
-journal and result cache key on (benchmark sources × resolved system ×
-params × backend, per job), so a retried submission after a client
-timeout maps onto the original request instead of re-running, and a
-code or configuration change mints a fresh key.  A client may override
-it with an ``Idempotency-Key`` header.
+key — derived from the :func:`~repro.resilience.journal.job_fingerprint`
+of every job it decomposes into (a ``check`` request's jobs carry their
+claim files' text), the identity the run journal and result cache key
+on: the model digest, the resolved system, the params and the backend.
+A retried submission after a client timeout maps onto the original
+request instead of re-running, and a code, claim or configuration
+change mints a fresh key.  A client may override it with an
+``Idempotency-Key`` header.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "ServeRequest",
     "parse_request",
     "request_fingerprint",
+    "validate_request",
 ]
 
 REQUEST_SCHEMA = "repro-serve-request/1"
@@ -101,11 +103,19 @@ class ServeRequest:
     def job_specs(self) -> list:
         """The :class:`~repro.sched.runner.JobSpec` decomposition.
 
-        Only meaningful for ``run``/``sweep``/``profile``; a sweep is
-        the CLI's decomposition (:func:`~repro.sched.runner.sweep_specs`,
-        one ``run`` job per point), so the executed work — and therefore
-        the result document — is byte-identical to the command line.
+        A sweep is the CLI's decomposition
+        (:func:`~repro.sched.runner.sweep_specs`, one ``run`` job per
+        point), so the executed work — and therefore the result
+        document — is byte-identical to the command line; a ``check``
+        is its :func:`~repro.check.engine.check_jobs` units.
         """
+        if self.kind == "check":
+            from repro.check.engine import check_jobs
+
+            return check_jobs(
+                benchmarks=self.benchmarks, backend=self.backend,
+                quick=self.quick, system=self.system,
+            )
         from repro.exec.dispatch import current_backend_name
         from repro.sched.runner import JobSpec, sweep_specs
 
@@ -158,12 +168,28 @@ def parse_request(
     client: str | None = None,
     idempotency_key: str | None = None,
 ) -> ServeRequest:
-    """Validate a request document into a :class:`ServeRequest`.
+    """Validate a request document (:func:`validate_request`) and set its
+    fingerprint: :func:`request_fingerprint`, or ``user-<key>`` for an
+    ``Idempotency-Key``."""
+    req = validate_request(doc, client=client)
+    if idempotency_key is not None:
+        if not _IDEM_KEY_RE.match(idempotency_key):
+            raise BadRequest(
+                "Idempotency-Key must be 1-128 chars of [A-Za-z0-9_.:-]"
+            )
+        req.fingerprint = f"user-{idempotency_key}"
+    else:
+        try:
+            req.fingerprint = request_fingerprint(req)
+        except ReproError as exc:  # e.g. an unreadable claims directory
+            raise BadRequest(str(exc)) from None
+    return req
 
-    ``client`` is the caller's self-declared identity (the
-    ``X-Client-Id`` header) used for per-client admission caps;
-    ``idempotency_key`` overrides the derived fingerprint.
-    """
+
+def validate_request(doc: Any, *, client: str | None = None) -> ServeRequest:
+    """Validate a request document into a :class:`ServeRequest` without
+    a fingerprint (recovery restores the accepted one); ``client`` is the
+    ``X-Client-Id`` header, used for per-client admission caps."""
     if not isinstance(doc, dict):
         raise BadRequest("request body must be a JSON object")
     kind = doc.get("kind")
@@ -235,49 +261,20 @@ def parse_request(
                 "X-Client-Id must be 1-64 chars of [A-Za-z0-9_.:-]"
             )
         req.client = client
-
-    if idempotency_key is not None:
-        if not _IDEM_KEY_RE.match(idempotency_key):
-            raise BadRequest(
-                "Idempotency-Key must be 1-128 chars of [A-Za-z0-9_.:-]"
-            )
-        req.fingerprint = f"user-{idempotency_key}"
-    else:
-        req.fingerprint = request_fingerprint(req)
     return req
 
 
 def request_fingerprint(req: ServeRequest) -> str:
-    """The derived idempotency key of a request.
-
-    ``run``/``sweep``/``profile`` hash the
-    :func:`~repro.resilience.journal.job_fingerprint` of every job the
-    request decomposes into — the same sources × system × params ×
-    backend closure the journal and cache key on — prefixed
-    with the request kind, so a ``profile`` of the same work is a
-    distinct key from its ``run``.  ``check`` requests hash their
-    canonical request document (claims are re-evaluated per
-    submission of a changed configuration).
+    """The derived idempotency key of a request: the
+    :func:`~repro.resilience.journal.job_fingerprint` of every job it
+    decomposes into, prefixed with the request kind, so a ``profile``
+    of the same work is a distinct key from its ``run``.
     """
-    from repro.sched.cache import _canonical
+    from repro.resilience.journal import job_fingerprint
 
     digest = hashlib.sha256()
     digest.update(b"repro-serve:")
     digest.update(req.kind.encode())
-    if req.kind == "check":
-        digest.update(
-            _canonical(
-                {
-                    "benchmarks": req.benchmarks,
-                    "backend": req.backend,
-                    "quick": req.quick,
-                    "system": req.system,
-                }
-            ).encode()
-        )
-    else:
-        from repro.resilience.journal import job_fingerprint
-
-        for spec in req.job_specs():
-            digest.update(job_fingerprint(spec).encode())
+    for spec in req.job_specs():
+        digest.update(job_fingerprint(spec).encode())
     return digest.hexdigest()

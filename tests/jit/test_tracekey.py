@@ -89,6 +89,12 @@ class TestSensitivity:
         b = rt.to_device(np.zeros(512, np.float32))
         assert _key(rt, args=(a, 512)) != _key(rt, args=(b, 512))
 
+    def test_model(self, rt, monkeypatch):
+        x = rt.to_device(np.zeros(512, np.float32))
+        before = _key(rt, args=(x, 512))
+        monkeypatch.setattr("repro.jit.tracekey.model_digest", lambda: "0" * 64)
+        assert _key(rt, args=(x, 512)) != before
+
     def test_buffer_dtype_and_shape(self, rt):
         a = rt.to_device(np.zeros(512, np.float32))
         k32 = _key(rt, args=(a, 512))

@@ -27,7 +27,7 @@ from repro.resilience.fleet import (
 )
 from repro.resilience.journal import job_fingerprint
 from repro.sched import JobSpec, run_jobs
-from repro.sched.cache import ResultCache
+from repro.sched.cache import ResultCache, model_digest
 
 SPECS = [
     JobSpec(benchmark="MemAlign", params={"n": 8192}),
@@ -321,9 +321,7 @@ class TestMergeValidation:
         cache = ResultCache(tmp_path / "cache")
         run_jobs(SPECS, jobs=2, cache=cache, config=make_cfg(tmp_path))
         # poison one cache entry behind the fleet's back
-        from repro.sched.runner import _cache_key
-
-        key = _cache_key(cache, SPECS[0])
+        key = cache.key_for(SPECS[0])
         cache.put(key, {"kind": "run", "result": {"v": "poisoned"}})
         with pytest.raises(FleetMergeError, match="result cache"):
             merge_fleet(
@@ -351,6 +349,20 @@ class TestManifest:
             ensure_manifest(
                 run_dir, other, run_id="ftest", command="test", lease_ttl_s=5.0
             )
+
+    def test_worker_running_other_code_is_refused(self, tmp_path, monkeypatch):
+        run_dir = fleet_dir(tmp_path, "ftest")
+        ensure_manifest(
+            run_dir, SPECS, run_id="ftest", command="test", lease_ttl_s=5.0
+        )
+        assert read_manifest(run_dir)["model"] == model_digest()
+        monkeypatch.setattr("repro.sched.cache.model_digest", lambda: "f" * 64)
+        with pytest.raises(ReproError, match="runs other code") as refused:
+            ensure_manifest(
+                run_dir, SPECS, run_id="ftest", command="test", lease_ttl_s=5.0
+            )
+        assert f"model {'f' * 12} here, {model_digest()[:12]} in the " \
+            "manifest" in str(refused.value)
 
     def test_same_job_list_validates(self, tmp_path):
         run_dir = fleet_dir(tmp_path, "ftest")

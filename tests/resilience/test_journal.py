@@ -140,8 +140,19 @@ class TestFingerprint:
     def test_differs_from_cache_key(self, tmp_path):
         # domain separation: a journal line can never alias a cache entry
         from repro.sched import ResultCache
-        from repro.sched.runner import _cache_key
 
         spec = JobSpec(benchmark="Shmem", params={"n": 64})
         cache = ResultCache(tmp_path / "cache")
-        assert job_fingerprint(spec) != _cache_key(cache, spec)
+        assert job_fingerprint(spec) != cache.key_for(spec)
+
+    @pytest.mark.parametrize("spec", [
+        JobSpec(benchmark="Shmem", params={"n": 64}),
+        JobSpec(
+            benchmark="Shmem", kind="check", backend=None,
+            params={"claims": "", "backend": "reference", "quick": True},
+        ),
+    ], ids=["run", "check"])
+    def test_model_changes_fingerprint(self, spec, monkeypatch):
+        before = job_fingerprint(spec)
+        monkeypatch.setattr("repro.sched.cache.model_digest", lambda: "0" * 64)
+        assert job_fingerprint(spec) != before

@@ -153,6 +153,17 @@ class TestLeakcheck:
         rt.close()
         assert san.report().findings == []
 
+    def test_dynparallel_frees_its_buffers(self):
+        # both runtimes: the escape-time image, then Mariani-Silver's
+        # image and every recursion level's buffers, freed after use
+        from repro.core.registry import get_benchmark
+
+        san = Sanitizer(("memcheck", "leakcheck"))
+        with sanitize_session(sanitizer=san) as session:
+            get_benchmark("DynParallel").run(size=128, max_dwell=64)
+        assert len(session.runtimes) == 2
+        assert san.report().findings == []
+
 
 class TestSession:
     def test_runtime_inherits_session_sanitizer(self):

@@ -1,12 +1,17 @@
 """Content-addressed result cache: keys, round-trips, accounting."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.arch.presets import CARINA, FORNAX
-from repro.core.registry import get_benchmark
-from repro.sched.cache import CACHE_SCHEMA, ResultCache, source_fingerprint
+import repro
+from repro.sched.cache import CACHE_SCHEMA, ResultCache, model_digest
+from repro.sched.runner import JobSpec
 
 
 @pytest.fixture()
@@ -16,14 +21,14 @@ def cache(tmp_path):
 
 def key(cache, **over):
     base = dict(
-        bench_cls=type(get_benchmark("CoMem")),
-        system=CARINA,
+        benchmark="CoMem",
+        system="carina",
         kind="run",
         params={"n": 1 << 19},
         backend="reference",
     )
     base.update(over)
-    return cache.key_for(**base)
+    return cache.key_for(JobSpec(**base))
 
 
 class TestKeying:
@@ -41,18 +46,83 @@ class TestKeying:
         assert key(cache) != key(cache, backend="jit")
 
     def test_system_changes_key(self, cache):
-        assert key(cache) != key(cache, system=FORNAX)
+        assert key(cache) != key(cache, system="fornax")
 
     def test_benchmark_changes_key(self, cache):
-        other = type(get_benchmark("Shmem"))
-        assert key(cache) != key(cache, bench_cls=other)
+        assert key(cache) != key(cache, benchmark="Shmem")
 
     def test_kind_changes_key(self, cache):
         assert key(cache) != key(cache, kind="check")
 
-    def test_source_fingerprint_stable(self):
-        cls = type(get_benchmark("CoMem"))
-        assert source_fingerprint(cls) == source_fingerprint(cls)
+    def test_model_digest_stable(self):
+        assert model_digest() == model_digest()
+        assert len(model_digest()) == 64
+
+    def test_model_changes_key(self, cache, monkeypatch):
+        before = key(cache)
+        monkeypatch.setattr("repro.sched.cache.model_digest", lambda: "0" * 64)
+        assert key(cache) != before
+
+
+def _package_copy(tmp_path) -> Path:
+    """A copy of the imported ``repro`` package under ``tmp_path/src``."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path(repro.__file__).parent, src / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return src
+
+
+def _repro(src: Path, *args: str, cwd: Path) -> str:
+    """Run a fresh interpreter on the package copy; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    )
+    return done.stdout
+
+
+def _edit_model_beta(src: Path) -> None:
+    model = src / "repro" / "timing" / "model.py"
+    text = model.read_text()
+    assert "MODEL_BETA = 0.25" in text
+    model.write_text(text.replace("MODEL_BETA = 0.25", "MODEL_BETA = 0.5"))
+
+
+class TestModelIdentity:
+    """A model edit must invalidate what the old model computed."""
+
+    def test_digest_covers_every_source_file(self, tmp_path):
+        src = _package_copy(tmp_path)
+        code = "from repro.sched.cache import model_digest; print(model_digest())"
+        first = _repro(src, "-c", code, cwd=tmp_path)
+        assert _repro(src, "-c", code, cwd=tmp_path) == first
+        _edit_model_beta(src)
+        assert _repro(src, "-c", code, cwd=tmp_path) != first
+
+    def test_warm_sweep_misses_after_a_model_edit(self, tmp_path):
+        src = _package_copy(tmp_path)
+        sweep = [
+            "-m", "repro", "sweep", "MemAlign", "--values", "8192",
+            "--max-retries", "2", "--no-journal",
+        ]
+
+        def run(name, *extra):
+            out, stats = tmp_path / f"{name}.json", tmp_path / f"{name}-stats.json"
+            _repro(src, *sweep, *extra, "--out", str(out),
+                   "--stats", str(stats), cwd=tmp_path)
+            return out.read_bytes(), json.loads(stats.read_text())["cache"]
+
+        cold, _ = run("cold", "--cache-dir", "C")
+        warm, stats = run("warm", "--cache-dir", "C")
+        assert (warm, stats["hits"], stats["misses"]) == (cold, 1, 0)
+        _edit_model_beta(src)
+        edited, stats = run("edited", "--cache-dir", "C")
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert edited != cold
+        assert edited == run("fresh", "--no-cache")[0]
 
 
 class TestStore:

@@ -90,6 +90,26 @@ class TestRecovery:
         assert queue.claim().id == entry.id
         queue.close()
 
+    @pytest.mark.parametrize("lost_state_file", [False, True])
+    def test_check_entry_keeps_its_fingerprint_without_claims(
+        self, data_dir, monkeypatch, lost_state_file
+    ):
+        # a check's fingerprint reads the claim files, which a restart
+        # elsewhere cannot: recovery restores the accepted fingerprint
+        first = DurableQueue(data_dir)
+        entry, _ = first.submit(
+            parse_request({"kind": "check", "benchmarks": ["MemAlign"]})
+        )
+        first.close()
+        if lost_state_file:
+            (data_dir / "requests" / f"{entry.id}.json").unlink()
+        monkeypatch.chdir(data_dir)
+
+        queue, _ = restart(data_dir)
+        recovered = queue.get(entry.id)
+        assert recovered.request.fingerprint == entry.request.fingerprint
+        queue.close()
+
     def test_duplicate_submission_after_restart_maps_to_recovered(
         self, data_dir
     ):

@@ -124,6 +124,34 @@ class TestFingerprints:
         b = parse_request({"kind": "check"})
         assert a.fingerprint != b.fingerprint
 
+    def test_check_fingerprint_covers_claim_text(self, tmp_path, monkeypatch):
+        # a served check reads the claims under its working directory
+        import shutil
+
+        shutil.copytree("benchmarks/claims", tmp_path / "benchmarks/claims")
+        monkeypatch.chdir(tmp_path)
+        doc = {"kind": "check", "benchmarks": ["MemAlign"]}
+        before = parse_request(doc).fingerprint
+        claims = tmp_path / "benchmarks/claims/memalign.toml"
+        claims.write_text(claims.read_text() + "# edited\n")
+        assert parse_request(doc).fingerprint != before
+
+    def test_unreadable_claims_fail_admission(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(BadRequest, match="claims directory not found"):
+            parse_request({"kind": "check"})
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "run", "benchmark": "MemAlign"},
+        sweep_doc(),
+        {"kind": "profile", "benchmark": "MemAlign"},
+        {"kind": "check", "benchmarks": ["MemAlign"]},
+    ], ids=lambda doc: doc["kind"])
+    def test_model_changes_fingerprint(self, doc, monkeypatch):
+        before = parse_request(doc).fingerprint
+        monkeypatch.setattr("repro.sched.cache.model_digest", lambda: "0" * 64)
+        assert parse_request(doc).fingerprint != before
+
     def test_fingerprint_function_matches_parse(self):
         req = parse_request(sweep_doc())
         assert request_fingerprint(req) == req.fingerprint

@@ -406,6 +406,35 @@ class TestResilienceFlags:
         assert doc["execution"]["resume_skips"] == 1
         assert doc["execution"]["completed"] == 2
 
+    def test_resume_under_other_code_recomputes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.sched.cache import model_digest
+
+        stats = tmp_path / "stats.json"
+        base = [
+            "sweep", "MemAlign", "--values", "8192,16384", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"),
+        ]
+        assert main(base + ["--run-id", "r1", "--chaos", "interrupt-after=1"]) == 4
+        capsys.readouterr()
+        real = model_digest()
+        monkeypatch.setattr("repro.sched.cache.model_digest", lambda: "f" * 64)
+        assert main(base + ["--resume", "r1", "--stats", str(stats)]) == 0
+        notes = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("note:")
+        ]
+        assert notes == [
+            f"note: run r1 was journaled by other code (model {real[:12]}, "
+            f"now {'f' * 12}); its journaled jobs are recomputed"
+        ]
+        doc = json.loads(stats.read_text())
+        assert doc["execution"]["resume_skips"] == 0
+        assert doc["execution"]["completed"] == 2
+
     def test_resume_after_a_kill_before_the_journal_header(
         self, capsys, tmp_path
     ):
@@ -1188,14 +1217,19 @@ class TestObsCLI:
 
     #: sha256 of the stitched ``--trace`` of ``sweep MemAlign --values
     #: 8192,16384 --run-id g1 --no-cache``, straight or interrupted and
-    #: resumed; it predates deriving span ids when the trace is read
+    #: resumed, with each job span's fingerprint arg replaced by
+    #: ``<job>``: a fingerprint takes the model digest, which moves with
+    #: every edit of the package
     TRACE_SHA256 = (
-        "00670076ef68cd3a95653c2e3198a566524ec290948870ffa5fc6c815fbbf61f"
+        "0de05c2a48bb931f73088f306bf56424606c8b8a94dc6a59aa0c3be081456a40"
     )
 
     @pytest.mark.parametrize("interrupted", [False, True])
     def test_stitched_trace_is_golden(self, interrupted, capsys, tmp_path):
         import hashlib
+        import json
+
+        from repro.resilience.fleet import read_manifest
 
         trace = tmp_path / "trace.json"
         sweep = [
@@ -1210,7 +1244,21 @@ class TestObsCLI:
         else:
             assert main(sweep + ["--run-id", "g1", "--trace", str(trace)]) == 0
         capsys.readouterr()
-        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        text = trace.read_text()
+        jobs = read_manifest(tmp_path / "jd" / "g1.fleet")["jobs"]
+        spans = [
+            e["args"] for e in json.loads(text)["traceEvents"]
+            if e.get("cat") == "span" and "job" in e["args"]
+        ]
+        assert {a["job"]: a["fingerprint"] for a in spans} == {
+            ordinal: fp[:12] for ordinal, fp in enumerate(jobs)
+        }
+        assert text.count('"fingerprint": ') == len(jobs)
+        for fp in jobs:
+            text = text.replace(
+                f'"fingerprint": "{fp[:12]}"', '"fingerprint": "<job>"'
+            )
+        digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.TRACE_SHA256
 
     @staticmethod

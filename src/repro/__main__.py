@@ -1015,7 +1015,7 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         fleet_dir,
         fleet_status,
         flight_dumps,
-        read_journals,
+        read_logs,
         read_manifest,
     )
 
@@ -1039,8 +1039,8 @@ def cmd_journal_show(args: argparse.Namespace) -> int:
         for i, fp in enumerate(manifest.get("jobs", [])):
             span_of.setdefault(fp, root.job(i).span_id)
         shown = scanned = 0
-        for worker, records in read_journals(run_dir).items():
-            for fp, rec in records.items():
+        for worker, log in read_logs(run_dir).items():
+            for fp, rec in log.completions.items():
                 if fp not in span_of:
                     continue
                 scanned += 1

@@ -14,7 +14,8 @@ in one place — see the "Durability" section of ``docs/resilience.md``:
   line (a crash mid-append) so the next record starts on a fresh
   line, and creating the file fsyncs its directory.
 * :func:`read_records` reads such a file back, skipping blank,
-  unparsable (torn, garbage) and non-object lines.
+  unparsable (torn, garbage) and non-object lines;
+  :func:`read_appended` reads on from where an earlier read stopped.
 
 * :func:`make_dirs` creates a directory and its missing parents,
   fsyncing each new level into its parent, so a directory created on
@@ -37,7 +38,9 @@ import uuid
 from pathlib import Path
 from typing import Any
 
-__all__ = ["atomic_write", "Appender", "make_dirs", "read_records"]
+__all__ = [
+    "atomic_write", "Appender", "make_dirs", "read_appended", "read_records",
+]
 
 
 def _fsync_dir(path: Path) -> None:
@@ -125,17 +128,49 @@ class Appender:
             # next record is not glued onto the unparsable remnant
             self._fh.write(b"\n")
 
-    def append(self, *records: dict[str, Any]) -> None:
-        """Write each record as one compact JSON line, then flush + fsync."""
-        self._fh.write(b"".join(
-            (json.dumps(r, separators=(",", ":")) + "\n").encode()
-            for r in records
-        ))
+    def append(self, record: dict[str, Any]) -> None:
+        """Write the record as one compact JSON line, then flush + fsync."""
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        self._fh.write(line.encode())
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _record(line: bytes) -> dict[str, Any] | None:
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def read_appended(
+    path: str | Path, offset: int = 0
+) -> tuple[list[dict[str, Any]], int]:
+    """The JSON objects of an NDJSON file from byte ``offset`` on (as
+    :func:`read_records` skips lines), and the offset to read on from.
+    A final line without its newline is taken only as a whole JSON
+    object; anything else there (an append in flight, a torn tail) is
+    read again next time.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return [], offset
+    with fh:
+        fh.seek(offset)
+        data = fh.read()
+    *lines, tail = data.split(b"\n")
+    records = [obj for obj in map(_record, lines) if obj is not None]
+    end = offset + len(data) - len(tail)
+    last = _record(tail) if tail else None
+    if last is not None:
+        records.append(last)
+        end += len(tail)
+    return records, end
 
 
 def read_records(path: str | Path) -> list[dict[str, Any]]:
@@ -145,17 +180,4 @@ def read_records(path: str | Path) -> list[dict[str, Any]]:
     are not JSON objects are skipped, so a crashed writer's file still
     yields every record it completed.
     """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return []
-    records: list[dict[str, Any]] = []
-    with fh:
-        for line in fh:
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(obj, dict):
-                records.append(obj)
-    return records
+    return read_appended(path)[0]

@@ -4,8 +4,8 @@ Four pieces, built on the activity hub of :mod:`repro.prof` and the
 run journals of :mod:`repro.resilience`:
 
 * **distributed tracing** (:mod:`~repro.obs.trace`,
-  :mod:`~repro.obs.stitch`) — workers publish each job's activity
-  under its fingerprint, and the stitcher lays it out as one Chrome
+  :mod:`~repro.obs.stitch`) — workers journal each job's activity on
+  its completion line, and the stitcher lays it out as one Chrome
   trace with per-worker lanes, deriving deterministic
   :class:`~repro.obs.trace.TraceContext` span ids from the run id and
   the manifest;
@@ -43,7 +43,6 @@ from repro.obs.server import MetricsServer
 from repro.obs.stitch import (
     ActivitySink,
     fleet_chrome_trace,
-    read_worker_activity,
     write_fleet_trace,
 )
 from repro.obs.top import render_fleet_status
@@ -63,7 +62,6 @@ __all__ = [
     "ROOT_SPAN_KEY",
     # stitch
     "ActivitySink",
-    "read_worker_activity",
     "fleet_chrome_trace",
     "write_fleet_trace",
     # metrics

@@ -4,22 +4,24 @@ Two halves:
 
 * **capture** — :class:`ActivitySink`, the per-worker subscriber fleet
   workers attach to their local :class:`~repro.prof.activity.ActivityHub`.
-  It buffers the records of the job in flight and publishes them to the
-  worker's NDJSON file under ``<run-id>.fleet/activity/`` only when the
-  job *succeeds* — failed attempts never land, so the published
-  activity of a job is a deterministic function of its spec alone, no
-  matter how many retries, steals, or duplicate executions happened on
-  the way.  Each line is keyed by the job's fingerprint, which no
-  ``--resume`` with another job list can reassign.  (The flight
+  It buffers the records of the attempt in flight, and the worker puts
+  them on the job's completion line in its log only when the job
+  *succeeds* — failed attempts never land, so the journaled activity
+  of a job is a deterministic function of its spec alone, no matter
+  how many retries, steals, or duplicate executions happened on the
+  way.  The line is keyed by the job's fingerprint, which no
+  ``--resume`` with another job list can reassign, and is one append,
+  so a job is never journaled without its activity.  (The flight
   recorder, not the sink, is where failed-attempt activity goes to be
   seen.)
 
 * **stitch** — :func:`fleet_chrome_trace` reads the *finished* run
-  directory (manifest + journals + activity, through the readers of
-  :mod:`repro.resilience.fleet`) and lays every worker out
-  as its own process lane in one Trace Event Format document: per-job
-  wrapper spans carrying span identity, the device records inside
-  them, flow arrows linking the run's root span to every job span.
+  directory (the manifest and the worker logs, through the readers of
+  :mod:`repro.resilience.fleet`) and lays every worker that claimed or
+  won a job out as its own process lane in one Trace Event Format
+  document: per-job wrapper spans carrying span identity, the device
+  records inside them, flow arrows linking the run's root span to
+  every job span.
   Span ids are derived here, from the run id and each job's position
   in the current manifest; no record stores them.
   The winner of each job is the same first-write-wins choice the
@@ -39,20 +41,15 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.common.durable import Appender, make_dirs
+from repro.common.durable import make_dirs
 from repro.common.errors import ReproError
 from repro.obs.trace import TraceContext
 from repro.prof.activity import ActivityRecord
 from repro.prof.ndjson import record_to_json
-from repro.resilience.fleet import (
-    read_manifest,
-    read_worker_activity,
-    scan_completed,
-)
+from repro.resilience.fleet import completions, read_logs, read_manifest
 
 __all__ = [
     "ActivitySink",
-    "read_worker_activity",
     "fleet_chrome_trace",
     "write_fleet_trace",
 ]
@@ -75,59 +72,30 @@ _INSTANT_TICK_US = 1.0
 # capture
 
 class ActivitySink:
-    """Publish the activity of *successful* jobs to a worker NDJSON file.
+    """The activity records of a worker's attempt in flight::
 
-    Hub callback + commit protocol::
-
-        sink = ActivitySink(path, worker="w0")
+        sink = ActivitySink()
         hub.subscribe(sink)
-        sink.begin(fingerprint)  # before each attempt: reset the buffer
+        sink.begin()             # before each attempt: drop the buffer
         ...                      # records buffer during execution
-        sink.commit()            # after journaling the success
-
-    Lines are the standard NDJSON record projection prefixed with
-    ``worker`` and ``job`` (the job's fingerprint) keys.  Each commit
-    is one fsync'd
-    :class:`~repro.common.durable.Appender` append, and reopening the
-    file (a re-joined worker) heals a torn tail first.
+        journal.record(fp, payload, activity=sink.take())
     """
 
-    def __init__(self, path: str | Path, *, worker: str) -> None:
-        self.worker = worker
-        self._out = Appender(path)
-        self._job: str | None = None
+    def __init__(self) -> None:
         self._buf: list[ActivityRecord] = []
 
-    # -- hub callback --------------------------------------------------
     def __call__(self, rec: ActivityRecord) -> None:
-        if self._job is not None:
-            self._buf.append(rec)
+        self._buf.append(rec)
 
-    # -- commit protocol -----------------------------------------------
-    def begin(self, job: str) -> None:
-        """Start buffering for the job with fingerprint ``job`` (drops
-        any prior buffer)."""
-        self._job = job
+    def begin(self) -> None:
+        """Start a new attempt (drops any prior buffer)."""
         self._buf = []
 
-    def commit(self) -> None:
-        """Publish the buffered records; clears the buffer."""
-        if self._job is None:
-            return
-        self._out.append(*(
-            {"worker": self.worker, "job": self._job, **record_to_json(rec)}
-            for rec in self._buf
-        ))
-        self._job = None
+    def take(self) -> list[dict[str, Any]]:
+        """The buffered records, projected; clears the buffer."""
+        out = [record_to_json(rec) for rec in self._buf]
         self._buf = []
-
-    def abort(self) -> None:
-        """Drop the buffer without publishing (failed attempt)."""
-        self._job = None
-        self._buf = []
-
-    def close(self) -> None:
-        self._out.close()
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +125,11 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
     Deterministic in the run directory's contents: sorted workers, jobs
     in manifest (ordinal) order, device-clock timestamps offset by
     fixed padding, span ids derived from the run id and the manifest.
-    A job's records are its winner's activity lines under its
-    fingerprint; a fingerprint listed twice shows them in its first
-    span.  Jobs whose winner published no activity (runs written before
-    activity was keyed by fingerprint, torn activity files) still get
-    their wrapper span, so the span tree is complete whenever the
-    payload merge would succeed.
+    A job's records are the activity on its winning completion line; a
+    fingerprint listed twice shows them in its first span.  A job whose
+    completion carries no activity (a cache hit) still gets its wrapper
+    span, so the span tree is complete whenever the payload merge would
+    succeed.
     """
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
@@ -171,22 +138,23 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
     spec_meta: list[dict[str, Any]] = manifest.get("specs") or [
         {} for _ in fingerprints
     ]
+    logs = read_logs(run_dir)
     # the merge's first-write-wins pick
-    winners = {fp: w for fp, (w, _) in scan_completed(run_dir).items()}
+    winners = {fp: lines[0] for fp, lines in completions(logs).items()}
     missing = [fp for fp in fingerprints if fp not in winners]
     if missing:
         raise ReproError(
             f"cannot stitch fleet run {run_id!r}: "
             f"{len(missing)}/{len(fingerprints)} job(s) never journaled"
         )
-    activity = read_worker_activity(run_dir)
-    by_worker_job: dict[tuple[str, Any], list[dict[str, Any]]] = {}
-    for worker, lines in activity.items():
-        for obj in lines:
-            by_worker_job.setdefault((worker, obj.get("job")), []).append(obj)
+    claimed = {
+        w for w, log in logs.items()
+        if any(ev["event"] in ("lease-acquire", "lease-steal")
+               for ev in log.events)
+    }
 
     root = TraceContext.root(run_id)
-    workers = sorted(set(winners.values()) | set(activity))
+    workers = sorted({w for w, _ in winners.values()} | claimed)
     pid_of = {w: WORKER_PID_BASE + i for i, w in enumerate(workers)}
 
     events: list[dict[str, Any]] = [
@@ -210,11 +178,13 @@ def fleet_chrome_trace(run_dir: str | Path) -> dict[str, Any]:
         return lanes[track]
 
     lane_clock = {w: 0.0 for w in workers}
+    shown: set[str] = set()
     for ordinal, fp in enumerate(fingerprints):
-        worker = winners[fp]
+        worker, line = winners[fp]
         pid = pid_of[worker]
         ctx = root.job(ordinal)
-        recs = by_worker_job.pop((worker, fp), [])
+        recs = [] if fp in shown else line.get("activity") or []
+        shown.add(fp)
         timed = [
             r for r in recs
             if r.get("start_s") is not None and r.get("end_s") is not None

@@ -1,7 +1,7 @@
 """The ``repro top`` screen over a run directory.
 
 :func:`~repro.resilience.fleet.fleet_status` reads the run directory —
-manifest, per-worker journals, event logs, lease files, quarantine
+manifest, per-worker logs, lease files, quarantine
 markers, flight-recorder dumps — into one read-only snapshot: overall
 progress + ETA, per-worker health and counters, and the leases
 currently held.  It is the same snapshot ``repro journal ls/show`` and

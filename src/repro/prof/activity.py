@@ -33,7 +33,7 @@ Record kinds
                a job timeout, a worker crash, a degradation fallback,
                or a quarantine, on the ``scheduler`` track of the
                worker's own hub (its flight recorder keeps them); the
-               run's event logs hold the rest of its coordination
+               run's worker logs hold the rest of its coordination
 =============  ======================================================
 
 Timed kinds carry device-clock ``start``/``end`` seconds; driver-phase

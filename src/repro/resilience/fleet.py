@@ -23,22 +23,25 @@ same run.  Nothing coordinates the workers except the filesystem:
 * each job is claimed through an atomic **lease**
   (:mod:`~repro.resilience.lease`): exclusive atomic publish, atomic
   heartbeats, rename-based stealing once a lease outlives its TTL;
-* each worker appends completed payloads to its **own**
-  ``repro-journal/1`` NDJSON journal under ``journals/`` — append-only,
-  never contended; the coordinator journals cache hits the same way;
-* health events (lease acquires, steals, heartbeats, stalls, kills,
-  completions, and the supervision ladder's failures, retries,
-  fallbacks and quarantines) stream to per-worker NDJSON **event
-  logs** under ``events/``, which the merge folds through
-  :meth:`~repro.resilience.supervisor.SchedTelemetry.observe`.
+* each worker writes **one log**, its own ``repro-journal/1`` NDJSON
+  :class:`~repro.resilience.journal.RunJournal` under ``journals/`` —
+  append-only, never contended.  It holds the worker's health events
+  (lease acquires, steals, heartbeats, stalls, kills, exits, and the
+  supervision ladder's failures, retries, fallbacks and quarantines),
+  which the merge folds through
+  :meth:`~repro.resilience.supervisor.SchedTelemetry.observe`, and
+  one completion line per finished job: its payload and the successful
+  attempt's activity, one append.  The coordinator journals cache hits
+  and its own ladder events the same way, under the run id.
 
 Subdirectories are created when first written, and every file is
 published or appended through :mod:`repro.common.durable` (the
 "Durability" section of ``docs/resilience.md``).  This module is also
 the only reader of a run directory: the merge, the trace stitcher,
 ``repro top``, ``repro journal ls/show/gc`` and the ``--metrics``
-samples all go through the readers below, and :func:`fleet_status`,
-the one snapshot they share, counts only the manifest's current jobs.
+samples all go through the readers below (every worker log is read
+by :func:`read_logs`), and :func:`fleet_status`, the one snapshot
+they share, counts only the manifest's current jobs.
 
 The **merge** is deterministic and idempotent: payloads are collected
 per fingerprint across all worker journals in sorted worker order,
@@ -74,9 +77,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.common.durable import Appender, atomic_write, read_records
+from repro.common.durable import atomic_write
 from repro.common.errors import ReproError
-from repro.resilience.journal import RunJournal, job_fingerprint
+from repro.resilience.journal import (
+    RunJournal,
+    WorkerLog,
+    job_fingerprint,
+    read_log,
+)
 from repro.resilience.lease import LeaseDir
 from repro.resilience.supervisor import (
     JobTimeout,
@@ -97,12 +105,10 @@ __all__ = [
     "fleet_dir",
     "ensure_manifest",
     "read_manifest",
-    "read_journals",
-    "scan_duplicates",
+    "read_logs",
+    "completions",
     "scan_completed",
     "scan_quarantined",
-    "read_events",
-    "read_worker_activity",
     "flight_dumps",
     "fleet_status",
     "list_runs",
@@ -242,31 +248,39 @@ def read_manifest(run_dir: Path, *, missing_ok: bool = False) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # shared-state readers
 
-def read_journals(run_dir: Path) -> dict[str, dict[str, dict[str, Any]]]:
-    """worker -> (fingerprint -> journal record with its ``payload`` and
-    ``meta``), workers in sorted order and records in append order.
-
-    Sorted order makes the first record of a fingerprint journaled by
-    several workers — the merge's winner — the same for every reader.
+def read_logs(
+    run_dir: Path, logs: dict[str, WorkerLog] | None = None
+) -> dict[str, WorkerLog]:
+    """worker -> its log (:func:`~repro.resilience.journal.read_log`),
+    in sorted order, so the first completion of a fingerprint — the
+    merge's winner — is the same for every reader.  Given an earlier
+    call's ``logs``, reads only what was appended since into them.
     """
+    logs = logs or {}
     return {
-        path.stem: RunJournal._load(path)[1]
+        path.stem: read_log(path, logs.get(path.stem))
         for path in sorted(Path(run_dir, "journals").glob("*.ndjson"))
     }
 
 
-def scan_duplicates(run_dir: Path) -> dict[str, list[tuple[str, Any]]]:
-    """fingerprint -> every (worker journal name, payload) recorded."""
-    out: dict[str, list[tuple[str, Any]]] = {}
-    for worker, records in read_journals(run_dir).items():
-        for fp, rec in records.items():
-            out.setdefault(fp, []).append((worker, rec.get("payload")))
+def completions(
+    logs: dict[str, WorkerLog],
+) -> dict[str, list[tuple[str, dict[str, Any]]]]:
+    """fingerprint -> every (worker, completion line) of ``logs``; the
+    first is the winner."""
+    out: dict[str, list[tuple[str, dict[str, Any]]]] = {}
+    for worker, log in logs.items():
+        for fp, line in log.completions.items():
+            out.setdefault(fp, []).append((worker, line))
     return out
 
 
 def scan_completed(run_dir: Path) -> dict[str, tuple[str, Any]]:
-    """fingerprint -> (worker journal name, payload), first write wins."""
-    return {fp: recs[0] for fp, recs in scan_duplicates(run_dir).items()}
+    """fingerprint -> (worker, payload), first write wins."""
+    return {
+        fp: (lines[0][0], lines[0][1].get("payload"))
+        for fp, lines in completions(read_logs(run_dir)).items()
+    }
 
 
 def scan_quarantined(run_dir: Path) -> dict[str, dict[str, Any]]:
@@ -280,78 +294,11 @@ def scan_quarantined(run_dir: Path) -> dict[str, dict[str, Any]]:
     return out
 
 
-def _resolved(run_dir: Path) -> set[str]:
-    """Fingerprints nobody should claim anymore: completed or poisoned."""
-    done = set(scan_completed(run_dir))
-    done.update(scan_quarantined(run_dir))
-    return done
-
-
-def _ndjson_logs(log_dir: Path) -> dict[str, list[dict[str, Any]]]:
-    """log name -> its records, logs in sorted order; a torn tail (a
-    worker killed mid-append) is skipped."""
-    return {
-        path.stem: read_records(path)
-        for path in sorted(log_dir.glob("*.ndjson"))
-    }
-
-
-def read_events(
-    run_dir: Path, after: dict[str, int] | None = None
-) -> list[dict[str, Any]]:
-    """Every event log's records, logs in sorted order; ``after`` maps a
-    log's name to how many leading records to skip (an earlier
-    invocation's, see :func:`_event_counts`)."""
-    after = after or {}
-    return [
-        ev
-        for name, records in _ndjson_logs(Path(run_dir, "events")).items()
-        for ev in records[after.get(name, 0):]
-    ]
-
-
-def _event_counts(run_dir: Path) -> dict[str, int]:
-    """log name -> records so far: the events a resumed run replayed."""
-    return {
-        name: len(records)
-        for name, records in _ndjson_logs(Path(run_dir, "events")).items()
-    }
-
-
-def read_worker_activity(run_dir: Path) -> dict[str, list[dict[str, Any]]]:
-    """worker -> its published activity lines
-    (:class:`~repro.obs.stitch.ActivitySink`), in append order."""
-    return _ndjson_logs(Path(run_dir, "activity"))
-
-
 def flight_dumps(run_dir: Path) -> list[Path]:
     """The run's flight-recorder dumps, sorted by name."""
     from repro.obs.flight import list_flight_dumps
 
     return list_flight_dumps(Path(run_dir, "flightrec"))
-
-
-# ----------------------------------------------------------------------
-# worker-side event log
-
-class _EventLog:
-    """Append-only NDJSON health-event stream of one worker."""
-
-    def __init__(self, path: Path, worker_id: str) -> None:
-        self.worker_id = worker_id
-        self._out = Appender(path)
-
-    def emit(self, event: str, **args: Any) -> None:
-        # "t" (wall clock) feeds the read-only monitor's last-seen /
-        # ETA columns; it never enters merged payloads or traces
-        rec = {
-            "event": event, "worker": self.worker_id,
-            "t": time.time(), **args,
-        }
-        self._out.append(rec)
-
-    def close(self) -> None:
-        self._out.close()
 
 
 # ----------------------------------------------------------------------
@@ -361,27 +308,23 @@ class _Heartbeat:
     """Background heartbeats for one held lease."""
 
     def __init__(self, leases: LeaseDir, lease, interval_s: float,
-                 events: _EventLog, ordinal: int) -> None:
+                 journal: RunJournal, ordinal: int) -> None:
         self._leases = leases
         self._lease = lease
         self._interval = interval_s
-        self._events = events
+        self._journal = journal
         self._ordinal = ordinal
         self._stop = threading.Event()
-        self.count = 0
-        self.lost = False
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
             if not self._leases.heartbeat(self._lease):
-                self.lost = True
-                self._events.emit(
+                self._journal.emit(
                     "lease-lost", job=self._ordinal, owner=self._lease.owner
                 )
                 return
-            self.count += 1
-            self._events.emit(
+            self._journal.emit(
                 "heartbeat", job=self._ordinal, owner=self._lease.owner,
                 epoch=self._lease.epoch,
             )
@@ -414,14 +357,13 @@ def fleet_worker(
 
     Claims jobs lease-by-lease in ordinal order, executes them in-process
     on the supervision :class:`~repro.resilience.supervisor.Ladder` (its
-    events go to this worker's event log and its flight recorder),
-    journals completions to this worker's own NDJSON file, and steals
-    from dead or stalled peers.  Each attempt restarts the activity
-    sink's buffer, so only the successful attempt's activity is
-    published.  ``lethal`` is off for the coordinator's in-process
-    worker: chaos then never kills or stalls it, and ``interrupt-after``
-    interrupts it instead.  Returns the number of jobs this worker
-    completed.
+    events go to this worker's log and its flight recorder), journals
+    completions to the same log, and steals from dead or stalled peers.
+    Each attempt restarts the activity sink's buffer, so a completion
+    carries only the successful attempt's activity.  ``lethal`` is off
+    for the coordinator's in-process worker: chaos then never kills or
+    stalls it, and ``interrupt-after`` interrupts it instead.  Returns
+    the number of jobs this worker completed.
     """
     from repro.obs.flight import FlightRecorder
     from repro.obs.stitch import ActivitySink
@@ -446,25 +388,20 @@ def fleet_worker(
         run_dir / "journals", run_id=cfg.worker_id,
         meta={"command": cfg.command, "fleet_run": cfg.run_id},
     )
-    events = _EventLog(
-        run_dir / "events" / f"{cfg.worker_id}.ndjson", cfg.worker_id
-    )
     # observability plane: a worker-local hub captures the benchmark's
     # own activity (kernels, copies, launches) through the ambient
-    # session, publishes successful jobs' records for trace stitching,
-    # and keeps a flight-recorder ring (ladder events included) for
-    # post-mortems; both key each record by the job's fingerprint
+    # session, puts the successful attempt's records on the job's
+    # completion line for trace stitching, and keeps a flight-recorder
+    # ring (ladder events included) for post-mortems, keyed by the
+    # job's fingerprint
     hub = ActivityHub()
-    sink = ActivitySink(
-        run_dir / "activity" / f"{cfg.worker_id}.ndjson",
-        worker=cfg.worker_id,
-    )
+    sink = ActivitySink()
     hub.subscribe(sink)
     recorder = FlightRecorder(worker=cfg.worker_id, run_id=cfg.run_id)
     hub.subscribe(recorder)
 
     def report(name: str, **args: Any) -> None:
-        events.emit(name, **args)
+        journal.emit(name, **args)
         hub.emit("sched", name, track="scheduler", **args)
 
     def flight_dump(reason: str) -> None:
@@ -474,10 +411,18 @@ def fleet_worker(
             except OSError:  # pragma: no cover - best-effort on the way down
                 pass
 
+    logs: dict[str, WorkerLog] = {}
+
+    def resolved() -> set[str]:
+        """Fingerprints nobody should claim: completed or poisoned."""
+        nonlocal logs
+        logs = read_logs(run_dir, logs)
+        return set(completions(logs)).union(scan_quarantined(run_dir))
+
     completed_here = 0
     try:
         while True:
-            done = _resolved(run_dir)
+            done = resolved()
             if all(fp in done for fp in fingerprints):
                 break
             progress = False
@@ -487,8 +432,13 @@ def fleet_worker(
                 lease = leases.claim(fp, cfg.worker_id)
                 if lease is None:
                     continue
+                if fp in resolved():
+                    # a peer resolved the job and dropped its lease
+                    # between the scan and the claim
+                    leases.release(lease)
+                    continue
                 progress = True
-                events.emit(
+                journal.emit(
                     "lease-steal" if lease.epoch else "lease-acquire",
                     job=ordinal, owner=cfg.worker_id, epoch=lease.epoch,
                     stolen_from=lease.stolen_from,
@@ -502,7 +452,7 @@ def fleet_worker(
                     and chaos.lease_write_corrupts(ordinal, lease.epoch)
                 )
                 if action == "kill" and lethal:
-                    events.emit(
+                    journal.emit(
                         "chaos-kill", job=ordinal, epoch=lease.epoch
                     )
                     flight_dump(f"chaos-kill-{ordinal}")
@@ -511,7 +461,7 @@ def fleet_worker(
                     # tear our own lease on disk: peers now read garbage
                     # and may steal immediately; skip heartbeats so the
                     # corruption stays observable
-                    events.emit("lease-corrupt", job=ordinal)
+                    journal.emit("lease-corrupt", job=ordinal)
                     path = leases.path(fp)
                     try:
                         data = path.read_bytes()
@@ -525,7 +475,7 @@ def fleet_worker(
                 )
 
                 def attempt():
-                    sink.begin(fp)
+                    sink.begin()
                     if ladder.attempts or ladder.backend != spec.backend:
                         # a retry: publish when it started, so the
                         # coordinator times the attempt, not the claim
@@ -537,7 +487,7 @@ def fleet_worker(
                     # miss every heartbeat and outlive the TTL: a peer
                     # steals the lease mid-run and our completion below
                     # lands as a validated duplicate
-                    events.emit(
+                    journal.emit(
                         "heartbeat-stall", job=ordinal, epoch=lease.epoch
                     )
                     time.sleep(cfg.lease_ttl_s + 2 * cfg.heartbeat_s)
@@ -545,14 +495,13 @@ def fleet_worker(
                         payload = ladder.run(attempt, cfg.job_timeout_s)
                 else:
                     with _Heartbeat(
-                        leases, lease, cfg.heartbeat_s, events, ordinal
+                        leases, lease, cfg.heartbeat_s, journal, ordinal
                     ) as hb:
                         if corrupt:
                             hb._stop.set()
                         with sanitize_session(hub=hub):
                             payload = ladder.run(attempt, cfg.job_timeout_s)
                 if payload is None:
-                    sink.abort()
                     _quarantine_job(run_dir, fp, {
                         "benchmark": spec.benchmark,
                         "job": ordinal,
@@ -566,14 +515,9 @@ def fleet_worker(
                     "benchmark": spec.benchmark,
                     "worker": cfg.worker_id,
                     "epoch": lease.epoch,
-                })
-                sink.commit()
+                }, activity=sink.take())
                 completed_here += 1
-                released = leases.release(lease)
-                events.emit(
-                    "job-complete", job=ordinal, epoch=lease.epoch,
-                    duplicate=not released,
-                )
+                leases.release(lease)
                 if (
                     not lethal and chaos is not None
                     and chaos.interrupts_after(completed_here)
@@ -583,7 +527,7 @@ def fleet_worker(
                 break  # ``done`` is a job's run time old: rescan first
             if not progress:
                 time.sleep(POLL_S)
-        events.emit("worker-exit", completed=completed_here)
+        journal.emit("worker-exit", completed=completed_here)
     except ReproError:
         # exiting nonzero (entry point maps this to exit 21): preserve
         # the last activity for the post-mortem before unwinding
@@ -591,8 +535,6 @@ def fleet_worker(
         raise
     finally:
         journal.close()
-        events.close()
-        sink.close()
     return completed_here
 
 
@@ -625,11 +567,12 @@ def merge_fleet(
     job by job in manifest order (``specs`` match it: every caller
     published or validated the manifest first).
 
-    First folds the run's event logs into ``cfg.telemetry`` through
-    :meth:`SchedTelemetry.observe` (``events_after`` skips an earlier
-    invocation's, see :func:`_event_counts`), so even a quarantined run
-    reports its ladder counters.  Every duplicated completion is
-    checksum-compared against the winner; a mismatch raises
+    First folds the logs' events into ``cfg.telemetry`` through
+    :meth:`SchedTelemetry.observe` (``events_after`` maps a worker to
+    how many of its leading events an earlier invocation logged, which
+    are skipped), so even a quarantined run reports its ladder
+    counters.  Every duplicated completion is checksum-compared
+    against the winner; a mismatch raises
     :class:`FleetMergeError` (deterministic jobs cannot legitimately
     disagree, so a conflict means corruption or a code-version split
     across the fleet).  With ``stores`` (job ordinal -> cache key) the
@@ -643,9 +586,12 @@ def merge_fleet(
     from repro.sched.cache import _payload_checksum
 
     tele = cfg.telemetry
-    for ev in read_events(run_dir, events_after):
-        tele.observe(ev.pop("event", "event"), **ev)
-    all_records = scan_duplicates(run_dir)
+    after = events_after or {}
+    logs = read_logs(run_dir)
+    for worker, log in logs.items():
+        for ev in log.events[after.get(worker, 0):]:
+            tele.observe(ev["event"], **ev)
+    all_records = completions(logs)
     fingerprints = read_manifest(run_dir)["jobs"]
     payloads: list[dict[str, Any] | None] = []
     for ordinal, (fp, spec) in enumerate(zip(fingerprints, specs)):
@@ -653,11 +599,12 @@ def merge_fleet(
         if not records:
             payloads.append(None)
             continue
-        winner_worker, winner = records[0]
+        winner_worker, line = records[0]
+        winner = line.get("payload")
         checksum = _payload_checksum(winner)
         for other_worker, other in records[1:]:
             tele.observe("duplicate-completion")
-            if _payload_checksum(other) != checksum:
+            if _payload_checksum(other.get("payload")) != checksum:
                 raise FleetMergeError(
                     f"fleet journals disagree on job {ordinal} "
                     f"({spec.benchmark}): worker {winner_worker!r} vs "
@@ -719,21 +666,6 @@ def _sweep_leases(run_dir: Path) -> dict[str, int]:
     return LeaseDir(Path(run_dir, "leases"), ttl_s=ttl_s).sweep_stale()
 
 
-def _worker_row(worker: str) -> dict[str, Any]:
-    return {
-        "worker": worker,
-        "completed": 0,
-        "leases": 0,
-        "stolen": 0,
-        "heartbeats": 0,
-        "retries": 0,
-        "errors": 0,
-        "quarantined": 0,
-        "last_seen": None,       #: wall-clock of the newest event
-        "state": "live",
-    }
-
-
 def fleet_status(
     run_dir: str | Path, *, now: float | None = None
 ) -> dict[str, Any]:
@@ -745,8 +677,9 @@ def fleet_status(
     narrower job list reads the same to every tool.  A run still
     starting (no manifest yet) reads as zero jobs.  Nothing is written:
     watching a run cannot perturb it.  A worker is ``done`` once it
-    logged ``worker-exit``, ``stale`` when its newest event is older
-    than the manifest's lease TTL, ``live`` otherwise.
+    logged ``worker-exit``, ``stale`` when its newest event or executed
+    completion is older than the manifest's lease TTL, ``live``
+    otherwise.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -757,43 +690,39 @@ def fleet_status(
     fingerprints: list[str] = manifest.get("jobs") or []
     current = set(fingerprints)
 
-    workers: dict[str, dict[str, Any]] = {}
+    workers: list[dict[str, Any]] = []
     completed: set[str] = set()
-    for worker, records in read_journals(run_dir).items():
-        done = current.intersection(records)
-        workers[worker] = _worker_row(worker)
-        workers[worker]["completed"] = len(done)
+    seen_at: list[float] = []   #: wall clock of every event and completion
+    for worker, log in read_logs(run_dir).items():
+        done = current.intersection(log.completions)
         completed |= done
-
-    first_event_t: float | None = None
-    for worker, records in _ndjson_logs(run_dir / "events").items():
-        row = workers.setdefault(worker, _worker_row(worker))
         tele = SchedTelemetry()
-        for ev in records:
-            name = ev.pop("event", "")
-            tele.observe(name, **ev)
-            t = ev.get("t")
-            if isinstance(t, (int, float)):
-                row["last_seen"] = (
-                    t if row["last_seen"] is None else max(row["last_seen"], t)
-                )
-                first_event_t = (
-                    t if first_event_t is None else min(first_event_t, t)
-                )
-            if name == "worker-exit":
-                row["state"] = "done"
-        row.update(
-            leases=tele.leases_acquired, stolen=tele.leases_stolen,
-            heartbeats=tele.heartbeats, retries=tele.retries,
-            errors=tele.timeouts + tele.crashes + tele.job_errors,
-            quarantined=len(tele.quarantined),
-        )
-    for row in workers.values():
-        if row["state"] != "done":
-            seen = row["last_seen"]
-            row["state"] = (
-                "stale" if seen is not None and now - seen > ttl_s else "live"
-            )
+        for ev in log.events:
+            tele.observe(ev["event"], **ev)
+        seen = [
+            r["t"] for r in (*log.events, *log.completions.values())
+            if isinstance(r.get("t"), (int, float))
+        ]
+        seen_at += seen
+        last = max(seen, default=None)
+        if any(ev["event"] == "worker-exit" for ev in log.events):
+            state = "done"
+        elif last is not None and now - last > ttl_s:
+            state = "stale"
+        else:
+            state = "live"
+        workers.append({
+            "worker": worker,
+            "completed": len(done),
+            "leases": tele.leases_acquired,
+            "stolen": tele.leases_stolen,
+            "heartbeats": tele.heartbeats,
+            "retries": tele.retries,
+            "errors": tele.timeouts + tele.crashes + tele.job_errors,
+            "quarantined": len(tele.quarantined),
+            "last_seen": last,
+            "state": state,
+        })
 
     leases: list[dict[str, Any]] = []
     if (run_dir / "leases").is_dir():
@@ -825,8 +754,8 @@ def fleet_status(
     eta_s: float | None = None
     if remaining == 0 and jobs_total:
         eta_s = 0.0
-    elif completed and first_event_t is not None:
-        rate = len(completed) / max(1e-6, now - first_event_t)
+    elif completed and seen_at:
+        rate = len(completed) / max(1e-6, now - min(seen_at))
         eta_s = remaining / rate
     return {
         "run_id": manifest.get("run_id", run_dir.name.removesuffix(".fleet")),
@@ -837,11 +766,11 @@ def fleet_status(
         "quarantined": quarantined,
         "flight_dumps": len(flight_dumps(run_dir)),
         "eta_s": eta_s,
-        "leases_acquired": sum(w["leases"] for w in workers.values()),
-        "leases_stolen": sum(w["stolen"] for w in workers.values()),
-        "heartbeats": sum(w["heartbeats"] for w in workers.values()),
+        "leases_acquired": sum(w["leases"] for w in workers),
+        "leases_stolen": sum(w["stolen"] for w in workers),
+        "heartbeats": sum(w["heartbeats"] for w in workers),
         "active_leases": leases,
-        "workers": [workers[w] for w in sorted(workers)],
+        "workers": workers,
     }
 
 
@@ -990,9 +919,11 @@ def _coordinate(
         run_dir, specs, run_id=cfg.run_id, command=cfg.command,
         lease_ttl_s=cfg.lease_ttl_s, republish=True,
     )["jobs"]
-    journaled = scan_completed(run_dir)
+    logs = read_logs(run_dir)
+    journaled = completions(logs)
     quarantined = scan_quarantined(run_dir)
-    events_after = _event_counts(run_dir)
+    # the events a resumed run replayed, which its merge skips
+    events_after = {worker: len(log.events) for worker, log in logs.items()}
     # the in-process worker's id derives from the run id, so a resumed
     # serial run appends to the same journal and stitches the same trace
     local = replace(cfg, worker_id=cfg.run_id)
@@ -1084,16 +1015,20 @@ def _supervise(
     ordinal_of = {fingerprints[i]: i for i in todo}
     ladders: dict[int, Ladder] = {}
     procs: dict[str, Any] = {}
-    events: _EventLog | None = None
+    journal: RunJournal | None = None
+    logs: dict[str, WorkerLog] = {}
     spawned = 0
 
     def report(name: str, **args: Any) -> None:
-        nonlocal events
-        if events is None:
-            events = _EventLog(
-                run_dir / "events" / f"{cfg.run_id}.ndjson", cfg.run_id
+        # the coordinator's ladder events go to its own log, the one it
+        # journals cache hits to
+        nonlocal journal
+        if journal is None:
+            journal = RunJournal.attach(
+                run_dir / "journals", run_id=cfg.run_id,
+                meta={"command": cfg.command, "fleet_run": cfg.run_id},
             )
-        events.emit(name, **args)
+        journal.emit(name, **args)
 
     def charge(lease, exc: Exception, resolved: set[str]) -> None:
         """Charge a lost attempt to the job whose lease it held, then
@@ -1118,7 +1053,8 @@ def _supervise(
             # who is dead is settled before the lease scan, so a dead
             # worker's last claim is always seen
             dead = [w for w, p in procs.items() if not p.is_alive()]
-            journaled = set(scan_completed(run_dir))
+            logs = read_logs(run_dir, logs)
+            journaled = set(completions(logs))
             resolved = journaled.union(scan_quarantined(run_dir))
             pending = [fp for fp in ordinal_of if fp not in resolved]
             if chaos is not None and chaos.interrupts_after(
@@ -1182,8 +1118,8 @@ def _supervise(
         for lease in leases.held():
             if lease.owner in procs:
                 leases.expire(lease)
-        if events is not None:
-            events.close()
+        if journal is not None:
+            journal.close()
 
 
 def join_fleet(

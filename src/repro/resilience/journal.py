@@ -1,21 +1,30 @@
-"""Append-only NDJSON run journal (``repro-journal/1``).
+"""Append-only NDJSON worker log (``repro-journal/1``): the one log a
+worker writes.
 
 A :class:`RunJournal` checkpoints every completed unit of scheduler
 work — one line per job, flushed as soon as the job's payload is known
-— so an interrupted sweep loses nothing that finished.  ``--resume
-<run-id>`` reopens the journal, and the scheduler skips any job whose
-fingerprint is already recorded, replaying the stored payload instead
-(byte-identical: payloads are the same JSON-ready dicts the result
-types round-trip through).
+— so an interrupted sweep loses nothing that finished, and logs the
+worker's health events between them.  ``--resume <run-id>`` reopens
+the journal, and the scheduler skips any job whose fingerprint is
+already recorded, replaying the stored payload instead (byte-identical:
+payloads are the same JSON-ready dicts the result types round-trip
+through).
 
 Layout: under ``.repro-journal/`` (git-ignored), each worker of a run
 directory keeps one under ``<run-id>.fleet/journals/``
 (:mod:`~repro.resilience.fleet`, which also reads them and lists,
 shows and prunes run directories).  The first line is a header record;
-every subsequent line is one completed job::
+every subsequent line is a health event or a completed job::
 
     {"schema": "repro-journal/1", "run_id": "...", "command": "sweep", ...}
-    {"job": "<fingerprint>", "payload": {...}, "meta": {...}}
+    {"event": "lease-acquire", "worker": "...", "t": ..., "job": 0, ...}
+    {"job": "<fingerprint>", "payload": {...}, "meta": {...},
+     "t": ..., "activity": [...]}
+
+An event names its job by manifest ordinal, a completion by
+fingerprint; an executed job's completion also carries ``t`` and the
+successful attempt's activity records.  A completion is one append, so
+a torn tail drops the whole job, activity included.
 
 Appends and reads go through :mod:`repro.common.durable` (see the
 "Durability" section of ``docs/resilience.md``): a torn final line (the
@@ -33,17 +42,21 @@ work across a code or configuration change.
 
 from __future__ import annotations
 
+import time
 import uuid
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.common.durable import Appender, read_records
+from repro.common.durable import Appender, read_appended
 from repro.common.errors import ReproError
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "DEFAULT_JOURNAL_DIR",
     "RunJournal",
+    "WorkerLog",
+    "read_log",
     "job_fingerprint",
     "new_run_id",
 ]
@@ -71,12 +84,46 @@ def job_fingerprint(spec) -> str:
     return _job_key(spec, "repro-journal")
 
 
+@dataclass
+class WorkerLog:
+    """One worker's log, as :func:`read_log` reads it back."""
+
+    header: dict[str, Any] = field(default_factory=dict)
+    #: health events, in append order
+    events: list[dict[str, Any]] = field(default_factory=list)
+    #: fingerprint -> completion line, in append order; a job completed
+    #: twice keeps its last line
+    completions: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: how many bytes of the file are read
+    size: int = 0
+
+
+def read_log(path: str | Path, log: WorkerLog | None = None) -> WorkerLog:
+    """The header, events and completions of one worker's log, torn or
+    garbage lines skipped; given an earlier call's ``log``, reads what
+    was appended since into it.  The header is the first record with a
+    ``schema``; a line is an event when it names one, else a completion
+    when its ``job`` is a fingerprint.
+    """
+    log = log or WorkerLog()
+    records, log.size = read_appended(path, log.size)
+    for obj in records:
+        if "event" in obj:
+            log.events.append(obj)
+        elif "schema" in obj:
+            log.header = log.header or obj
+        elif isinstance(obj.get("job"), str):
+            log.completions[obj["job"]] = obj
+    return log
+
+
 class RunJournal:
-    """One worker's append-only checkpoint file.
+    """One worker's append-only log.
 
     :meth:`attach` opens it; :meth:`record` appends and flushes one
-    completed job, and :attr:`completed` maps job fingerprints to their
-    stored payloads (pre-populated when the file already existed).
+    completed job, :meth:`emit` one health event, and :attr:`completed`
+    maps job fingerprints to their stored payloads (pre-populated when
+    the file already existed).
     """
 
     def __init__(
@@ -110,24 +157,24 @@ class RunJournal:
         A worker re-joining a run under the same id, or a resumed serial
         run, keeps appending to its own journal.  A file with no
         complete record is what a kill between creating it and appending
-        its header leaves, so it is new; one with job records but no
+        its header leaves, so it is new; one with records but no
         header, or another schema's header, is refused.  The run-level
         refusals (an existing ``--run-id``, a missing ``--resume``) are
         the CLI's, made before any journal opens.
         """
         path = Path(root) / f"{run_id}.ndjson"
-        header: dict[str, Any] = {}
-        records: dict[str, Any] = {}
+        log = read_log(path) if path.exists() else WorkerLog()
+        header = log.header
         completed: dict[str, Any] = {}
-        if path.exists():
-            header, records = cls._load(path)
-        if header or records:
+        if header or log.events or log.completions:
             if header.get("schema") != JOURNAL_SCHEMA:
                 raise ReproError(
                     f"journal {path} has schema {header.get('schema')!r}, "
                     f"expected {JOURNAL_SCHEMA}"
                 )
-            completed = {fp: r.get("payload") for fp, r in records.items()}
+            completed = {
+                fp: r.get("payload") for fp, r in log.completions.items()
+            }
             meta = {
                 k: v for k, v in header.items() if k not in ("schema", "run_id")
             }
@@ -147,24 +194,6 @@ class RunJournal:
             )
         return journal
 
-    @staticmethod
-    def _load(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
-        """``(header, fingerprint -> record)`` of a journal file,
-        tolerating torn or garbage lines.
-
-        The header is the first record carrying ``schema`` (so a torn
-        header never promotes a job to header); each record keeps its
-        ``payload`` and ``meta``, and a duplicated job keeps its last.
-        """
-        header: dict[str, Any] = {}
-        records: dict[str, Any] = {}
-        for obj in read_records(path):
-            if "schema" in obj and not header:
-                header = obj
-            elif "job" in obj:
-                records[obj["job"]] = obj
-        return header, records
-
     # ------------------------------------------------------------------
     def record(
         self,
@@ -172,13 +201,26 @@ class RunJournal:
         payload: Any,
         *,
         meta: dict[str, Any] | None = None,
+        activity: list[dict[str, Any]] | None = None,
     ) -> None:
-        """Checkpoint one completed job (append + flush)."""
+        """Checkpoint one completed job (append + flush); an executed
+        job's ``activity`` lands on the same line, with its time."""
         entry: dict[str, Any] = {"job": fingerprint, "payload": payload}
         if meta:
             entry["meta"] = meta
+        if activity is not None:
+            entry["t"] = time.time()
+            entry["activity"] = activity
         self._append(entry)
         self.completed[fingerprint] = payload
+
+    def emit(self, event: str, **args: Any) -> None:
+        """Log one health event (append + flush).  Its ``t`` (wall
+        clock) feeds the monitor's last-seen and ETA columns; it never
+        enters merged payloads or traces."""
+        self._append({
+            "event": event, "worker": self.run_id, "t": time.time(), **args,
+        })
 
     def _append(self, obj: dict[str, Any]) -> None:
         if self._out is None:  # pragma: no cover - defensive

@@ -44,7 +44,7 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -207,8 +207,25 @@ class LeaseDir:
         renames the old lease into ``stolen/`` first — rename is
         atomic, so two stealers racing on the same stale lease resolve
         to exactly one winner (the loser sees ``FileNotFoundError`` and
-        reports the job as held).
+        reports the job as held).  A claim then moves past the epochs of
+        the job's evicted leases, so one landing in a steal's window (or
+        evicting a new steal) repeats no epoch, nor chaos keyed on it.
         """
+        lease = self._claim(job, owner)
+        if lease is None:
+            return None
+        floor = len(list(self.root.glob(f"stolen/{job}.*.lease")))
+        if lease.epoch < floor and self._holds(lease):
+            try:
+                atomic_write(
+                    self.path(job), self._body(replace(lease, epoch=floor))
+                )
+                lease.epoch = floor
+            except OSError:
+                pass
+        return lease
+
+    def _claim(self, job: str, owner: str) -> Lease | None:
         got = self.acquire(job, owner)
         if got is not None:
             return got
@@ -248,22 +265,28 @@ class LeaseDir:
         return True
 
     # ------------------------------------------------------------------
-    def heartbeat(self, lease: Lease) -> bool:
-        """Refresh the lease's heartbeat; False when the lease was lost.
-
-        The rewrite is an atomic publish; before writing, the current
-        owner is checked so a stalled worker whose lease was stolen does
-        not clobber the thief's claim.  The check-then-replace window is
-        unavoidable without fcntl locks (which NFS breaks) — a loss in
-        that window costs one duplicate completion, which the merge
-        tolerates by design.
+    def _holds(self, lease: Lease) -> bool:
+        """Is ``lease`` still on disk (same owner and epoch)?  The window
+        before a write is unavoidable without fcntl locks (which NFS
+        breaks); a loss in it costs one validated duplicate completion.
         """
         try:
             current = self.read(lease.job)
         except ValueError:
             return False
-        if current is None or current.owner != lease.owner \
-                or current.epoch != lease.epoch:
+        return (
+            current is not None and current.owner == lease.owner
+            and current.epoch == lease.epoch
+        )
+
+    def heartbeat(self, lease: Lease) -> bool:
+        """Refresh the lease's heartbeat; False when the lease was lost.
+
+        The rewrite is an atomic publish, made only while the lease is
+        still held, so a stalled worker whose lease was stolen does not
+        clobber the thief's claim.
+        """
+        if not self._holds(lease):
             return False
         lease.heartbeat_at = self.now()
         try:
@@ -274,7 +297,11 @@ class LeaseDir:
 
     def expire(self, lease: Lease) -> None:
         """Make a dead owner's lease stale in place: the next claim
-        steals it at ``epoch + 1`` without waiting out the TTL."""
+        steals it at ``epoch + 1`` without waiting out the TTL.  A lease
+        a peer has stolen since (another owner or epoch on disk) is left
+        alone."""
+        if not self._holds(lease):
+            return
         lease.heartbeat_at = 0.0
         try:
             atomic_write(self.path(lease.job), self._body(lease))
@@ -283,12 +310,7 @@ class LeaseDir:
 
     def release(self, lease: Lease) -> bool:
         """Drop the lease after the job is journaled; False if lost."""
-        try:
-            current = self.read(lease.job)
-        except ValueError:
-            return False
-        if current is None or current.owner != lease.owner \
-                or current.epoch != lease.epoch:
+        if not self._holds(lease):
             return False
         try:
             os.unlink(self.path(lease.job))

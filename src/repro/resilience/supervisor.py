@@ -22,7 +22,7 @@ one :class:`ResilienceConfig`:
 Every supervision action (retry, timeout, crash, fallback, resume
 skip, quarantine) is folded into :class:`SchedTelemetry` by
 :meth:`SchedTelemetry.observe`.  An engine worker also logs each
-ladder event to its event log in the run directory and emits it as a
+ladder event to its log in the run directory and emits it as a
 ``sched`` activity record on its own hub, so its flight recorder holds
 health events next to the device timeline.
 
@@ -118,8 +118,8 @@ class SchedTelemetry:
     """What the supervisor did during one scheduler run.
 
     Exposed to the CLI for the ``--stats`` sidecar and the
-    degraded-run exit code; the merge folds it from the run's event
-    logs.
+    degraded-run exit code; the merge folds it from the events of the
+    run's worker logs.
     """
 
     #: "serial" | "fleet" | "fleet-fallback"
@@ -133,7 +133,7 @@ class SchedTelemetry:
     fallbacks: list[dict[str, Any]] = field(default_factory=list)
     quarantined: list[dict[str, Any]] = field(default_factory=list)
     journal_run_id: str | None = None
-    # fleet counters (folded from the run's event logs at merge time)
+    # fleet counters (folded from the run's worker logs at merge time)
     fleet_workers: int = 0
     leases_acquired: int = 0
     leases_stolen: int = 0
@@ -142,7 +142,7 @@ class SchedTelemetry:
 
     def observe(self, name: str, /, **args: Any) -> None:
         """Fold one supervision event (the coordinator's, or one replayed
-        from a run's event logs) into the telemetry.  Two workers may
+        from a run's worker logs) into the telemetry.  Two workers may
         run a job, and jobs finish in any order, so ``fallbacks`` and
         ``quarantined`` keep one entry per job, in job order."""
         if name == "fallback-reference":

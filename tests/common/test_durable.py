@@ -20,11 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.durable import Appender, atomic_write, make_dirs, read_records
+from repro.common.durable import (
+    Appender,
+    atomic_write,
+    make_dirs,
+    read_appended,
+    read_records,
+)
 from repro.obs.flight import FlightRecorder
 from repro.obs.stitch import ActivitySink
 from repro.prof.activity import ActivityRecord
-from repro.resilience.fleet import _EventLog, _quarantine_job, ensure_manifest
+from repro.resilience.fleet import _quarantine_job, ensure_manifest
 from repro.resilience.journal import RunJournal
 from repro.resilience.lease import LeaseDir
 from repro.sched import JobSpec
@@ -134,7 +140,8 @@ def _line(record) -> bytes:
 def _check_every_cut(path: Path, records: list[dict], extra: dict) -> None:
     """Truncate inside the last record at every offset, then reopen."""
     with_appender = Appender(path)
-    with_appender.append(*records)
+    for record in records:
+        with_appender.append(record)
     with_appender.close()
     full = path.read_bytes()
     last = _line(records[-1])
@@ -145,10 +152,19 @@ def _check_every_cut(path: Path, records: list[dict], extra: dict) -> None:
         # object without its newline does
         kept = records if offset == len(last) - 1 else records[:-1]
         assert read_records(path) == kept
+        # a reader that read up to the cut reads on from where it
+        # stopped, whether the append in flight lands or a reopening
+        # appender heals its torn tail
+        seen, end = read_appended(path)
+        assert seen == kept
+        path.write_bytes(full)
+        assert read_appended(path, end) == (records[len(kept):], len(full))
+        path.write_bytes(full[: start + offset])
         app = Appender(path)
         app.append(extra)
         app.close()
         assert read_records(path) == kept + [extra]
+        assert read_appended(path, end) == ([extra], path.stat().st_size)
 
 
 class TestAppends:
@@ -159,8 +175,8 @@ class TestAppends:
     def test_encoding_is_compact_json_lines(self, tmp_path):
         path = tmp_path / "log.ndjson"
         app = Appender(path)
-        app.append({"a": 1, "b": [1, 2]}, {"é": "ü"})
-        app.append()
+        app.append({"a": 1, "b": [1, 2]})
+        app.append({"é": "ü"})
         app.close()
         assert path.read_bytes() == (
             b'{"a":1,"b":[1,2]}\n{"\\u00e9":"\\u00fc"}\n'
@@ -372,27 +388,27 @@ def _quarantine_marker(root):
 
 
 def _journal(root):
-    with RunJournal.attach(root / "journal", run_id="r1") as journal:
+    with RunJournal.attach(root / "journals", run_id="w0") as journal:
         journal.record("fp0", {"x": 1})
     return [journal.path]
 
 
 def _activity_sink(root):
-    path = root / "activity" / "w0.ndjson"
-    sink = ActivitySink(path, worker="w0")
-    sink.begin(0)
+    # an attempt's activity lands on its completion line in the
+    # worker's one log
+    sink = ActivitySink()
+    sink.begin()
     sink(ActivityRecord(kind="kernel", name="k", start=0.0, end=1e-3))
-    sink.commit()
-    sink.close()
-    return [path]
+    with RunJournal.attach(root / "journals", run_id="w0") as journal:
+        journal.record("fp0", {"x": 1}, activity=sink.take())
+    return [journal.path]
 
 
 def _event_log(root):
-    path = root / "events" / "w0.ndjson"
-    log = _EventLog(path, "w0")
-    log.emit("heartbeat", job=0)
-    log.close()
-    return [path]
+    # health events are appended to the worker's one log
+    with RunJournal.attach(root / "journals", run_id="w0") as journal:
+        journal.emit("heartbeat", job=0)
+    return [journal.path]
 
 
 def _made_dirs(root):

@@ -9,22 +9,33 @@ from repro.obs import (
     ActivitySink,
     TraceContext,
     fleet_chrome_trace,
-    read_worker_activity,
     write_fleet_trace,
 )
 from repro.prof.activity import ActivityHub
-from repro.resilience.fleet import read_journals, scan_completed, scan_duplicates
+from repro.resilience import RunJournal
+from repro.resilience.fleet import completions, read_logs, scan_completed
 
 HEADER = {"schema": "repro-journal/1", "run_id": "r1", "command": "sweep"}
 
+KERNEL = {
+    "seq": 1, "kind": "kernel", "name": "copy_k", "track": "stream0",
+    "start_s": 0.0, "end_s": 0.001, "dur_s": 0.001, "args": {},
+}
+LAUNCH = {
+    "seq": 1, "kind": "launch", "name": "launch_k", "track": "driver",
+    "start_s": None, "end_s": None, "dur_s": None, "args": {},
+}
 
-def write_journal(path, fps, run_id="r1", metas=None):
+
+def write_journal(path, fps, run_id="r1", metas=None, activity=None):
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps({**HEADER, "run_id": run_id})]
     for i, fp in enumerate(fps):
         entry = {"job": fp, "payload": {"ok": True}}
         if metas is not None:
             entry["meta"] = metas[i]
+        if activity is not None:
+            entry["activity"] = activity[i]
         lines.append(json.dumps(entry))
     path.write_text("\n".join(lines) + "\n")
 
@@ -39,21 +50,14 @@ def make_fleet_dir(tmp_path, *, activity=True):
         "jobs": ["fp0", "fp1"],
         "specs": [{"benchmark": "MemAlign"}, {"benchmark": "CoMem"}],
     }))
-    write_journal(run_dir / "journals" / "w0.ndjson", ["fp0"])
-    write_journal(run_dir / "journals" / "w1.ndjson", ["fp1"])
-    if activity:
-        adir = run_dir / "activity"
-        adir.mkdir()
-        (adir / "w0.ndjson").write_text(json.dumps({
-            "worker": "w0", "job": "fp0", "seq": 1, "kind": "kernel",
-            "name": "copy_k", "track": "stream0",
-            "start_s": 0.0, "end_s": 0.001, "dur_s": 0.001, "args": {},
-        }) + "\n")
-        (adir / "w1.ndjson").write_text(json.dumps({
-            "worker": "w1", "job": "fp1", "seq": 1, "kind": "launch",
-            "name": "launch_k", "track": "driver",
-            "start_s": None, "end_s": None, "dur_s": None, "args": {},
-        }) + "\n")
+    write_journal(
+        run_dir / "journals" / "w0.ndjson", ["fp0"],
+        activity=[[KERNEL]] if activity else None,
+    )
+    write_journal(
+        run_dir / "journals" / "w1.ndjson", ["fp1"],
+        activity=[[LAUNCH]] if activity else None,
+    )
     return run_dir
 
 
@@ -62,75 +66,66 @@ def spans(trace):
 
 
 class TestActivitySink:
-    def test_commit_publishes_only_buffered_job(self, tmp_path):
-        path = tmp_path / "w0.ndjson"
+    def test_commit_publishes_only_buffered_job(self):
         hub = ActivityHub()
-        sink = ActivitySink(path, worker="w0")
+        sink = ActivitySink()
         hub.subscribe(sink)
         hub.emit("kernel", "outside")          # before begin: dropped
-        sink.begin("fp0")
+        sink.begin()
         hub.emit("kernel", "inside")
-        sink.commit()
-        sink.close()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        lines = sink.take()
         assert [l["name"] for l in lines] == ["inside"]
-        assert lines[0]["worker"] == "w0"
-        assert lines[0]["job"] == "fp0"
+        assert sink.take() == []                # taking clears
 
-    def test_abort_drops_failed_attempt(self, tmp_path):
-        path = tmp_path / "w0.ndjson"
+    def test_abort_drops_failed_attempt(self):
         hub = ActivityHub()
-        sink = ActivitySink(path, worker="w0")
+        sink = ActivitySink()
         hub.subscribe(sink)
-        sink.begin("fp0")
-        hub.emit("kernel", "doomed")
-        sink.abort()                           # failed attempt
-        sink.begin("fp0")
+        sink.begin()
+        hub.emit("kernel", "doomed")           # failed attempt
+        sink.begin()                           # the retry drops it
         hub.emit("kernel", "winner")
-        sink.commit()
-        sink.close()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [l["name"] for l in lines] == ["winner"]
+        assert [l["name"] for l in sink.take()] == ["winner"]
 
-    def test_commit_without_begin_is_noop(self, tmp_path):
-        path = tmp_path / "w0.ndjson"
-        sink = ActivitySink(path, worker="w0")
-        sink.commit()
-        sink.close()
-        assert path.read_text() == ""
+    def test_commit_without_begin_is_noop(self):
+        assert ActivitySink().take() == []
 
 
 class TestReadWorkerActivity:
+    """A worker's activity is read back from its completion lines."""
+
     def test_missing_dir_is_empty(self, tmp_path):
-        assert read_worker_activity(tmp_path) == {}
+        assert read_logs(tmp_path) == {}
 
     def test_torn_tail_skipped(self, tmp_path):
-        adir = tmp_path / "activity"
-        adir.mkdir()
-        good = json.dumps({"worker": "w0", "job": "fp0", "name": "k"})
-        (adir / "w0.ndjson").write_text(good + "\n" + '{"torn": ')
-        lines = read_worker_activity(tmp_path)["w0"]
-        assert [l["name"] for l in lines] == ["k"]
+        path = tmp_path / "journals" / "w0.ndjson"
+        write_journal(path, ["fp0"], activity=[[KERNEL]])
+        with path.open("a") as fh:
+            fh.write('{"job": "fp1", "payload": {}, "activity": [{"na')
+        log = read_logs(tmp_path)["w0"]
+        assert list(log.completions) == ["fp0"]
+        assert log.completions["fp0"]["activity"] == [KERNEL]
 
     def test_rejoined_sink_heals_torn_tail(self, tmp_path):
-        # a re-joined worker with a stable --worker-id reopens the file
-        # its killed predecessor tore mid-publish
-        path = tmp_path / "activity" / "w0.ndjson"
+        # a re-joined worker with a stable --worker-id reopens the log
+        # its killed predecessor tore mid-append
+        root = tmp_path / "journals"
         for job, name in (("fp0", "first"), ("fp2", "after-rejoin")):
             hub = ActivityHub()
-            sink = ActivitySink(path, worker="w0")
+            sink = ActivitySink()
             hub.subscribe(sink)
-            sink.begin(job)
+            sink.begin()
             hub.emit("kernel", name)
-            sink.commit()
-            sink.close()
+            with RunJournal.attach(root, run_id="w0") as journal:
+                journal.record(job, {}, activity=sink.take())
             if job == "fp0":
-                with path.open("a") as fh:
-                    fh.write('{"worker": "w0", "job": "fp1", "na')
-        lines = read_worker_activity(tmp_path)["w0"]
-        assert [(l["job"], l["name"]) for l in lines] == [
-            ("fp0", "first"), ("fp2", "after-rejoin"),
-        ]
+                with journal.path.open("a") as fh:
+                    fh.write('{"job": "fp1", "payload": {}, "activ')
+        log = read_logs(tmp_path)["w0"]
+        assert [
+            (fp, [r["name"] for r in line["activity"]])
+            for fp, line in log.completions.items()
+        ] == [("fp0", ["first"]), ("fp2", ["after-rejoin"])]
 
 
 class TestReadJournalEntries:
@@ -143,7 +138,7 @@ class TestReadJournalEntries:
             run_dir / "journals" / "w0.ndjson", ["fp0"],
             metas=[{"benchmark": "MemAlign", "job": 0}],
         )
-        records = read_journals(run_dir)["w0"]
+        records = read_logs(run_dir)["w0"].completions
         # the header line is not a job; each job keeps its meta
         assert list(records) == ["fp0"]
         assert records["fp0"]["meta"]["benchmark"] == "MemAlign"
@@ -157,7 +152,9 @@ class TestReadJournalEntries:
                 + json.dumps({"job": "fp0", "payload": {"v": value}}) + "\n"
             )
         assert scan_completed(run_dir) == {"fp0": ("w0", {"v": 1})}
-        assert [w for w, _ in scan_duplicates(run_dir)["fp0"]] == ["w0", "w1"]
+        assert [
+            w for w, _ in completions(read_logs(run_dir))["fp0"]
+        ] == ["w0", "w1"]
 
 
 class TestFleetStitch:

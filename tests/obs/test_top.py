@@ -14,38 +14,39 @@ def event(name, t):
     return json.dumps({"event": name, "t": t})
 
 
+def completion(fp):
+    return json.dumps({"job": fp, "payload": {}})
+
+
 @pytest.fixture()
 def run_dir(tmp_path):
     """Synthetic in-flight fleet: w0 done, w1 live, w2 stale."""
     d = tmp_path / "r1.fleet"
     (d / "journals").mkdir(parents=True)
-    (d / "events").mkdir()
     (d / "manifest.json").write_text(json.dumps({
         "run_id": "r1", "command": "sweep",
         "jobs": ["fp0", "fp1", "fp2", "fp3"],
     }))
     header = json.dumps({"schema": "repro-journal/1", "run_id": "r1"})
-    (d / "journals" / "w0.ndjson").write_text(
-        header + "\n"
-        + json.dumps({"job": "fp0", "payload": {}}) + "\n"
-        + json.dumps({"job": "fp1", "payload": {}}) + "\n"
-    )
-    (d / "journals" / "w1.ndjson").write_text(
-        header + "\n" + json.dumps({"job": "fp2", "payload": {}}) + "\n"
-    )
-    (d / "events" / "w0.ndjson").write_text("\n".join([
+    (d / "journals" / "w0.ndjson").write_text("\n".join([
+        header,
         event("lease-acquire", NOW - 30),
+        completion("fp0"),
         event("heartbeat", NOW - 29),
+        completion("fp1"),
         event("worker-exit", NOW - 28),
     ]) + "\n")
-    (d / "events" / "w1.ndjson").write_text("\n".join([
+    (d / "journals" / "w1.ndjson").write_text("\n".join([
+        header,
         event("lease-acquire", NOW - 3),
         event("lease-steal", NOW - 2),
+        completion("fp2"),
         event("heartbeat", NOW - 1),
     ]) + "\n")
-    (d / "events" / "w2.ndjson").write_text(
-        event("lease-acquire", NOW - 120) + "\n"
-    )
+    (d / "journals" / "w2.ndjson").write_text("\n".join([
+        header,
+        event("lease-acquire", NOW - 120),
+    ]) + "\n")
     return d
 
 
@@ -73,7 +74,7 @@ class TestFleetStatus:
         assert status["heartbeats"] == 2
 
     def test_errors_count_every_failure_class(self, run_dir):
-        with (run_dir / "events" / "w1.ndjson").open("a") as fh:
+        with (run_dir / "journals" / "w1.ndjson").open("a") as fh:
             for name in (
                 "timeout", "worker-crash", "job-error", "retry",
             ):

@@ -15,13 +15,12 @@ from repro.faults.plan import FaultPlan
 from repro.resilience import QuarantineError, ResilienceConfig, RunJournal
 from repro.resilience.fleet import (
     FleetMergeError,
-    _EventLog,
     ensure_manifest,
     fleet_dir,
     fleet_status,
     join_fleet,
     merge_fleet,
-    read_events,
+    read_logs,
     read_manifest,
     run_jobs,
 )
@@ -234,13 +233,11 @@ class TestOneLadder:
             ) as journal:
                 for fp, payload in payloads.items():
                     journal.record(fp, payload)
-            log = _EventLog(run_dir / "events" / f"{worker}.ndjson", worker)
-            for job in jobs:
-                log.emit(
-                    "fallback-reference", benchmark="MemAlign", job=job,
-                    to="reference", reason="diverged", **{"from": "jit"},
-                )
-            log.close()
+                for job in jobs:
+                    journal.emit(
+                        "fallback-reference", benchmark="MemAlign", job=job,
+                        to="reference", reason="diverged", **{"from": "jit"},
+                    )
         cfg = make_cfg(tmp_path)
         merge_fleet(run_dir, SPECS, cfg=cfg)
         assert cfg.telemetry.fallbacks == [
@@ -409,23 +406,42 @@ class TestStaleSnapshot:
         monkeypatch.setattr(runner, "execute_job", peer_finishes_job_1)
         assert fleet.fleet_worker(specs, cfg) == 1
 
+    def test_rechecks_a_job_after_claiming_it(self, tmp_path, monkeypatch):
+        import repro.resilience.fleet as fleet
+        from repro.resilience.lease import LeaseDir
+
+        specs = SPECS[:1]
+        cfg = make_cfg(tmp_path, worker_id="w0")
+        run_dir = fleet_dir(tmp_path, cfg.run_id)
+        claim = LeaseDir.claim
+
+        def peer_finishes_first(self, job, owner):
+            # a peer journals the job (and drops its lease) between the
+            # worker's scan and its claim
+            journals = run_dir / "journals"
+            with RunJournal.attach(journals, run_id="peer") as peer:
+                peer.record(job, {"kind": "run"})
+            return claim(self, job, owner)
+
+        monkeypatch.setattr(LeaseDir, "claim", peer_finishes_first)
+        assert fleet.fleet_worker(specs, cfg) == 0
+        events = read_logs(run_dir)["w0"].events
+        assert [ev["event"] for ev in events] == ["worker-exit"]
+
 
 class TestEventLog:
     def test_rejoined_worker_heals_torn_tail(self, tmp_path):
-        # a re-joined worker with a stable --worker-id reopens the event
-        # log its killed predecessor tore mid-append
-        path = tmp_path / "events" / "w0.ndjson"
-        path.parent.mkdir()
-        log = _EventLog(path, "w0")
-        log.emit("lease-acquire", job=0)
-        log.close()
-        with path.open("a") as fh:
+        # a re-joined worker with a stable --worker-id reopens the log
+        # its killed predecessor tore mid-append of an event
+        root = tmp_path / "journals"
+        with RunJournal.attach(root, run_id="w0") as log:
+            log.emit("lease-acquire", job=0)
+        with log.path.open("a") as fh:
             fh.write('{"event": "heartbeat", "wor')
-        log = _EventLog(path, "w0")
-        log.emit("job-complete", job=0)
-        log.close()
-        assert [ev["event"] for ev in read_events(tmp_path)] == [
-            "lease-acquire", "job-complete",
+        with RunJournal.attach(root, run_id="w0") as log:
+            log.emit("worker-exit", completed=0)
+        assert [ev["event"] for ev in read_logs(tmp_path)["w0"].events] == [
+            "lease-acquire", "worker-exit",
         ]
 
 

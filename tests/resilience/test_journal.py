@@ -7,6 +7,7 @@ import pytest
 from repro.__main__ import _make_config, build_parser
 from repro.common.errors import ReproError
 from repro.resilience import JOURNAL_SCHEMA, RunJournal, job_fingerprint, new_run_id
+from repro.resilience.journal import read_log
 from repro.sched import JobSpec
 
 
@@ -64,9 +65,11 @@ class TestLifecycle:
         (tmp_path / "r1.ndjson").write_text("")
         with RunJournal.attach(tmp_path, run_id="r1", meta={"command": "x"}) as j:
             j.record("fp-a", {"x": 1.5})
-        header, records = RunJournal._load(tmp_path / "r1.ndjson")
-        assert (header["schema"], header["command"]) == (JOURNAL_SCHEMA, "x")
-        assert set(records) == {"fp-a"}
+        log = read_log(tmp_path / "r1.ndjson")
+        assert (log.header["schema"], log.header["command"]) == (
+            JOURNAL_SCHEMA, "x"
+        )
+        assert set(log.completions) == {"fp-a"}
 
     def test_job_records_without_a_header_rejected(self, tmp_path):
         (tmp_path / "r1.ndjson").write_text(
@@ -112,6 +115,67 @@ class TestTornTail:
         resumed = RunJournal.attach(tmp_path, run_id="r1")
         assert set(resumed.completed) == {"fp-a"}
         resumed.close()
+
+    ACTIVITY = [
+        {"seq": 1, "kind": "kernel", "name": "k0", "start_s": 0.0,
+         "end_s": 1e-3, "args": {}},
+        {"seq": 2, "kind": "launch", "name": "k1", "start_s": None,
+         "end_s": None, "args": {"job": 7}},
+    ]
+
+    def test_completion_cut_at_every_offset(self, tmp_path):
+        # a kill mid-append leaves a prefix of the completion line: the
+        # job reads as completed with all its activity, or not at all
+        with RunJournal.attach(tmp_path, run_id="w0") as j:
+            j.emit("lease-acquire", job=0, epoch=0)
+        before = (tmp_path / "w0.ndjson").read_bytes()
+        with RunJournal.attach(tmp_path, run_id="w0") as j:
+            j.record("fp-a", {"x": 1}, activity=self.ACTIVITY)
+        line = (tmp_path / "w0.ndjson").read_bytes()[len(before):]
+        cut_path = tmp_path / "cut" / "w0.ndjson"
+        cut_path.parent.mkdir()
+        seen = set()
+        for cut in range(len(line) + 1):
+            cut_path.write_bytes(before + line[:cut])
+            log = read_log(cut_path)
+            assert [ev["event"] for ev in log.events] == ["lease-acquire"]
+            completed = "fp-a" in log.completions
+            if completed:
+                assert log.completions["fp-a"]["activity"] == self.ACTIVITY
+                assert log.completions["fp-a"]["payload"] == {"x": 1}
+            seen.add(completed)
+            # a poller that read the cut reads on once the append lands
+            cut_path.write_bytes(before + line)
+            polled = read_log(cut_path, log)
+            assert len(polled.events) == 1
+            assert polled.completions["fp-a"]["activity"] == self.ACTIVITY
+            # a journal reopened after the cut agrees with the reader
+            cut_path.write_bytes(before + line[:cut])
+            resumed = RunJournal.attach(cut_path.parent, run_id="w0")
+            assert set(resumed.completed) == ({"fp-a"} if completed else set())
+            resumed.close()
+        assert seen == {False, True}
+
+    def test_event_lines_are_never_completions(self, tmp_path):
+        # events name a job by its integer ordinal, completions by its
+        # fingerprint; a torn completion between them is dropped whole
+        with RunJournal.attach(tmp_path, run_id="w0") as j:
+            j.emit("lease-acquire", job=0, epoch=0)
+            j.record("fp-a", {"x": 1}, activity=self.ACTIVITY)
+            j.emit("lease-acquire", job=1, epoch=0)
+        path = tmp_path / "w0.ndjson"
+        with path.open("a") as fh:
+            fh.write('{"job": "fp-b", "payload": {"x": 2}, "activ')
+        with RunJournal.attach(tmp_path, run_id="w0") as j:
+            j.emit("heartbeat", job=1, epoch=0)
+            j.emit("lease-lost", job=1)
+        log = read_log(path)
+        assert list(log.completions) == ["fp-a"]
+        assert [(ev["event"], ev["job"]) for ev in log.events] == [
+            ("lease-acquire", 0), ("lease-acquire", 1),
+            ("heartbeat", 1), ("lease-lost", 1),
+        ]
+        assert all(ev["worker"] == "w0" for ev in log.events)
 
     def test_float_payloads_roundtrip_exactly(self, tmp_path):
         payload = {"t": 0.1 + 0.2, "x": 1e-17}

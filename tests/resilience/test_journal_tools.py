@@ -10,6 +10,7 @@ import time
 
 from repro.resilience import RunJournal, gc_runs, job_fingerprint, list_runs
 from repro.resilience.fleet import ensure_manifest, fleet_dir, fleet_status
+from repro.resilience.journal import read_log
 from repro.resilience.lease import LeaseDir
 from repro.sched import JobSpec
 
@@ -123,9 +124,10 @@ class TestGcRuns:
         LeaseDir(run_dir / "leases", now=lambda: now - 6.0).acquire(
             job_fingerprint(SPEC), "w-1"
         )
-        (run_dir / "events").mkdir()
-        (run_dir / "events" / "w-1.ndjson").write_text(
-            json.dumps({"event": "heartbeat", "t": now - 6.0}) + "\n"
+        (run_dir / "journals").mkdir()
+        (run_dir / "journals" / "w-1.ndjson").write_text(
+            json.dumps({"schema": "repro-journal/1", "run_id": "w-1"}) + "\n"
+            + json.dumps({"event": "heartbeat", "t": now - 6.0}) + "\n"
         )
         assert gc_runs(tmp_path)["stale_leases_evicted"] == 0
         status = fleet_status(run_dir, now=now)
@@ -149,5 +151,6 @@ class TestAttach:
         assert "fp00" in j2.completed
         j2.record("fp01", {"kind": "run", "result": {}})
         j2.close()
-        _, records = RunJournal._load(tmp_path / "w1.ndjson")
-        assert set(records) == {"fp00", "fp01"}
+        assert set(read_log(tmp_path / "w1.ndjson").completions) == {
+            "fp00", "fp01",
+        }

@@ -118,6 +118,40 @@ class TestClaimAndSteal:
         assert leases._evict(FP) is False   # the loser of the rename race
 
 
+    def test_claim_in_a_steals_window_takes_the_next_epoch(
+        self, leases, clock
+    ):
+        # A claims and dies; S's steal evicts A's lease, and F's fresh
+        # claim lands before S re-acquires
+        assert leases.claim(FP, "A") is not None
+        clock.advance(leases.ttl_s + 1)
+        assert leases._evict(FP)
+        fresh = leases.claim(FP, "F")
+        assert (fresh.owner, fresh.epoch) == ("F", 1)
+        assert leases.read(FP).epoch == 1
+        assert leases.heartbeat(fresh)
+        assert leases.acquire(FP, "S", epoch=1, stolen_from="A") is None
+
+    def test_stealer_that_evicted_a_new_steal_takes_the_next_epoch(
+        self, leases, clock, monkeypatch
+    ):
+        # S1 and S2 both read A's stale lease; S1 steals it, then S2's
+        # eviction takes S1's new lease instead
+        assert leases.claim(FP, "A") is not None
+        clock.advance(leases.ttl_s + 1)
+        stale = leases.read(FP)
+        first = leases.claim(FP, "S1")
+        assert first.epoch == 1
+        reads = iter([stale])
+        read = leases.read
+        monkeypatch.setattr(
+            leases, "read", lambda job: next(reads, None) or read(job)
+        )
+        second = leases.claim(FP, "S2")
+        assert (second.owner, second.epoch) == ("S2", 2)
+        assert not leases.heartbeat(first)
+
+
 class TestHeartbeat:
     def test_heartbeat_refreshes_staleness(self, leases, clock):
         lease = leases.claim(FP, "w1")
@@ -144,6 +178,28 @@ class TestHeartbeat:
         lease = leases.claim(FP, "w1")
         assert leases.release(lease) is True
         assert not leases.path(FP).exists()
+
+
+class TestExpire:
+    def test_expire_makes_the_dead_owners_lease_stealable(self, leases):
+        dead = leases.claim(FP, "A")
+        leases.expire(dead)
+        stolen = leases.claim(FP, "B")
+        assert (stolen.owner, stolen.epoch, stolen.stolen_from) == ("B", 1, "A")
+
+    def test_expire_after_a_steal_leaves_the_thief_alone(self, leases, clock):
+        # A claims and dies; the coordinator's scan still holds A's lease
+        assert leases.claim(FP, "A") is not None
+        [seen] = leases.held()
+        # A's lease outlives its TTL and B steals it at epoch 1
+        clock.advance(leases.ttl_s + 1)
+        thief = leases.claim(FP, "B")
+        assert (thief.owner, thief.epoch) == ("B", 1)
+        # the coordinator now expires what it saw: B's lease stays put
+        leases.expire(seen)
+        assert leases.read(FP).owner == "B"
+        assert leases.heartbeat(thief)
+        assert leases.claim(FP, "C") is None
 
 
 class TestSweepStale:

@@ -1,8 +1,8 @@
 """One reader: only ``repro.resilience.fleet`` opens a run directory's parts.
 
-The engine writes a run directory's manifest, worker journals,
-quarantine markers, event logs, activity files, flight dumps and
-leases, and its readers are the only code that reads them back.  The
+The engine writes a run directory's manifest, worker logs (the
+journals), quarantine markers, flight dumps and leases, and its
+readers are the only code that reads them back.  The
 tools around it — ``repro.obs``, the journal module and the CLI — go
 through those readers and never join a part's name onto a path, so
 every tool counts a run's progress the same way.
@@ -17,8 +17,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: the names the engine lays out under ``<run-id>.fleet/``
 RUN_DIR_PARTS = {
-    "manifest.json", "journals", "quarantine", "events", "activity",
-    "flightrec", "leases",
+    "manifest.json", "journals", "quarantine", "flightrec", "leases",
 }
 
 #: modules that must read a run directory through the engine's readers
@@ -40,7 +39,7 @@ def _names_a_part(node: ast.AST) -> str | None:
 def path_joins(tree: ast.AST) -> list[tuple[int, str]]:
     """``(line, part)`` of every run-directory part joined onto a path:
     ``d / "journals"``, ``Path(d, "leases")``, ``d.joinpath(...)``,
-    ``os.path.join(...)`` and ``d.glob("events/*")``."""
+    ``os.path.join(...)`` and ``d.glob("journals/*")``."""
     found = []
     for node in ast.walk(tree):
         operands: list[ast.AST] = []
@@ -78,14 +77,16 @@ def test_scanner_sees_every_way_of_joining():
         'Path(run_dir, "leases")',
         'run_dir.joinpath("quarantine")',
         'os.path.join(run_dir, "flightrec")',
-        'run_dir.glob("events/*.ndjson")',
+        'run_dir.glob("journals/*.ndjson")',
         '(run_dir / "journals").glob("*.ndjson")',
-        'Path(run_dir) / "activity" / "w0.ndjson"',
+        'Path(run_dir) / "quarantine" / "fp0.json"',
         '{"leases": 0}',            # a dict key is not a path
         'f(name="journals")',       # nor is an unrelated argument
     ])
-    parts = [part for _, part in path_joins(ast.parse(code))]
-    assert sorted(parts) == sorted(RUN_DIR_PARTS)
+    assert sorted(path_joins(ast.parse(code))) == [
+        (1, "manifest.json"), (2, "leases"), (3, "quarantine"),
+        (4, "flightrec"), (5, "journals"), (6, "journals"), (7, "quarantine"),
+    ]
 
 
 def test_the_engine_itself_is_scanned_as_a_writer():

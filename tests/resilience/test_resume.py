@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.resilience import ResilienceConfig
-from repro.resilience.fleet import fleet_dir, read_events
+from repro.resilience.fleet import fleet_dir, read_logs
 from repro.resilience.journal import job_fingerprint
 from repro.resilience.lease import LeaseDir
 from repro.sched import JobSpec, run_jobs
@@ -60,7 +60,10 @@ class TestOwnLease:
         runner.join(timeout=10)
         assert not runner.is_alive(), "the run waited on its own lease"
         assert json.dumps(out[0]) == json.dumps(run_jobs([spec]))
-        steals = [e for e in read_events(run_dir) if e["event"] == "lease-steal"]
+        steals = [
+            e for e in read_logs(run_dir)["r1"].events
+            if e["event"] == "lease-steal"
+        ]
         assert [e["stolen_from"] for e in steals] == ["r1"]
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.resilience.fleet import scan_completed
 from repro.serve.client import ServeClient
 
 #: large MemAlign sizes run long enough (~0.5s/value) that a SIGKILL
@@ -76,15 +77,12 @@ def test_kill9_recover_byte_identical_drain(workdir):
         request_id = sub["id"]
 
         # let the request's run directory checkpoint at least one job
-        # (its in-process worker's journal is named after the run),
-        # then murder the daemon mid-sweep
-        journal = (
-            workdir / "data" / "journals" / f"{request_id}.fleet"
-            / "journals" / f"{request_id}.ndjson"
-        )
+        # (a completion line: its log also holds the header and health
+        # events), then murder the daemon mid-sweep
+        run_dir = workdir / "data" / "journals" / f"{request_id}.fleet"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if journal.exists() and len(journal.read_bytes().splitlines()) >= 2:
+            if scan_completed(run_dir):
                 break
             time.sleep(0.1)
         else:

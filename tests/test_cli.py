@@ -1326,14 +1326,19 @@ class TestObsCLI:
             assert f"{fp[:16]}  MemAlign" in out and f"span={span}" in out
 
     def test_activity_lines_carry_the_job_fingerprint(self, capsys, tmp_path):
-        from repro.resilience.fleet import read_manifest, read_worker_activity
+        from repro.resilience.fleet import completions, read_logs, read_manifest
 
         assert self._fleet_sweep(tmp_path, extra=("--no-cache",)) == 0
         capsys.readouterr()
         run_dir = tmp_path / "jd" / "f1.fleet"
-        lines = read_worker_activity(run_dir)["f1"]
-        jobs = [line["job"] for line in lines]
-        assert sorted(set(jobs)) == sorted(read_manifest(run_dir)["jobs"])
+        # each job's activity rides on its completion line, which names
+        # the job by its fingerprint
+        lines = {
+            fp: line for fp, ((_, line), *_) in
+            completions(read_logs(run_dir)).items()
+        }
+        assert sorted(lines) == sorted(read_manifest(run_dir)["jobs"])
+        assert all(line["activity"] for line in lines.values())
 
     def test_monitor_does_not_perturb_merge(self, capsys, tmp_path):
         import threading

@@ -2,18 +2,18 @@
 
 The interpreter's dominant cost is not the functional gather/scatter —
 NumPy already vectorizes that — but the *per-warp* coalescing and
-bank-conflict analysis: every access sorts a ``(warps, warp_size)``
-address matrix three times.  For the paper's benchmarks almost every
-access is *affine*: each warp is fully convergent and its lanes step by
-one common stride (coalesced streams, strided streams, column reads).
+bank-conflict analysis, which sorts a ``(warps, warp_size)`` key matrix
+on every access.  For the paper's benchmarks almost every access is
+*affine*: each warp is fully convergent and its lanes step by one
+common stride (coalesced streams, strided streams, column reads).
 
 For such accesses the per-warp distinct-segment count at granularity
 ``B`` depends only on the warp's start address *modulo* ``B`` (shifting
 a whole row by a multiple of ``B`` shifts every segment id by the same
 integer, preserving distinctness).  Grouping warps by their start
 address modulo ``M = lcm`` of all granularities therefore collapses the
-grid to at most ``M`` *residue classes*; the reference algorithm runs
-on one representative row per class and the counts are weighted by
+grid to at most ``M`` *residue classes*; the reference helpers sort and
+count one representative row per class and the counts are weighted by
 class sizes.  Because the representatives are actual rows of the access
 and the reference code path itself produces each class count, the fast
 result is bit-identical to the reference result — by construction, not
@@ -34,10 +34,13 @@ from repro.mem.banks import BankConflictSummary, shared_pass_degrees
 from repro.mem.coalesce import (
     MAX_ANALYZED_WARPS,
     AccessSummary,
+    _BURST_SECTORS,
+    _access_distinct,
+    _per_transaction,
+    _sector_keys,
+    _segment_totals,
     _select_sample,
-    distinct_count,
     lanes_to_warps,
-    segment_distinct_counts,
 )
 
 __all__ = ["analyze_access_fast", "analyze_shared_access_fast"]
@@ -72,19 +75,6 @@ def _class_representatives(
     return rep_idx, class_counts
 
 
-def _distinct_union(first: np.ndarray, last: np.ndarray) -> float:
-    """Distinct count of ``first ∪ last`` keys over fully-active rows.
-
-    Equals the reference ``distinct_count(keys[mask])`` for every
-    straddle-branch outcome: when no element straddles, ``last`` merely
-    duplicates ``first``; when one does, the reference concatenates both
-    anyway.
-    """
-    if np.array_equal(first, last):
-        return float(distinct_count(first))
-    return float(distinct_count(np.concatenate([first, last])))
-
-
 def analyze_access_fast(
     addrs: np.ndarray,
     mask: np.ndarray | None,
@@ -100,6 +90,7 @@ def analyze_access_fast(
     Returns ``None`` for ineligible (non-affine) accesses; otherwise an
     :class:`AccessSummary` bit-identical to the reference analyzer's.
     """
+    per_transaction = _per_transaction(transaction_bytes, sector_bytes)
     addrs = np.asarray(addrs, dtype=np.int64)
     a2d, m2d = lanes_to_warps(addrs, mask, warp_size)
     n_warps_total = int(m2d.any(axis=1).sum())
@@ -113,39 +104,21 @@ def analyze_access_fast(
     if act is None:
         return None
 
-    burst_bytes = 2 * sector_bytes
-    if act.shape[0] == 0:
-        transactions = sectors = bursts = 0.0
-        unique_sectors = unique_bursts = 0.0
-    else:
-        modulus = math.lcm(transaction_bytes, sector_bytes, burst_bytes)
+    counts = (0.0,) * 5
+    if act.shape[0]:
+        modulus = math.lcm(transaction_bytes, _BURST_SECTORS * sector_bytes)
         rep_idx, class_counts = _class_representatives(act[:, 0], modulus)
-        rep = act[rep_idx]
-        full = np.ones(rep.shape, dtype=bool)
-
-        t_counts, _, _ = segment_distinct_counts(rep, full, transaction_bytes, itemsize)
-        s_counts, _, _ = segment_distinct_counts(rep, full, sector_bytes, itemsize)
-        b_counts, _, _ = segment_distinct_counts(rep, full, burst_bytes, itemsize)
-        transactions = float((t_counts * class_counts).sum())
-        sectors = float((s_counts * class_counts).sum())
-        bursts = float((b_counts * class_counts).sum())
-
+        full = np.ones(act.shape, dtype=bool)
+        rep_keys = _sector_keys(act[rep_idx], full[rep_idx], itemsize, sector_bytes)
         # Whole-access distinct sectors/bursts are global, not per-class.
-        last = act + (itemsize - 1)
-        unique_sectors = _distinct_union(act // sector_bytes, last // sector_bytes)
-        unique_bursts = _distinct_union(act // burst_bytes, last // burst_bytes)
-
+        counts = (
+            *_segment_totals(rep_keys, per_transaction, class_counts),
+            *_access_distinct(_sector_keys(act, full, itemsize, sector_bytes)),
+        )
     scale = 1.0 / fraction
     return AccessSummary(
-        n_warps=n_warps_total,
-        n_active_lanes=n_active,
-        transactions=transactions * scale,
-        sectors=sectors * scale,
-        bursts=bursts * scale,
-        unique_sectors=unique_sectors * scale,
-        unique_bursts=unique_bursts * scale,
-        bytes_requested=n_active * itemsize,
-        sample_fraction=fraction,
+        n_warps_total, n_active, *(c * scale for c in counts),
+        bytes_requested=n_active * itemsize, sample_fraction=fraction,
     )
 
 

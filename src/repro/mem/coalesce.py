@@ -11,11 +11,12 @@ module quantifies:
 * random — somewhere in between.
 
 Everything here is pure address arithmetic on NumPy arrays: lane
-addresses are reshaped to ``(warps, warp_size)``, masked lanes are
-replaced by a sentinel, rows are sorted, and distinct values per row are
-counted with a shifted comparison.  Whole-access distinct counts use the
-same sort-and-compare in :func:`distinct_count`, which skips the sort
-when the keys are already in order (a coalesced stream in warp order);
+addresses become ``(warps, warp_size)`` sector keys, masked lanes a
+sentinel, and each row is sorted once.  Burst and segment keys are the
+sector keys floor-divided, which keeps rows sorted, so one shifted
+comparison per granularity counts the distinct values per row.
+Whole-access distinct counts flatten the same keys and sort them only
+when out of order (a coalesced stream in warp order is not);
 ``np.unique`` builds a hash set since NumPy 2.3, which is several times
 slower on these int64 keys.  For very large grids a deterministic warp
 sample is analyzed and counts are rescaled, keeping cost bounded while
@@ -33,12 +34,13 @@ __all__ = [
     "lanes_to_warps",
     "distinct_count",
     "warp_distinct_counts",
-    "segment_distinct_counts",
     "analyze_access",
     "MAX_ANALYZED_WARPS",
 ]
 
 _SENTINEL = np.iinfo(np.int64).max
+
+_BURST_SECTORS = 2  #: sectors per 64-byte DRAM burst (``dram_burst_factor``)
 
 #: Above this many warps, transaction analysis samples every k-th warp.
 MAX_ANALYZED_WARPS = 1 << 16
@@ -129,18 +131,23 @@ def lanes_to_warps(
     return values.reshape(n_warps, warp_size), mask.reshape(n_warps, warp_size)
 
 
+def _in_order(flat: np.ndarray) -> np.ndarray:
+    """``flat`` sorted, skipping the sort when it is already in order."""
+    return np.sort(flat) if (flat[1:] < flat[:-1]).any() else flat
+
+
+def _runs(ordered: np.ndarray) -> int:
+    """Number of distinct values in a sorted vector."""
+    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
 def distinct_count(keys: np.ndarray) -> int:
     """Number of distinct values in ``keys`` (any shape), by sorting.
 
     Equals ``np.unique(keys).size``.  Keys already in non-decreasing
     order are counted without the sort.
     """
-    flat = np.asarray(keys).reshape(-1)
-    if flat.size == 0:
-        return 0
-    if (flat[1:] < flat[:-1]).any():
-        flat = np.sort(flat)
-    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    return _runs(_in_order(np.asarray(keys).reshape(-1)))
 
 
 def warp_distinct_counts(keys2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
@@ -162,27 +169,68 @@ def warp_distinct_counts(keys2d: np.ndarray, mask2d: np.ndarray) -> np.ndarray:
     return firsts[:, 0] + changed.sum(axis=1, dtype=np.int64)
 
 
-def segment_distinct_counts(
-    a2d: np.ndarray,
-    m2d: np.ndarray,
-    granularity: int,
-    itemsize: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-warp distinct segment counts at one granularity.
+def _per_transaction(transaction_bytes: int, sector_bytes: int) -> int:
+    """Sectors per transaction; ``GPUSpec`` enforces the same rule."""
+    if transaction_bytes % sector_bytes:
+        raise ValueError(
+            f"transaction_bytes {transaction_bytes} is not a multiple of "
+            f"sector_bytes {sector_bytes}"
+        )
+    return transaction_bytes // sector_bytes
 
-    An element whose last byte lands in a different segment than its
-    first counts against both (the misaligned-access inflation of paper
-    §IV-C).  Returns ``(per_warp_counts, keys, keys_mask)`` — the keys
-    are reused by callers that also need whole-access distinct values.
+
+def _sector_keys(
+    a2d: np.ndarray, m2d: np.ndarray, itemsize: int, sector_bytes: int
+) -> np.ndarray:
+    """Each warp's sector keys, sorted per row, inactive lanes last.
+
+    An element whose last byte lands in another sector than its first
+    counts against both (the misaligned-access inflation of paper
+    §IV-C), so the last-byte keys are appended when any element
+    straddles.  Inactive lanes hold a sentinel above every key.
     """
-    first = a2d // granularity
-    last = (a2d + (itemsize - 1)) // granularity
-    if (first != last).any():
-        keys = np.concatenate([first, last], axis=1)
-        kmask = np.concatenate([m2d, m2d], axis=1)
-    else:
-        keys, kmask = first, m2d
-    return warp_distinct_counts(keys, kmask), keys, kmask
+    keys = a2d // sector_bytes
+    last = (a2d + (itemsize - 1)) // sector_bytes
+    if (keys != last).any():
+        keys = np.concatenate([keys, last], axis=1)
+        m2d = np.concatenate([m2d, m2d], axis=1)
+    if not m2d.all():
+        keys[~m2d] = _SENTINEL
+    keys.sort(axis=1)
+    return keys
+
+
+def _segment_totals(
+    keys: np.ndarray, per_transaction: int, weights: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """Distinct transactions, sectors and bursts per warp, summed.
+
+    ``keys`` are :func:`_sector_keys`.  A coarser segment key is a sector
+    key floor-divided by the sectors per segment, which keeps sorted
+    rows sorted and a straddle's first and last keys exact, so one sort
+    serves every granularity.  ``weights`` scales each row's counts.
+    """
+    padded = keys[:, -1] == _SENTINEL
+    totals = []
+    for factor in (per_transaction, 1, _BURST_SECTORS):
+        segs = keys // factor if factor > 1 else keys
+        changed = segs[:, 1:] != segs[:, :-1]
+        if weights is None:  # one count over the matrix beats row sums
+            unpadded = padded.size - np.count_nonzero(padded)
+            totals.append(float(unpadded + np.count_nonzero(changed)))
+        else:
+            totals.append(float(((changed.sum(axis=1) + ~padded) * weights).sum()))
+    return totals[0], totals[1], totals[2]
+
+
+def _access_distinct(keys: np.ndarray) -> tuple[float, float]:
+    """Distinct sectors and bursts of the whole access, from the valid
+    entries of :func:`_sector_keys`."""
+    flat = keys.reshape(-1)
+    if keys[:, -1].max() == _SENTINEL:
+        flat = flat[flat != _SENTINEL]
+    flat = _in_order(flat)
+    return float(_runs(flat)), float(_runs(flat // _BURST_SECTORS))
 
 
 def _select_sample(
@@ -223,6 +271,7 @@ def analyze_access(
     both segments, which is how misaligned accesses inflate the
     transaction count (paper §IV-C).
     """
+    per_transaction = _per_transaction(transaction_bytes, sector_bytes)
     addrs = np.asarray(addrs, dtype=np.int64)
     a2d, m2d = lanes_to_warps(addrs, mask, warp_size)
     n_warps_total = int(m2d.any(axis=1).sum())
@@ -231,33 +280,11 @@ def analyze_access(
         return AccessSummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 1.0)
 
     sel, fraction = _select_sample(a2d.shape[0], max_analyzed_warps)
-    a = a2d[sel]
-    m = m2d[sel]
-
-    seg_counts, _, _ = segment_distinct_counts(a, m, transaction_bytes, itemsize)
-    transactions = float(seg_counts.sum())
-
-    sec_counts, sec_keys, sec_mask = segment_distinct_counts(
-        a, m, sector_bytes, itemsize
-    )
-    sectors = float(sec_counts.sum())
-
-    burst_bytes = 2 * sector_bytes
-    b_counts, b_keys, b_mask = segment_distinct_counts(a, m, burst_bytes, itemsize)
-    bursts = float(b_counts.sum())
-
-    unique_sectors = float(distinct_count(sec_keys[sec_mask]))
-    unique_bursts = float(distinct_count(b_keys[b_mask]))
-
+    keys = _sector_keys(a2d[sel], m2d[sel], itemsize, sector_bytes)
+    # transactions, sectors, bursts, unique sectors, unique bursts
+    counts = (*_segment_totals(keys, per_transaction), *_access_distinct(keys))
     scale = 1.0 / fraction
     return AccessSummary(
-        n_warps=n_warps_total,
-        n_active_lanes=n_active,
-        transactions=transactions * scale,
-        sectors=sectors * scale,
-        bursts=bursts * scale,
-        unique_sectors=unique_sectors * scale,
-        unique_bursts=unique_bursts * scale,
-        bytes_requested=n_active * itemsize,
-        sample_fraction=fraction,
+        n_warps_total, n_active, *(c * scale for c in counts),
+        bytes_requested=n_active * itemsize, sample_fraction=fraction,
     )

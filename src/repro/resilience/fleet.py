@@ -744,7 +744,9 @@ def fleet_status(
                 "ordinal": fingerprints.index(job) if job in current else None,
                 "owner": lease.owner,
                 "epoch": lease.epoch,
-                "age_s": max(0.0, now - lease.heartbeat_at),
+                # an expired lease (heartbeat_at 0) has no age to show
+                "age_s": max(0.0, now - lease.heartbeat_at)
+                if lease.heartbeat_at else None,
                 "stale": lease_dir.is_stale(lease),
             })
 

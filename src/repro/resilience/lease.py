@@ -168,6 +168,10 @@ class LeaseDir:
             text = self.path(job).read_text()
         except OSError:
             return None
+        return self._parse(text)
+
+    @staticmethod
+    def _parse(text: str | bytes) -> Lease:
         obj = json.loads(text)   # ValueError/JSONDecodeError → corrupt
         if obj.get("schema") != LEASE_SCHEMA:
             raise ValueError(f"lease has schema {obj.get('schema')!r}")
@@ -198,18 +202,20 @@ class LeaseDir:
     def claim(self, job: str, owner: str) -> Lease | None:
         """Acquire ``job``, stealing a stale or corrupt lease if needed.
 
-        Returns None when the job is validly held by a live peer.  A
-        lease held under ``owner``'s own id is taken over at once: a
-        worker id is live in at most one process (the worker also owns
+        Returns None when the job is validly held by a live peer; the
+        lease is read first, so that answer costs no write.  A lease
+        held under ``owner``'s own id is taken over at once: a worker
+        id is live in at most one process (the worker also owns
         ``journals/<id>.ndjson``), so such a lease is a dead
         incarnation's — a killed serial run being resumed, or a
         restarted server re-executing a request.  The steal path
         renames the old lease into ``stolen/`` first — rename is
         atomic, so two stealers racing on the same stale lease resolve
-        to exactly one winner (the loser sees ``FileNotFoundError`` and
-        reports the job as held).  A claim then moves past the epochs of
-        the job's evicted leases, so one landing in a steal's window (or
-        evicting a new steal) repeats no epoch, nor chaos keyed on it.
+        to exactly one winner (the loser sees ``FileNotFoundError``, or
+        finds it moved the winner's new lease and puts it back, and
+        reports the job as held).  A claim then moves past the epochs
+        of the job's evicted leases, so one landing in a steal's window
+        repeats no epoch, nor chaos keyed on it.
         """
         lease = self._claim(job, owner)
         if lease is None:
@@ -226,9 +232,7 @@ class LeaseDir:
         return lease
 
     def _claim(self, job: str, owner: str) -> Lease | None:
-        got = self.acquire(job, owner)
-        if got is not None:
-            return got
+        # read before writing: a live peer's lease costs no publish
         try:
             current = self.read(job)
         except ValueError:
@@ -237,21 +241,25 @@ class LeaseDir:
         else:
             corrupt = False
             if current is None:
-                # released between our create attempt and the read —
-                # retry the plain acquire once
                 return self.acquire(job, owner)
             if current.owner != owner and not self.is_stale(current):
                 return None
-        if not self._evict(job):
-            return None          # another stealer won the rename race
+        if not self._evict(job, current):
+            return None          # another stealer got there first
         epoch = (current.epoch + 1) if current is not None else 1
         prev = current.owner if current is not None else (
             "<corrupt>" if corrupt else None
         )
         return self.acquire(job, owner, epoch=epoch, stolen_from=prev)
 
-    def _evict(self, job: str) -> bool:
-        """Move a stale/corrupt lease into ``stolen/``; True if we won."""
+    def _evict(self, job: str, judged: Lease | None) -> bool:
+        """Move the lease judged stale (None: corrupt) into ``stolen/``.
+
+        True if we won.  A peer may have stolen the lease between the
+        caller's read and this rename; the moved file is then the
+        peer's fresh lease, which is put back and the job reported
+        held.
+        """
         dest = self.root / "stolen" / f"{job}.{uuid.uuid4().hex[:8]}.lease"
         try:
             make_dirs(dest.parent)
@@ -262,7 +270,20 @@ class LeaseDir:
             raise LeaseUnavailable(
                 f"cannot evict stale lease for job {job[:12]}: {exc}"
             ) from None
-        return True
+        body = dest.read_bytes()
+        try:
+            moved = self._parse(body)
+        except ValueError:
+            moved = None
+        if moved == judged:
+            return True
+        try:
+            # republished exclusively: a third claim may hold the path now
+            if atomic_write(self.path(job), body, exclusive=True):
+                dest.unlink()
+        except OSError:
+            pass
+        return False
 
     # ------------------------------------------------------------------
     def _holds(self, lease: Lease) -> bool:
@@ -334,7 +355,7 @@ class LeaseDir:
             except ValueError:
                 lease = None
             if lease is None or self.is_stale(lease):
-                if self._evict(job):
+                if self._evict(job, lease):
                     evicted += 1
         remnants = 0
         for path in sorted((self.root / "stolen").glob("*.lease")):

@@ -36,6 +36,12 @@ class TestEligibility:
         assert fast is not None
         assert fast == analyze_access(affine(64, 1), mask, 4)
 
+    def test_segment_not_whole_sectors_rejected(self):
+        with pytest.raises(ValueError, match="not a multiple of sector_bytes"):
+            analyze_access_fast(
+                affine(64, 1), None, 4, transaction_bytes=96, sector_bytes=64
+            )
+
     def test_empty_grid(self):
         fast = analyze_access_fast(np.array([], dtype=np.int64), None, 4)
         assert fast == analyze_access(np.array([], dtype=np.int64), None, 4)
@@ -78,6 +84,19 @@ class TestGlobalEquivalence:
         addrs = BASE + (np.arange(128, dtype=np.int64)[::-1]) * 4
         fast = analyze_access_fast(np.ascontiguousarray(addrs), None, 4)
         assert fast == analyze_access(addrs, None, 4)
+
+    @pytest.mark.parametrize(
+        "tx,sec,itemsize,offset", [(64, 64, 2, 32), (96, 32, 1, 16)]
+    )
+    def test_burst_residue_classes(self, tx, sec, itemsize, offset):
+        # warps whose starts agree modulo the segment but not modulo
+        # the burst touch different numbers of bursts, so the classes
+        # are taken modulo both
+        addrs = affine(384, 1, itemsize, offset=offset)
+        kw = dict(transaction_bytes=tx, sector_bytes=sec)
+        fast = analyze_access_fast(addrs, None, itemsize, **kw)
+        assert fast is not None
+        assert fast == analyze_access(addrs, None, itemsize, **kw)
 
     def test_sampling_threshold_consistent(self):
         addrs = affine(32 * 64, 1)

@@ -159,6 +159,15 @@ class TestAnalyzeAccessPatterns:
         s = analyze_access(addrs_for(np.arange(10)), None, 4)
         assert s.bytes_requested == 40
 
+    @pytest.mark.parametrize("tx,sec", [(100, 32), (48, 32), (16, 32)])
+    def test_segment_not_whole_sectors_rejected(self, tx, sec):
+        # segment keys are sector keys divided by the sectors per segment
+        with pytest.raises(ValueError, match="not a multiple of sector_bytes"):
+            analyze_access(
+                addrs_for(np.arange(32)), None, 4,
+                transaction_bytes=tx, sector_bytes=sec,
+            )
+
 
 class TestBurstFactor:
     def test_dense_factor_one(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.obs import fleet_status, render_fleet_status
+from repro.resilience.lease import LeaseDir
 
 NOW = 1_000_000.0
 
@@ -132,6 +133,17 @@ class TestRender:
         assert "3/4 jobs (75%)" in screen
         assert "w0" in screen and "stale" in screen and "done" in screen
         assert "3 acquired, 1 stolen, 2 heartbeats" in screen
+
+    def test_expired_lease_has_no_age(self, run_dir):
+        # the coordinator expired a dead owner's lease (heartbeat_at 0)
+        leases = LeaseDir(run_dir / "leases", ttl_s=5.0, now=lambda: NOW)
+        leases.expire(leases.acquire("fp3", "w2"))
+        status = fleet_status(run_dir, now=NOW)
+        [lease] = status["active_leases"]
+        assert (lease["owner"], lease["age_s"], lease["stale"]) == ("w2", None, True)
+        [row] = [line for line in render_fleet_status(status).splitlines()
+                 if line.strip().startswith("fp3")]
+        assert row.split()[-2:] == ["-", "STALE"]
 
     def test_empty_run_renders(self, tmp_path):
         d = tmp_path / "empty.fleet"

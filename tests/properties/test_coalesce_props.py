@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.coalesce import analyze_access
+from repro.mem.coalesce import _select_sample, analyze_access
 
 BASE = 0x100000
 
@@ -138,3 +138,108 @@ class TestInvariants:
         a = analyze_access(addrs, half, 4)
         b = analyze_access(addrs, full, 4)
         assert b.transactions >= a.transactions
+
+
+#: (transaction_bytes, sector_bytes): the V100's, halved and doubled
+#: segments, a non-power-of-two sectors-per-segment ratio, small sectors,
+#: and a segment of one sector.
+GEOMETRIES = [(128, 32), (64, 32), (256, 32), (96, 32), (128, 16), (64, 64)]
+# up to 64 B, so an element can span more than two sectors
+wide_itemsizes = st.sampled_from([1, 2, 4, 8, 12, 16, 24, 32, 48, 64])
+
+
+def brute_force_summary(addrs, mask, itemsize, tx, sec, warps=None, warp_size=32):
+    """All five counts, by sets, over ``warps`` (default: every warp).
+
+    Each active element counts against the segment of its first byte and
+    that of its last byte, not the ones between.  Returns the per-warp
+    sums of distinct transactions, sectors and bursts, then the distinct
+    sectors and bursts of all those warps together.
+    """
+    per_warp = [0, 0, 0]
+    whole = (set(), set())
+    if warps is None:
+        warps = range(-(-len(addrs) // warp_size))
+    for w in warps:
+        ends = [
+            end
+            for lane in range(w * warp_size, min((w + 1) * warp_size, len(addrs)))
+            if mask is None or mask[lane]
+            for end in (int(addrs[lane]), int(addrs[lane]) + itemsize - 1)
+        ]
+        for i, seg in enumerate((tx, sec, 2 * sec)):
+            per_warp[i] += len({end // seg for end in ends})
+        whole[0].update(end // sec for end in ends)
+        whole[1].update(end // (2 * sec) for end in ends)
+    return (*per_warp, len(whole[0]), len(whole[1]))
+
+
+def five_counts(s):
+    return (s.transactions, s.sectors, s.bursts, s.unique_sectors, s.unique_bursts)
+
+
+def draw_mask(data, n):
+    return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+class TestGeometriesAgainstOracle:
+    """Every count at several granularities from the one sorted key matrix.
+
+    The per-warp counts at the segment and burst granularities are the
+    sector keys floor-divided, so elements wider than a sector, bases
+    off every boundary and segments of a non-power-of-two sector count
+    are where a wrong derivation would show.
+    """
+
+    @pytest.mark.parametrize("tx,sec", GEOMETRIES)
+    @given(
+        data=st.data(), itemsize=wide_itemsizes, misalign=st.integers(0, 127),
+        ordered=st.booleans(), masked=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_all_counts_match_brute_force(
+        self, tx, sec, data, itemsize, misalign, ordered, masked
+    ):
+        idx = data.draw(indices)
+        if ordered:
+            idx = sorted(idx)
+        mask = draw_mask(data, len(idx)) if masked else None
+        addrs = BASE + misalign + np.asarray(idx, dtype=np.int64) * itemsize
+        s = analyze_access(
+            addrs, mask, itemsize, transaction_bytes=tx, sector_bytes=sec
+        )
+        assert five_counts(s) == brute_force_summary(addrs, mask, itemsize, tx, sec)
+
+    @pytest.mark.parametrize("tx,sec", GEOMETRIES)
+    @given(
+        itemsize=wide_itemsizes, misalign=st.integers(0, 127),
+        limit=st.sampled_from([8, 100, 512]), extra_warps=st.integers(1, 300),
+        stride=st.sampled_from([None, -1, 0, 1, 2, 33]),
+        density=st.sampled_from([None, 0.3, 0.9]), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_sampled_access_is_rescaled_brute_force(
+        self, tx, sec, itemsize, misalign, limit, extra_warps, stride, density, seed
+    ):
+        """The warps ``_select_sample`` picks, counted and rescaled.
+
+        A limit of 512 warps samples two chunks of 256; a smaller limit
+        one chunk.  ``stride=None`` draws random element indices.
+        """
+        rng = np.random.default_rng(seed)
+        n_warps = limit + extra_warps
+        n = n_warps * 32 - int(rng.integers(0, 32))
+        idx = np.arange(n, dtype=np.int64) * (stride or 0)
+        if stride is None:
+            idx = rng.integers(0, 1 << 16, size=n)
+        addrs = BASE + misalign + idx * itemsize
+        mask = None if density is None else rng.random(n) < density
+        s = analyze_access(
+            addrs, mask, itemsize, transaction_bytes=tx, sector_bytes=sec,
+            max_analyzed_warps=limit,
+        )
+        picked, fraction = _select_sample(n_warps, limit)
+        assert s.sample_fraction == fraction < 1.0
+        want = brute_force_summary(addrs, mask, itemsize, tx, sec, warps=picked)
+        assert five_counts(s) == tuple(c * (1.0 / fraction) for c in want)
+        assert s.n_active_lanes == (n if mask is None else int(mask.sum()))

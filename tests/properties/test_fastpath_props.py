@@ -7,12 +7,14 @@ produce a summary equal to the reference analyzer's, field for field.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.fastpath import analyze_access_fast, analyze_shared_access_fast
 from repro.mem.banks import analyze_shared_access
-from repro.mem.coalesce import analyze_access
+from repro.mem.coalesce import MAX_ANALYZED_WARPS, analyze_access
+from tests.properties.test_coalesce_props import GEOMETRIES, wide_itemsizes
 
 BASE = 0x100000
 
@@ -86,3 +88,23 @@ class TestSharedFastPath:
         fast = analyze_shared_access_fast(offs, mask)
         assert fast is not None
         assert fast == analyze_shared_access(offs, mask)
+
+
+class TestGlobalFastPathGeometries:
+    """The residue classes hold at every granularity the oracle takes."""
+
+    @pytest.mark.parametrize("tx,sec", GEOMETRIES)
+    @given(
+        data=st.data(), n=n_lanes, stride=strides, itemsize=wide_itemsizes,
+        offset=offsets, limit=st.sampled_from([2, 5, MAX_ANALYZED_WARPS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_affine_equals_reference(
+        self, tx, sec, data, n, stride, itemsize, offset, limit
+    ):
+        addrs = affine_addrs(n, stride, itemsize, offset)
+        mask = warp_mask(data, n)
+        kw = dict(transaction_bytes=tx, sector_bytes=sec, max_analyzed_warps=limit)
+        fast = analyze_access_fast(addrs, mask, itemsize, **kw)
+        assert fast is not None
+        assert fast == analyze_access(addrs, mask, itemsize, **kw)

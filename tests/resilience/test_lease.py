@@ -5,6 +5,7 @@ callable, so no test sleeps for a real TTL.
 """
 
 import json
+import os
 
 import pytest
 
@@ -114,8 +115,22 @@ class TestClaimAndSteal:
     def test_evict_race_single_winner(self, leases, clock):
         leases.claim(FP, "w1")
         clock.advance(6.0)
-        assert leases._evict(FP) is True
-        assert leases._evict(FP) is False   # the loser of the rename race
+        stale = leases.read(FP)
+        assert leases._evict(FP, stale) is True
+        assert leases._evict(FP, stale) is False   # the loser of the rename race
+
+    def test_held_job_costs_no_write(self, leases, clock, monkeypatch):
+        # an idle worker polls every held job: each poll is a read only
+        leases.claim(FP, "w1")
+        clock.advance(4.0)           # within TTL
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        assert leases.claim(FP, "w2") is None
+        assert fsyncs == []
+        assert [p.name for p in leases.root.iterdir()] == [f"{FP}.lease"]
 
 
     def test_claim_in_a_steals_window_takes_the_next_epoch(
@@ -125,31 +140,34 @@ class TestClaimAndSteal:
         # claim lands before S re-acquires
         assert leases.claim(FP, "A") is not None
         clock.advance(leases.ttl_s + 1)
-        assert leases._evict(FP)
+        assert leases._evict(FP, leases.read(FP))
         fresh = leases.claim(FP, "F")
         assert (fresh.owner, fresh.epoch) == ("F", 1)
         assert leases.read(FP).epoch == 1
         assert leases.heartbeat(fresh)
         assert leases.acquire(FP, "S", epoch=1, stolen_from="A") is None
 
-    def test_stealer_that_evicted_a_new_steal_takes_the_next_epoch(
+    def test_stale_read_does_not_evict_a_new_steal(
         self, leases, clock, monkeypatch
     ):
-        # S1 and S2 both read A's stale lease; S1 steals it, then S2's
-        # eviction takes S1's new lease instead
+        # S1 reads A's stale lease, S2 steals it, then S1 evicts: the
+        # file S1 moves is S2's new lease, which goes back in place
         assert leases.claim(FP, "A") is not None
         clock.advance(leases.ttl_s + 1)
         stale = leases.read(FP)
-        first = leases.claim(FP, "S1")
-        assert first.epoch == 1
+        thief = leases.claim(FP, "S2")
+        assert (thief.owner, thief.epoch) == ("S2", 1)
         reads = iter([stale])
         read = leases.read
         monkeypatch.setattr(
             leases, "read", lambda job: next(reads, None) or read(job)
         )
-        second = leases.claim(FP, "S2")
-        assert (second.owner, second.epoch) == ("S2", 2)
-        assert not leases.heartbeat(first)
+        assert leases.claim(FP, "S1") is None
+        current = read(FP)
+        assert (current.owner, current.epoch) == ("S2", 1)
+        assert leases.heartbeat(thief)
+        # only A's lease was evicted
+        assert len(list((leases.root / "stolen").glob("*.lease"))) == 1
 
 
 class TestHeartbeat:

@@ -5,12 +5,12 @@ A *backend* decides how each warp-wide access is analyzed:
 * ``reference`` — always the per-lane sort-based analyzers of
   :mod:`repro.mem` (the executable oracle);
 * ``jit`` — the trace-JIT backend of :mod:`repro.jit`: record a launch
-  once per trace key on the residue-class fast path of
-  :mod:`repro.exec.fastpath` (:class:`FastDispatch`, which falls back to
-  the reference analyzers for accesses that are not affine), store the
-  access summaries as data, and replay later launches behind
-  linear-time guards, bailing back to analysis per kernel on any
-  mismatch.
+  once per trace key on :class:`FastDispatch` (global accesses on the
+  reference analyzer, shared ones on the residue-class fast path of
+  :mod:`repro.exec.fastpath`, which falls back to the reference
+  analyzer for accesses that are not affine), store the access
+  summaries as data, and replay later launches behind linear-time
+  guards, bailing back to analysis per kernel on any mismatch.
 
 Both produce identical summaries (the differential suite in
 ``tests/differential/`` enforces this for every registered benchmark),
@@ -33,7 +33,7 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
 from repro.common.errors import LaunchConfigError
-from repro.exec.fastpath import analyze_access_fast, analyze_shared_access_fast
+from repro.exec.fastpath import analyze_shared_access_fast
 from repro.mem.banks import BankConflictSummary, analyze_shared_access
 from repro.mem.coalesce import AccessSummary, analyze_access
 
@@ -90,14 +90,13 @@ def current_backend_name(explicit: str | None = None) -> str:
 class ExecCounters:
     """How many analyses each dispatch path served.
 
-    ``*_fast`` accesses were served by the residue-class fast path;
-    ``*_fallback`` were eligible-checked but analyzed by the reference
-    code.  Under the reference backend everything lands in
-    ``*_reference``.
+    Every analyzed global access lands in ``global_reference``.  Shared
+    accesses on :class:`FastDispatch` land in ``shared_fast`` when the
+    residue-class fast path served them and in ``shared_fallback`` when
+    it declined and the reference code analyzed them; under the
+    reference backend they land in ``shared_reference``.
     """
 
-    global_fast: int = 0
-    global_fallback: int = 0
     global_reference: int = 0
     shared_fast: int = 0
     shared_fallback: int = 0
@@ -156,41 +155,14 @@ class ReferenceDispatch:
 
 @dataclass
 class FastDispatch(ReferenceDispatch):
-    """Residue-class fast path with per-access reference fallback: the
-    analysis ``JitDispatch`` records on (not a selectable backend)."""
+    """The analysis ``JitDispatch`` records on (not a selectable backend):
+    the reference analyzer for global accesses, the residue-class fast
+    path with per-access reference fallback for shared ones."""
 
     name = "fast"
 
-    def analyze_global(
-        self,
-        addrs,
-        mask,
-        itemsize: int,
-        *,
-        warp_size: int,
-        transaction_bytes: int,
-        sector_bytes: int,
-    ) -> AccessSummary:
-        summary = analyze_access_fast(
-            addrs,
-            mask,
-            itemsize,
-            warp_size=warp_size,
-            transaction_bytes=transaction_bytes,
-            sector_bytes=sector_bytes,
-        )
-        if summary is not None:
-            self.counters.global_fast += 1
-            return summary
-        self.counters.global_fallback += 1
-        return analyze_access(
-            addrs,
-            mask,
-            itemsize,
-            warp_size=warp_size,
-            transaction_bytes=transaction_bytes,
-            sector_bytes=sector_bytes,
-        )
+    # defined here, not inherited: benchmarks/perf/spans.py hooks it by name
+    analyze_global = ReferenceDispatch.analyze_global
 
     def analyze_shared(
         self,

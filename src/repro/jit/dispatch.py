@@ -3,8 +3,9 @@
 :class:`JitDispatch` is the accelerated backend beside the
 :class:`~repro.exec.dispatch.ReferenceDispatch` oracle.  It extends
 :class:`~repro.exec.dispatch.FastDispatch`, so every access it does not
-replay is analyzed by the residue-class fast analyzers, which are
-bit-identical to the reference ones.  The executor brackets each launch
+replay is analyzed as that class does: a global access by the reference
+analyzer, a shared one on the residue-class fast path, which is
+bit-identical to the reference analyzer.  The executor brackets each launch
 with :meth:`begin_launch` / :meth:`end_launch`; in between every
 ``analyze_global`` / ``analyze_shared`` call is served according to the
 launch's mode:
@@ -51,8 +52,8 @@ class JitCounters(ExecCounters):
     """Execution counters extended with the jit life-cycle.
 
     ``global_jit``/``shared_jit`` count accesses answered from an
-    artifact; the fast/fallback fields inherited from
-    :class:`ExecCounters` count record-mode and post-bailout analyses.
+    artifact; the fields inherited from :class:`ExecCounters` count
+    record-mode and post-bailout analyses.
     """
 
     global_jit: int = 0

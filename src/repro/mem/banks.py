@@ -38,21 +38,6 @@ class BankConflictSummary:
     conflict_extra: int     #: passes beyond the conflict-free minimum
     max_degree: int         #: worst conflict degree of any warp
 
-    @property
-    def mean_degree(self) -> float:
-        return self.passes / self.n_warps if self.n_warps else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready projection for activity payloads and metrics."""
-        return {
-            "n_warps": self.n_warps,
-            "n_active_lanes": self.n_active_lanes,
-            "passes": self.passes,
-            "conflict_extra": self.conflict_extra,
-            "max_degree": self.max_degree,
-            "mean_degree": self.mean_degree,
-        }
-
 
 def shared_pass_degrees(
     o2d: np.ndarray,

@@ -65,29 +65,6 @@ class AccessSummary:
     sample_fraction: float  #: fraction of warps actually analyzed
 
     @property
-    def transactions_per_warp(self) -> float:
-        return self.transactions / self.n_warps if self.n_warps else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready projection for activity payloads and metrics."""
-        return {
-            "n_warps": self.n_warps,
-            "n_active_lanes": self.n_active_lanes,
-            "transactions": self.transactions,
-            "sectors": self.sectors,
-            "bytes_requested": self.bytes_requested,
-            "transactions_per_warp": self.transactions_per_warp,
-            "bus_utilization": self.bus_utilization,
-            "sample_fraction": self.sample_fraction,
-        }
-
-    @property
-    def bus_utilization(self) -> float:
-        """Useful bytes / bytes moved at sector granularity (≤ 1)."""
-        moved = self.sectors * 32
-        return self.bytes_requested / moved if moved else 0.0
-
-    @property
     def dram_burst_factor(self) -> float:
         """DRAM overfetch of scattered sectors (1.0 dense .. 2.0 isolated).
 
@@ -201,25 +178,25 @@ def _sector_keys(
 
 
 def _segment_totals(
-    keys: np.ndarray, per_transaction: int, weights: np.ndarray | None = None
+    keys: np.ndarray, per_transaction: int
 ) -> tuple[float, float, float]:
     """Distinct transactions, sectors and bursts per warp, summed.
 
     ``keys`` are :func:`_sector_keys`.  A coarser segment key is a sector
     key floor-divided by the sectors per segment, which keeps sorted
     rows sorted and a straddle's first and last keys exact, so one sort
-    serves every granularity.  ``weights`` scales each row's counts.
+    serves every granularity.  A row counts its changes of key, plus one
+    for its first key unless it holds inactive lanes (then its change
+    into the sentinel stands for it); one count over the matrix beats
+    row sums.
     """
     padded = keys[:, -1] == _SENTINEL
+    unpadded = padded.size - np.count_nonzero(padded)
     totals = []
     for factor in (per_transaction, 1, _BURST_SECTORS):
         segs = keys // factor if factor > 1 else keys
-        changed = segs[:, 1:] != segs[:, :-1]
-        if weights is None:  # one count over the matrix beats row sums
-            unpadded = padded.size - np.count_nonzero(padded)
-            totals.append(float(unpadded + np.count_nonzero(changed)))
-        else:
-            totals.append(float(((changed.sum(axis=1) + ~padded) * weights).sum()))
+        changed = np.count_nonzero(segs[:, 1:] != segs[:, :-1])
+        totals.append(float(unpadded + changed))
     return totals[0], totals[1], totals[2]
 
 

@@ -4,11 +4,12 @@ Every registered microbenchmark runs at test scale on the reference
 oracle and in three columns, and the :class:`BenchResult` documents are
 compared field-for-field — the 14x3 matrix:
 
-* ``fast`` — the bare residue-class fast analyzers that jit records on
-  (:class:`FastDispatch`, not a selectable backend), applied to every
-  launch with nothing stored;
+* ``fast`` — the bare analysis jit records on (:class:`FastDispatch`,
+  not a selectable backend: global accesses on the oracle, shared ones
+  on the residue-class fast path), applied to every launch with nothing
+  stored;
 * ``jit`` — jit over an empty private artifact store (each new launch
-  key records on the fast analyzers, repeats replay);
+  key records on that analysis, repeats replay);
 * ``jit-warm`` — the same store primed by one run, then reopened as a
   fresh process would (launches replay).
 
@@ -16,8 +17,8 @@ Representative kernels are additionally launched per column to assert
 equality of the *raw microarchitectural counters* (the quantities jit
 recomputes or replays) and of each launch's resolved cache traffic, to
 check sanitizer findings are untouched by the backend, and to prove the
-fast path and the replay actually engage rather than silently falling
-back everywhere.
+shared fast path and the replay actually engage rather than silently
+falling back everywhere.
 
 Every reference launch's :class:`TrafficReport` is also pinned by digest
 (``traffic_golden.json``), so a drift in the L1/L2 model fails here and
@@ -43,8 +44,8 @@ from repro.simt.kernel import kernel
 from repro.timing.model import estimate_kernel_time
 
 #: the matrix columns, each with how many runs it takes over one private
-#: store: the bare fast analyzers (no store), jit over an empty store,
-#: and jit over the same store primed by one run
+#: store: the bare analysis jit records on (no store), jit over an empty
+#: store, and jit over the same store primed by one run
 COLUMNS = {"fast": 1, "jit": 1, "jit-warm": 2}
 
 #: small parameters so the 14x3 differential run stays in test time
@@ -193,13 +194,13 @@ class TestKernelCounters:
         assert ref == alt
         traffic = [_traffic((s, r.gpu) for s, _ in r.kernel_log) for r in (ref_rt, rt)]
         assert traffic[0] == traffic[1]
-        assert column != "fast" or rt.dispatch.counters.global_fast > 0
+        assert column != "fast" or rt.dispatch.counters.shared_fast > 0
 
     def test_fast_path_engages(self, private_store):
         rt, _ = _launch_all("jit")  # empty store: every launch records
         c = rt.dispatch.counters
         assert c.jit_traced == 3 and c.jit_replayed == 0
-        assert c.global_fast > 0, "affine global accesses never hit the fast path"
+        assert c.global_reference > 0, "global accesses are recorded on the oracle"
         assert c.shared_fast > 0, "affine shared accesses never hit the fast path"
 
     def test_jit_replay_engages(self, private_store):
@@ -216,7 +217,7 @@ class TestKernelCounters:
     def test_reference_backend_never_uses_fast_path(self):
         rt, _ = _launch_all("reference")
         c = rt.dispatch.counters
-        assert c.global_fast == c.shared_fast == 0
+        assert c.shared_fast == c.shared_fallback == 0
         assert c.global_reference > 0
 
 

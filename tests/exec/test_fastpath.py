@@ -1,11 +1,18 @@
-"""Residue-class fast path: eligibility gating and exact equivalence."""
+"""What ``FastDispatch``, the analysis the jit backend records on, answers.
+
+Shared accesses take the residue-class fast path: its eligibility
+gating, and exact equivalence with the oracle.  Global accesses take
+the oracle itself, held here to a brute-force count.
+"""
 
 import numpy as np
 import pytest
 
-from repro.exec.fastpath import analyze_access_fast, analyze_shared_access_fast
+from repro.exec import FastDispatch
+from repro.exec.fastpath import analyze_shared_access_fast
 from repro.mem.banks import analyze_shared_access
 from repro.mem.coalesce import analyze_access
+from tests.properties.test_coalesce_props import brute_force_summary, five_counts
 
 BASE = 0x100000
 
@@ -14,37 +21,43 @@ def affine(n, stride, itemsize=4, offset=0):
     return BASE + offset + np.arange(n, dtype=np.int64) * stride * itemsize
 
 
+def assert_exact(addrs, itemsize, tx=128, sec=32):
+    """The global summary jit records has the brute-force counts."""
+    summary = FastDispatch().analyze_global(
+        addrs, None, itemsize, warp_size=32, transaction_bytes=tx, sector_bytes=sec
+    )
+    assert five_counts(summary) == brute_force_summary(addrs, None, itemsize, tx, sec)
+
+
 class TestEligibility:
+    """Only affine shared accesses take the fast path."""
+
     def test_partial_mask_ineligible(self):
         mask = np.ones(64, dtype=bool)
         mask[3] = False
-        assert analyze_access_fast(affine(64, 1), mask, 4) is None
+        assert analyze_shared_access_fast(affine(64, 1), mask) is None
 
     def test_irregular_stride_ineligible(self):
-        addrs = affine(64, 1)
-        addrs[40] += 4
-        assert analyze_access_fast(addrs, None, 4) is None
+        offs = affine(64, 1)
+        offs[40] += 4
+        assert analyze_shared_access_fast(offs, None) is None
 
     def test_mixed_stride_across_warps_ineligible(self):
-        addrs = np.concatenate([affine(32, 1), affine(32, 2, offset=4096)])
-        assert analyze_access_fast(addrs, None, 4) is None
+        offs = np.concatenate([affine(32, 1), affine(32, 2, offset=4096)])
+        assert analyze_shared_access_fast(offs, None) is None
 
     def test_whole_warp_inactive_is_eligible(self):
         mask = np.ones(64, dtype=bool)
         mask[32:] = False
-        fast = analyze_access_fast(affine(64, 1), mask, 4)
+        fast = analyze_shared_access_fast(affine(64, 1), mask)
         assert fast is not None
-        assert fast == analyze_access(affine(64, 1), mask, 4)
-
-    def test_segment_not_whole_sectors_rejected(self):
-        with pytest.raises(ValueError, match="not a multiple of sector_bytes"):
-            analyze_access_fast(
-                affine(64, 1), None, 4, transaction_bytes=96, sector_bytes=64
-            )
+        assert fast == analyze_shared_access(affine(64, 1), mask)
 
     def test_empty_grid(self):
-        fast = analyze_access_fast(np.array([], dtype=np.int64), None, 4)
-        assert fast == analyze_access(np.array([], dtype=np.int64), None, 4)
+        empty = np.array([], dtype=np.int64)
+        assert analyze_shared_access_fast(empty, None) == analyze_shared_access(
+            empty, None
+        )
 
     def test_shared_partial_mask_ineligible(self):
         mask = np.ones(32, dtype=bool)
@@ -54,56 +67,42 @@ class TestEligibility:
 
 
 class TestGlobalEquivalence:
+    """The streams of paper Fig. 7 and §IV-C, counted exactly."""
+
     @pytest.mark.parametrize("stride", [1, 2, 4, 8, 17, 32, 1 << 12])
     @pytest.mark.parametrize("itemsize", [1, 4, 8])
     def test_strided_streams(self, stride, itemsize):
-        addrs = affine(512, stride, itemsize)
-        fast = analyze_access_fast(addrs, None, itemsize)
-        assert fast is not None
-        assert fast == analyze_access(addrs, None, itemsize)
+        assert_exact(affine(512, stride, itemsize), itemsize)
 
     @pytest.mark.parametrize("offset", [0, 1, 3, 4, 31, 32, 100, 127])
     def test_misaligned_streams(self, offset):
-        addrs = affine(256, 1, 4, offset=offset)
-        fast = analyze_access_fast(addrs, None, 4)
-        assert fast is not None
-        assert fast == analyze_access(addrs, None, 4)
+        assert_exact(affine(256, 1, 4, offset=offset), 4)
 
     def test_straddling_elements(self):
         # 8-byte elements at odd 4-byte offsets straddle 32B sector lines
-        addrs = affine(128, 1, 8, offset=4)
-        fast = analyze_access_fast(addrs, None, 8)
-        assert fast == analyze_access(addrs, None, 8)
+        assert_exact(affine(128, 1, 8, offset=4), 8)
 
     def test_broadcast_stride_zero(self):
-        addrs = np.full(64, BASE, dtype=np.int64)
-        fast = analyze_access_fast(addrs, None, 4)
-        assert fast == analyze_access(addrs, None, 4)
+        assert_exact(np.full(64, BASE, dtype=np.int64), 4)
 
     def test_negative_stride(self):
-        addrs = BASE + (np.arange(128, dtype=np.int64)[::-1]) * 4
-        fast = analyze_access_fast(np.ascontiguousarray(addrs), None, 4)
-        assert fast == analyze_access(addrs, None, 4)
+        assert_exact(BASE + np.arange(128, dtype=np.int64)[::-1] * 4, 4)
 
     @pytest.mark.parametrize(
         "tx,sec,itemsize,offset", [(64, 64, 2, 32), (96, 32, 1, 16)]
     )
     def test_burst_residue_classes(self, tx, sec, itemsize, offset):
         # warps whose starts agree modulo the segment but not modulo
-        # the burst touch different numbers of bursts, so the classes
-        # are taken modulo both
-        addrs = affine(384, 1, itemsize, offset=offset)
-        kw = dict(transaction_bytes=tx, sector_bytes=sec)
-        fast = analyze_access_fast(addrs, None, itemsize, **kw)
-        assert fast is not None
-        assert fast == analyze_access(addrs, None, itemsize, **kw)
+        # the burst touch different numbers of bursts
+        assert_exact(affine(384, 1, itemsize, offset=offset), itemsize, tx, sec)
 
     def test_sampling_threshold_consistent(self):
+        # every warp of a coalesced stream looks alike, so the rescaled
+        # sample counts the whole stream
         addrs = affine(32 * 64, 1)
-        fast = analyze_access_fast(addrs, None, 4, max_analyzed_warps=16)
-        ref = analyze_access(addrs, None, 4, max_analyzed_warps=16)
-        assert fast == ref
-        assert fast.sample_fraction < 1.0
+        s = analyze_access(addrs, None, 4, max_analyzed_warps=16)
+        assert s.sample_fraction < 1.0
+        assert five_counts(s) == brute_force_summary(addrs, None, 4, 128, 32)
 
 
 class TestSharedEquivalence:

@@ -96,7 +96,6 @@ class TestMultiWarp:
         assert s.n_warps == 2
         assert s.passes == 3
         assert s.conflict_extra == 1
-        assert s.mean_degree == pytest.approx(1.5)
 
     def test_partial_last_warp(self):
         words = np.arange(48)  # 1.5 warps

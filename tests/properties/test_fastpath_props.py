@@ -1,9 +1,12 @@
-"""Property-based tests: the residue-class fast path vs the reference oracle.
+"""Property-based tests: what ``FastDispatch`` answers vs a reference.
 
-For every randomly drawn affine access pattern (base offset x stride x
-itemsize x grid size x warp-granular activity), the fast analyzers must
+``FastDispatch`` is the analysis the jit backend records on.  For every
+randomly drawn affine access pattern (base offset x stride x itemsize x
+grid size x warp-granular activity), the shared fast analyzer must
 either decline (return ``None`` — never wrong, just ineligible) or
 produce a summary equal to the reference analyzer's, field for field.
+Global accesses take the oracle itself, and its counts must equal a
+brute-force count.
 """
 
 import numpy as np
@@ -11,10 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.fastpath import analyze_access_fast, analyze_shared_access_fast
+from repro.exec import FastDispatch
+from repro.exec.fastpath import analyze_shared_access_fast
 from repro.mem.banks import analyze_shared_access
-from repro.mem.coalesce import MAX_ANALYZED_WARPS, analyze_access
-from tests.properties.test_coalesce_props import GEOMETRIES, wide_itemsizes
+from tests.properties.test_coalesce_props import (
+    GEOMETRIES,
+    brute_force_summary,
+    five_counts,
+    wide_itemsizes,
+)
 
 BASE = 0x100000
 
@@ -36,14 +44,24 @@ def warp_mask(data, n):
     return np.repeat(np.asarray(flags, dtype=bool), 32)
 
 
+def recorded_counts(addrs, mask, itemsize, tx=128, sec=32):
+    """The five counts of the global summary jit records."""
+    summary = FastDispatch().analyze_global(
+        addrs, mask, itemsize, warp_size=32, transaction_bytes=tx, sector_bytes=sec
+    )
+    return five_counts(summary)
+
+
 class TestGlobalFastPath:
+    """Global accesses on ``FastDispatch``, counted exactly."""
+
     @given(n=n_lanes, stride=strides, itemsize=itemsizes, offset=offsets)
     @settings(max_examples=120, deadline=None)
     def test_affine_equals_reference(self, n, stride, itemsize, offset):
         addrs = affine_addrs(n, stride, itemsize, offset)
-        fast = analyze_access_fast(addrs, None, itemsize)
-        assert fast is not None, "affine access must be eligible"
-        assert fast == analyze_access(addrs, None, itemsize)
+        assert recorded_counts(addrs, None, itemsize) == brute_force_summary(
+            addrs, None, itemsize, 128, 32
+        )
 
     @given(
         data=st.data(), n=n_lanes, stride=strides, itemsize=itemsizes, offset=offsets
@@ -54,21 +72,20 @@ class TestGlobalFastPath:
     ):
         addrs = affine_addrs(n, stride, itemsize, offset)
         mask = warp_mask(data, n)
-        fast = analyze_access_fast(addrs, mask, itemsize)
-        assert fast is not None
-        assert fast == analyze_access(addrs, mask, itemsize)
+        assert recorded_counts(addrs, mask, itemsize) == brute_force_summary(
+            addrs, mask, itemsize, 128, 32
+        )
 
     @given(data=st.data(), n=n_lanes, itemsize=itemsizes)
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_patterns_never_wrong(self, data, n, itemsize):
-        # unrestricted indices: fast may decline, but must not disagree
         idx = data.draw(
             st.lists(st.integers(0, 1 << 12), min_size=n, max_size=n)
         )
         addrs = BASE + np.asarray(idx, dtype=np.int64) * itemsize
-        fast = analyze_access_fast(addrs, None, itemsize)
-        if fast is not None:
-            assert fast == analyze_access(addrs, None, itemsize)
+        assert recorded_counts(addrs, None, itemsize) == brute_force_summary(
+            addrs, None, itemsize, 128, 32
+        )
 
 
 class TestSharedFastPath:
@@ -91,20 +108,18 @@ class TestSharedFastPath:
 
 
 class TestGlobalFastPathGeometries:
-    """The residue classes hold at every granularity the oracle takes."""
+    """Global accesses on ``FastDispatch`` at every granularity the
+    oracle takes."""
 
     @pytest.mark.parametrize("tx,sec", GEOMETRIES)
     @given(
         data=st.data(), n=n_lanes, stride=strides, itemsize=wide_itemsizes,
-        offset=offsets, limit=st.sampled_from([2, 5, MAX_ANALYZED_WARPS]),
+        offset=offsets,
     )
     @settings(max_examples=40, deadline=None)
-    def test_affine_equals_reference(
-        self, tx, sec, data, n, stride, itemsize, offset, limit
-    ):
+    def test_affine_equals_reference(self, tx, sec, data, n, stride, itemsize, offset):
         addrs = affine_addrs(n, stride, itemsize, offset)
         mask = warp_mask(data, n)
-        kw = dict(transaction_bytes=tx, sector_bytes=sec, max_analyzed_warps=limit)
-        fast = analyze_access_fast(addrs, mask, itemsize, **kw)
-        assert fast is not None
-        assert fast == analyze_access(addrs, mask, itemsize, **kw)
+        assert recorded_counts(addrs, mask, itemsize, tx, sec) == brute_force_summary(
+            addrs, mask, itemsize, tx, sec
+        )

@@ -32,7 +32,10 @@ def run_block_reduction(system, kernel_def, host_x: np.ndarray, block: int):
     r = rt.malloc(n // block)
     stats = rt.launch(kernel_def, n // block, block, x, r)
     rt.synchronize()
-    return stats, r.to_host(), host_x.reshape(-1, block).sum(axis=1)
+    partials = r.to_host()
+    rt.free(x)
+    rt.free(r)
+    return stats, partials, host_x.reshape(-1, block).sum(axis=1)
 
 
 class BankRedux(Microbenchmark):

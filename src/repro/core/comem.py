@@ -56,6 +56,8 @@ class CoMem(Microbenchmark):
         s_cyclic = rt.launch(axpy_cyclic, self.GRID, self.BLOCK, x, y, n, a)
         ok_cyclic = np.allclose(y.to_host(), expect, rtol=1e-5)
         rt.synchronize()
+        rt.free(x)
+        rt.free(y)
 
         gpu = self.system.gpu
         t_block = estimate_kernel_time(s_block, gpu).exec_s

@@ -83,6 +83,8 @@ class Conkernels(Microbenchmark):
         ok_serial = all(
             np.allclose(b.to_host(), e, rtol=1e-5) for b, e in zip(bufs1, expect)
         )
+        for b in bufs1:
+            rt1.free(b)
         serial_timeline = rt1.timeline.render_ascii()
 
         # concurrent: one stream per kernel
@@ -95,6 +97,8 @@ class Conkernels(Microbenchmark):
         ok_conc = all(
             np.allclose(b.to_host(), e, rtol=1e-5) for b, e in zip(bufs2, expect)
         )
+        for b in bufs2:
+            rt2.free(b)
         conc_timeline = rt2.timeline.render_ascii()
 
         return BenchResult(

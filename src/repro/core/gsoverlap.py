@@ -55,6 +55,8 @@ class GSOverlap(Microbenchmark):
         s_async = rt.launch(axpy_shared_async, grid, block, x, y, n, a)
         ok_async = np.allclose(y.to_host(), expect, rtol=1e-5)
         rt.synchronize()
+        rt.free(x)
+        rt.free(y)
 
         gpu = self.system.gpu
         t_sync = estimate_kernel_time(s_sync, gpu).exec_s

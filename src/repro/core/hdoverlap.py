@@ -84,6 +84,8 @@ class HDOverlap(Microbenchmark):
             rt1.launch(axpy_rounds, -(-n // block), block, x1, y1, n, a, rounds)
             out_sync = rt1.memcpy_d2h(y1, pinned=True)
         ok_sync = np.allclose(out_sync, expect, rtol=1e-4)
+        rt1.free(x1)
+        rt1.free(y1)
 
         # optimized: chunked async pipeline across streams
         rt2 = CudaLite(self.system)
@@ -108,6 +110,8 @@ class HDOverlap(Microbenchmark):
                 outs.append(rt2.memcpy_d2h(yv, stream=s, pinned=True,
                                            name=f"D2H y[{c}]"))
         ok_async = np.allclose(np.concatenate(outs), expect, rtol=1e-4)
+        rt2.free(x2)
+        rt2.free(y2)
 
         return BenchResult(
             benchmark=self.name,

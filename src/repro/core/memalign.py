@@ -60,6 +60,8 @@ class MemAlign(Microbenchmark):
         exp_mis = np.where(tid >= 1, hy + a * hx, hy)
         ok_mis = np.allclose(ym.to_host(), exp_mis, rtol=1e-5)
         rt.synchronize()
+        for buf in (x, y, xm, ym):
+            rt.free(buf)
 
         gpu = self.system.gpu
         t_al = estimate_kernel_time(s_al, gpu).exec_s

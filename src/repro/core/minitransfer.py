@@ -53,6 +53,8 @@ class MiniTransfer(Microbenchmark):
             rt.memcpy_h2d(x, hx, pinned=True)
             rt.launch(spmv_dense_row, -(-n // block), block, a, x, y, n)
             out = rt.memcpy_d2h(y, pinned=True)
+        for buf in (a, x, y):
+            rt.free(buf)
         return t.elapsed, out
 
     def _offload_csr(self, csr: CSRMatrix, hx: np.ndarray, block: int):
@@ -70,6 +72,8 @@ class MiniTransfer(Microbenchmark):
             rt.memcpy_h2d(x, hx, pinned=True)
             rt.launch(spmv_csr, -(-n // block), block, vals, cols, rptr, x, y, n)
             out = rt.memcpy_d2h(y, pinned=True)
+        for buf in (vals, cols, rptr, x, y):
+            rt.free(buf)
         return t.elapsed, out
 
     def run(self, n: int = 1024, nnz: int = 4096, block: int = 256, **_: Any) -> BenchResult:

@@ -74,6 +74,10 @@ class ReadOnlyMem(Microbenchmark):
         s_t2 = rt.launch(matadd_tex2d, grid, self.BLOCK, t2a, t2b, c3, n)
         ok = ok and np.allclose(c3.to_host().reshape(n, n), ref)
         rt.synchronize()
+        for tex in (t1a, t1b, t2a, t2b):
+            rt.free(tex.storage)
+        for buf in (a, b, c1, c2, c3):
+            rt.free(buf)
 
         gpu = self.system.gpu
         return (

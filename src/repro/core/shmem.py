@@ -54,6 +54,8 @@ class Shmem(Microbenchmark):
         s_tiled = rt.launch(matmul_tiled, grid, block, a, b, c2, n)
         ok_tiled = np.allclose(c2.to_host().reshape(n, n), ref, rtol=1e-3, atol=1e-3)
         rt.synchronize()
+        for buf in (a, b, c1, c2):
+            rt.free(buf)
 
         gpu = self.system.gpu
         t_naive = estimate_kernel_time(s_naive, gpu)

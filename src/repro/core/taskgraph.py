@@ -88,6 +88,8 @@ class TaskGraphBench(Microbenchmark):
         ok = np.allclose(x1.to_host(), ref_full, rtol=1e-4) and np.allclose(
             x2.to_host(), ref_one_pass, rtol=1e-4
         )
+        rt1.free(x1)
+        rt2.free(x2)
 
         return BenchResult(
             benchmark=self.name,

@@ -49,6 +49,8 @@ class UniMem(Microbenchmark):
             rt.memcpy_h2d(y, hy, pinned=True)
             rt.launch(axpy_strided, -(-threads // block), block, x, y, n, a, stride)
             out = rt.memcpy_d2h(y, pinned=True)
+        rt.free(x)
+        rt.free(y)
         return t.elapsed, out
 
     def _offload_managed(self, hx, hy, n, a, stride, block):
@@ -62,6 +64,8 @@ class UniMem(Microbenchmark):
         with rt.timer() as t:
             rt.launch(axpy_strided, -(-threads // block), block, x, y, n, a, stride)
             out = rt.managed_to_host(y)
+        rt.free(x)
+        rt.free(y)
         return t.elapsed, out
 
     def run(

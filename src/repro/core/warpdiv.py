@@ -84,6 +84,8 @@ class WarpDivRedux(Microbenchmark):
         ok = np.allclose(z1.to_host(), _reference(hx, hy, False)) and np.allclose(
             z2.to_host(), _reference(hx, hy, True)
         )
+        for buf in (x, y, z1, z2):
+            rt.free(buf)
         gpu = self.system.gpu
         t_wd = estimate_kernel_time(s_wd, gpu).exec_s
         t_nowd = estimate_kernel_time(s_nowd, gpu).exec_s

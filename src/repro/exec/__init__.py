@@ -1,6 +1,6 @@
 """Execution backends: the reference oracle and the trace-JIT backend of
-:mod:`repro.jit` (selected as ``"jit"``), which records global accesses
-on the oracle and shared ones on the residue-class fast path."""
+:mod:`repro.jit` (selected as ``"jit"``), which records every access on
+that oracle and replays the recorded answers."""
 
 from repro.common.errors import BackendDivergenceError
 from repro.exec.dispatch import (
@@ -12,7 +12,6 @@ from repro.exec.dispatch import (
     make_dispatcher,
     use_backend,
 )
-from repro.exec.fastpath import analyze_shared_access_fast
 
 __all__ = [
     "BACKENDS",
@@ -23,5 +22,4 @@ __all__ = [
     "current_backend_name",
     "make_dispatcher",
     "use_backend",
-    "analyze_shared_access_fast",
 ]

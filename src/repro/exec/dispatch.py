@@ -5,12 +5,10 @@ A *backend* decides how each warp-wide access is analyzed:
 * ``reference`` — always the per-lane sort-based analyzers of
   :mod:`repro.mem` (the executable oracle);
 * ``jit`` — the trace-JIT backend of :mod:`repro.jit`: record a launch
-  once per trace key on :class:`FastDispatch` (global accesses on the
-  reference analyzer, shared ones on the residue-class fast path of
-  :mod:`repro.exec.fastpath`, which falls back to the reference
-  analyzer for accesses that are not affine), store the access
-  summaries as data, and replay later launches behind linear-time
-  guards, bailing back to analysis per kernel on any mismatch.
+  once per trace key on :class:`FastDispatch` (every access on the
+  reference analyzers), store the access summaries as data, and replay
+  later launches behind linear-time guards, bailing back to analysis
+  per kernel on any mismatch.
 
 Both produce identical summaries (the differential suite in
 ``tests/differential/`` enforces this for every registered benchmark),
@@ -33,7 +31,6 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
 from repro.common.errors import LaunchConfigError
-from repro.exec.fastpath import analyze_shared_access_fast
 from repro.mem.banks import BankConflictSummary, analyze_shared_access
 from repro.mem.coalesce import AccessSummary, analyze_access
 
@@ -88,18 +85,13 @@ def current_backend_name(explicit: str | None = None) -> str:
 
 @dataclass
 class ExecCounters:
-    """How many analyses each dispatch path served.
+    """How many accesses the reference analyzers served.
 
-    Every analyzed global access lands in ``global_reference``.  Shared
-    accesses on :class:`FastDispatch` land in ``shared_fast`` when the
-    residue-class fast path served them and in ``shared_fallback`` when
-    it declined and the reference code analyzed them; under the
-    reference backend they land in ``shared_reference``.
+    Every analyzed global access lands in ``global_reference`` and every
+    analyzed shared access in ``shared_reference``, on both backends.
     """
 
     global_reference: int = 0
-    shared_fast: int = 0
-    shared_fallback: int = 0
     shared_reference: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -156,41 +148,13 @@ class ReferenceDispatch:
 @dataclass
 class FastDispatch(ReferenceDispatch):
     """The analysis ``JitDispatch`` records on (not a selectable backend):
-    the reference analyzer for global accesses, the residue-class fast
-    path with per-access reference fallback for shared ones."""
+    the reference analyzers for every access."""
 
     name = "fast"
 
-    # defined here, not inherited: benchmarks/perf/spans.py hooks it by name
+    # defined here, not inherited: benchmarks/perf/spans.py hooks them by name
     analyze_global = ReferenceDispatch.analyze_global
-
-    def analyze_shared(
-        self,
-        byte_offsets,
-        mask,
-        *,
-        warp_size: int,
-        nbanks: int,
-        bank_bytes: int,
-    ) -> BankConflictSummary:
-        summary = analyze_shared_access_fast(
-            byte_offsets,
-            mask,
-            warp_size=warp_size,
-            nbanks=nbanks,
-            bank_bytes=bank_bytes,
-        )
-        if summary is not None:
-            self.counters.shared_fast += 1
-            return summary
-        self.counters.shared_fallback += 1
-        return analyze_shared_access(
-            byte_offsets,
-            mask,
-            warp_size=warp_size,
-            nbanks=nbanks,
-            bank_bytes=bank_bytes,
-        )
+    analyze_shared = ReferenceDispatch.analyze_shared
 
 
 def make_dispatcher(name: str | None = None) -> ReferenceDispatch:

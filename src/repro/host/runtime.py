@@ -85,8 +85,8 @@ class CudaLite:
         Backoff policy for transient transfer faults.
     backend:
         Memory-analysis execution backend: ``"reference"`` (the
-        per-lane oracle) or ``"jit"`` (trace-JIT replay over the
-        residue-class fast path; see :mod:`repro.jit`) — both with
+        per-lane oracle) or ``"jit"`` (trace-JIT replay of the
+        oracle's recorded answers; see :mod:`repro.jit`) — both with
         identical results (see :mod:`repro.exec`).  Defaults through
         :func:`repro.exec.use_backend` / ``REPRO_BACKEND`` to
         ``"reference"``.

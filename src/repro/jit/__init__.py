@@ -1,8 +1,8 @@
 """Trace-JIT execution backend: record analysis answers once, replay them.
 
 The first launch of a trace key (:mod:`repro.jit.tracekey`) analyzes on
-the residue-class fast path while recording each access's lane
-fingerprint and summary.  The trace is stored as validated JSON data,
+the reference analyzers while recording each access's lane fingerprint
+and summary.  The trace is stored as validated JSON data,
 never code (:mod:`repro.jit.codegen`, :mod:`repro.jit.store`), and
 later launches with the same key replay it behind linear-time guards
 (:mod:`repro.jit.guards`), bailing back to analysis on any mismatch

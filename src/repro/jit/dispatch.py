@@ -3,12 +3,10 @@
 :class:`JitDispatch` is the accelerated backend beside the
 :class:`~repro.exec.dispatch.ReferenceDispatch` oracle.  It extends
 :class:`~repro.exec.dispatch.FastDispatch`, so every access it does not
-replay is analyzed as that class does: a global access by the reference
-analyzer, a shared one on the residue-class fast path, which is
-bit-identical to the reference analyzer.  The executor brackets each launch
-with :meth:`begin_launch` / :meth:`end_launch`; in between every
-``analyze_global`` / ``analyze_shared`` call is served according to the
-launch's mode:
+replay is analyzed by the reference analyzers.  The executor brackets
+each launch with :meth:`begin_launch` / :meth:`end_launch`; in between
+every ``analyze_global`` / ``analyze_shared`` call is served according
+to the launch's mode:
 
 * **record** — first sighting of a trace key: analyze each access while
   recording its guard fingerprint and summary; a completed launch is

@@ -8,11 +8,14 @@ hardware replays the access once per extra word — an *n-way bank
 conflict* costs ``n`` passes.  Lanes reading the *same* word broadcast
 for free.
 
-The analysis is fully vectorized: distinct ``(warp, word)`` pairs are
-identified with the same sort-and-diff trick as coalescing, then a
-``bincount`` over the ``(warp, bank)`` keys of those distinct pairs
-alone (dead lanes and repeated words never enter it) yields per-bank
-multiplicities, whose per-warp maximum is the conflict degree.
+The analysis is fully vectorized.  Warps with no live lane are dropped
+first: the tree reductions of the paper's BankRedux and Shuffle rows
+leave most warps idle in their later steps.  Each live warp's words are
+sorted, so a word is distinct where it differs from its left
+neighbour; one dense ``bincount`` over ``(warp, bank)`` keys then counts
+each warp's distinct words per bank, with repeated words and dead lanes
+sent to one discard bin.  A warp's conflict degree is its largest
+per-bank count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from repro.mem.coalesce import lanes_to_warps
 
-__all__ = ["BankConflictSummary", "shared_pass_degrees", "analyze_shared_access"]
+__all__ = ["BankConflictSummary", "analyze_shared_access"]
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -37,37 +40,6 @@ class BankConflictSummary:
     passes: int             #: serialized passes summed over warps
     conflict_extra: int     #: passes beyond the conflict-free minimum
     max_degree: int         #: worst conflict degree of any warp
-
-
-def shared_pass_degrees(
-    o2d: np.ndarray,
-    m2d: np.ndarray,
-    *,
-    nbanks: int = 32,
-    bank_bytes: int = 4,
-) -> np.ndarray:
-    """Per-warp serialized pass counts for a ``(warps, warp_size)`` access.
-
-    A conflict-free active warp costs one pass; an *n*-way conflict costs
-    ``n``; inactive rows cost zero.  Shared by the reference analyzer and
-    the fast path, which runs it on residue-class representatives.
-    """
-    # Dead lanes are pushed to a sentinel so they sort to the row end and
-    # can never break up a run of identical live words.
-    words = np.where(m2d, o2d // bank_bytes, _SENTINEL)
-    words.sort(axis=1)
-    distinct = words != _SENTINEL
-    if words.shape[1] > 1:
-        distinct[:, 1:] &= words[:, 1:] != words[:, :-1]
-
-    # each distinct live word counts once in its bank: repeats broadcast
-    n_rows = words.shape[0]
-    keys = np.nonzero(distinct)[0] * nbanks + words[distinct] % nbanks
-    degree = np.bincount(keys, minlength=n_rows * nbanks).reshape(
-        n_rows, nbanks
-    ).max(axis=1)
-    active_rows = m2d.any(axis=1)
-    return np.where(active_rows, np.maximum(degree, 1), 0)
 
 
 def analyze_shared_access(
@@ -87,17 +59,35 @@ def analyze_shared_access(
     """
     offsets = np.asarray(byte_offsets, dtype=np.int64)
     o2d, m2d = lanes_to_warps(offsets, mask, warp_size)
-    n_warps_total = int(m2d.any(axis=1).sum())
-    n_active = int(m2d.sum())
-    if n_warps_total == 0:
+    live = m2d.any(axis=1)
+    n_warps = int(np.count_nonzero(live))
+    if n_warps == 0:
         return BankConflictSummary(0, 0, 0, 0, 0)
+    if n_warps < live.shape[0]:
+        o2d, m2d = o2d[live], m2d[live]
 
-    degree = shared_pass_degrees(o2d, m2d, nbanks=nbanks, bank_bytes=bank_bytes)
+    # Dead lanes are pushed to a sentinel so they sort to the row end and
+    # can never break up a run of identical live words.
+    words = o2d // bank_bytes
+    words[~m2d] = _SENTINEL
+    words.sort(axis=1)
+    distinct = words != _SENTINEL
+    distinct[:, 1:] &= words[:, 1:] != words[:, :-1]
+
+    # each distinct live word counts once in its bank: repeats broadcast
+    discard = n_warps * nbanks
+    keys = np.where(
+        distinct,
+        np.arange(0, discard, nbanks)[:, None] + words % nbanks,
+        discard,
+    )
+    degree = np.bincount(keys.ravel(), minlength=discard + 1)[:discard]
+    degree = degree.reshape(n_warps, nbanks).max(axis=1)
     passes = int(degree.sum())
     return BankConflictSummary(
-        n_warps=n_warps_total,
-        n_active_lanes=n_active,
+        n_warps=n_warps,
+        n_active_lanes=int(np.count_nonzero(m2d)),
         passes=passes,
-        conflict_extra=passes - n_warps_total,
-        max_degree=int(degree.max(initial=0)),
+        conflict_extra=passes - n_warps,
+        max_degree=int(degree.max()),
     )

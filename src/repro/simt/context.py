@@ -690,16 +690,16 @@ class ThreadContext(MemoryOpsMixin):
         idx_safe, mask = self._global_access(
             src_arr, src_index, space="global", is_store=False, label="cp.async"
         )
+        # The destination is range-checked and shown to the sanitizer as
+        # a shared store is, but charges no bank pass (the DMA path skips
+        # the LSU).
+        gflat, dst_mask = dst_shared._account(
+            dst_shared._flatten_index(dst_index), is_store=True, charge=False
+        )
+        mask = mask & dst_mask
         if not mask.any():
             return
         values = src_arr.view.reshape(-1)[idx_safe]
-        # Functional shared store without the usual charge: temporarily
-        # account only bytes, not passes (the DMA path skips the LSU).
-        flat = dst_shared._flatten_index(dst_index)
-        act = flat[mask]
-        if act.size and (act.min() < 0 or act.max() >= dst_shared.elems_per_block):
-            raise KernelRuntimeError("memcpy_async shared index out of range")
-        gflat = self._block_of_lane * dst_shared.elems_per_block + np.where(mask, flat, 0)
         dst_shared._data[gflat[mask]] = values[mask].astype(dst_shared.dtype, copy=False)
         st = self.stats
         st.async_copies += self._active_warps

@@ -8,7 +8,7 @@ things at once:
    backing NumPy buffers, honouring the current activity mask;
 2. *coalescing analysis* — lane byte-addresses are run through the
    context's :mod:`repro.exec.dispatch` backend (reference analyzer, or
-   the jit's fast path and replay, identical results) and appended to the
+   the jit's replay of its recorded answers) and appended to the
    launch's access trace for later cache resolution;
 3. *issue accounting* — the LSU is occupied for one cycle per
    transaction, so a fully uncoalesced access (32 transactions) costs

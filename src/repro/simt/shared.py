@@ -73,8 +73,10 @@ class SharedArray:
         return d.astype(np.int64, copy=False)
 
     def _account(
-        self, flat: np.ndarray, is_store: bool = False
+        self, flat: np.ndarray, is_store: bool = False, *, charge: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Range-check an access, charge its bank passes unless ``charge``
+        is false, and show it to racecheck; returns (global index, mask)."""
         ctx = self.ctx
         san = ctx.sanitizer
         memcheck = san is not None and san.enabled("memcheck")
@@ -90,7 +92,7 @@ class SharedArray:
                     f"{self.elems_per_block}-element block array"
                 )
         flat_safe = np.where(mask, flat, 0)
-        if mask.any():
+        if charge and mask.any():
             summary = ctx.dispatch.analyze_shared(
                 flat_safe * self.dtype.itemsize,
                 mask,

@@ -1,17 +1,17 @@
 """What ``FastDispatch``, the analysis the jit backend records on, answers.
 
-Shared accesses take the residue-class fast path: its eligibility
-gating, and exact equivalence with the oracle.  Global accesses take
-the oracle itself, held here to a brute-force count.
+Every access, shared and global, takes the oracle, held here to a
+brute-force count.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from repro.exec import FastDispatch
-from repro.exec.fastpath import analyze_shared_access_fast
-from repro.mem.banks import analyze_shared_access
 from repro.mem.coalesce import analyze_access
+from tests.properties.test_banks_props import brute_force_degree
 from tests.properties.test_coalesce_props import brute_force_summary, five_counts
 
 BASE = 0x100000
@@ -29,41 +29,44 @@ def assert_exact(addrs, itemsize, tx=128, sec=32):
     assert five_counts(summary) == brute_force_summary(addrs, None, itemsize, tx, sec)
 
 
+def assert_shared_exact(offsets, mask):
+    """The shared summary jit records has the brute-force counts."""
+    summary = FastDispatch().analyze_shared(
+        offsets, mask, warp_size=32, nbanks=32, bank_bytes=4
+    )
+    assert astuple(summary) == brute_force_degree(offsets, mask)
+
+
 class TestEligibility:
-    """Only affine shared accesses take the fast path."""
+    """Partial masks, irregular and mixed strides, dead warps and empty
+    grids, counted exactly on the one shared analyzer."""
 
     def test_partial_mask_ineligible(self):
         mask = np.ones(64, dtype=bool)
         mask[3] = False
-        assert analyze_shared_access_fast(affine(64, 1), mask) is None
+        assert_shared_exact(affine(64, 1), mask)
 
     def test_irregular_stride_ineligible(self):
         offs = affine(64, 1)
         offs[40] += 4
-        assert analyze_shared_access_fast(offs, None) is None
+        assert_shared_exact(offs, None)
 
     def test_mixed_stride_across_warps_ineligible(self):
         offs = np.concatenate([affine(32, 1), affine(32, 2, offset=4096)])
-        assert analyze_shared_access_fast(offs, None) is None
+        assert_shared_exact(offs, None)
 
     def test_whole_warp_inactive_is_eligible(self):
         mask = np.ones(64, dtype=bool)
         mask[32:] = False
-        fast = analyze_shared_access_fast(affine(64, 1), mask)
-        assert fast is not None
-        assert fast == analyze_shared_access(affine(64, 1), mask)
+        assert_shared_exact(affine(64, 1), mask)
 
     def test_empty_grid(self):
-        empty = np.array([], dtype=np.int64)
-        assert analyze_shared_access_fast(empty, None) == analyze_shared_access(
-            empty, None
-        )
+        assert_shared_exact(np.array([], dtype=np.int64), None)
 
     def test_shared_partial_mask_ineligible(self):
         mask = np.ones(32, dtype=bool)
         mask[0] = False
-        offs = np.arange(32, dtype=np.int64) * 4
-        assert analyze_shared_access_fast(offs, mask) is None
+        assert_shared_exact(np.arange(32, dtype=np.int64) * 4, mask)
 
 
 class TestGlobalEquivalence:
@@ -106,21 +109,16 @@ class TestGlobalEquivalence:
 
 
 class TestSharedEquivalence:
+    """The strided tiles of paper §IV-F."""
+
     @pytest.mark.parametrize("stride_words", [1, 2, 4, 8, 16, 32, 33])
     def test_strided_words(self, stride_words):
-        offs = np.arange(256, dtype=np.int64) * stride_words * 4
-        fast = analyze_shared_access_fast(offs, None)
-        assert fast is not None
-        assert fast == analyze_shared_access(offs, None)
+        assert_shared_exact(np.arange(256, dtype=np.int64) * stride_words * 4, None)
 
     def test_broadcast(self):
-        offs = np.zeros(64, dtype=np.int64)
-        fast = analyze_shared_access_fast(offs, None)
-        assert fast == analyze_shared_access(offs, None)
+        assert_shared_exact(np.zeros(64, dtype=np.int64), None)
 
     def test_whole_warp_inactive(self):
         mask = np.ones(64, dtype=bool)
         mask[:32] = False
-        offs = np.arange(64, dtype=np.int64) * 8
-        fast = analyze_shared_access_fast(offs, mask)
-        assert fast == analyze_shared_access(offs, mask)
+        assert_shared_exact(np.arange(64, dtype=np.int64) * 8, mask)

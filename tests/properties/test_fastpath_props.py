@@ -1,12 +1,10 @@
-"""Property-based tests: what ``FastDispatch`` answers vs a reference.
+"""Property-based tests: what ``FastDispatch`` answers vs a brute force.
 
 ``FastDispatch`` is the analysis the jit backend records on.  For every
 randomly drawn affine access pattern (base offset x stride x itemsize x
-grid size x warp-granular activity), the shared fast analyzer must
-either decline (return ``None`` — never wrong, just ineligible) or
-produce a summary equal to the reference analyzer's, field for field.
-Global accesses take the oracle itself, and its counts must equal a
-brute-force count.
+grid size x warp-granular activity), the global summary it records must
+equal a brute-force count.  Its shared answers come from the bank
+oracle, whose own properties are in ``test_banks_props.py``.
 """
 
 import numpy as np
@@ -15,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec import FastDispatch
-from repro.exec.fastpath import analyze_shared_access_fast
-from repro.mem.banks import analyze_shared_access
 from tests.properties.test_coalesce_props import (
     GEOMETRIES,
     brute_force_summary,
@@ -37,7 +33,7 @@ def affine_addrs(n, stride, itemsize, offset):
 
 
 def warp_mask(data, n):
-    """Whole warps on or off (the convergent shapes the fast path accepts)."""
+    """Whole warps on or off."""
     flags = data.draw(
         st.lists(st.booleans(), min_size=n // 32, max_size=n // 32)
     )
@@ -86,25 +82,6 @@ class TestGlobalFastPath:
         assert recorded_counts(addrs, None, itemsize) == brute_force_summary(
             addrs, None, itemsize, 128, 32
         )
-
-
-class TestSharedFastPath:
-    @given(n=n_lanes, stride=st.integers(0, 64), offset=st.integers(0, 127))
-    @settings(max_examples=120, deadline=None)
-    def test_affine_equals_reference(self, n, stride, offset):
-        offs = offset + np.arange(n, dtype=np.int64) * stride * 4
-        fast = analyze_shared_access_fast(offs, None)
-        assert fast is not None
-        assert fast == analyze_shared_access(offs, None)
-
-    @given(data=st.data(), n=n_lanes, stride=st.integers(0, 33))
-    @settings(max_examples=60, deadline=None)
-    def test_warp_granular_masks_equal_reference(self, data, n, stride):
-        offs = np.arange(n, dtype=np.int64) * stride * 4
-        mask = warp_mask(data, n)
-        fast = analyze_shared_access_fast(offs, mask)
-        assert fast is not None
-        assert fast == analyze_shared_access(offs, mask)
 
 
 class TestGlobalFastPathGeometries:

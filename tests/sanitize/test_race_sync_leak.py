@@ -5,9 +5,11 @@ import pytest
 
 from repro.arch.presets import CARINA
 from repro.common.errors import KernelRuntimeError
+from repro.core.registry import ALL_BENCHMARKS, get_benchmark
 from repro.host.runtime import CudaLite
 from repro.sanitize import Sanitizer, current_session, sanitize_session
 from repro.simt.kernel import kernel
+from tests.core.test_suite import FAST_OVERRIDES
 
 
 @kernel
@@ -156,13 +158,19 @@ class TestLeakcheck:
     def test_dynparallel_frees_its_buffers(self):
         # both runtimes: the escape-time image, then Mariani-Silver's
         # image and every recursion level's buffers, freed after use
-        from repro.core.registry import get_benchmark
-
         san = Sanitizer(("memcheck", "leakcheck"))
         with sanitize_session(sanitizer=san) as session:
             get_benchmark("DynParallel").run(size=128, max_dwell=64)
         assert len(session.runtimes) == 2
         assert san.report().findings == []
+
+    @pytest.mark.parametrize("cls", ALL_BENCHMARKS, ids=lambda c: c.name)
+    def test_table1_rows_free_their_buffers(self, cls):
+        san = Sanitizer("leakcheck")
+        with sanitize_session(sanitizer=san):
+            get_benchmark(cls.name).run(**FAST_OVERRIDES.get(cls.name, {}))
+        leaks = [f for f in san.report().findings if f.rule == "leaked-allocations"]
+        assert leaks == []
 
 
 class TestSession:

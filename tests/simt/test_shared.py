@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.arch.presets import TESLA_V100
+from repro.arch.presets import RTX3080_SYSTEM, TESLA_V100
 from repro.common.errors import InvalidAddressError, LaunchConfigError
+from repro.host.runtime import CudaLite
+from repro.sanitize import Sanitizer
 from repro.simt.context import ThreadContext
 from repro.simt.dim3 import Dim3
+from repro.simt.kernel import kernel
 
 
 def ctx_for(grid=2, block=64):
@@ -108,3 +111,45 @@ class TestConflictCharging:
         s.load(c.thread_idx_x)
         assert c.stats.shared_requests == 4  # 2 warps x 2 accesses
         assert c.stats.shared_bytes == 2 * 64 * 4
+
+
+@kernel
+def async_stage(ctx, x, y, shift):
+    """Stage ``x`` through a block tile with ``memcpy_async``, then read
+    the element ``shift`` lanes on, with no barrier in between."""
+    tile = ctx.shared_array(ctx.block.x, np.float32)
+    t = ctx.thread_idx_x
+    i = ctx.global_thread_id()
+    ctx.memcpy_async(tile, t + shift, x, i)
+    ctx.pipeline_commit_and_wait()
+    ctx.store(y, i, tile.load((t + ctx.block.x // 2) % ctx.block.x))
+
+
+def _stage(shift, sanitize=None):
+    rt = CudaLite(RTX3080_SYSTEM, sanitize=sanitize)
+    x = rt.to_device(np.arange(64, dtype=np.float32))
+    y = rt.malloc(64, np.float32)
+    rt.launch(async_stage, 1, 64, x, y, shift)
+    return y
+
+
+class TestMemcpyAsync:
+    """The shared destination of ``memcpy_async`` is checked like a store."""
+
+    def test_out_of_range_is_an_illegal_address(self):
+        with pytest.raises(InvalidAddressError):
+            _stage(shift=1)
+
+    def test_memcheck_reports_the_write(self):
+        san = Sanitizer("memcheck")
+        _stage(shift=1, sanitize=san)
+        rules = {f.rule for f in san.report().findings}
+        assert rules == {"shared-oob-write"}
+
+    def test_racecheck_sees_the_write(self):
+        # lane t reads the element lane t + 32 copied, in the other warp
+        san = Sanitizer("racecheck")
+        y = _stage(shift=0, sanitize=san)
+        rules = {f.rule for f in san.report().findings}
+        assert "read-after-write" in rules
+        assert np.array_equal(y.to_host(), np.roll(np.arange(64, dtype=np.float32), -32))
